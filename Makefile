@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt vet test race e2e-fleet bench bench-quick bench-scaling bench-spmv bench-block bench-block-smoke bench-locality bench-locality-smoke bench-spgemm bench-spgemm-smoke build doc-check
+.PHONY: ci fmt vet vet-perfbench test race e2e-fleet bench bench-quick bench-scaling bench-spmv bench-block bench-block-smoke bench-locality bench-locality-smoke bench-spgemm bench-spgemm-smoke build doc-check
 
-ci: doc-check build race e2e-fleet bench-locality-smoke bench-block-smoke bench-spgemm-smoke
+ci: doc-check build vet-perfbench race e2e-fleet bench-locality-smoke bench-block-smoke bench-spgemm-smoke
 
 build:
 	$(GO) build ./...
@@ -17,12 +17,20 @@ fmt:
 vet:
 	$(GO) vet ./...
 
+# vet-perfbench compiles and vets the benchmark module. perfbench/ has
+# its own go.mod, so `go build ./...` at the root never sees it; this
+# catches an API change that would break the benchmark. The environment
+# matches perfbench/run.sh (no module downloads, no workspace).
+vet-perfbench:
+	GOFLAGS=-mod=mod GOPROXY=off GOWORK=off $(GO) -C perfbench vet ./...
+
 # doc-check keeps the documentation honest: gofmt + vet, the
-# metrics ↔ OBSERVABILITY.md drift guard, and the model-registry ↔
-# README/EXPERIMENTS.md drift guard.
+# metrics ↔ OBSERVABILITY.md drift guard, the model-registry ↔
+# README/EXPERIMENTS.md drift guard, and the per-subsystem surface
+# guard (flags, spans, artifacts, API names; deleted names stay out).
 doc-check: fmt vet
 	$(GO) test -run 'TestMetricsDocumented' ./internal/partserver/
-	$(GO) test -run 'TestDocsModelNames|TestDocsModelSurface|TestDocsLocalitySurface|TestDocsBlockSurface' .
+	$(GO) test -run 'TestDocs' .
 
 test:
 	$(GO) test ./...
@@ -66,8 +74,8 @@ bench-scaling:
 	FINEGRAIN_SCALING_FLOOR=$(FINEGRAIN_SCALING_FLOOR) \
 		$(GO) test -run '^$$' -bench BenchmarkPartitionWorkers -benchtime 1x .
 
-# bench-spmv regenerates BENCH_spmv.json: per-call spmv.Run against
-# Exec on a reused Plan (nl at paper size, K=64), asserting zero
+# bench-spmv regenerates BENCH_spmv.json: a per-call plan (compile,
+# Exec once, close) against Exec on a reused Plan (nl at paper size, K=64), asserting zero
 # steady-state allocations on the reused path.
 bench-spmv:
 	$(GO) test -run '^$$' -bench BenchmarkSpMVPlan -benchtime 1x .

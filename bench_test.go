@@ -265,13 +265,19 @@ func BenchmarkSpMV(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	s, err := finegrain.NewSession(dec, finegrain.SessionOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
 	x := make([]float64, a.Cols)
 	for i := range x {
 		x[i] = float64(i % 13)
 	}
+	y := make([]float64, a.Rows)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := finegrain.Multiply(dec, x); err != nil {
+		if err := s.Multiply(x, y, finegrain.ExecOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -484,15 +490,15 @@ type spmvBenchReport struct {
 	K                int               `json:"k"`
 	WordsPerMultiply int               `json:"words_per_multiply"`
 	Runs             []spmvBenchRecord `json:"runs"`
-	// Speedup is per-call Run over single-worker Exec on the reused
-	// plan — what one solver iteration gains from the plan/execute
+	// Speedup is the per-call compile+Exec over single-worker Exec on
+	// the reused plan — what one solver iteration gains from the plan/execute
 	// split.
 	Speedup float64 `json:"speedup"`
 }
 
 // BenchmarkSpMVPlan measures the plan/execute split on the fine-grain
-// decomposition of "nl" at paper size, K=64: per-call spmv.Run (which
-// compiles a fresh plan every multiply) against Exec on a reused Plan,
+// decomposition of "nl" at paper size, K=64: a per-call plan (compiled,
+// executed once and closed every multiply) against Exec on a reused Plan,
 // asserting the reused path allocates nothing in steady state, and
 // writes the figures to BENCH_spmv.json.
 func BenchmarkSpMVPlan(b *testing.B) {
@@ -519,9 +525,14 @@ func BenchmarkSpMVPlan(b *testing.B) {
 		runtime.ReadMemStats(&ms0)
 		t0 := time.Now()
 		for i := 0; i < runIters; i++ {
-			if _, err := spmv.Run(asg, x); err != nil {
+			pl, err := spmv.NewPlan(asg)
+			if err != nil {
 				b.Fatal(err)
 			}
+			if err := pl.Exec(x, make([]float64, a.Rows), spmv.ExecOptions{}); err != nil {
+				b.Fatal(err)
+			}
+			pl.Close()
 		}
 		elapsed := time.Since(t0)
 		runtime.ReadMemStats(&ms1)

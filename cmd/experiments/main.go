@@ -5,7 +5,6 @@
 //	experiments -table 1 [-scale 0.2]
 //	experiments -table 2 [-scale 0.1] [-seeds 3] [-k 16,32,64] [-matrices ken-11,cq9]
 //	experiments -figure 1
-//	experiments -planbench nl [-scale 0.1] [-k 64] [-iters 50]
 //	experiments -localitybench nl [-scale 1] [-k 64] [-iters 50]
 //	experiments -compare [-scale 0.1] [-k 16,32,64] [-matrices ken-11,cq9] [-seeds 3]
 //	experiments -spgemmbench [-scale 0.1] [-k 4,16] [-matrices ken-11,cq9] [-json BENCH_spgemm.json]
@@ -17,12 +16,6 @@
 // the simulated Sparse-SUMMA executor's traffic equals the model's
 // cutsize-derived prediction, and writes the figures to the path given
 // by -json (default BENCH_spgemm.json; empty writes no artifact).
-//
-// The -planbench mode times the plan/execute split directly: it
-// decomposes one catalog matrix, then multiplies -iters times first
-// through the per-call API (which recompiles the communication plan
-// every multiply) and then through a reused Multiplier (which compiles
-// once), reporting the amortized speedup an iterative solver sees.
 //
 // Scale shrinks the synthetic catalog matrices proportionally (1 =
 // paper-size); volumes are scaled by the matrix dimension, so results at
@@ -55,9 +48,8 @@ func main() {
 	workers := flag.Int("workers", 0, "partitioner goroutines per instance (0 = GOMAXPROCS); results are identical for any value")
 	stats := flag.Bool("stats", false, "aggregate and print partitioner per-phase statistics")
 	quiet := flag.Bool("quiet", false, "suppress per-instance progress lines")
-	planBench := flag.String("planbench", "", "catalog matrix: time per-call Multiply vs a reused Multiplier")
 	localityBench := flag.String("localitybench", "", "catalog matrix: time the real kernel, natural vs cache-blocked reordering")
-	iters := flag.Int("iters", 50, "multiplies per timing in -planbench/-localitybench")
+	iters := flag.Int("iters", 50, "multiplies per timing in -localitybench")
 	compare := flag.Bool("compare", false, "compare the 1D, fine-grain and medium-grain SpMV models")
 	spgemmBench := flag.Bool("spgemmbench", false, "sweep the SpGEMM hypergraph models over C=A·A with the simulated executor")
 	jsonOut := flag.String("json", "BENCH_spgemm.json", "artifact path for -spgemmbench (empty = none)")
@@ -109,15 +101,6 @@ func main() {
 			os.Exit(1)
 		}
 		experiments.WriteCompare(os.Stdout, rows)
-	case *planBench != "":
-		k := 64
-		if ks := parseInts(*ks); len(ks) > 0 {
-			k = ks[0]
-		}
-		if err := runPlanBench(*planBench, *scale, k, *iters); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
 	case *localityBench != "":
 		k := 64
 		if ks := parseInts(*ks); len(ks) > 0 {
@@ -158,60 +141,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-// runPlanBench measures what an iterative solver gains from the
-// plan/execute split on one decomposition.
-func runPlanBench(catalog string, scale float64, k, iters int) error {
-	a, err := finegrain.Generate(catalog, scale, 1)
-	if err != nil {
-		return err
-	}
-	dec, err := finegrain.Decompose2D(a, k, finegrain.Options{Seed: 1})
-	if err != nil {
-		return err
-	}
-	x := make([]float64, a.Cols)
-	for i := range x {
-		x[i] = 1 / float64(i+1)
-	}
-
-	// Per-call path: every multiply recompiles the plan.
-	if _, err := finegrain.Multiply(dec, x); err != nil { // warm-up
-		return err
-	}
-	t0 := time.Now()
-	for i := 0; i < iters; i++ {
-		if _, err := finegrain.Multiply(dec, x); err != nil {
-			return err
-		}
-	}
-	perCall := time.Since(t0) / time.Duration(iters)
-
-	// Reused-plan path: compile once, execute per iteration.
-	mul, err := finegrain.NewMultiplier(dec)
-	if err != nil {
-		return err
-	}
-	defer mul.Close()
-	if _, err := mul.Multiply(x); err != nil { // warm-up
-		return err
-	}
-	t1 := time.Now()
-	for i := 0; i < iters; i++ {
-		if _, err := mul.Multiply(x); err != nil {
-			return err
-		}
-	}
-	reused := time.Since(t1) / time.Duration(iters)
-
-	ctr := mul.Counters()
-	fmt.Printf("planbench %s scale=%g K=%d n=%d nnz=%d\n", catalog, scale, k, a.Rows, a.NNZ())
-	fmt.Printf("  words per multiply:  %d (expand+fold, == connectivity−1 cutsize)\n", ctr.TotalWords())
-	fmt.Printf("  per-call Multiply:   %v/op (compiles the plan every call)\n", perCall)
-	fmt.Printf("  reused Multiplier:   %v/op (plan compiled once)\n", reused)
-	fmt.Printf("  amortized speedup:   %.1fx\n", float64(perCall)/float64(reused))
-	return nil
 }
 
 // runLocalityBench measures what the cache-blocking reordering buys on

@@ -55,6 +55,29 @@ func TestDocsModelNames(t *testing.T) {
 	}
 }
 
+// docSurface is one document and the names it must mention.
+type docSurface struct {
+	doc   string
+	wants []string
+}
+
+// checkDocSurface fails t for every name a document does not mention;
+// surface labels the subsystem in the error.
+func checkDocSurface(t *testing.T, surface string, cases []docSurface) {
+	t.Helper()
+	for _, c := range cases {
+		b, err := os.ReadFile(c.doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range c.wants {
+			if !regexp.MustCompile(regexp.QuoteMeta(w)).Match(b) {
+				t.Errorf("%s does not mention %q (%s surface drift)", c.doc, w, surface)
+			}
+		}
+	}
+}
+
 // TestDocsModelSurface pins the documented surface of the model
 // family added with the medium-grain/SpGEMM/auto work: the
 // model-selection guide must cover every registry name AND alias, and
@@ -75,10 +98,7 @@ func TestDocsModelSurface(t *testing.T) {
 		}
 	}
 
-	cases := []struct {
-		doc   string
-		wants []string
-	}{
+	checkDocSurface(t, "model", []docSurface{
 		{"README.md", []string{
 			"-spgemm", "-spgemmbench", "-compare",
 			"MODELS.md", "requested_model",
@@ -104,18 +124,7 @@ func TestDocsModelSurface(t *testing.T) {
 		{"Makefile", []string{
 			"bench-spgemm", "bench-spgemm-smoke",
 		}},
-	}
-	for _, c := range cases {
-		b, err := os.ReadFile(c.doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range c.wants {
-			if !regexp.MustCompile(regexp.QuoteMeta(w)).Match(b) {
-				t.Errorf("%s does not mention %q (model surface drift)", c.doc, w)
-			}
-		}
-	}
+	})
 }
 
 // TestDocsBlockSurface pins the documented surface of the block
@@ -123,10 +132,7 @@ func TestDocsModelSurface(t *testing.T) {
 // the benchmark artifact and target must stay documented where users
 // are told to look for them.
 func TestDocsBlockSurface(t *testing.T) {
-	cases := []struct {
-		doc   string
-		wants []string
-	}{
+	checkDocSurface(t, "block", []docSurface{
 		{"README.md", []string{
 			"-solve", "-session-ttl", "-session-max",
 			"NewSession", "MultiplyBlock", "BlockCounters",
@@ -140,25 +146,14 @@ func TestDocsBlockSurface(t *testing.T) {
 			"exec.block", "cg.block", "session.open",
 		}},
 		{"DESIGN.md", []string{
-			"ExecBlock", "BlockCGOnPlan", "Session",
+			"ExecBlock", "solver.BlockCG", "Session",
 			"BENCH_block.json", "FINEGRAIN_BLOCK_FLOOR",
 		}},
 		{"Makefile", []string{
 			"bench-block", "bench-block-smoke",
 			"FINEGRAIN_BLOCK_FLOOR", "FINEGRAIN_BLOCK_SMOKE",
 		}},
-	}
-	for _, c := range cases {
-		b, err := os.ReadFile(c.doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range c.wants {
-			if !regexp.MustCompile(regexp.QuoteMeta(w)).Match(b) {
-				t.Errorf("%s does not mention %q (block surface drift)", c.doc, w)
-			}
-		}
-	}
+	})
 }
 
 // TestDocsLocalitySurface pins the documented surface of the locality
@@ -167,14 +162,11 @@ func TestDocsBlockSurface(t *testing.T) {
 // told to look for them. Renaming a flag, span or artifact without
 // updating the docs fails here.
 func TestDocsLocalitySurface(t *testing.T) {
-	cases := []struct {
-		doc   string
-		wants []string
-	}{
+	checkDocSurface(t, "locality", []docSurface{
 		{"README.md", []string{
 			"-reorder", "-measure", "-localitybench",
 			"BENCH_locality.json", "bench-locality",
-			"NewLocalMultiplier", "Reorder",
+			"CompileLocal", "MultiplyLocal", "Reorder",
 		}},
 		{"EXPERIMENTS.md", []string{
 			"BENCH_locality.json", "bench-locality",
@@ -190,16 +182,5 @@ func TestDocsLocalitySurface(t *testing.T) {
 			"bench-locality", "bench-locality-smoke",
 			"FINEGRAIN_LOCALITY_FLOOR", "FINEGRAIN_LOCALITY_SMOKE",
 		}},
-	}
-	for _, c := range cases {
-		b, err := os.ReadFile(c.doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range c.wants {
-			if !regexp.MustCompile(regexp.QuoteMeta(w)).Match(b) {
-				t.Errorf("%s does not mention %q (locality surface drift)", c.doc, w)
-			}
-		}
-	}
+	})
 }

@@ -27,9 +27,9 @@ func Example() {
 	// Output: volume == cutsize: true
 }
 
-// ExampleMultiply executes a decomposed y = Ax on simulated processors
-// and shows that the words moved equal the analyzed volume.
-func ExampleMultiply() {
+// ExampleSession_Multiply executes a decomposed y = Ax on simulated
+// processors and shows that the words moved equal the analyzed volume.
+func ExampleSession_Multiply() {
 	a := finegrain.FromEntries(3, 3, []finegrain.Entry{
 		{Row: 0, Col: 0, Val: 1}, {Row: 1, Col: 1, Val: 2},
 		{Row: 2, Col: 2, Val: 3}, {Row: 0, Col: 2, Val: 1},
@@ -38,20 +38,26 @@ func ExampleMultiply() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := finegrain.Multiply(dec, []float64{1, 1, 1})
+	s, err := finegrain.NewSession(dec, finegrain.SessionOptions{})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("y:", res.Y)
-	fmt.Println("words match analysis:", res.TotalWords() == dec.Stats.TotalVolume)
+	defer s.Close()
+	y := make([]float64, 3)
+	if err := s.Multiply([]float64{1, 1, 1}, y, finegrain.ExecOptions{}); err != nil {
+		panic(err)
+	}
+	c := s.Counters()
+	fmt.Println("y:", y)
+	fmt.Println("words match analysis:", c.TotalWords() == dec.Stats.TotalVolume)
 	// Output:
 	// y: [2 2 3]
 	// words match analysis: true
 }
 
-// ExampleNewMultiplier compiles a decomposition once and multiplies
+// ExampleNewSession compiles a decomposition once and multiplies
 // repeatedly — the iterative-solver regime the paper optimizes for.
-func ExampleNewMultiplier() {
+func ExampleNewSession() {
 	a := finegrain.FromEntries(3, 3, []finegrain.Entry{
 		{Row: 0, Col: 0, Val: 1}, {Row: 1, Col: 1, Val: 2},
 		{Row: 2, Col: 2, Val: 3}, {Row: 0, Col: 2, Val: 1},
@@ -60,22 +66,22 @@ func ExampleNewMultiplier() {
 	if err != nil {
 		panic(err)
 	}
-	m, err := finegrain.NewMultiplier(dec)
+	s, err := finegrain.NewSession(dec, finegrain.SessionOptions{})
 	if err != nil {
 		panic(err)
 	}
-	defer m.Close()
+	defer s.Close()
 
 	y := make([]float64, 3)
 	x := []float64{1, 1, 1}
 	for i := 0; i < 3; i++ { // e.g. power iteration: x ← Ax
-		if err := m.MultiplyInto(x, y, 0); err != nil {
+		if err := s.Multiply(x, y, finegrain.ExecOptions{}); err != nil {
 			panic(err)
 		}
 		copy(x, y)
 	}
 	fmt.Println("A³·1:", y)
-	c := m.Counters()
+	c := s.Counters()
 	fmt.Println("words per multiply match analysis:", c.TotalWords() == dec.Stats.TotalVolume)
 	// Output:
 	// A³·1: [14 8 27]

@@ -2,10 +2,10 @@
 // scenario from the paper's introduction. A symmetric positive definite
 // system (5-point Laplacian + I) is solved with CG, where every
 // iteration's matrix-vector product runs on K simulated processors
-// through the chosen decomposition. CG compiles the decomposition into
-// an execution plan once and reuses it for every iteration's multiply
-// (see solver.CGOnPlan to amortize one plan across many solves). The
-// better the decomposition, the fewer words the whole solve moves.
+// through the chosen decomposition. A Session compiles the
+// decomposition into an execution plan once and reuses it for every
+// iteration's multiply (and for any further solves on it). The better
+// the decomposition, the fewer words the whole solve moves.
 package main
 
 import (
@@ -14,7 +14,6 @@ import (
 
 	finegrain "finegrain"
 	"finegrain/internal/matgen"
-	"finegrain/internal/solver"
 )
 
 func main() {
@@ -46,14 +45,19 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s: %v", m.name, err)
 		}
-		res, err := solver.CG(dec.Assignment, b, solver.CGOptions{Tol: 1e-8})
+		s, err := finegrain.NewSession(dec, finegrain.SessionOptions{})
 		if err != nil {
 			log.Fatalf("%s: %v", m.name, err)
 		}
-		if !res.Converged {
-			log.Fatalf("%s: CG did not converge (residual %g)", m.name, res.Residual)
+		res, err := s.Solve(b, 1, finegrain.SolveOptions{Tol: 1e-8})
+		s.Close()
+		if err != nil {
+			log.Fatalf("%s: %v", m.name, err)
 		}
-		fmt.Printf("%-15s %3d iterations, residual %.2e\n", m.name, res.Iterations, res.Residual)
+		if !res.AllConverged() {
+			log.Fatalf("%s: CG did not converge (residual %g)", m.name, res.Residuals[0])
+		}
+		fmt.Printf("%-15s %3d iterations, residual %.2e\n", m.name, res.Iterations[0], res.Residuals[0])
 		fmt.Printf("%-15s words/iteration: %d (volume of the decomposition)\n",
 			"", dec.Stats.TotalVolume)
 		fmt.Printf("%-15s whole solve: %d spmv words + %d allreduce words = %d total\n\n",

@@ -40,38 +40,38 @@ func main() {
 		st.TotalMessages, st.AvgMessagesPerProc, 2*(st.K-1))
 	fmt.Printf("  multiplies per processor: %v (imbalance %.1f%%)\n", st.Loads, st.ImbalancePct)
 
-	// Execute y = Ax on 4 simulated processors and check the result.
+	// Execute y = Ax on 4 simulated processors and check the result. An
+	// iterative solver multiplies thousands of times against one
+	// decomposition; a Session compiles the communication plan once so
+	// each multiply pays only execution cost.
+	s, err := finegrain.NewSession(dec, finegrain.SessionOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer s.Close()
 	x := make([]float64, 8)
 	for i := range x {
 		x[i] = float64(i + 1)
 	}
-	res, err := finegrain.Multiply(dec, x)
-	if err != nil {
+	y := make([]float64, 8)
+	if err := s.Multiply(x, y, finegrain.ExecOptions{}); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("parallel y = %v\n", res.Y)
+	ctr := s.Counters()
+	fmt.Printf("parallel y = %v\n", y)
 	fmt.Printf("simulator moved %d words in %d messages — matches the analysis: %v\n",
-		res.TotalWords(), res.TotalMessages(), res.TotalWords() == st.TotalVolume)
+		ctr.TotalWords(), ctr.TotalMessages(), ctr.TotalWords() == st.TotalVolume)
 
 	if err := finegrain.Verify(a, dec, x); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("verified against the serial kernel ✓")
 
-	// An iterative solver multiplies thousands of times against one
-	// decomposition; a Multiplier compiles the communication plan once
-	// so each multiply pays only execution cost.
-	mul, err := finegrain.NewMultiplier(dec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer mul.Close()
 	for it := 0; it < 3; it++ {
-		if _, err := mul.Multiply(x); err != nil {
+		if err := s.Multiply(x, y, finegrain.ExecOptions{}); err != nil {
 			log.Fatal(err)
 		}
 	}
-	ctr := mul.Counters()
 	fmt.Printf("3 more multiplies on the compiled plan, %d words each ✓\n",
 		ctr.TotalWords())
 }

@@ -44,6 +44,7 @@ func main() {
 	for i := range x {
 		x[i] = 1.0 / float64(i+1)
 	}
+	y := make([]float64, a.Rows)
 
 	for _, m := range methods {
 		start := time.Now()
@@ -54,24 +55,24 @@ func main() {
 		partTime := time.Since(start)
 
 		// Run the solver loop: compile the decomposition into a reusable
-		// plan once, then execute y = Ax repeatedly (each iteration pays
-		// the expand/fold volume again, but not the compilation).
-		mul, err := finegrain.NewMultiplier(dec)
+		// session once, then execute y = Ax repeatedly (each iteration
+		// pays the expand/fold volume again, but not the compilation).
+		sess, err := finegrain.NewSession(dec, finegrain.SessionOptions{})
 		if err != nil {
 			log.Fatalf("%s: %v", m.name, err)
 		}
+		ctr := sess.Counters()
 		var words, msgs int
 		start = time.Now()
 		for it := 0; it < *iters; it++ {
-			res, err := mul.Multiply(x)
-			if err != nil {
+			if err := sess.Multiply(x, y, finegrain.ExecOptions{}); err != nil {
 				log.Fatal(err)
 			}
-			words += res.TotalWords()
-			msgs += res.TotalMessages()
+			words += ctr.TotalWords()
+			msgs += ctr.TotalMessages()
 		}
 		mulTime := time.Since(start)
-		mul.Close()
+		sess.Close()
 
 		s := dec.Stats
 		fmt.Printf("%-30s partition %8v | per-iteration: %6d words (%.3f/row), %5.1f msgs/proc | imbalance %.1f%%\n",

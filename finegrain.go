@@ -26,9 +26,10 @@
 //
 // All entry points return a Decomposition holding the executable
 // Assignment (nonzero + vector ownership), the measured communication
-// Stats, and the partitioner's objective value. Use Multiply to execute
-// y = Ax on simulated processors and verify the decomposition; hold a
-// Multiplier (NewMultiplier) when multiplying repeatedly.
+// Stats, and the partitioner's objective value. Open a Session
+// (NewSession) on a decomposition to multiply and solve with it
+// repeatedly on simulated processors; Verify checks one multiply
+// against the serial kernel and the analyzed volume.
 //
 // # Errors
 //
@@ -55,13 +56,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"finegrain/internal/comm"
 	"finegrain/internal/core"
 	"finegrain/internal/gpart"
 	"finegrain/internal/hgpart"
 	"finegrain/internal/hypergraph"
-	"finegrain/internal/kernel"
 	"finegrain/internal/matgen"
 	"finegrain/internal/mediumgrain"
 	"finegrain/internal/obs"
@@ -417,11 +418,11 @@ func Decompose1D(a *Matrix, k int, o Options) (*Decomposition, error) {
 // DecomposeLocality runs the same 1D column-net pipeline with a
 // different goal: the K-way partition is read not as K processors but
 // as K cache blocks of a single node. Decode the result with Reorder to
-// obtain the cache-blocking permutation and run it through a
-// LocalMultiplier — the Akbudak/Kayaaslan/Aykanat observation that the
-// machinery minimizing communication volume also minimizes cache
-// misses. Failures are reported as *Error values with a classification
-// Code.
+// obtain the cache-blocking permutation, or open a Session with
+// CompileLocal to multiply through it — the Akbudak/Kayaaslan/Aykanat
+// observation that the machinery minimizing communication volume also
+// minimizes cache misses. Failures are reported as *Error values with
+// a classification Code.
 func DecomposeLocality(a *Matrix, k int, o Options) (*Decomposition, error) {
 	return decomposeColumnNet("DecomposeLocality", a, k, o)
 }
@@ -643,91 +644,6 @@ func DecomposeModel(model string, a *Matrix, k int, o Options) (*Decomposition, 
 	return m.decompose(a, k, o)
 }
 
-// Multiply executes y = A·x on K simulated message-passing processors
-// using the given decomposition, returning the result vector and the
-// words/messages actually communicated. It compiles and discards a
-// fresh execution plan per call.
-//
-// Deprecated: the per-call plan compile amortizes nothing. Open a
-// Session (or hold a Multiplier) and reuse it; Multiply remains for
-// one-shot verification and keeps its exact semantics.
-func Multiply(dec *Decomposition, x []float64) (*SpMVResult, error) {
-	return spmv.Run(dec.Assignment, x)
-}
-
-// Multiplier is a decomposition compiled for repeated y = A·x
-// execution — the iterative-solver regime the paper optimizes for. The
-// expand/fold schedules, message buffers and routing table are built
-// once by NewMultiplier; every Multiply reuses them, so per-multiply
-// cost drops to the communication itself. Results are byte-identical
-// to Multiply's for the same decomposition.
-//
-// A Multiplier is not safe for concurrent Multiply calls. Close
-// releases its worker goroutines; dropping the Multiplier without
-// Close releases them via a finalizer.
-type Multiplier struct {
-	pl *spmv.Plan
-	y  []float64
-}
-
-// NewMultiplier compiles dec into a reusable execution plan.
-func NewMultiplier(dec *Decomposition) (*Multiplier, error) {
-	pl, err := spmv.NewPlan(dec.Assignment)
-	if err != nil {
-		return nil, err
-	}
-	rows, _ := pl.Dims()
-	return &Multiplier{pl: pl, y: make([]float64, rows)}, nil
-}
-
-// Multiply executes y = A·x on the compiled plan and returns the
-// result with the plan's communication counters. The returned Y slice
-// is owned by the Multiplier and overwritten by the next call; copy it
-// to retain it.
-func (m *Multiplier) Multiply(x []float64) (*SpMVResult, error) {
-	if err := m.pl.Exec(x, m.y, spmv.ExecOptions{}); err != nil {
-		return nil, err
-	}
-	res := m.pl.Counters()
-	res.Y = m.y
-	return &res, nil
-}
-
-// Exec executes y = A·x into a caller-provided slice (len(y) must be
-// the matrix's row count), allocating nothing in steady state.
-func (m *Multiplier) Exec(x, y []float64, o ExecOptions) error {
-	return m.pl.Exec(x, y, spmv.ExecOptions{Workers: o.Workers})
-}
-
-// ExecBlock executes Y = A·X for n stacked right-hand sides (vector v
-// is X[v*cols : (v+1)*cols], same layout over rows for Y) in one
-// expand/fold cycle — single-multiply message count, n× the words —
-// bitwise equal to n Exec calls at any worker count.
-func (m *Multiplier) ExecBlock(X, Y []float64, n int, o ExecOptions) error {
-	return m.pl.ExecBlock(X, Y, n, spmv.ExecOptions{Workers: o.Workers})
-}
-
-// MultiplyInto executes y = A·x into a caller-provided slice.
-//
-// Deprecated: use Exec, which takes an ExecOptions struct instead of a
-// positional workers argument. Identical semantics.
-func (m *Multiplier) MultiplyInto(x, y []float64, workers int) error {
-	return m.Exec(x, y, ExecOptions{Workers: workers})
-}
-
-// Counters returns the communication profile every Multiply realizes
-// (fixed by the compiled routing table; Y is nil).
-func (m *Multiplier) Counters() SpMVResult { return m.pl.Counters() }
-
-// BlockCounters returns the traffic one ExecBlock call with n
-// right-hand sides realizes: the message counts of a single multiply,
-// n× the words.
-func (m *Multiplier) BlockCounters(n int) SpMVResult { return m.pl.BlockCounters(n) }
-
-// Close releases the Multiplier's worker goroutines. Optional: a
-// finalizer does the same on garbage collection.
-func (m *Multiplier) Close() { m.pl.Close() }
-
 // Measure recomputes the communication profile of an assignment.
 func Measure(asg *Assignment) (*Stats, error) { return comm.Measure(asg) }
 
@@ -790,45 +706,40 @@ func PartitionHypergraph(h *Hypergraph, k int, fixed []int, o Options) (*Partiti
 	return hgpart.PartitionFixed(h, k, fixed, o.hgOptions())
 }
 
-// Verify multiplies with the decomposition and checks both the numeric
-// result against the serial kernel and the simulator's word counts
-// against the analytic volumes. It returns an error describing the
-// first mismatch.
+// Verify multiplies with the decomposition through a Session and
+// checks both the numeric result against the serial kernel and the
+// simulator's word counts against the analytic volumes. A non-finite
+// entry on either side is a mismatch. It returns an error describing
+// the first mismatch.
 func Verify(a *Matrix, dec *Decomposition, x []float64) error {
-	res, err := Multiply(dec, x)
+	s, err := NewSession(dec, SessionOptions{})
 	if err != nil {
+		return err
+	}
+	defer s.Close()
+	y := make([]float64, a.Rows)
+	if err := s.Multiply(x, y, ExecOptions{}); err != nil {
 		return err
 	}
 	want := make([]float64, a.Rows)
 	a.MulVec(x, want)
 	for i := range want {
-		diff := res.Y[i] - want[i]
-		if diff < 0 {
-			diff = -diff
-		}
-		scale := 1.0
-		if want[i] > 1 || want[i] < -1 {
-			if want[i] < 0 {
-				scale = -want[i]
-			} else {
-				scale = want[i]
-			}
-		}
-		if diff > 1e-9*scale {
-			return fmt.Errorf("finegrain: y[%d] = %g, serial %g", i, res.Y[i], want[i])
+		finite := !math.IsNaN(y[i]) && !math.IsInf(y[i], 0) && !math.IsNaN(want[i]) && !math.IsInf(want[i], 0)
+		if !finite || math.Abs(y[i]-want[i]) > 1e-9*math.Max(1, math.Abs(want[i])) {
+			return fmt.Errorf("finegrain: y[%d] = %g, serial %g", i, y[i], want[i])
 		}
 	}
-	if res.TotalWords() != dec.Stats.TotalVolume {
+	if ctr := s.Counters(); ctr.TotalWords() != dec.Stats.TotalVolume {
 		return fmt.Errorf("finegrain: simulator moved %d words, analyzer predicted %d",
-			res.TotalWords(), dec.Stats.TotalVolume)
+			ctr.TotalWords(), dec.Stats.TotalVolume)
 	}
 	return nil
 }
 
 // Permutation is a row/column reordering of a matrix: original row i
 // moves to position Row[i], original column j to Col[j]. Produced by
-// Reorder, consumed by NewLocalMultiplier, persisted by sparsepart as a
-// sidecar .perm file.
+// Reorder, compiled by NewSession with CompileLocal, persisted by
+// sparsepart as a sidecar .perm file.
 type Permutation = reorder.Permutation
 
 // Reorder decodes a decomposition into a cache-blocking permutation and
@@ -836,8 +747,8 @@ type Permutation = reorder.Permutation
 // owner, so each simulated processor's rows — whose column footprints
 // the partitioner made overlap — become one contiguous block with a
 // compact x working set. It returns the permuted matrix and the
-// permutation that produced it (pass the permutation, not the permuted
-// matrix, to NewLocalMultiplier). Use a decomposition from
+// permutation that produced it (NewSession with CompileLocal compiles
+// the same permutation for MultiplyLocal). Use a decomposition from
 // DecomposeLocality (or any model) with K chosen so one block's working
 // set fits the target cache. Options is read only for Trace, which
 // records a "reorder.decode" span.
@@ -852,130 +763,3 @@ func Reorder(dec *Decomposition, o Options) (*Matrix, *Permutation, error) {
 	}
 	return b, p, nil
 }
-
-// LocalMultiplier is the measured-hardware counterpart of Multiplier:
-// a matrix compiled for repeated y = A·x on real threads (internal/
-// kernel) instead of simulated message-passing processors. Vectors stay
-// in the original index space — the multiplier maps through its
-// permutation internally — so a LocalMultiplier built with a
-// cache-blocking permutation is a drop-in faster multiplier, not a
-// different operator. Results are byte-identical at every worker count
-// and to a natural-order multiplier, permuted or not.
-//
-// A LocalMultiplier is not safe for concurrent Multiply calls. Close
-// releases its worker goroutines; dropping it without Close releases
-// them via a finalizer.
-type LocalMultiplier struct {
-	pl       *kernel.Plan
-	perm     *reorder.Permutation // nil: natural order, no vector mapping
-	xp, yp   []float64            // permuted-space scratch (perm != nil only)
-	xpB, ypB []float64            // block-call scratch, grown on demand (perm != nil only)
-	y        []float64            // result buffer for Multiply
-}
-
-// NewLocalMultiplier compiles a for repeated multiplication under the
-// given permutation (nil for natural order). The permutation typically
-// comes from Reorder.
-func NewLocalMultiplier(a *Matrix, perm *Permutation) (*LocalMultiplier, error) {
-	return NewLocalMultiplierTraced(a, perm, nil)
-}
-
-// NewLocalMultiplierTraced is NewLocalMultiplier recording a
-// "kernel.compile" span on tr (no-op when tr is nil).
-func NewLocalMultiplierTraced(a *Matrix, perm *Permutation, tr *Trace) (*LocalMultiplier, error) {
-	pl, err := kernel.NewPlanTraced(a, perm, kernel.Options{}, tr)
-	if err != nil {
-		return nil, err
-	}
-	m := &LocalMultiplier{pl: pl, perm: perm, y: make([]float64, a.Rows)}
-	if perm != nil {
-		m.xp = make([]float64, a.Cols)
-		m.yp = make([]float64, a.Rows)
-	}
-	return m, nil
-}
-
-// Multiply executes y = A·x and returns the result. The returned slice
-// is owned by the LocalMultiplier and overwritten by the next call;
-// copy it to retain it.
-func (m *LocalMultiplier) Multiply(x []float64) ([]float64, error) {
-	if err := m.Exec(x, m.y, ExecOptions{}); err != nil {
-		return nil, err
-	}
-	return m.y, nil
-}
-
-// Exec executes y = A·x into a caller-provided slice (len(y) must be
-// the matrix's row count), allocating nothing in steady state. x and y
-// are in the original index space regardless of the compiled
-// permutation.
-func (m *LocalMultiplier) Exec(x, y []float64, o ExecOptions) error {
-	opts := kernel.ExecOptions{Workers: o.Workers}
-	if m.perm == nil {
-		return m.pl.Exec(x, y, opts)
-	}
-	reorder.ApplyVec(m.xp, x, m.perm.Col)
-	// Exec runs in permuted space on the multiplier's scratch; the
-	// gather below lands the result in original index space.
-	if err := m.pl.Exec(m.xp, m.yp, opts); err != nil {
-		return err
-	}
-	reorder.UnapplyVec(y, m.yp, m.perm.Row)
-	return nil
-}
-
-// ExecBlock executes Y = A·X for n stacked right-hand sides (vector v
-// is X[v*cols : (v+1)*cols], same layout over rows for Y), re-reading
-// each cached matrix block once per vector while it is hot — bitwise
-// equal to n Exec calls at any worker count. For a permuted plan the
-// block scratch grows to the widest n seen and is then reused.
-func (m *LocalMultiplier) ExecBlock(X, Y []float64, n int, o ExecOptions) error {
-	opts := kernel.ExecOptions{Workers: o.Workers}
-	if m.perm == nil {
-		return m.pl.ExecBlock(X, Y, n, opts)
-	}
-	rows, cols := m.pl.Dims()
-	if n < 1 {
-		return fmt.Errorf("finegrain: ExecBlock with n=%d right-hand sides", n)
-	}
-	if len(X) != n*cols {
-		return fmt.Errorf("finegrain: len(X)=%d, want n*cols = %d", len(X), n*cols)
-	}
-	if len(Y) != n*rows {
-		return fmt.Errorf("finegrain: len(Y)=%d, want n*rows = %d", len(Y), n*rows)
-	}
-	if len(m.xpB) < n*cols {
-		m.xpB = make([]float64, n*cols)
-		m.ypB = make([]float64, n*rows)
-	}
-	xp, yp := m.xpB[:n*cols], m.ypB[:n*rows]
-	for v := 0; v < n; v++ {
-		reorder.ApplyVec(xp[v*cols:(v+1)*cols], X[v*cols:(v+1)*cols], m.perm.Col)
-	}
-	if err := m.pl.ExecBlock(xp, yp, n, opts); err != nil {
-		return err
-	}
-	for v := 0; v < n; v++ {
-		reorder.UnapplyVec(Y[v*rows:(v+1)*rows], yp[v*rows:(v+1)*rows], m.perm.Row)
-	}
-	return nil
-}
-
-// MultiplyInto executes y = A·x into a caller-provided slice.
-//
-// Deprecated: use Exec, which takes an ExecOptions struct instead of a
-// positional workers argument. Identical semantics.
-func (m *LocalMultiplier) MultiplyInto(x, y []float64, workers int) error {
-	return m.Exec(x, y, ExecOptions{Workers: workers})
-}
-
-// NNZ returns the compiled nonzero count (2·NNZ flops per multiply).
-func (m *LocalMultiplier) NNZ() int { return m.pl.NNZ() }
-
-// Blocks returns the number of cache-budget row blocks the compiled
-// plan schedules.
-func (m *LocalMultiplier) Blocks() int { return m.pl.Blocks() }
-
-// Close releases the LocalMultiplier's worker goroutines. Optional: a
-// finalizer does the same on garbage collection.
-func (m *LocalMultiplier) Close() { m.pl.Close() }

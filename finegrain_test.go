@@ -1,6 +1,7 @@
 package finegrain_test
 
 import (
+	"math"
 	"testing"
 
 	finegrain "finegrain"
@@ -110,12 +111,40 @@ func TestMultiplyCountsWords(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := make([]float64, a.Cols)
-	res, err := finegrain.Multiply(dec, x)
+	_, res := multiplyOnce(t, dec, x)
+	if res.TotalWords() != dec.Stats.TotalVolume {
+		t.Fatalf("simulator words %d, analyzer %d", res.TotalWords(), dec.Stats.TotalVolume)
+	}
+}
+
+// TestVerifyRejectsNonFinite: a NaN matrix entry or an infinite input
+// makes both sides of the comparison non-finite, where a plain
+// |y − want| > bound test would pass. Verify must report it.
+func TestVerifyRejectsNonFinite(t *testing.T) {
+	a, err := finegrain.Generate("sherman3", 0.02, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TotalWords() != dec.Stats.TotalVolume {
-		t.Fatalf("simulator words %d, analyzer %d", res.TotalWords(), dec.Stats.TotalVolume)
+	dec, err := finegrain.Decompose2D(a, 4, finegrain.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, a.Cols)
+	for i := range x {
+		x[i] = 1
+	}
+	if err := finegrain.Verify(a, dec, x); err != nil {
+		t.Fatal(err)
+	}
+	v0 := a.Val[0]
+	a.Val[0] = math.NaN()
+	if err := finegrain.Verify(a, dec, x); err == nil {
+		t.Error("Verify passed a product with a NaN matrix entry")
+	}
+	a.Val[0] = v0
+	x[0] = math.Inf(1)
+	if err := finegrain.Verify(a, dec, x); err == nil {
+		t.Error("Verify passed a product with an infinite input")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	finegrain "finegrain"
 	"finegrain/internal/experiments"
-	"finegrain/internal/solver"
 )
 
 // TestIntegrationCatalogPipeline runs the complete pipeline — generate,
@@ -84,10 +83,7 @@ func TestIntegrationSaveLoadExecute(t *testing.T) {
 	for i := range x {
 		x[i] = float64(i)
 	}
-	res, err := finegrain.Multiply(&finegrain.Decomposition{Assignment: asg, Stats: st}, x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := multiplyOnce(t, &finegrain.Decomposition{Assignment: asg, Stats: st}, x)
 	if res.TotalWords() != st.TotalVolume {
 		t.Fatal("reloaded decomposition moved a different word count")
 	}
@@ -121,14 +117,19 @@ func TestIntegrationCGAcrossModels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := solver.CG(dec.Assignment, b, solver.CGOptions{Tol: 1e-9})
+		s, err := finegrain.NewSession(dec, finegrain.SessionOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Converged {
+		res, err := s.Solve(b, 1, finegrain.SolveOptions{Tol: 1e-9})
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.AllConverged() {
 			t.Fatal("CG did not converge")
 		}
-		iters = append(iters, res.Iterations)
+		iters = append(iters, res.Iterations[0])
 	}
 	// The decomposition must not change the mathematics: iteration
 	// counts agree across models.
@@ -173,15 +174,28 @@ func TestIntegrationRectangularReduction(t *testing.T) {
 	for i := range x {
 		x[i] = float64(i%5) - 2
 	}
-	res, err := finegrain.Multiply(&finegrain.Decomposition{Assignment: asg, Stats: st}, x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	y, _ := multiplyOnce(t, &finegrain.Decomposition{Assignment: asg, Stats: st}, x)
 	want := make([]float64, a.Rows)
 	a.MulVec(x, want)
 	for i := range want {
-		if diff := res.Y[i] - want[i]; diff > 1e-9 || diff < -1e-9 {
+		if diff := y[i] - want[i]; diff > 1e-9 || diff < -1e-9 {
 			t.Fatalf("y[%d] off by %g", i, diff)
 		}
 	}
+}
+
+// multiplyOnce opens a session on dec, multiplies x once, and returns y
+// with the words and messages that multiply moved.
+func multiplyOnce(t *testing.T, dec *finegrain.Decomposition, x []float64) ([]float64, finegrain.SpMVResult) {
+	t.Helper()
+	s, err := finegrain.NewSession(dec, finegrain.SessionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	y := make([]float64, dec.Assignment.A.Rows)
+	if err := s.Multiply(x, y, finegrain.ExecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	return y, s.Counters()
 }

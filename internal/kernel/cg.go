@@ -1,16 +1,14 @@
 package kernel
 
 import (
-	"errors"
-	"fmt"
-	"math"
-
 	"finegrain/internal/obs"
+	"finegrain/internal/solver"
+	"finegrain/internal/spmv"
 )
 
 // CGOptions configures a conjugate gradient solve on a compiled plan.
-// It mirrors solver.CGOptions minus the communication model — this CG
-// runs on real threads, so the only outputs are the iterate and the
+// It mirrors solver.BlockCGOptions minus the communication model — this
+// CG runs on real threads, so the only outputs are the iterate and the
 // wall clock the caller wraps around it.
 type CGOptions struct {
 	// Tol is the relative residual tolerance ‖r‖/‖b‖ (default 1e-8).
@@ -35,77 +33,42 @@ type CGResult struct {
 // CG solves A·x = b on the compiled plan for symmetric positive
 // definite A, reusing the plan (and its parked workers) for every
 // multiply. b and the returned X live in the plan's index space, like
-// Exec's vectors. The iteration sequence is byte-identical at every
-// worker count because each multiply is.
+// Exec's vectors. It runs solver.BlockCG with one right-hand side, so
+// the iteration sequence is byte-identical at every worker count
+// because each multiply is.
 func (pl *Plan) CG(b []float64, opts CGOptions) (*CGResult, error) {
-	rows, cols := pl.Dims()
-	if rows != cols {
-		return nil, errors.New("kernel: CG needs a square matrix")
+	rows, _ := pl.Dims()
+	sp := opts.Track.Begin("kernel", "cg").Arg("n", int64(rows))
+	defer sp.End()
+	res, err := solver.BlockCG(cgOperator{pl: pl, track: opts.Track}, 1, b, 1, solver.BlockCGOptions{
+		Tol: opts.Tol, MaxIter: opts.MaxIter, Workers: opts.Workers,
+	})
+	if err != nil {
+		return nil, err
 	}
-	if len(b) != rows {
-		return nil, fmt.Errorf("kernel: len(b)=%d, matrix is %dx%d", len(b), rows, cols)
-	}
-	n := rows
-	tol := opts.Tol
-	if tol <= 0 {
-		tol = 1e-8
-	}
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = 10 * n
-	}
-	sp := opts.Track.Begin("kernel", "cg").Arg("n", int64(n))
-	defer func() { sp.End() }()
-	execOpts := ExecOptions{Workers: opts.Workers, Track: opts.Track}
-
-	res := &CGResult{X: make([]float64, n)}
-	ap := make([]float64, n)
-	r := append([]float64(nil), b...) // r = b − A·0 = b
-	p := append([]float64(nil), b...)
-	rs := dot(r, r)
-	bNorm := math.Sqrt(rs)
-	if bNorm == 0 {
-		res.Converged = true
-		return res, nil
-	}
-	for res.Iterations < maxIter {
-		if math.Sqrt(rs)/bNorm <= tol {
-			res.Converged = true
-			break
-		}
-		if err := pl.Exec(p, ap, execOpts); err != nil {
-			return nil, err
-		}
-		pap := dot(p, ap)
-		if pap <= 0 {
-			// Not SPD (or numerical breakdown): stop with the current
-			// iterate rather than diverging.
-			break
-		}
-		alpha := rs / pap
-		for i := 0; i < n; i++ {
-			res.X[i] += alpha * p[i]
-			r[i] -= alpha * ap[i]
-		}
-		rsNew := dot(r, r)
-		beta := rsNew / rs
-		for i := 0; i < n; i++ {
-			p[i] = r[i] + beta*p[i]
-		}
-		rs = rsNew
-		res.Iterations++
-	}
-	if math.Sqrt(rs)/bNorm <= tol {
-		res.Converged = true
-	}
-	res.Residual = math.Sqrt(rs)
-	return res, nil
+	return &CGResult{X: res.X, Iterations: res.Iterations[0], Residual: res.Residuals[0], Converged: res.Converged[0]}, nil
 }
 
-func dot(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
+// cgOperator adapts a Plan to solver.Operator. It multiplies each
+// vector with Exec (faster than ExecBlock at n = 1), records its exec
+// spans on the caller's track rather than a solver track, and reports
+// no traffic: real threads move no simulated words.
+type cgOperator struct {
+	pl    *Plan
+	track *obs.Track
+}
+
+func (o cgOperator) Dims() (int, int) { return o.pl.Dims() }
+
+func (o cgOperator) BlockCounters(int) spmv.Result { return spmv.Result{} }
+
+func (o cgOperator) ExecBlock(X, Y []float64, n int, opts spmv.ExecOptions) error {
+	rows, cols := o.pl.Dims()
+	eo := ExecOptions{Workers: opts.Workers, Track: o.track}
+	for v := 0; v < n; v++ {
+		if err := o.pl.Exec(X[v*cols:(v+1)*cols], Y[v*rows:(v+1)*rows], eo); err != nil {
+			return err
+		}
 	}
-	return s
+	return nil
 }

@@ -570,17 +570,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // solveRequest is the body of POST /v1/jobs/{id}/solve and
 // POST /v1/sessions/{sid}/solve. All fields are optional: the
 // right-hand sides default to a single all-ones vector. A scalar solve
-// is simply a batch of one — the response shape is identical.
+// is simply a batch of one — the response shape is identical. Unknown
+// fields are rejected, so a misspelled or retired field (the pre-batch
+// scalar "b") fails loudly instead of solving the default system.
 type solveRequest struct {
 	// RHS is the batch of right-hand sides (each of length = matrix
 	// rows). One block-CG solve runs over all of them, paying the
 	// expand/fold message count once per iteration for the whole batch.
 	RHS [][]float64 `json:"rhs,omitempty"`
-	// B is the single right-hand side of the pre-batch API.
-	//
-	// Deprecated: B is treated exactly as RHS with one vector; set RHS.
-	// Setting both is an error.
-	B []float64 `json:"b,omitempty"`
 	// Tol is the relative residual tolerance (default 1e-8), applied per
 	// right-hand side.
 	Tol float64 `json:"tol,omitempty"`
@@ -634,17 +631,9 @@ type iterLine struct {
 	Residuals []float64 `json:"residuals"`
 }
 
-// stackRHS normalizes the request's right-hand sides — rhs array,
-// deprecated scalar b, or the all-ones default — into the stacked
-// layout solver.BlockCGOnPlan takes.
+// stackRHS normalizes the request's right-hand sides — rhs array or
+// the all-ones default — into the stacked layout solver.BlockCG takes.
 func stackRHS(req *solveRequest, rows int) ([]float64, int, error) {
-	if req.RHS != nil && req.B != nil {
-		return nil, 0, errors.New("set either rhs or b, not both")
-	}
-	if req.B != nil {
-		req.RHS = [][]float64{req.B}
-		req.B = nil
-	}
 	if req.RHS == nil {
 		ones := make([]float64, rows)
 		for i := range ones {
@@ -688,7 +677,9 @@ func (s *Server) runSolve(w http.ResponseWriter, r *http.Request, jobID, session
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	defer body.Close()
 	var req solveRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
 		httpError(w, http.StatusBadRequest, codeBadRequest, "decoding request: %v", err)
 		return
 	}
@@ -732,7 +723,7 @@ func (s *Server) runSolve(w http.ResponseWriter, r *http.Request, jobID, session
 		}
 	}
 	t0 := time.Now()
-	blk, err := solver.BlockCGOnPlan(pl, res.dec.Assignment.K, B, n, opts)
+	blk, err := solver.BlockCG(pl, res.dec.Assignment.K, B, n, opts)
 	elapsed := time.Since(t0)
 	res.mu.Unlock()
 	if err != nil {

@@ -152,10 +152,15 @@ func TestEndToEnd(t *testing.T) {
 	for i := range x {
 		x[i] = 1 / float64(i+1)
 	}
-	res, err := spmv.Run(asg, x)
+	pl, err := spmv.NewPlan(asg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer pl.Close()
+	if err := pl.Exec(x, make([]float64, a.Rows), spmv.ExecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	res := pl.Counters()
 	if res.TotalWords() != st.Cutsize {
 		t.Fatalf("simulator moved %d words, cutsize is %d", res.TotalWords(), st.Cutsize)
 	}

@@ -78,8 +78,8 @@ func sessionSolve(t *testing.T, ts *httptest.Server, sid, body string) (solveRes
 // API: open a session on a decomposed SPD system, solve a batch of
 // right-hand sides through it, and check the solutions are
 // byte-identical to a local block-CG on the same decomposition at
-// every worker count. A deprecated scalar `b` solve is exactly a batch
-// of one.
+// every worker count. A batch of one is exactly that right-hand side's
+// trajectory inside the batch.
 func TestSessionSolveEndToEnd(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 1})
 	done, a := submitSPD(t, ts, 9, 9, 8)
@@ -119,7 +119,7 @@ func TestSessionSolveEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pl.Close()
-	want, err := solver.BlockCGOnPlan(pl, asg.K, B, n, solver.BlockCGOptions{})
+	want, err := solver.BlockCG(pl, asg.K, B, n, solver.BlockCGOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,28 +159,23 @@ func TestSessionSolveEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Scalar back-compat: `b` is a batch of one with the identical
-	// normalized envelope, and matches `rhs` with the same single vector.
-	sb, _ := json.Marshal(map[string]any{"b": rhs[0], "include_x": true})
+	// A scalar solve is a batch of one with the identical normalized
+	// envelope, and its trajectory is rhs[0]'s inside the batch.
 	rb, _ := json.Marshal(map[string]any{"rhs": rhs[:1], "include_x": true})
-	srB, code := sessionSolve(t, ts, sess.ID, string(sb))
-	if code != http.StatusOK {
-		t.Fatalf("scalar b solve: %d", code)
-	}
 	srR, code := sessionSolve(t, ts, sess.ID, string(rb))
 	if code != http.StatusOK {
 		t.Fatalf("rhs-of-one solve: %d", code)
 	}
-	if srB.NRHS != 1 || len(srB.Results) != 1 {
-		t.Fatalf("scalar b: nrhs %d, want a batch of one", srB.NRHS)
+	if srR.NRHS != 1 || len(srR.Results) != 1 || srR.Results[0].Iterations != want.Iterations[0] {
+		t.Fatalf("rhs-of-one: %+v, want a batch of one matching rhs[0]", srR)
 	}
-	for i := range srB.Results[0].X {
-		if srB.Results[0].X[i] != srR.Results[0].X[i] {
-			t.Fatalf("x[%d]: scalar b %v != rhs-of-one %v", i, srB.Results[0].X[i], srR.Results[0].X[i])
+	for i, x := range srR.Results[0].X {
+		if x != want.X[i] {
+			t.Fatalf("x[%d]: rhs-of-one %v != rhs[0] in the batch %v", i, x, want.X[i])
 		}
 	}
 
-	// Session bookkeeping: five solves through the session, status
+	// Session bookkeeping: four solves through the session, status
 	// reflects them, metrics count them.
 	resp, err := http.Get(ts.URL + "/v1/sessions/" + sess.ID)
 	if err != nil {
@@ -188,17 +183,17 @@ func TestSessionSolveEndToEnd(t *testing.T) {
 	}
 	var st SessionStatus
 	decodeBody(t, resp, &st)
-	if st.Solves != 5 {
-		t.Fatalf("session solves = %d, want 5", st.Solves)
+	if st.Solves != 4 {
+		t.Fatalf("session solves = %d, want 4", st.Solves)
 	}
 	if v := metricValue(t, ts, "partserver_sessions_active"); v != 1 {
 		t.Fatalf("sessions_active = %d, want 1", v)
 	}
-	if v := metricValue(t, ts, "partserver_session_solves_total"); v != 5 {
-		t.Fatalf("session_solves_total = %d, want 5", v)
+	if v := metricValue(t, ts, "partserver_session_solves_total"); v != 4 {
+		t.Fatalf("session_solves_total = %d, want 4", v)
 	}
-	if v := metricValue(t, ts, "partserver_solve_rhs_count"); v != 5 {
-		t.Fatalf("solve_rhs histogram count = %d, want 5", v)
+	if v := metricValue(t, ts, "partserver_solve_rhs_count"); v != 4 {
+		t.Fatalf("solve_rhs histogram count = %d, want 4", v)
 	}
 
 	// DELETE closes it; subsequent use reports SessionExpired, not 404.
@@ -439,7 +434,7 @@ func TestSessionErrors(t *testing.T) {
 	both, _ := json.Marshal(map[string]any{"rhs": [][]float64{make([]float64, a.Rows)}, "b": make([]float64, a.Rows)})
 	bad := []string{
 		string(short),       // wrong-length vector in the batch
-		string(both),        // rhs and deprecated b together
+		string(both),        // rhs and the retired b together
 		`{"rhs":[]}`,        // empty batch
 		`{"max_iter":-1}`,   // negative bound
 		`{"tol":-0.5}`,      // negative tolerance
@@ -449,6 +444,16 @@ func TestSessionErrors(t *testing.T) {
 		if _, code := sessionSolve(t, ts, sess.ID, body); code != http.StatusBadRequest {
 			t.Errorf("bad solve %d: %d, want 400", i, code)
 		}
+	}
+	// The retired scalar `b` — like any unknown field — is refused, not
+	// silently replaced by the all-ones default.
+	ob, _ := json.Marshal(map[string]any{"b": make([]float64, a.Rows)})
+	resp, err = http.Post(ts.URL+"/v1/sessions/"+sess.ID+"/solve", "application/json", bytes.NewReader(ob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eb := decodeErrorBody(t, resp); resp.StatusCode != http.StatusBadRequest || eb.Code != string(codeBadRequest) {
+		t.Fatalf("solve with retired b: %d code %q, want 400 %s", resp.StatusCode, eb.Code, codeBadRequest)
 	}
 
 	// Double DELETE: the second sees an expired (410), not unknown (404).

@@ -8,7 +8,6 @@ import (
 	"finegrain/internal/hgpart"
 	"finegrain/internal/rng"
 	"finegrain/internal/solver"
-	"finegrain/internal/spmv"
 )
 
 // stackedRHS returns n right-hand sides back to back, each a distinct
@@ -47,33 +46,26 @@ func fineAssignment(t *testing.T, rows, cols, k int) *core.Assignment {
 }
 
 // TestBlockCGMatchesSoloRuns is the satellite property test: block-CG
-// on n stacked right-hand sides reproduces n independent CGOnPlan runs
-// — same iterates, same iteration counts, same residuals — at every
-// worker count. The match is bitwise, not just within tolerance: the
-// block multiply is bitwise equal to the single multiply and the
-// per-vector recurrences evaluate in the same order.
+// on n stacked right-hand sides reproduces n independent reference CG
+// runs over the single multiply — same iterates, same iteration counts,
+// same residuals — at every worker count. The match is bitwise, not
+// just within tolerance: the block multiply is bitwise equal to the
+// single multiply and the per-vector recurrences evaluate in the same
+// order.
 func TestBlockCGMatchesSoloRuns(t *testing.T) {
 	asg := fineAssignment(t, 10, 14, 4)
 	rows := asg.A.Rows
 	const n = 4
 	B := stackedRHS(rows, n, 7)
 
-	pl, err := spmv.NewPlan(asg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pl.Close()
-	opts := solver.CGOptions{Tol: 1e-10}
-	solo := make([]*solver.CGResult, n)
+	pl := compile(t, asg)
+	solo := make([]*refResult, n)
 	for v := 0; v < n; v++ {
-		solo[v], err = solver.CGOnPlan(pl, asg.K, B[v*rows:(v+1)*rows], opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		solo[v] = refOnPlan(t, pl, B[v*rows:(v+1)*rows], 1e-10, 0)
 	}
 
 	for _, workers := range []int{1, 2, 8} {
-		blk, err := solver.BlockCGOnPlan(pl, asg.K, B, n, solver.BlockCGOptions{Tol: 1e-10, Workers: workers})
+		blk, err := solver.BlockCG(pl, asg.K, B, n, solver.BlockCGOptions{Tol: 1e-10, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,12 +103,8 @@ func TestBlockCGAmortizesMessages(t *testing.T) {
 	rows := asg.A.Rows
 	const n = 4
 	B := stackedRHS(rows, n, 7)
-	pl, err := spmv.NewPlan(asg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pl.Close()
-	blk, err := solver.BlockCGOnPlan(pl, asg.K, B, n, solver.BlockCGOptions{Tol: 1e-10})
+	pl := compile(t, asg)
+	blk, err := solver.BlockCG(pl, asg.K, B, n, solver.BlockCGOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +119,7 @@ func TestBlockCGAmortizesMessages(t *testing.T) {
 	}
 	soloMessages := 0
 	for v := 0; v < n; v++ {
-		solo, err := solver.CGOnPlan(pl, asg.K, B[v*rows:(v+1)*rows], solver.CGOptions{Tol: 1e-10})
+		solo, err := solver.BlockCG(pl, asg.K, B[v*rows:(v+1)*rows], 1, solver.BlockCGOptions{Tol: 1e-10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,14 +141,10 @@ func TestBlockCGOnIteration(t *testing.T) {
 	rows := asg.A.Rows
 	const n = 3
 	B := stackedRHS(rows, n, 9)
-	pl, err := spmv.NewPlan(asg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pl.Close()
+	pl := compile(t, asg)
 	var iters []int
 	var trail [][]float64
-	blk, err := solver.BlockCGOnPlan(pl, asg.K, B, n, solver.BlockCGOptions{
+	blk, err := solver.BlockCG(pl, asg.K, B, n, solver.BlockCGOptions{
 		Tol: 1e-10,
 		OnIteration: func(iter int, residuals []float64) {
 			iters = append(iters, iter)
@@ -189,27 +173,18 @@ func TestBlockCGOnIteration(t *testing.T) {
 	}
 }
 
-// TestBlockCGErrors: dimension and width misuse must error, and a
-// non-square plan is rejected.
+// TestBlockCGErrors: dimension and width misuse must error.
 func TestBlockCGErrors(t *testing.T) {
 	a, _ := spdSystem(6, 6, 1)
-	asg := serialAssignment(a)
-	if _, err := solver.BlockCG(asg, make([]float64, a.Rows), 0, solver.BlockCGOptions{}); err == nil {
+	pl := compile(t, serialAssignment(a))
+	if _, err := solver.BlockCG(pl, 1, make([]float64, a.Rows), 0, solver.BlockCGOptions{}); err == nil {
 		t.Error("n=0 accepted")
 	}
-	if _, err := solver.BlockCG(asg, make([]float64, a.Rows), 2, solver.BlockCGOptions{}); err == nil {
+	if _, err := solver.BlockCG(pl, 1, make([]float64, a.Rows), 2, solver.BlockCGOptions{}); err == nil {
 		t.Error("short B accepted")
 	}
-	pl, err := spmv.NewPlan(asg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pl.Close()
-	if _, err := solver.BlockCGOnPlan(pl, 1, make([]float64, a.Rows), 2, solver.BlockCGOptions{}); err == nil {
-		t.Error("short B accepted by BlockCGOnPlan")
-	}
 	// All-zero batch converges immediately with zero traffic.
-	blk, err := solver.BlockCGOnPlan(pl, 1, make([]float64, 2*a.Rows), 2, solver.BlockCGOptions{})
+	blk, err := solver.BlockCG(pl, 1, make([]float64, 2*a.Rows), 2, solver.BlockCGOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

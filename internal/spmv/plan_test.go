@@ -55,7 +55,7 @@ func TestPlanCountersMatchAnalyzer(t *testing.T) {
 			for i := range x {
 				x[i] = r.Float64()*2 - 1
 			}
-			res, err := spmv.Run(dec.Assignment, x)
+			res, err := run(dec.Assignment, x)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func TestExecDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestExecMatchesRun: the compiled plan must reproduce the single-shot
-// path bit for bit (they share the accumulation order by design).
+// path (run: compile, execute once, discard) bit for bit.
 func TestExecMatchesRun(t *testing.T) {
 	r := rng.New(4)
 	for trial := 0; trial < 10; trial++ {
@@ -116,7 +116,7 @@ func TestExecMatchesRun(t *testing.T) {
 		for i := range x {
 			x[i] = r.Float64()*2 - 1
 		}
-		res, err := spmv.Run(asg, x)
+		res, err := run(asg, x)
 		if err != nil {
 			t.Fatal(err)
 		}

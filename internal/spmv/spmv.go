@@ -14,8 +14,7 @@
 // iterative-solver regime: NewPlan compiles an assignment once into
 // flat schedules and preallocated message buffers, and (*Plan).Exec
 // runs one multiply reusing all of it with zero steady-state
-// allocations. Run is the single-shot convenience wrapper (plan,
-// execute once, discard).
+// allocations.
 //
 // The simulator counts every vector word that crosses a processor
 // boundary and every (sender, receiver, phase) message. Tests assert
@@ -24,12 +23,6 @@
 // the decoded decompositions are executable and the fine-grain cutsize
 // is exactly the communication volume.
 package spmv
-
-import (
-	"fmt"
-
-	"finegrain/internal/core"
-)
 
 // Result is the outcome of a simulated parallel multiplication. Its
 // counters use exactly internal/comm's accounting — words between
@@ -56,31 +49,3 @@ func (r *Result) TotalWords() int { return r.ExpandWords + r.FoldWords }
 
 // TotalMessages returns the total number of point-to-point messages.
 func (r *Result) TotalMessages() int { return r.ExpandMessages + r.FoldMessages }
-
-// Run executes the decomposition on len(x) = A.Cols input values and
-// returns the assembled result with communication counters. It is the
-// single-shot path: the schedule compiled by NewPlan is used for one
-// multiply and discarded.
-//
-// Deprecated: Run recompiles the full plan on every call and cannot
-// amortize anything. Hold a Plan and call Exec (or ExecBlock for
-// multiple right-hand sides); at the public API level, use
-// finegrain.Session. Run remains for one-shot verification paths and
-// keeps its exact semantics.
-func Run(asg *core.Assignment, x []float64) (*Result, error) {
-	pl, err := NewPlan(asg)
-	if err != nil {
-		return nil, err
-	}
-	defer pl.Close()
-	if len(x) != asg.A.Cols {
-		return nil, fmt.Errorf("spmv: len(x)=%d, matrix has %d columns", len(x), asg.A.Cols)
-	}
-	y := make([]float64, asg.A.Rows)
-	if err := pl.Exec(x, y, ExecOptions{}); err != nil {
-		return nil, err
-	}
-	res := pl.Counters()
-	res.Y = y
-	return &res, nil
-}

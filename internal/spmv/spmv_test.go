@@ -44,6 +44,23 @@ func vecEqual(a, b []float64) bool {
 	return true
 }
 
+// run is the single-shot path: compile asg, multiply x once, and
+// discard the plan, returning y with the plan's counters.
+func run(asg *core.Assignment, x []float64) (*spmv.Result, error) {
+	pl, err := spmv.NewPlan(asg)
+	if err != nil {
+		return nil, err
+	}
+	defer pl.Close()
+	y := make([]float64, asg.A.Rows)
+	if err := pl.Exec(x, y, spmv.ExecOptions{}); err != nil {
+		return nil, err
+	}
+	res := pl.Counters()
+	res.Y = y
+	return &res, nil
+}
+
 // The simulator must reproduce the serial kernel for ANY ownership
 // assignment, not just partitioned ones.
 func TestMatchesSerialRandomAssignments(t *testing.T) {
@@ -57,7 +74,7 @@ func TestMatchesSerialRandomAssignments(t *testing.T) {
 		for i := range x {
 			x[i] = r.Float64()*4 - 2
 		}
-		res, err := spmv.Run(asg, x)
+		res, err := run(asg, x)
 		if err != nil {
 			return false
 		}
@@ -82,7 +99,7 @@ func TestWordCountsMatchAnalyzer(t *testing.T) {
 		for i := range x {
 			x[i] = r.Float64()
 		}
-		res, err := spmv.Run(asg, x)
+		res, err := run(asg, x)
 		if err != nil {
 			return false
 		}
@@ -124,7 +141,7 @@ func TestEndToEndFineGrain(t *testing.T) {
 	for i := range x {
 		x[i] = r.Float64()*2 - 1
 	}
-	res, err := spmv.Run(asg, x)
+	res, err := run(asg, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +165,7 @@ func TestSingleProcessor(t *testing.T) {
 	for i := range x {
 		x[i] = float64(i)
 	}
-	res, err := spmv.Run(asg, x)
+	res, err := run(asg, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +187,7 @@ func TestEmptyRowsProduceZero(t *testing.T) {
 		YOwner:       []int{1, 0, 1}, // y_0 owned remotely from its only nonzero
 	}
 	x := []float64{3, 1, 1}
-	res, err := spmv.Run(asg, x)
+	res, err := run(asg, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,13 +206,13 @@ func TestErrors(t *testing.T) {
 	asg := &core.Assignment{K: 2, A: a,
 		NonzeroOwner: []int{0, 1, 0},
 		XOwner:       []int{0, 1, 0}, YOwner: []int{0, 1, 0}}
-	if _, err := spmv.Run(asg, make([]float64, 2)); err == nil {
+	if _, err := run(asg, make([]float64, 2)); err == nil {
 		t.Error("wrong x length accepted")
 	}
 	bad := &core.Assignment{K: 0, A: a,
 		NonzeroOwner: []int{0, 0, 0},
 		XOwner:       []int{0, 0, 0}, YOwner: []int{0, 0, 0}}
-	if _, err := spmv.Run(bad, make([]float64, 3)); err == nil {
+	if _, err := run(bad, make([]float64, 3)); err == nil {
 		t.Error("invalid assignment accepted")
 	}
 }
@@ -209,7 +226,7 @@ func TestManyProcessorsFewNonzeros(t *testing.T) {
 		XOwner:       []int{1, 2, 3, 4},
 		YOwner:       []int{5, 6, 7, 8}}
 	x := []float64{1, 2, 3, 4}
-	res, err := spmv.Run(asg, x)
+	res, err := run(asg, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,12 +247,12 @@ func TestDeterministicResults(t *testing.T) {
 	for i := range x {
 		x[i] = r.Float64()
 	}
-	first, err := spmv.Run(asg, x)
+	first, err := run(asg, x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 5; trial++ {
-		res, err := spmv.Run(asg, x)
+		res, err := run(asg, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,11 +273,11 @@ func TestCorruptXOwnerReturnsError(t *testing.T) {
 		XOwner:       []int{0, 1, 0, 1},
 		YOwner:       []int{0, 1, 0, 1}}
 	x := []float64{1, 2, 3, 4}
-	if _, err := spmv.Run(asg, x); err != nil {
+	if _, err := run(asg, x); err != nil {
 		t.Fatalf("valid assignment rejected: %v", err)
 	}
 	asg.XOwner[2] = 7 // out of range for K=2
-	res, err := spmv.Run(asg, x)
+	res, err := run(asg, x)
 	if err == nil {
 		t.Fatal("corrupt XOwner accepted")
 	}
@@ -268,7 +285,7 @@ func TestCorruptXOwnerReturnsError(t *testing.T) {
 		t.Fatal("corrupt XOwner returned a result alongside the error")
 	}
 	asg.XOwner[2] = -1
-	if _, err := spmv.Run(asg, x); err == nil {
+	if _, err := run(asg, x); err == nil {
 		t.Fatal("negative XOwner accepted")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	finegrain "finegrain"
+	"finegrain/internal/kernel"
 	"finegrain/internal/spmv"
 )
 
@@ -43,15 +44,11 @@ func TestLocalityKernelBitwiseMatchesSimulator(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, perm, err := finegrain.Reorder(dec, finegrain.Options{})
+				s, err := finegrain.NewSession(dec, finegrain.SessionOptions{CompileLocal: true})
 				if err != nil {
 					t.Fatal(err)
 				}
-				lm, err := finegrain.NewLocalMultiplier(a, perm)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer lm.Close()
+				defer s.Close()
 
 				pl, err := spmv.NewPlan(dec.Assignment)
 				if err != nil {
@@ -65,7 +62,7 @@ func TestLocalityKernelBitwiseMatchesSimulator(t *testing.T) {
 					if err := pl.Exec(x, ySim, spmv.ExecOptions{Workers: workers}); err != nil {
 						t.Fatal(err)
 					}
-					if err := lm.MultiplyInto(x, yKer, workers); err != nil {
+					if err := s.MultiplyLocal(x, yKer, finegrain.ExecOptions{Workers: workers}); err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(yKer, ySim) {
@@ -78,8 +75,8 @@ func TestLocalityKernelBitwiseMatchesSimulator(t *testing.T) {
 }
 
 // TestLocalityNaturalOrderIdentical pins the drop-in property: a
-// LocalMultiplier with a permutation computes the same bytes as one
-// without.
+// session's permuted local multiply computes the same bytes as a
+// natural-order kernel plan.
 func TestLocalityNaturalOrderIdentical(t *testing.T) {
 	a, err := finegrain.Generate("nl", 0.05, 42)
 	if err != nil {
@@ -89,16 +86,12 @@ func TestLocalityNaturalOrderIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, perm, err := finegrain.Reorder(dec, finegrain.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	natural, err := finegrain.NewLocalMultiplier(a, nil)
+	natural, err := kernel.NewPlan(a, nil, kernel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer natural.Close()
-	permuted, err := finegrain.NewLocalMultiplier(a, perm)
+	permuted, err := finegrain.NewSession(dec, finegrain.SessionOptions{CompileLocal: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,12 +101,12 @@ func TestLocalityNaturalOrderIdentical(t *testing.T) {
 	for i := range x {
 		x[i] = float64(i%7) - 3
 	}
-	yn, err := natural.Multiply(x)
-	if err != nil {
+	yn := make([]float64, a.Rows)
+	if err := natural.Exec(x, yn, kernel.ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	yp := make([]float64, a.Rows)
-	if err := permuted.MultiplyInto(x, yp, 2); err != nil {
+	if err := permuted.MultiplyLocal(x, yp, finegrain.ExecOptions{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(yn, yp) {

@@ -2,14 +2,16 @@ package finegrain
 
 import (
 	"errors"
+	"fmt"
 
+	"finegrain/internal/kernel"
+	"finegrain/internal/reorder"
 	"finegrain/internal/solver"
 	"finegrain/internal/spmv"
 )
 
-// ExecOptions tunes one multiply executed through the public API
-// (Session, Multiplier, LocalMultiplier). The zero value is always
-// valid.
+// ExecOptions tunes one multiply executed through a Session. The zero
+// value is always valid.
 type ExecOptions struct {
 	// Workers bounds the execution goroutines (0 = the session default,
 	// then GOMAXPROCS). Results are byte-identical for every value.
@@ -38,19 +40,21 @@ type SessionOptions struct {
 	// the session. Nil disables tracing at zero cost.
 	Trace *Trace
 	// CompileLocal additionally compiles the decomposition's
-	// cache-blocking permutation into a real-hardware kernel plan
-	// (Reorder + LocalMultiplier), served by MultiplyLocal and
-	// MultiplyLocalBlock. Off by default: the simulator plan alone
-	// answers every Multiply/Solve call.
+	// cache-blocking permutation (Reorder) into a real-hardware kernel
+	// plan, served by MultiplyLocal and MultiplyLocalBlock. Off by
+	// default: the simulator plan alone answers every Multiply/Solve
+	// call.
 	CompileLocal bool
 }
 
 // Session is a decomposition compiled once and held open for many
 // multiplies and solves — the serving regime the repository is built
 // around: one cached decomposition, millions of right-hand sides. It
-// bundles the Decomposition, the simulator Plan (communication-exact
-// multiplies and block-CG solves) and, optionally, the locality kernel
-// Plan (real-hardware multiplies) behind one handle.
+// is the only public multiply and solve handle: it bundles the
+// Decomposition, the simulator Plan (communication-exact multiplies and
+// block-CG solves) and, optionally, the locality kernel Plan
+// (real-hardware multiplies in the original index space) behind one
+// handle.
 //
 // The block entry points (MultiplyBlock, Solve with n > 1) carry N
 // right-hand sides through one expand/fold cycle: the message count
@@ -61,9 +65,14 @@ type SessionOptions struct {
 // compiled plans; dropping the Session without Close releases them via
 // finalizers.
 type Session struct {
-	dec     *Decomposition
-	pl      *spmv.Plan
-	local   *LocalMultiplier // nil unless SessionOptions.CompileLocal
+	dec *Decomposition
+	pl  *spmv.Plan
+	// The locality kernel, nil unless SessionOptions.CompileLocal: the
+	// plan compiled in permuted index space, its permutation, and the
+	// permuted-space scratch, grown to the widest batch seen.
+	kpl     *kernel.Plan
+	perm    *reorder.Permutation
+	xp, yp  []float64
 	workers int
 	trace   *Trace
 	closed  bool
@@ -91,11 +100,14 @@ func NewSession(dec *Decomposition, o SessionOptions) (*Session, error) {
 			pl.Close()
 			return nil, err
 		}
-		s.local, err = NewLocalMultiplierTraced(dec.Assignment.A, perm, o.Trace)
+		a := dec.Assignment.A
+		s.kpl, err = kernel.NewPlanTraced(a, perm, kernel.Options{}, o.Trace)
 		if err != nil {
 			pl.Close()
 			return nil, classify(op, err)
 		}
+		s.perm = perm
+		s.xp, s.yp = make([]float64, a.Cols), make([]float64, a.Rows)
 	}
 	return s, nil
 }
@@ -155,29 +167,61 @@ func (s *Session) MultiplyBlock(X, Y []float64, n int, o ExecOptions) error {
 	return s.pl.ExecBlock(X, Y, n, spmv.ExecOptions{Workers: s.execWorkers(o)})
 }
 
-// MultiplyLocal executes y = A·x on the locality kernel plan (vectors
-// in original index space). The session must have been opened with
-// CompileLocal.
+// MultiplyLocal executes y = A·x on the locality kernel plan, bitwise
+// equal at every worker count to a natural-order kernel multiply.
+// Vectors stay in the original index space: the session maps them
+// through the compiled permutation, allocating nothing in steady
+// state. The session must have been opened with CompileLocal.
 func (s *Session) MultiplyLocal(x, y []float64, o ExecOptions) error {
-	if err := s.check(); err != nil {
-		return err
-	}
-	if s.local == nil {
-		return errors.New("finegrain: session opened without CompileLocal")
-	}
-	return s.local.Exec(x, y, o)
+	return s.multiplyLocal(x, y, 1, o)
 }
 
 // MultiplyLocalBlock is MultiplyLocal over n stacked right-hand sides,
-// reusing each cached matrix block across the whole batch.
+// reusing each cached matrix block across the whole batch — bitwise
+// equal to n MultiplyLocal calls.
 func (s *Session) MultiplyLocalBlock(X, Y []float64, n int, o ExecOptions) error {
+	return s.multiplyLocal(X, Y, n, o)
+}
+
+// multiplyLocal permutes X into the kernel plan's index space,
+// multiplies, and gathers the result back into Y. One vector runs
+// through Exec, which is faster than ExecBlock at n = 1.
+func (s *Session) multiplyLocal(X, Y []float64, n int, o ExecOptions) error {
 	if err := s.check(); err != nil {
 		return err
 	}
-	if s.local == nil {
+	if s.kpl == nil {
 		return errors.New("finegrain: session opened without CompileLocal")
 	}
-	return s.local.ExecBlock(X, Y, n, o)
+	rows, cols := s.kpl.Dims()
+	if n < 1 {
+		return fmt.Errorf("finegrain: local multiply with n=%d right-hand sides", n)
+	}
+	if len(X) != n*cols || len(Y) != n*rows {
+		return fmt.Errorf("finegrain: len(X)=%d, len(Y)=%d, want n*cols = %d, n*rows = %d",
+			len(X), len(Y), n*cols, n*rows)
+	}
+	if len(s.xp) < n*cols {
+		s.xp, s.yp = make([]float64, n*cols), make([]float64, n*rows)
+	}
+	xp, yp := s.xp[:n*cols], s.yp[:n*rows]
+	for v := 0; v < n; v++ {
+		reorder.ApplyVec(xp[v*cols:(v+1)*cols], X[v*cols:(v+1)*cols], s.perm.Col)
+	}
+	opts := kernel.ExecOptions{Workers: o.Workers}
+	var err error
+	if n == 1 {
+		err = s.kpl.Exec(xp, yp, opts)
+	} else {
+		err = s.kpl.ExecBlock(xp, yp, n, opts)
+	}
+	if err != nil {
+		return err
+	}
+	for v := 0; v < n; v++ {
+		reorder.UnapplyVec(Y[v*rows:(v+1)*rows], yp[v*rows:(v+1)*rows], s.perm.Row)
+	}
+	return nil
 }
 
 // Solve runs block conjugate gradient over n stacked right-hand sides
@@ -198,7 +242,7 @@ func (s *Session) Solve(B []float64, n int, o SolveOptions) (*SolveResult, error
 	if o.Trace == nil {
 		o.Trace = s.trace
 	}
-	return solver.BlockCGOnPlan(s.pl, s.pl.K(), B, n, o)
+	return solver.BlockCG(s.pl, s.pl.K(), B, n, o)
 }
 
 // Close releases the session's compiled plans. Idempotent; operations
@@ -209,8 +253,8 @@ func (s *Session) Close() error {
 	}
 	s.closed = true
 	s.pl.Close()
-	if s.local != nil {
-		s.local.Close()
+	if s.kpl != nil {
+		s.kpl.Close()
 	}
 	return nil
 }

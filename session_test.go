@@ -8,6 +8,7 @@ import (
 	finegrain "finegrain"
 	"finegrain/internal/matgen"
 	"finegrain/internal/solver"
+	"finegrain/internal/spmv"
 )
 
 // spdMatrix returns a strictly SPD matrix (5-point Laplacian plus
@@ -32,7 +33,7 @@ func stackedB(rows, n int) []float64 {
 }
 
 // TestSessionMultiplyAndBlock: the session's multiplies reproduce the
-// deprecated per-call path bitwise, and MultiplyBlock equals n
+// single-shot simulator path bitwise, and MultiplyBlock equals n
 // Multiply calls at every worker count.
 func TestSessionMultiplyAndBlock(t *testing.T) {
 	a, err := finegrain.Generate("nl", 0.05, 42)
@@ -57,14 +58,17 @@ func TestSessionMultiplyAndBlock(t *testing.T) {
 	for i := range X {
 		X[i] = 1/float64(i+1) - 0.3
 	}
-	// Reference: the one-shot deprecated path.
+	// Reference: a fresh simulator plan per vector, used once.
 	want := make([]float64, n*a.Rows)
 	for v := 0; v < n; v++ {
-		res, err := finegrain.Multiply(dec, X[v*a.Cols:(v+1)*a.Cols])
+		pl, err := spmv.NewPlan(dec.Assignment)
 		if err != nil {
 			t.Fatal(err)
 		}
-		copy(want[v*a.Rows:(v+1)*a.Rows], res.Y)
+		if err := pl.Exec(X[v*a.Cols:(v+1)*a.Cols], want[v*a.Rows:(v+1)*a.Rows], spmv.ExecOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		pl.Close()
 	}
 	y := make([]float64, a.Rows)
 	for v := 0; v < n; v++ {
@@ -72,7 +76,7 @@ func TestSessionMultiplyAndBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(y, want[v*a.Rows:(v+1)*a.Rows]) {
-			t.Fatalf("vector %d: Session.Multiply differs from Multiply", v)
+			t.Fatalf("vector %d: Session.Multiply differs from a single-shot plan", v)
 		}
 	}
 	Y := make([]float64, n*a.Rows)
@@ -94,8 +98,9 @@ func TestSessionMultiplyAndBlock(t *testing.T) {
 }
 
 // TestSessionSolveMatchesBlockCG: Session.Solve is exactly
-// solver.BlockCGOnPlan on the session's plan — byte-identical X at any
-// worker count — and per-RHS trajectories converge.
+// solver.BlockCG on a plan of the session's decomposition —
+// byte-identical X at any worker count — and per-RHS trajectories
+// converge.
 func TestSessionSolveMatchesBlockCG(t *testing.T) {
 	a := spdMatrix(10, 14)
 	dec, err := finegrain.Decompose2D(a, 4, finegrain.Options{Seed: 1})
@@ -109,7 +114,12 @@ func TestSessionSolveMatchesBlockCG(t *testing.T) {
 	defer s.Close()
 	const n = 3
 	B := stackedB(a.Rows, n)
-	want, err := solver.BlockCG(dec.Assignment, B, n, solver.BlockCGOptions{Tol: 1e-10})
+	pl, err := spmv.NewPlan(dec.Assignment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pl.Close()
+	want, err := solver.BlockCG(pl, dec.Assignment.K, B, n, solver.BlockCGOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,43 +217,5 @@ func TestSessionErrors(t *testing.T) {
 	if _, err := s.Solve(y, 1, finegrain.SolveOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "closed") {
 		t.Fatalf("Solve after Close: err = %v", err)
-	}
-}
-
-// TestDeprecatedWrappersStillWork pins the back-compat contract: the
-// positional MultiplyInto signatures and per-call Multiply keep their
-// exact semantics next to the struct-options replacements.
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	a, err := finegrain.Generate("nl", 0.05, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := finegrain.Decompose2D(a, 8, finegrain.Options{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := finegrain.NewMultiplier(dec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	x := make([]float64, a.Cols)
-	for i := range x {
-		x[i] = 1 / float64(i+1)
-	}
-	yOld := make([]float64, a.Rows)
-	yNew := make([]float64, a.Rows)
-	if err := m.MultiplyInto(x, yOld, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Exec(x, yNew, finegrain.ExecOptions{Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(yOld, yNew) {
-		t.Fatal("Multiplier.MultiplyInto and Exec disagree")
-	}
-	blk, single := m.BlockCounters(4), m.Counters()
-	if blk.TotalWords() != 4*single.TotalWords() {
-		t.Fatal("Multiplier.BlockCounters words do not scale by n")
 	}
 }
