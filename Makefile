@@ -35,12 +35,13 @@ doc-check: fmt vet
 test:
 	$(GO) test ./...
 
-# race covers the concurrent subsystems, including the partition
-# server's end-to-end test (in-process daemon, concurrent duplicate
-# submissions, graceful drain) and the real SpMV kernel's bitwise
-# determinism at worker counts beyond GOMAXPROCS.
+# race covers the concurrent subsystems, including the shared executor
+# (internal/par), the partition server's end-to-end test (in-process
+# daemon, concurrent duplicate submissions, graceful drain), the real
+# SpMV kernel's bitwise determinism at worker counts beyond GOMAXPROCS,
+# and the solver's multi-worker block and kernel CG.
 race:
-	$(GO) test -race ./internal/hgpart/ ./internal/spmv/ ./internal/partserver/ ./internal/kernel/ ./internal/reorder/ ./internal/mediumgrain/ ./internal/spgemm/
+	$(GO) test -race ./internal/par/ ./internal/hgpart/ ./internal/spmv/ ./internal/partserver/ ./internal/kernel/ ./internal/solver/ ./internal/reorder/ ./internal/mediumgrain/ ./internal/spgemm/
 	$(GO) test -race -run 'TestLocality|TestMediumGrain|TestAuto' .
 	$(GO) test ./...
 

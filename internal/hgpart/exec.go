@@ -1,28 +1,15 @@
-// Persistent task executor for the partitioner's parallel paths.
+// The partitioner's tasks on the process-wide executor (internal/par).
 //
-// The first parallel substrate (PR 1) spawned a fresh goroutine per
-// pooled run or branch, with a closure, a join channel, a pooled
-// scratch checkout and — when tracing — a forked track per spawn. Those
-// per-spawn costs are exactly why 8-worker runs allocated *more* than
-// serial ones. This file replaces them with a process-wide set of
-// parked workers:
+// Restarts, recursion branches and round helpers run as par tasks with
+// explicit argument fields (no closures). Each executor worker keeps
+// one workerLocal in its Local slot: a scratch arena whose warm buffers
+// survive across tasks, runs and Partition calls, and the forked trace
+// track of the last trace it served.
 //
-//   - each worker is one goroutine that permanently owns one scratch
-//     arena (warm buffers survive across tasks, runs, and Partition
-//     calls) and caches one forked trace track per trace it serves;
-//   - work travels as pooled execTask structs with explicit argument
-//     fields (no closures) and a reusable capacity-1 done channel
-//     (no per-spawn make(chan));
-//   - a finished worker parks itself on a free list before signaling
-//     completion, so the waiter's next submission reuses it while its
-//     caches are hot.
-//
-// Concurrency is still bounded by the caller's workerPool semaphore:
-// every submitted task carries the pool slot its submitter acquired and
-// releases it when the task's work is done, preserving the
-// slot-recirculation behavior forkJoin documents. The executor itself
-// only bounds memory (parked workers are reused, never duplicated for
-// the same slot).
+// Concurrency is bounded by the caller's workerPool semaphore: every
+// submitted task carries the pool slot its submitter acquired and
+// releases it when the task's work is done, before the worker parks,
+// preserving the slot recirculation forkJoin documents.
 package hgpart
 
 import (
@@ -30,68 +17,14 @@ import (
 
 	"finegrain/internal/hypergraph"
 	"finegrain/internal/obs"
-	"finegrain/internal/rng"
+	"finegrain/internal/par"
 )
 
-// Task kinds: a recursion branch, a whole multilevel restart, or a
-// helper draining round chunks.
-const (
-	taskBranch = iota
-	taskRun
-	taskChunks
-)
-
-// execTask is one unit of work handed to a parked worker. Argument
-// fields are explicit (one struct covers all kinds) so submission never
-// builds a closure; done has capacity 1 and is reused across checkouts.
-type execTask struct {
-	kind int
-	done chan struct{}
-	pool *workerPool // slot released when the task's work completes
-
-	// taskBranch / taskRun arguments.
-	ctx   bisectCtx
-	h     *hypergraph.Hypergraph
-	ids   []int
-	fixed []int
-	kLo   int
-	k     int
-	slack float64
-	opts  Options
-	r     *rng.RNG
-	out   []int
-	err   error
-
-	// taskRun arguments.
-	run int
-	oc  *runOutcome
-
-	// taskChunks argument.
-	rj *roundJob
-}
-
-var taskPool = sync.Pool{New: func() any {
-	return &execTask{done: make(chan struct{}, 1)}
-}}
-
-func getTask() *execTask { return taskPool.Get().(*execTask) }
-
-// putTask returns a completed task to the pool, dropping every pointer
-// so pooled tasks never retain hypergraphs or traces.
-func putTask(t *execTask) {
-	done := t.done
-	*t = execTask{done: done}
-	taskPool.Put(t)
-}
-
-// worker is one parked executor goroutine. It owns its scratch arena
-// outright — never returned to scratchPool — so a worker that served a
-// large level keeps the grown buffers for the next task, and a run at
-// Workers=N costs zero scratch churn once N workers exist.
-type worker struct {
-	tasks chan *execTask
-
-	s *scratch
+// workerLocal is the state hgpart keeps on one executor worker. The
+// arena is owned outright — never returned to scratchPool — so a worker
+// that served a large level keeps the grown buffers for the next task.
+type workerLocal struct {
+	s scratch
 
 	// Forked-track cache: one "hgpart worker" track per trace this
 	// worker has served, keyed by trace identity. Branch tasks executed
@@ -102,78 +35,82 @@ type worker struct {
 	lastTrack *obs.Track
 }
 
-var (
-	workersMu   sync.Mutex
-	idleWorkers []*worker
-)
-
-// getWorker pops a parked worker or starts a new one. The caller must
-// hold a workerPool slot; the executor never creates concurrency by
-// itself, only reuses goroutines.
-func getWorker() *worker {
-	workersMu.Lock()
-	if n := len(idleWorkers); n > 0 {
-		w := idleWorkers[n-1]
-		idleWorkers = idleWorkers[:n-1]
-		workersMu.Unlock()
-		return w
+// localOf returns w's hgpart state, creating it on the worker's first
+// hgpart task.
+func localOf(w *par.Worker) *workerLocal {
+	l, ok := w.Local.(*workerLocal)
+	if !ok {
+		l = new(workerLocal)
+		w.Local = l
 	}
-	workersMu.Unlock()
-	w := &worker{tasks: make(chan *execTask, 1), s: new(scratch)}
-	go w.loop()
-	return w
-}
-
-// submit hands t to a worker. Never blocks: the task channel has a free
-// slot by construction (a worker is only ever reachable while parked).
-func submit(t *execTask) {
-	getWorker().tasks <- t
-}
-
-func (w *worker) loop() {
-	for t := range w.tasks {
-		w.exec(t)
-		// Park before signaling: a waiter that submits again right after
-		// the join re-acquires this worker with its caches still warm.
-		workersMu.Lock()
-		idleWorkers = append(idleWorkers, w)
-		workersMu.Unlock()
-		t.done <- struct{}{}
-	}
-}
-
-func (w *worker) exec(t *execTask) {
-	switch t.kind {
-	case taskBranch:
-		ctx := t.ctx
-		ctx.tk = w.trackFor(ctx.tk)
-		ctx.sc.enter()
-		t.err = recursiveBisect(ctx, t.h, t.ids, t.fixed, t.kLo, t.k, t.slack, t.opts, t.r, t.out, w.s)
-		ctx.sc.leave()
-		t.pool.release()
-	case taskRun:
-		// Runs carry their own pre-named track ("hgpart run N"), built by
-		// the caller; no fork is needed here.
-		t.ctx.sc.enter()
-		*t.oc = partitionRun(t.h, t.k, t.fixed, t.opts, t.run, t.ctx, w.s)
-		t.ctx.sc.leave()
-		t.pool.release()
-	case taskChunks:
-		t.rj.drain(w.s)
-		t.pool.release()
-	}
+	return l
 }
 
 // trackFor maps the submitter's track to this worker's own row of the
 // same trace, forking at most once per trace served.
-func (w *worker) trackFor(parent *obs.Track) *obs.Track {
+func (l *workerLocal) trackFor(parent *obs.Track) *obs.Track {
 	if parent == nil {
-		w.lastTrace, w.lastTrack = nil, nil
+		l.lastTrace, l.lastTrack = nil, nil
 		return nil
 	}
-	if tr := parent.Trace(); tr != w.lastTrace {
-		w.lastTrack = parent.Fork("hgpart worker")
-		w.lastTrace = tr
+	if tr := parent.Trace(); tr != l.lastTrace {
+		l.lastTrack = parent.Fork("hgpart worker")
+		l.lastTrace = tr
 	}
-	return w.lastTrack
+	return l.lastTrack
+}
+
+// branchTask is one recursion branch handed to a worker by forkJoin.
+// Tasks are pooled, so steady-state spawning allocates nothing; g is
+// the branch's own join, since sibling forkJoins nest and overlap.
+type branchTask struct {
+	g     par.Group
+	ctx   bisectCtx
+	b     branchWork
+	fixed []int
+	slack float64
+	opts  Options
+	out   []int
+	err   error
+}
+
+var branchPool = sync.Pool{New: func() any { return new(branchTask) }}
+
+func (t *branchTask) Run(_ int, w *par.Worker) {
+	l := localOf(w)
+	ctx := t.ctx
+	ctx.tk = l.trackFor(ctx.tk)
+	ctx.sc.enter()
+	t.err = recursiveBisect(ctx, t.b.sub, t.b.ids, t.fixed, t.b.kLo, t.b.k, t.slack, t.opts, t.b.r, t.out, &l.s)
+	ctx.sc.leave()
+	ctx.pool.release()
+}
+
+// putBranch returns a joined task to the pool, dropping every pointer
+// so pooled tasks never retain hypergraphs or traces.
+func putBranch(t *branchTask) {
+	t.ctx, t.b, t.fixed, t.opts, t.out, t.err = bisectCtx{}, branchWork{}, nil, Options{}, nil, nil
+	branchPool.Put(t)
+}
+
+// runsTask fans PartitionFixed's restarts out: shard r is run r, with
+// its own context, RNG stream and outcome slot.
+type runsTask struct {
+	g        par.Group
+	h        *hypergraph.Hypergraph
+	k        int
+	fixed    []int
+	opts     Options
+	ctxs     []bisectCtx
+	outcomes []runOutcome
+}
+
+func (t *runsTask) Run(run int, w *par.Worker) {
+	// Runs carry their own pre-named track ("hgpart run N"), built by
+	// the caller; no fork is needed here.
+	ctx := t.ctxs[run]
+	ctx.sc.enter()
+	t.outcomes[run] = partitionRun(t.h, t.k, t.fixed, t.opts, run, ctx, &localOf(w).s)
+	ctx.sc.leave()
+	ctx.pool.release()
 }

@@ -96,8 +96,8 @@ func PartitionFixedStats(h *hypergraph.Hypergraph, k int, fixed []int, opts Opti
 	// caller's goroutine stays busy instead of idling at the join.
 	s := getScratch()
 	defer putScratch(s)
-	outcomes := make([]runOutcome, opts.Runs)
-	var spawned []*execTask
+	rt := &runsTask{h: h, k: k, fixed: fixed, opts: opts,
+		ctxs: make([]bisectCtx, opts.Runs), outcomes: make([]runOutcome, opts.Runs)}
 	for run := 0; run < opts.Runs; run++ {
 		ctx := bisectCtx{pool: pool, sc: sc, top: run == 0}
 		if opts.Trace.Enabled() {
@@ -105,24 +105,16 @@ func PartitionFixedStats(h *hypergraph.Hypergraph, k int, fixed []int, opts Opti
 		}
 		if run < opts.Runs-1 && pool.tryAcquire() {
 			sc.runSpawned()
-			t := getTask()
-			t.kind = taskRun
-			t.pool = pool
-			t.ctx = ctx
-			t.h, t.k, t.fixed, t.opts = h, k, fixed, opts
-			t.run, t.oc = run, &outcomes[run]
-			submit(t)
-			spawned = append(spawned, t)
+			rt.ctxs[run] = ctx
+			rt.g.Go(rt, run)
 		} else {
 			sc.enter()
-			outcomes[run] = partitionRun(h, k, fixed, opts, run, ctx, s)
+			rt.outcomes[run] = partitionRun(h, k, fixed, opts, run, ctx, s)
 			sc.leave()
 		}
 	}
-	for _, t := range spawned {
-		<-t.done
-		putTask(t)
-	}
+	rt.g.Wait()
+	outcomes := rt.outcomes
 
 	// Reduce in run-index order: the same incumbent-vs-challenger
 	// sequence the serial loop performed, so ties resolve identically

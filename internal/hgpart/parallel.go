@@ -22,10 +22,11 @@
 //
 // All axes share one bounded worker pool of Options.Workers − 1 extra
 // slots (the caller's goroutine is the first worker); work executes on
-// the parked workers of exec.go. Acquisition never blocks: when the
-// pool is exhausted, work simply runs inline, which bounds both
-// goroutine count and memory while guaranteeing progress with zero risk
-// of pool-induced deadlock.
+// the parked workers of the process-wide executor (internal/par; the
+// tasks are in exec.go). Acquisition never blocks: when the pool is
+// exhausted, work simply runs inline, which bounds both goroutine count
+// and memory while guaranteeing progress with zero risk of pool-induced
+// deadlock.
 package hgpart
 
 import (
@@ -87,7 +88,7 @@ func (c bisectCtx) child() bisectCtx {
 // branchWork is the explicit argument set of one recursion branch —
 // forkJoin takes two of these instead of closures so the serial path
 // allocates nothing and the spawned path ships them in a pooled
-// execTask.
+// branchTask.
 type branchWork struct {
 	sub *hypergraph.Hypergraph
 	ids []int
@@ -126,18 +127,14 @@ func forkJoin(ctx bisectCtx, s *scratch, fixed []int, slack float64, opts Option
 			spawn, inline = right, left
 			spawnedLeft = false
 		}
-		t := getTask()
-		t.kind = taskBranch
-		t.pool = ctx.pool
-		t.ctx = ctx
-		t.h, t.ids, t.fixed = spawn.sub, spawn.ids, fixed
-		t.kLo, t.k, t.slack = spawn.kLo, spawn.k, slack
-		t.opts, t.r, t.out = opts, spawn.r, out
-		submit(t)
+		t := branchPool.Get().(*branchTask)
+		t.ctx, t.b = ctx, spawn
+		t.fixed, t.slack, t.opts, t.out = fixed, slack, opts, out
+		t.g.Go(t, 0)
 		errInline := recursiveBisect(ctx, inline.sub, inline.ids, fixed, inline.kLo, inline.k, slack, opts, inline.r, out, s)
-		<-t.done
+		t.g.Wait()
 		errSpawn := t.err
-		putTask(t)
+		putBranch(t)
 		errL, errR := errSpawn, errInline
 		if !spawnedLeft {
 			errL, errR = errInline, errSpawn

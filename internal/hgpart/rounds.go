@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 
 	"finegrain/internal/hypergraph"
+	"finegrain/internal/par"
 )
 
 // Round operation selector for roundJob.
@@ -41,18 +42,30 @@ const (
 
 // roundJob is the control block of one phase-A fan-out: an atomic chunk
 // cursor plus pointers to the operation state. It lives in the caller's
-// scratch; helpers hold the pointer only while draining.
+// scratch and runs as a par task on the barrier: shard 0 is the owner
+// draining with its own scratch s, the other shards are helpers that
+// drain with their worker's arena and then return their pool slot.
 type roundJob struct {
+	g       par.Group
 	next    atomic.Int64
 	nchunks int
 	op      int
 	cl      *clusterRound
 	fm      *fmRound
+	pool    *workerPool
+	s       *scratch
 }
 
-// drain claims and processes chunks until none remain. Called by the
-// round's owner and by recruited taskChunks workers, each with its own
-// scratch.
+func (rj *roundJob) Run(_ int, w *par.Worker) {
+	if w == nil {
+		rj.drain(rj.s)
+		return
+	}
+	rj.drain(&localOf(w).s)
+	rj.pool.release()
+}
+
+// drain claims and processes chunks until none remain.
 func (rj *roundJob) drain(s *scratch) {
 	for {
 		i := int(rj.next.Add(1)) - 1
@@ -74,21 +87,12 @@ func (rj *roundJob) drain(s *scratch) {
 // inline — same results, serial schedule.
 func runRound(pool *workerPool, s *scratch, rj *roundJob) {
 	rj.next.Store(0)
-	helpers := s.helperTasks[:0]
-	for len(helpers) < rj.nchunks-1 && pool.tryAcquire() {
-		t := getTask()
-		t.kind = taskChunks
-		t.pool = pool
-		t.rj = rj
-		submit(t)
-		helpers = append(helpers, t)
+	rj.pool, rj.s = pool, s
+	n := 1
+	for n < rj.nchunks && pool.tryAcquire() {
+		n++
 	}
-	rj.drain(s)
-	for _, t := range helpers {
-		<-t.done
-		putTask(t)
-	}
-	s.helperTasks = helpers[:0]
+	rj.g.Run(n, rj)
 }
 
 // chunkCount returns the number of chunks covering n items at the given

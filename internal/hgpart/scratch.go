@@ -6,8 +6,8 @@
 // epoch-stamped score tables) sized to the current level. Allocating
 // them per level and per pass dominated the partitioner's allocation
 // profile (millions of objects per K=64 partition), so they live here
-// instead: one scratch struct per goroutine, acquired from a sync.Pool
-// at the start of a restart or spawned recursion branch and reused
+// instead: one scratch struct per goroutine — the caller's from a
+// sync.Pool, an executor worker's in its Local slot (exec.go) — reused
 // across levels, FM passes, restarts, and recursion depths. Buffers
 // only ever grow; deeper (smaller) levels reslice the top-level
 // capacity.
@@ -81,18 +81,17 @@ type scratch struct {
 	candsK []int
 
 	// parallel rounds (coarsen/FM on levels ≥ ParallelThreshold): the
-	// round-job control block helpers drain from, the recruited helper
-	// tasks, and the shared per-round state. rj/cl/fm are referenced by
-	// helper goroutines for the duration of one round only; the buffers
-	// below back cl/fm's slices between rounds.
-	rj          roundJob
-	cl          clusterRound
-	fm          fmRound
-	helperTasks []*execTask
-	prop        []int
-	fmCands     []fmCand
-	fmCounts    []int32
-	fmMerged    []fmCand
+	// round-job control block helpers drain from and the shared
+	// per-round state. rj/cl/fm are referenced by helper goroutines for
+	// the duration of one round only; the buffers below back cl/fm's
+	// slices between rounds.
+	rj       roundJob
+	cl       clusterRound
+	fm       fmRound
+	prop     []int
+	fmCands  []fmCand
+	fmCounts []int32
+	fmMerged []fmCand
 }
 
 // candSlot is one epoch-stamped score accumulator of cluster's candidate

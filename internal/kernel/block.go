@@ -1,10 +1,6 @@
 package kernel
 
-import (
-	"errors"
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
 // ExecBlock runs one block multiply Y = A·X for n stacked right-hand
 // sides. X holds n column vectors back to back (vector v is
@@ -18,65 +14,26 @@ import (
 // ExecBlock is bitwise equal to n independent Exec calls at any worker
 // count. It needs no scratch at all and allocates nothing.
 func (pl *Plan) ExecBlock(X, Y []float64, n int, opts ExecOptions) error {
-	st := pl.st
 	if n < 1 {
 		return fmt.Errorf("kernel: ExecBlock with n=%d right-hand sides", n)
 	}
-	if len(X) != n*st.cols {
-		return fmt.Errorf("kernel: len(X)=%d, want n*cols = %d*%d = %d", len(X), n, st.cols, n*st.cols)
+	if len(X) != n*pl.cols {
+		return fmt.Errorf("kernel: len(X)=%d, want n*cols = %d*%d = %d", len(X), n, pl.cols, n*pl.cols)
 	}
-	if len(Y) != n*st.rows {
-		return fmt.Errorf("kernel: len(Y)=%d, want n*rows = %d*%d = %d", len(Y), n, st.rows, n*st.rows)
+	if len(Y) != n*pl.rows {
+		return fmt.Errorf("kernel: len(Y)=%d, want n*rows = %d*%d = %d", len(Y), n, pl.rows, n*pl.rows)
 	}
-	if st.closed.Load() {
-		return errors.New("kernel: ExecBlock on a closed Plan")
-	}
-	if !st.busy.CompareAndSwap(false, true) {
-		return errors.New("kernel: concurrent Exec calls on one Plan")
-	}
-	defer st.busy.Store(false)
-
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if nb := len(st.blocks) - 1; workers > nb {
-		workers = nb
-	}
-
-	esp := opts.Track.Begin("kernel", "exec.block").Arg("workers", int64(workers)).Arg("n", int64(n))
-	if workers <= 1 {
-		st.bx, st.by, st.blkN = X, Y, n
-		st.cursor.Store(0)
-		st.drainBlocks()
-	} else {
-		st.ensureWorkers(workers - 1)
-		// Publish the call state before the channel sends (the workers'
-		// happens-before edge), exactly as Exec does.
-		st.bx, st.by, st.blkN = X, Y, n
-		st.cursor.Store(0)
-		for i := 1; i < workers; i++ {
-			st.workCh <- struct{}{}
-		}
-		st.drainBlocks()
-		for i := 1; i < workers; i++ {
-			<-st.doneCh
-		}
-	}
-	st.bx, st.by, st.blkN = nil, nil, 0
-	esp.End()
-	runtime.KeepAlive(pl) // the finalizer must not fire mid-ExecBlock
-	return nil
+	return pl.run(X, Y, n, opts)
 }
 
 // runBlockB is runBlock widened to n vectors: the row's entries stream
 // from cache once per vector, each (vector, row) accumulating in the
 // source row's original order.
-func (st *planState) runBlockB(b, n int) {
-	X, Y := st.bx, st.by
-	lo, hi := st.blocks[b], st.blocks[b+1]
-	rowPtr, col, val := st.rowPtr, st.col, st.val
-	cols, rows := st.cols, st.rows
+func (pl *Plan) runBlockB(b, n int) {
+	X, Y := pl.x, pl.y
+	lo, hi := pl.blocks[b], pl.blocks[b+1]
+	rowPtr, col, val := pl.rowPtr, pl.col, pl.val
+	cols, rows := pl.cols, pl.rows
 	for r := lo; r < hi; r++ {
 		start, end := rowPtr[r], rowPtr[r+1]
 		for v := 0; v < n; v++ {

@@ -31,11 +31,10 @@ type CGResult struct {
 }
 
 // CG solves A·x = b on the compiled plan for symmetric positive
-// definite A, reusing the plan (and its parked workers) for every
-// multiply. b and the returned X live in the plan's index space, like
-// Exec's vectors. It runs solver.BlockCG with one right-hand side, so
-// the iteration sequence is byte-identical at every worker count
-// because each multiply is.
+// definite A, reusing the plan for every multiply. b and the returned X
+// live in the plan's index space, like Exec's vectors. It runs
+// solver.BlockCG with one right-hand side, so the iteration sequence is
+// byte-identical at every worker count because each multiply is.
 func (pl *Plan) CG(b []float64, opts CGOptions) (*CGResult, error) {
 	rows, _ := pl.Dims()
 	sp := opts.Track.Begin("kernel", "cg").Arg("n", int64(rows))

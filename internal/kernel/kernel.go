@@ -4,8 +4,8 @@
 // clock and GFLOP/s, not in simulated communication words. It mirrors
 // the spmv.Plan contract — NewPlan pays all setup once, Exec reuses
 // every buffer and allocates nothing in steady state, results are
-// byte-identical at any worker count, Close (or a finalizer) releases
-// the parked workers.
+// byte-identical at any worker count, and parallel calls borrow parked
+// goroutines from the process-wide executor (internal/par).
 //
 // A Plan is compiled from a matrix plus an optional cache-locality
 // permutation (internal/reorder). The compiled schedule lays rows out
@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 
 	"finegrain/internal/obs"
+	"finegrain/internal/par"
 	"finegrain/internal/reorder"
 	"finegrain/internal/sparse"
 )
@@ -59,14 +60,9 @@ type ExecOptions struct {
 	Track *obs.Track
 }
 
-// Plan is a matrix compiled for repeated multiplication. The public
-// handle is split from planState so parked workers do not keep it
-// alive (mirroring spmv.Plan).
+// Plan is a matrix compiled for repeated multiplication. It owns no
+// goroutines, so dropping it without Close frees it.
 type Plan struct {
-	st *planState
-}
-
-type planState struct {
 	rows, cols int
 	nnz        int
 
@@ -80,21 +76,16 @@ type planState struct {
 	// blocks[b]..blocks[b+1] is block b's row range.
 	blocks []int32
 
-	// Per-Exec state: the caller's slices, published for one call.
+	// Per-call state, published to the workers for one call: the
+	// caller's vectors and the RHS count (0 for Exec, n for ExecBlock's
+	// stacked vectors).
 	x, y []float64
-
-	// Per-ExecBlock state: the caller's stacked vectors and the RHS
-	// count, published for one block call (blkN = 0 means single-RHS).
-	bx, by []float64
-	blkN   int
+	n    int
 
 	cursor atomic.Int64 // next block to claim
+	g      par.Group
 	busy   atomic.Bool
 	closed atomic.Bool
-
-	workCh   chan struct{}
-	doneCh   chan struct{}
-	nWorkers int
 }
 
 // NewPlan compiles a into an executable plan. A nil perm compiles the
@@ -130,24 +121,22 @@ func NewPlanTraced(a *sparse.CSR, perm *reorder.Permutation, opts Options, tr *o
 		budget = DefaultCacheBudget
 	}
 
-	st := &planState{
+	pl := &Plan{
 		rows:   a.Rows,
 		cols:   a.Cols,
 		nnz:    a.NNZ(),
 		rowPtr: make([]int32, a.Rows+1),
 		col:    make([]int32, a.NNZ()),
 		val:    make([]float64, a.NNZ()),
-		workCh: make(chan struct{}),
-		doneCh: make(chan struct{}),
 	}
 
 	dst := 0
 	if perm == nil {
 		for i := 0; i < a.Rows; i++ {
-			st.rowPtr[i+1] = st.rowPtr[i] + int32(a.RowNNZ(i))
+			pl.rowPtr[i+1] = pl.rowPtr[i] + int32(a.RowNNZ(i))
 			for t := a.RowPtr[i]; t < a.RowPtr[i+1]; t++ {
-				st.col[dst] = int32(a.ColIdx[t])
-				st.val[dst] = a.Val[t]
+				pl.col[dst] = int32(a.ColIdx[t])
+				pl.val[dst] = a.Val[t]
 				dst++
 			}
 		}
@@ -158,13 +147,13 @@ func NewPlanTraced(a *sparse.CSR, perm *reorder.Permutation, opts Options, tr *o
 		}
 		for r := 0; r < a.Rows; r++ {
 			i := int(invRow[r])
-			st.rowPtr[r+1] = st.rowPtr[r] + int32(a.RowNNZ(i))
+			pl.rowPtr[r+1] = pl.rowPtr[r] + int32(a.RowNNZ(i))
 			// Entries stay in the source row's original order; only the
 			// stored x index moves to permuted space. This is what makes
 			// the numeric result permutation-independent.
 			for t := a.RowPtr[i]; t < a.RowPtr[i+1]; t++ {
-				st.col[dst] = perm.Col[a.ColIdx[t]]
-				st.val[dst] = a.Val[t]
+				pl.col[dst] = perm.Col[a.ColIdx[t]]
+				pl.val[dst] = a.Val[t]
 				dst++
 			}
 		}
@@ -176,48 +165,37 @@ func NewPlanTraced(a *sparse.CSR, perm *reorder.Permutation, opts Options, tr *o
 	// to be.
 	const bytesPerEntry = 8 + 4 // val + col
 	const bytesPerRow = 8 + 4   // y + rowPtr
-	st.blocks = append(st.blocks, 0)
+	pl.blocks = append(pl.blocks, 0)
 	acc := 0
 	for r := 0; r < a.Rows; r++ {
-		acc += int(st.rowPtr[r+1]-st.rowPtr[r])*bytesPerEntry + bytesPerRow
+		acc += int(pl.rowPtr[r+1]-pl.rowPtr[r])*bytesPerEntry + bytesPerRow
 		if acc >= budget {
-			st.blocks = append(st.blocks, int32(r+1))
+			pl.blocks = append(pl.blocks, int32(r+1))
 			acc = 0
 		}
 	}
-	if int(st.blocks[len(st.blocks)-1]) != a.Rows {
-		st.blocks = append(st.blocks, int32(a.Rows))
+	if int(pl.blocks[len(pl.blocks)-1]) != a.Rows {
+		pl.blocks = append(pl.blocks, int32(a.Rows))
 	}
 
-	sp = sp.Arg("rows", int64(a.Rows)).Arg("nnz", int64(a.NNZ())).Arg("blocks", int64(len(st.blocks)-1))
-	pl := &Plan{st: st}
-	runtime.SetFinalizer(pl, func(p *Plan) { p.st.shutdown() })
+	sp = sp.Arg("rows", int64(a.Rows)).Arg("nnz", int64(a.NNZ())).Arg("blocks", int64(len(pl.blocks)-1))
 	return pl, nil
 }
 
 // Dims returns the compiled matrix shape (rows, cols).
-func (pl *Plan) Dims() (int, int) { return pl.st.rows, pl.st.cols }
+func (pl *Plan) Dims() (int, int) { return pl.rows, pl.cols }
 
 // NNZ returns the number of compiled nonzeros (2·NNZ flops per Exec).
-func (pl *Plan) NNZ() int { return pl.st.nnz }
+func (pl *Plan) NNZ() int { return pl.nnz }
 
 // Blocks returns the number of cache-budget row blocks the plan
 // schedules.
-func (pl *Plan) Blocks() int { return len(pl.st.blocks) - 1 }
+func (pl *Plan) Blocks() int { return len(pl.blocks) - 1 }
 
-// Close releases the parked worker goroutines. Optional — a finalizer
-// does the same on garbage collection — and must not race an in-flight
-// Exec. Exec after Close returns an error.
-func (pl *Plan) Close() {
-	runtime.SetFinalizer(pl, nil)
-	pl.st.shutdown()
-}
-
-func (st *planState) shutdown() {
-	if st.closed.CompareAndSwap(false, true) {
-		close(st.workCh)
-	}
-}
+// Close marks the plan closed: Exec and ExecBlock after Close return an
+// error. A Plan holds no goroutines, so dropping it without Close frees
+// it too. Close must not race an in-flight Exec.
+func (pl *Plan) Close() { pl.closed.Store(true) }
 
 // Exec runs one multiply y = Ax on the compiled plan. x and y live in
 // the plan's index space: for a permuted plan, x[perm.Col[j]] holds
@@ -225,95 +203,82 @@ func (st *planState) shutdown() {
 // overwritten. The steady state performs no allocations, and the
 // result is byte-identical for every ExecOptions value.
 func (pl *Plan) Exec(x, y []float64, opts ExecOptions) error {
-	st := pl.st
-	if len(x) != st.cols {
-		return fmt.Errorf("kernel: len(x)=%d, plan compiled for %d columns", len(x), st.cols)
+	if len(x) != pl.cols {
+		return fmt.Errorf("kernel: len(x)=%d, plan compiled for %d columns", len(x), pl.cols)
 	}
-	if len(y) != st.rows {
-		return fmt.Errorf("kernel: len(y)=%d, plan compiled for %d rows", len(y), st.rows)
+	if len(y) != pl.rows {
+		return fmt.Errorf("kernel: len(y)=%d, plan compiled for %d rows", len(y), pl.rows)
 	}
-	if st.closed.Load() {
-		return errors.New("kernel: Exec on a closed Plan")
+	return pl.run(x, y, 0, opts)
+}
+
+// run is the dispatch Exec (n = 0) and ExecBlock (n ≥ 1 stacked
+// vectors) share: it publishes the call state, then the caller and
+// workers−1 parked workers claim row blocks off one cursor until none
+// remain.
+func (pl *Plan) run(x, y []float64, n int, opts ExecOptions) error {
+	if pl.closed.Load() {
+		if n == 0 {
+			return errors.New("kernel: Exec on a closed Plan")
+		}
+		return errors.New("kernel: ExecBlock on a closed Plan")
 	}
-	if !st.busy.CompareAndSwap(false, true) {
+	if !pl.busy.CompareAndSwap(false, true) {
 		return errors.New("kernel: concurrent Exec calls on one Plan")
 	}
-	defer st.busy.Store(false)
+	defer pl.busy.Store(false)
 
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if nb := len(st.blocks) - 1; workers > nb {
+	if nb := len(pl.blocks) - 1; workers > nb {
 		workers = nb
 	}
 
-	esp := opts.Track.Begin("kernel", "exec").Arg("workers", int64(workers))
-	if workers <= 1 {
-		st.x, st.y = x, y
-		st.cursor.Store(0)
-		st.drainBlocks()
+	var esp obs.Span
+	if n == 0 {
+		esp = opts.Track.Begin("kernel", "exec").Arg("workers", int64(workers))
 	} else {
-		st.ensureWorkers(workers - 1)
-		// Publish the call state before the channel sends: the send is
-		// the happens-before edge the workers read through, and their
-		// doneCh sends order the y writes before our return.
-		st.x, st.y = x, y
-		st.cursor.Store(0)
-		for i := 1; i < workers; i++ {
-			st.workCh <- struct{}{}
-		}
-		st.drainBlocks()
-		for i := 1; i < workers; i++ {
-			<-st.doneCh
-		}
+		esp = opts.Track.Begin("kernel", "exec.block").Arg("workers", int64(workers)).Arg("n", int64(n))
 	}
-	st.x, st.y = nil, nil
+	pl.x, pl.y, pl.n = x, y, n
+	pl.cursor.Store(0)
+	pl.g.Run(workers, (*blocksTask)(pl))
+	pl.x, pl.y, pl.n = nil, nil, 0
 	esp.End()
-	runtime.KeepAlive(pl) // the finalizer must not fire mid-Exec
 	return nil
 }
 
-// ensureWorkers tops the parked pool up to n goroutines; steady-state
-// Execs find them already parked.
-func (st *planState) ensureWorkers(n int) {
-	for st.nWorkers < n {
-		go st.workerLoop()
-		st.nWorkers++
-	}
-}
+// blocksTask is a Plan seen as a par.Task; the conversion keeps Run out
+// of Plan's method set.
+type blocksTask Plan
 
-func (st *planState) workerLoop() {
-	for range st.workCh {
-		st.drainBlocks()
-		st.doneCh <- struct{}{}
-	}
-}
-
-// drainBlocks claims row blocks off the shared cursor until none
-// remain. Blocks write disjoint y ranges and each row's sum has a
-// fixed accumulation order, so the result does not depend on which
-// goroutine claims which block.
-func (st *planState) drainBlocks() {
-	nb := int64(len(st.blocks) - 1)
-	n := st.blkN // nonzero: this call is an ExecBlock over n vectors
+// Run claims row blocks off the shared cursor until none remain.
+// Blocks write disjoint y ranges and each row's sum has a fixed
+// accumulation order, so the result does not depend on which goroutine
+// claims which block.
+func (t *blocksTask) Run(_ int, _ *par.Worker) {
+	pl := (*Plan)(t)
+	nb := int64(len(pl.blocks) - 1)
+	n := pl.n
 	for {
-		b := st.cursor.Add(1) - 1
+		b := pl.cursor.Add(1) - 1
 		if b >= nb {
 			return
 		}
 		if n > 0 {
-			st.runBlockB(int(b), n)
+			pl.runBlockB(int(b), n)
 		} else {
-			st.runBlock(int(b))
+			pl.runBlock(int(b))
 		}
 	}
 }
 
-func (st *planState) runBlock(b int) {
-	x, y := st.x, st.y
-	lo, hi := st.blocks[b], st.blocks[b+1]
-	rowPtr, col, val := st.rowPtr, st.col, st.val
+func (pl *Plan) runBlock(b int) {
+	x, y := pl.x, pl.y
+	lo, hi := pl.blocks[b], pl.blocks[b+1]
+	rowPtr, col, val := pl.rowPtr, pl.col, pl.val
 	for r := lo; r < hi; r++ {
 		var s float64
 		for t := rowPtr[r]; t < rowPtr[r+1]; t++ {

@@ -45,8 +45,7 @@ type decompCache struct {
 
 	// onEvict runs outside the cache lock for every result dropped from
 	// the cache — evicted for space or replaced by a refresh. The server
-	// uses it to release the result's compiled SpMV plan (parked worker
-	// goroutines) instead of waiting for the finalizer.
+	// uses it to release the result's compiled SpMV plan memory.
 	onEvict func(*jobResult)
 }
 

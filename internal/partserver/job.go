@@ -174,10 +174,9 @@ func (res *jobResult) planLocked() (*spmv.Plan, error) {
 }
 
 // releasePlan closes and drops the result's compiled plan, if any. The
-// cache calls it on eviction so the plan's parked worker goroutines are
-// released promptly instead of lingering until the finalizer; a job
-// record that still references the result rebuilds the plan on its next
-// solve via planLocked. Taking res.mu serializes with in-flight solves,
+// cache calls it on eviction so the plan's memory is freed even while a
+// job record still references the result; that record rebuilds the
+// plan on its next solve via planLocked. Taking res.mu serializes with in-flight solves,
 // so a plan is never closed mid-Exec.
 func (res *jobResult) releasePlan() {
 	res.mu.Lock()

@@ -62,8 +62,8 @@ func planOf(t *testing.T, s *Server, id string) bool {
 }
 
 // TestCacheEvictionReleasesPlan pins the plan lifecycle: evicting a
-// decomposition from the LRU must close its compiled plan (so parked
-// worker goroutines are released promptly), and a job record that still
+// decomposition from the LRU must close its compiled plan (so its
+// memory is freed promptly), and a job record that still
 // references the evicted result must transparently rebuild the plan on
 // its next solve.
 func TestCacheEvictionReleasesPlan(t *testing.T) {

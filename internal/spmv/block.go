@@ -1,10 +1,6 @@
 package spmv
 
-import (
-	"errors"
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
 // ExecBlock runs one block multiply Y = A·X for n stacked right-hand
 // sides on the compiled plan. X holds n column vectors back to back
@@ -25,43 +21,16 @@ import (
 // any worker count. Scratch is grown on first use (and when n grows)
 // and reused: steady-state calls at a fixed n allocate nothing.
 func (pl *Plan) ExecBlock(X, Y []float64, n int, opts ExecOptions) error {
-	st := pl.st
 	if n < 1 {
 		return fmt.Errorf("spmv: ExecBlock with n=%d right-hand sides", n)
 	}
-	if len(X) != n*st.cols {
-		return fmt.Errorf("spmv: len(X)=%d, want n*cols = %d*%d = %d", len(X), n, st.cols, n*st.cols)
+	if len(X) != n*pl.cols {
+		return fmt.Errorf("spmv: len(X)=%d, want n*cols = %d*%d = %d", len(X), n, pl.cols, n*pl.cols)
 	}
-	if len(Y) != n*st.rows {
-		return fmt.Errorf("spmv: len(Y)=%d, want n*rows = %d*%d = %d", len(Y), n, st.rows, n*st.rows)
+	if len(Y) != n*pl.rows {
+		return fmt.Errorf("spmv: len(Y)=%d, want n*rows = %d*%d = %d", len(Y), n, pl.rows, n*pl.rows)
 	}
-	if st.closed.Load() {
-		return errors.New("spmv: ExecBlock on a closed Plan")
-	}
-	if !st.busy.CompareAndSwap(false, true) {
-		return errors.New("spmv: concurrent Exec calls on one Plan")
-	}
-	defer st.busy.Store(false)
-
-	st.ensureBlockScratch(n)
-	workers := st.execBlockWorkers(opts.Workers, n)
-	st.ensureWorkers(workers - 1)
-
-	esp := opts.Track.Begin("spmv", "exec.block").Arg("workers", int64(workers)).Arg("n", int64(n))
-	st.bx, st.by, st.blkN = X, Y, n
-	sp := opts.Track.Begin("spmv", "expand")
-	st.runPhaseBlock(phaseExpand, workers)
-	sp.End()
-	sp = opts.Track.Begin("spmv", "compute")
-	st.runPhaseBlock(phaseCompute, workers)
-	sp.End()
-	sp = opts.Track.Begin("spmv", "fold")
-	st.runPhaseBlock(phaseFold, workers)
-	sp.End()
-	st.bx, st.by = nil, nil
-	esp.End()
-	runtime.KeepAlive(pl) // the finalizer must not fire mid-ExecBlock
-	return nil
+	return pl.run(X, Y, n, opts)
 }
 
 // BlockCounters returns the communication profile one ExecBlock call
@@ -70,83 +39,28 @@ func (pl *Plan) ExecBlock(X, Y []float64, n int, opts ExecOptions) error {
 // while the word counts scale by n. Counters() is therefore always the
 // per-RHS figure. The returned Result's Y is nil.
 func (pl *Plan) BlockCounters(n int) Result {
-	c := pl.st.counters
+	c := pl.counters
 	c.ExpandWords *= n
 	c.FoldWords *= n
 	return c
 }
 
-// execBlockWorkers resolves the worker count for a block call. Same
-// clamps as execWorkers, but the serial threshold sees the effective
-// work nnz·n: a plan too small to fan out for one RHS may still be
-// worth fanning out for sixteen.
-func (st *planState) execBlockWorkers(requested, n int) int {
-	workers := requested
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > st.k {
-		workers = st.k
-	}
-	if maxp := runtime.GOMAXPROCS(0); workers > maxp {
-		workers = maxp
-	}
-	if st.nnz*n < serialNNZThreshold {
-		workers = 1
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
 // ensureBlockScratch widens the plan's scratch to n words per slot.
 // Grow-only: shrinking would only force reallocation when widths
 // alternate, and the widest width bounds the footprint either way.
-func (st *planState) ensureBlockScratch(n int) {
-	if n <= st.blkCap {
+func (pl *Plan) ensureBlockScratch(n int) {
+	if n <= pl.blkCap {
 		return
 	}
-	st.expandBufB = make([]float64, len(st.expandBuf)*n)
-	st.foldBufB = make([]float64, len(st.foldBuf)*n)
-	for p := range st.procs {
-		pr := &st.procs[p]
+	pl.expandBufB = make([]float64, len(pl.expandBuf)*n)
+	pl.foldBufB = make([]float64, len(pl.foldBuf)*n)
+	for p := range pl.procs {
+		pr := &pl.procs[p]
 		pr.xlocB = make([]float64, len(pr.xloc)*n)
 		pr.partialB = make([]float64, len(pr.partial)*n)
 		pr.yAccB = make([]float64, len(pr.yAcc)*n)
 	}
-	st.blkCap = n
-}
-
-// runPhaseBlock is runPhase for the block variants of the phases.
-func (st *planState) runPhaseBlock(phase, workers int) {
-	if workers <= 1 {
-		st.shardBlock(phase, 0, 1)
-		return
-	}
-	for s := 1; s < workers; s++ {
-		st.workCh <- phaseWork{phase: phase, shard: s, stride: workers, block: true}
-	}
-	st.shardBlock(phase, 0, workers)
-	for s := 1; s < workers; s++ {
-		<-st.doneCh
-	}
-}
-
-// shardBlock runs one block phase for processors shard, shard+stride, …
-func (st *planState) shardBlock(phase, shard, stride int) {
-	n := st.blkN
-	for p := shard; p < st.k; p += stride {
-		pr := &st.procs[p]
-		switch phase {
-		case phaseExpand:
-			pr.expandBlock(st.bx, st.expandBufB, st.cols, n)
-		case phaseCompute:
-			pr.computeBlock(st.expandBufB, st.foldBufB, n)
-		case phaseFold:
-			pr.foldBlock(st.foldBufB, st.by, st.rows, n)
-		}
-	}
+	pl.blkCap = n
 }
 
 // expandBlock is expand with every x index widened to n words: slot s

@@ -9,13 +9,13 @@ import (
 
 	"finegrain/internal/core"
 	"finegrain/internal/obs"
+	"finegrain/internal/par"
 )
 
 // Plan is a decomposition compiled for repeated execution — the paper's
 // iterative-solver regime, where one decomposition is amortized over
 // thousands of multiplies. NewPlan walks the assignment once and flattens
-// everything Run used to rebuild per call into index arrays and
-// preallocated buffers:
+// it into index arrays and preallocated buffers:
 //
 //   - per-processor owned nonzeros with local row/column slots (a
 //     CSR-like compute schedule over a compact local x fragment),
@@ -34,15 +34,42 @@ import (
 // floating-point accumulation order is fixed by the plan (own partial
 // first, then senders ascending, rows ascending within a message;
 // per-processor compute in CSR order), so results are byte-identical
-// across Exec calls, Workers values, and with Run's output.
+// across Exec calls and Workers values.
 //
 // A Plan is safe for concurrent reads of its counters, but Exec holds
 // exclusive state: concurrent Exec calls on one Plan return an error.
-// Parallel execution parks worker goroutines between calls; Close
-// releases them (a finalizer does the same if the Plan is dropped
-// without Close, so Close is optional).
+// Parallel execution borrows parked goroutines from the process-wide
+// executor (internal/par) for the duration of one call, so a Plan owns
+// no goroutines and needs no Close to be freed.
 type Plan struct {
-	st *planState
+	k          int
+	rows, cols int
+	nnz        int
+	counters   Result // precomputed; Y stays nil
+
+	procs     []pproc
+	expandBuf []float64 // one disjoint range per expand message
+	foldBuf   []float64 // one disjoint range per fold message
+
+	// Per-call state, published to the shard workers for the duration
+	// of one call: the caller's vectors, the RHS count (0 for Exec, n
+	// for ExecBlock's stacked vectors), the phase and the shard stride.
+	x, y   []float64
+	n      int
+	phase  int
+	stride int
+
+	// blkCap is the width the block scratch (expandBufB, foldBufB and
+	// the per-proc xlocB/partialB/yAccB fragments) is currently sized
+	// for; scratch grows on demand and is reused, so steady-state
+	// ExecBlock calls at a fixed n allocate nothing.
+	blkCap     int
+	expandBufB []float64
+	foldBufB   []float64
+
+	g      par.Group
+	busy   atomic.Bool
+	closed atomic.Bool
 }
 
 // ExecOptions tunes one Exec call.
@@ -57,54 +84,6 @@ type ExecOptions struct {
 	// fold sub-spans) per call onto the given trace track. Nil keeps the
 	// steady state allocation-free — every span call is a no-op.
 	Track *obs.Track
-}
-
-// phaseWork is one shard of one phase, dispatched to a parked worker.
-// block selects the multi-RHS variant of the phase (ExecBlock).
-type phaseWork struct {
-	phase  int
-	shard  int
-	stride int
-	block  bool
-}
-
-// planState carries the compiled schedules and the reusable execution
-// state. It is split from Plan so parked worker goroutines (which hold a
-// *planState) do not keep the public handle alive — when the last *Plan
-// is dropped, its finalizer closes workCh and the workers exit.
-type planState struct {
-	k          int
-	rows, cols int
-	nnz        int
-	counters   Result // precomputed; Y stays nil
-
-	procs     []pproc
-	expandBuf []float64 // one disjoint range per expand message
-	foldBuf   []float64 // one disjoint range per fold message
-
-	// Per-Exec state. x and y are the caller's slices, published to the
-	// shard workers for the duration of one call.
-	x, y []float64
-
-	// Per-ExecBlock state: bx and by are the caller's stacked vectors,
-	// blkN the published RHS count for the current call. blkCap is the
-	// width the block scratch (expandBufB, foldBufB and the per-proc
-	// xlocB/partialB/yAccB fragments) is currently sized for; scratch
-	// grows on demand and is reused, so steady-state ExecBlock calls at
-	// a fixed n allocate nothing.
-	bx, by []float64
-	blkN   int
-	blkCap int
-
-	expandBufB []float64
-	foldBufB   []float64
-
-	busy   atomic.Bool
-	closed atomic.Bool
-
-	workCh   chan phaseWork
-	doneCh   chan struct{}
-	nWorkers int // parked worker goroutines spawned so far
 }
 
 // sendRange is one outgoing message compiled to a copy: the sender
@@ -175,8 +154,8 @@ type pproc struct {
 }
 
 // NewPlan compiles asg into an executable Plan. It validates the
-// assignment and pays the full setup cost Run used to pay per call;
-// every subsequent Exec reuses the compiled schedules.
+// assignment and pays the full setup cost once; every subsequent Exec
+// reuses the compiled schedules.
 func NewPlan(asg *core.Assignment) (*Plan, error) {
 	return NewPlanTraced(asg, nil)
 }
@@ -192,18 +171,16 @@ func NewPlanTraced(asg *core.Assignment, tr *obs.Trace) (*Plan, error) {
 	sp = sp.Arg("k", int64(asg.K)).Arg("rows", int64(asg.A.Rows)).Arg("nnz", int64(len(asg.NonzeroOwner)))
 	a := asg.A
 	k := asg.K
-	st := &planState{
-		k:      k,
-		rows:   a.Rows,
-		cols:   a.Cols,
-		nnz:    len(asg.NonzeroOwner),
-		procs:  make([]pproc, k),
-		workCh: make(chan phaseWork, k),
-		doneCh: make(chan struct{}, k),
+	pl := &Plan{
+		k:     k,
+		rows:  a.Rows,
+		cols:  a.Cols,
+		nnz:   len(asg.NonzeroOwner),
+		procs: make([]pproc, k),
 	}
 
-	// Distribute nonzeros per processor, preserving CSR order (the
-	// accumulation order Run used).
+	// Distribute nonzeros per processor, preserving CSR order: the
+	// per-processor accumulation order every Exec repeats.
 	counts := make([]int, k)
 	for _, o := range asg.NonzeroOwner {
 		counts[o]++
@@ -213,14 +190,14 @@ func NewPlanTraced(asg *core.Assignment, tr *obs.Trace) (*Plan, error) {
 	for p := 0; p < k; p++ {
 		gRow[p] = make([]int32, 0, counts[p])
 		gCol[p] = make([]int32, 0, counts[p])
-		st.procs[p].val = make([]float64, 0, counts[p])
+		pl.procs[p].val = make([]float64, 0, counts[p])
 	}
 	for i := 0; i < a.Rows; i++ {
 		for t := a.RowPtr[i]; t < a.RowPtr[i+1]; t++ {
 			p := asg.NonzeroOwner[t]
 			gRow[p] = append(gRow[p], int32(i))
 			gCol[p] = append(gCol[p], int32(a.ColIdx[t]))
-			st.procs[p].val = append(st.procs[p].val, a.Val[t])
+			pl.procs[p].val = append(pl.procs[p].val, a.Val[t])
 		}
 	}
 
@@ -228,12 +205,12 @@ func NewPlanTraced(asg *core.Assignment, tr *obs.Trace) (*Plan, error) {
 	// its owner's accumulator.
 	rowAccSlot := make([]int32, a.Rows)
 	for i, o := range asg.YOwner {
-		pr := &st.procs[o]
+		pr := &pl.procs[o]
 		rowAccSlot[i] = int32(len(pr.yOwned))
 		pr.yOwned = append(pr.yOwned, int32(i))
 	}
-	for p := range st.procs {
-		pr := &st.procs[p]
+	for p := range pl.procs {
+		pr := &pl.procs[p]
 		pr.yAcc = make([]float64, len(pr.yOwned))
 	}
 
@@ -241,7 +218,7 @@ func NewPlanTraced(asg *core.Assignment, tr *obs.Trace) (*Plan, error) {
 	// receiver. colSlot maps a used global column to its xloc slot.
 	expandOff := int32(0)
 	for q := 0; q < k; q++ {
-		pr := &st.procs[q]
+		pr := &pl.procs[q]
 		used := sortedUnique(gCol[q])
 		colSlot := make(map[int32]int32, len(used))
 		// Owned slots first.
@@ -273,7 +250,7 @@ func NewPlanTraced(asg *core.Assignment, tr *obs.Trace) (*Plan, error) {
 				colSlot[j] = nloc
 				nloc++
 			}
-			st.procs[sdr].expSend = append(st.procs[sdr].expSend, sendRange{
+			pl.procs[sdr].expSend = append(pl.procs[sdr].expSend, sendRange{
 				off: expandOff, src: -1, n: int32(len(cols)), idx: cols,
 			})
 			pr.expRecv = append(pr.expRecv, recvRange{
@@ -282,8 +259,8 @@ func NewPlanTraced(asg *core.Assignment, tr *obs.Trace) (*Plan, error) {
 				n:   int32(len(cols)),
 			})
 			expandOff += int32(len(cols))
-			st.counters.ExpandWords += len(cols)
-			st.counters.ExpandMessages++
+			pl.counters.ExpandWords += len(cols)
+			pl.counters.ExpandMessages++
 		}
 		pr.xloc = make([]float64, nloc)
 		// Compute schedule columns.
@@ -292,12 +269,12 @@ func NewPlanTraced(asg *core.Assignment, tr *obs.Trace) (*Plan, error) {
 			pr.locCol[t] = colSlot[j]
 		}
 	}
-	st.expandBuf = make([]float64, expandOff)
+	pl.expandBuf = make([]float64, expandOff)
 
 	// Compile the partial layout and fold routing, sender by sender.
 	foldOff := int32(0)
 	for p := 0; p < k; p++ {
-		pr := &st.procs[p]
+		pr := &pl.procs[p]
 		touched := sortedUnique(gRow[p])
 		rowSlot := make(map[int32]int32, len(touched))
 		for _, i := range touched {
@@ -333,12 +310,12 @@ func NewPlanTraced(asg *core.Assignment, tr *obs.Trace) (*Plan, error) {
 				acc[w] = rowAccSlot[i]
 			}
 			// Sender loop ascending ⇒ each receiver's foldRecv list ends
-			// up in ascending sender order, the accumulation order Run
-			// established.
-			st.procs[d].foldRecv = append(st.procs[d].foldRecv, foldRecv{off: foldOff, acc: acc})
+			// up in ascending sender order: own partial first, then
+			// senders ascending, the fold accumulation order.
+			pl.procs[d].foldRecv = append(pl.procs[d].foldRecv, foldRecv{off: foldOff, acc: acc})
 			foldOff += int32(len(rows))
-			st.counters.FoldWords += len(rows)
-			st.counters.FoldMessages++
+			pl.counters.FoldWords += len(rows)
+			pl.counters.FoldMessages++
 		}
 		pr.partial = make([]float64, nslot)
 		pr.locRow = make([]int32, len(gRow[p]))
@@ -346,12 +323,7 @@ func NewPlanTraced(asg *core.Assignment, tr *obs.Trace) (*Plan, error) {
 			pr.locRow[t] = rowSlot[i]
 		}
 	}
-	st.foldBuf = make([]float64, foldOff)
-
-	pl := &Plan{st: st}
-	// Parked shard workers hold only st; when the last public handle is
-	// dropped without Close, release them.
-	runtime.SetFinalizer(pl, func(p *Plan) { p.st.shutdown() })
+	pl.foldBuf = make([]float64, foldOff)
 	return pl, nil
 }
 
@@ -372,29 +344,20 @@ func sortedUnique(s []int32) []int32 {
 }
 
 // K returns the number of simulated processors.
-func (pl *Plan) K() int { return pl.st.k }
+func (pl *Plan) K() int { return pl.k }
 
 // Dims returns the compiled matrix shape (rows, cols).
-func (pl *Plan) Dims() (int, int) { return pl.st.rows, pl.st.cols }
+func (pl *Plan) Dims() (int, int) { return pl.rows, pl.cols }
 
 // Counters returns the communication profile every Exec realizes: the
 // words and messages are fixed by the routing table, so they are
 // precomputed at plan time. The returned Result's Y is nil.
-func (pl *Plan) Counters() Result { return pl.st.counters }
+func (pl *Plan) Counters() Result { return pl.counters }
 
-// Close releases the parked worker goroutines. It is optional — a
-// finalizer does the same when the Plan is garbage collected — and must
-// not race an in-flight Exec. Exec after Close returns an error.
-func (pl *Plan) Close() {
-	runtime.SetFinalizer(pl, nil)
-	pl.st.shutdown()
-}
-
-func (st *planState) shutdown() {
-	if st.closed.CompareAndSwap(false, true) {
-		close(st.workCh)
-	}
-}
+// Close marks the plan closed: Exec and ExecBlock after Close return an
+// error. A Plan holds no goroutines, so dropping it without Close frees
+// it too. Close must not race an in-flight Exec.
+func (pl *Plan) Close() { pl.closed.Store(true) }
 
 // Exec runs one multiply y = Ax on the compiled plan, reusing every
 // buffer: the steady state allocates nothing. len(x) must equal the
@@ -402,38 +365,49 @@ func (st *planState) shutdown() {
 // overwritten. The numeric result and the realized communication
 // (Counters) are byte-identical for every ExecOptions value.
 func (pl *Plan) Exec(x, y []float64, opts ExecOptions) error {
-	st := pl.st
-	if len(x) != st.cols {
-		return fmt.Errorf("spmv: len(x)=%d, plan compiled for %d columns", len(x), st.cols)
+	if len(x) != pl.cols {
+		return fmt.Errorf("spmv: len(x)=%d, plan compiled for %d columns", len(x), pl.cols)
 	}
-	if len(y) != st.rows {
-		return fmt.Errorf("spmv: len(y)=%d, plan compiled for %d rows", len(y), st.rows)
+	if len(y) != pl.rows {
+		return fmt.Errorf("spmv: len(y)=%d, plan compiled for %d rows", len(y), pl.rows)
 	}
-	if st.closed.Load() {
-		return errors.New("spmv: Exec on a closed Plan")
+	return pl.run(x, y, 0, opts)
+}
+
+// run executes one call on validated vectors: n = 0 is Exec, n ≥ 1 an
+// ExecBlock over n stacked right-hand sides.
+func (pl *Plan) run(x, y []float64, n int, opts ExecOptions) error {
+	if pl.closed.Load() {
+		if n == 0 {
+			return errors.New("spmv: Exec on a closed Plan")
+		}
+		return errors.New("spmv: ExecBlock on a closed Plan")
 	}
-	if !st.busy.CompareAndSwap(false, true) {
+	if !pl.busy.CompareAndSwap(false, true) {
 		return errors.New("spmv: concurrent Exec calls on one Plan")
 	}
-	defer st.busy.Store(false)
+	defer pl.busy.Store(false)
 
-	workers := st.execWorkers(opts.Workers)
-	st.ensureWorkers(workers - 1)
-
-	esp := opts.Track.Begin("spmv", "exec").Arg("workers", int64(workers))
-	st.x, st.y = x, y
+	workers := pl.execWorkers(opts.Workers, max(n, 1))
+	var esp obs.Span
+	if n == 0 {
+		esp = opts.Track.Begin("spmv", "exec").Arg("workers", int64(workers))
+	} else {
+		pl.ensureBlockScratch(n)
+		esp = opts.Track.Begin("spmv", "exec.block").Arg("workers", int64(workers)).Arg("n", int64(n))
+	}
+	pl.x, pl.y, pl.n, pl.stride = x, y, n, workers
 	sp := opts.Track.Begin("spmv", "expand")
-	st.runPhase(phaseExpand, workers)
+	pl.runPhase(phaseExpand)
 	sp.End()
 	sp = opts.Track.Begin("spmv", "compute")
-	st.runPhase(phaseCompute, workers)
+	pl.runPhase(phaseCompute)
 	sp.End()
 	sp = opts.Track.Begin("spmv", "fold")
-	st.runPhase(phaseFold, workers)
+	pl.runPhase(phaseFold)
 	sp.End()
-	st.x, st.y = nil, nil
+	pl.x, pl.y = nil, nil
 	esp.End()
-	runtime.KeepAlive(pl) // the finalizer must not fire mid-Exec
 	return nil
 }
 
@@ -443,30 +417,31 @@ const (
 	phaseFold
 )
 
-// serialNNZThreshold is the plan size below which fanning out is a net
-// loss: three phase round trips through the work channels cost more
-// than the compute they split.
+// serialNNZThreshold is the per-call work (nonzeros times right-hand
+// sides) below which fanning out is a net loss: three phase barriers
+// cost more than the compute they split.
 const serialNNZThreshold = 1 << 13
 
-// execWorkers resolves the worker count one Exec call will use. The
-// result never exceeds K (shards beyond K would be empty), never
-// exceeds GOMAXPROCS (extra goroutines on a saturated host only add
-// channel round trips and scheduling churn — the BENCH_spmv.json
+// execWorkers resolves the worker count of one call over n right-hand
+// sides. The result never exceeds K (shards beyond K would be empty),
+// never exceeds GOMAXPROCS (extra goroutines on a saturated host only
+// add barrier round trips and scheduling churn — the BENCH_spmv.json
 // anomaly where 8 workers ran slower than 1 on a 1-CPU host), and
-// collapses to 1 for small plans. The output is byte-identical at any
-// worker count, so clamping is always safe.
-func (st *planState) execWorkers(requested int) int {
+// collapses to 1 when nnz·n is small: a plan too small to fan out for
+// one RHS may still be worth fanning out for sixteen. The output is
+// byte-identical at any worker count, so clamping is always safe.
+func (pl *Plan) execWorkers(requested, n int) int {
 	workers := requested
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > st.k {
-		workers = st.k
+	if workers > pl.k {
+		workers = pl.k
 	}
 	if maxp := runtime.GOMAXPROCS(0); workers > maxp {
 		workers = maxp
 	}
-	if st.nnz < serialNNZThreshold {
+	if pl.nnz*n < serialNNZThreshold {
 		workers = 1
 	}
 	if workers < 1 {
@@ -475,58 +450,45 @@ func (st *planState) execWorkers(requested int) int {
 	return workers
 }
 
-// ensureWorkers tops the parked pool up to n goroutines. Spawning
-// happens at most K−1 times over a Plan's lifetime, so steady-state
-// Execs find their workers already parked.
-func (st *planState) ensureWorkers(n int) {
-	for st.nWorkers < n {
-		go st.workerLoop()
-		st.nWorkers++
-	}
+// runPhase executes one phase across all processors on the executor's
+// barrier: shard 0 inline, shards 1..stride−1 on parked workers. The
+// phase completes only when every shard is done — the barrier the next
+// phase's reads depend on.
+func (pl *Plan) runPhase(phase int) {
+	pl.phase = phase
+	pl.g.Run(pl.stride, (*phaseTask)(pl))
 }
 
-func (st *planState) workerLoop() {
-	for w := range st.workCh {
-		if w.block {
-			st.shardBlock(w.phase, w.shard, w.stride)
-		} else {
-			st.shard(w.phase, w.shard, w.stride)
+// phaseTask is a Plan seen as a par.Task; the conversion keeps Run out
+// of Plan's method set.
+type phaseTask Plan
+
+// Run executes the current phase for processors shard, shard+stride, …
+// Processors touch disjoint buffer ranges and disjoint y entries, so
+// shards never contend.
+func (t *phaseTask) Run(shard int, _ *par.Worker) {
+	pl := (*Plan)(t)
+	n := pl.n
+	for p := shard; p < pl.k; p += pl.stride {
+		pr := &pl.procs[p]
+		if n == 0 {
+			switch pl.phase {
+			case phaseExpand:
+				pr.expand(pl.x, pl.expandBuf)
+			case phaseCompute:
+				pr.compute(pl.expandBuf, pl.foldBuf)
+			case phaseFold:
+				pr.fold(pl.foldBuf, pl.y)
+			}
+			continue
 		}
-		st.doneCh <- struct{}{}
-	}
-}
-
-// runPhase executes one phase across all processors: shards 1..workers−1
-// go to parked workers, shard 0 runs inline, and the phase completes
-// only when every shard reports done — the barrier the next phase's
-// reads depend on.
-func (st *planState) runPhase(phase, workers int) {
-	if workers <= 1 {
-		st.shard(phase, 0, 1)
-		return
-	}
-	for s := 1; s < workers; s++ {
-		st.workCh <- phaseWork{phase: phase, shard: s, stride: workers}
-	}
-	st.shard(phase, 0, workers)
-	for s := 1; s < workers; s++ {
-		<-st.doneCh
-	}
-}
-
-// shard runs one phase for processors shard, shard+stride, … Processors
-// touch disjoint buffer ranges and disjoint y entries, so shards never
-// contend.
-func (st *planState) shard(phase, shard, stride int) {
-	for p := shard; p < st.k; p += stride {
-		pr := &st.procs[p]
-		switch phase {
+		switch pl.phase {
 		case phaseExpand:
-			pr.expand(st.x, st.expandBuf)
+			pr.expandBlock(pl.x, pl.expandBufB, pl.cols, n)
 		case phaseCompute:
-			pr.compute(st.expandBuf, st.foldBuf)
+			pr.computeBlock(pl.expandBufB, pl.foldBufB, n)
 		case phaseFold:
-			pr.fold(st.foldBuf, st.y)
+			pr.foldBlock(pl.foldBufB, pl.y, pl.rows, n)
 		}
 	}
 }

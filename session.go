@@ -61,9 +61,9 @@ type SessionOptions struct {
 // stays that of a single multiply while each message widens to N
 // words — the amortization BlockCounters quantifies.
 //
-// A Session is not safe for concurrent calls. Close releases the
-// compiled plans; dropping the Session without Close releases them via
-// finalizers.
+// A Session is not safe for concurrent calls. Close marks the compiled
+// plans closed; they own no goroutines, so dropping the Session without
+// Close frees them too.
 type Session struct {
 	dec *Decomposition
 	pl  *spmv.Plan
