@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt vet vet-perfbench test race e2e-fleet bench bench-quick bench-scaling bench-spmv bench-block bench-block-smoke bench-locality bench-locality-smoke bench-spgemm bench-spgemm-smoke build doc-check
+.PHONY: ci fmt vet vet-perfbench test race e2e-fleet bench bench-quick bench-scaling bench-spmv bench-block bench-block-smoke bench-locality bench-locality-smoke bench-spgemm bench-spgemm-smoke compare-smoke build doc-check
 
-ci: doc-check build vet-perfbench race e2e-fleet bench-locality-smoke bench-block-smoke bench-spgemm-smoke
+ci: doc-check build vet-perfbench race e2e-fleet bench-locality-smoke bench-block-smoke bench-spgemm-smoke compare-smoke
 
 build:
 	$(GO) build ./...
@@ -130,3 +130,9 @@ bench-spgemm:
 # no artifact — the per-cell exactness assertions still run.
 bench-spgemm-smoke:
 	$(GO) run ./cmd/experiments -spgemmbench -scale 0.02 -k 4 -json "" -quiet
+
+# compare-smoke runs the four-model sweep of cmd/experiments, which
+# decomposes every cell through the finegrain model registry, on two
+# shrunken matrices at one K and one seed.
+compare-smoke:
+	$(GO) run ./cmd/experiments -compare -scale 0.02 -k 4 -seeds 1 -matrices ken-11,cq9 -quiet

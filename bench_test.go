@@ -102,7 +102,7 @@ func BenchmarkTable2(b *testing.B) {
 					var res *experiments.RunResult
 					var err error
 					for i := 0; i < b.N; i++ {
-						res, err = experiments.RunInstance(a, k, model, uint64(i+1), 0)
+						res, err = experiments.RunInstance(a, k, model, finegrain.Options{Seed: uint64(i + 1)})
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -246,7 +246,7 @@ func BenchmarkCheckerboardBaseline(b *testing.B) {
 			var res *experiments.RunResult
 			var err error
 			for i := 0; i < b.N; i++ {
-				res, err = experiments.RunInstance(a, 16, model, uint64(i+1), 0)
+				res, err = experiments.RunInstance(a, 16, model, finegrain.Options{Seed: uint64(i + 1)})
 				if err != nil {
 					b.Fatal(err)
 				}

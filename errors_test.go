@@ -133,3 +133,22 @@ func TestModelRegistry(t *testing.T) {
 		t.Errorf("alias dispatch diverged: cutsize %d vs %d", d1.Cutsize, d2.Cutsize)
 	}
 }
+
+// TestSpGEMMEmptyProductCode checks that both SpGEMM entry points
+// report a structurally empty product as BadMatrix: A holds only a_01,
+// so A·A has no multiplication tasks.
+func TestSpGEMMEmptyProductCode(t *testing.T) {
+	a := finegrain.FromEntries(3, 3, []finegrain.Entry{{Row: 0, Col: 1, Val: 1}})
+	for _, e := range []struct {
+		name string
+		fn   func(a, b *finegrain.Matrix, k int, o finegrain.Options) (*finegrain.Decomposition, error)
+	}{
+		{"DecomposeSpGEMM", finegrain.DecomposeSpGEMM},
+		{"DecomposeSpGEMM1D", finegrain.DecomposeSpGEMM1D},
+	} {
+		_, err := e.fn(a, a, 1, finegrain.Options{})
+		if got := finegrain.ErrorCodeOf(err); got != finegrain.BadMatrix {
+			t.Errorf("%s: code %q, want BadMatrix (err: %v)", e.name, got, err)
+		}
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 
+	finegrain "finegrain"
 	"finegrain/internal/experiments"
 	"finegrain/internal/matgen"
 )
@@ -47,7 +48,7 @@ func main() {
 		for _, k := range kList {
 			vols := map[experiments.Model]float64{}
 			for _, model := range experiments.AllModels() {
-				avg, err := experiments.RunAveraged(a, k, model, *seeds, 0)
+				avg, err := experiments.RunAveraged(a, k, model, *seeds, finegrain.Options{})
 				if err != nil {
 					log.Fatalf("%s K=%d %s: %v", spec.Name, k, model, err)
 				}

@@ -14,17 +14,21 @@
 //	if err != nil { ... }
 //	fmt.Println(dec.Stats.TotalVolume, dec.Stats.ImbalancePct)
 //
-// The three decomposition entry points mirror the paper's Table 2
-// columns:
+// Every decomposition model is a registry entry (Models, DecomposeModel),
+// and every one runs the same pipeline: build the model, partition it,
+// decode the parts, measure the communication. Only the model changes.
+// The paper's Table 2 columns are three of them:
 //
-//   - Decompose2D: the proposed fine-grain model — one hypergraph vertex
-//     per nonzero, row nets model folds, column nets model expands;
-//     minimizing connectivity−1 cutsize minimizes communication volume
-//     exactly.
-//   - Decompose1D: the 1D column-net (rowwise) hypergraph model.
-//   - Decompose1DGraph: the standard graph model baseline.
+//   - "finegrain" (Decompose2D): the proposed fine-grain model — one
+//     hypergraph vertex per nonzero, row nets model folds, column nets
+//     model expands; minimizing connectivity−1 cutsize minimizes
+//     communication volume exactly.
+//   - "hypergraph" (Decompose1D): the 1D column-net (rowwise)
+//     hypergraph model.
+//   - "graph" (Decompose1DGraph): the standard graph model baseline.
 //
-// All entry points return a Decomposition holding the executable
+// The registry adds the medium-grain, locality, SpGEMM and auto models.
+// Every model returns a Decomposition holding the executable
 // Assignment (nonzero + vector ownership), the measured communication
 // Stats, and the partitioner's objective value. Open a Session
 // (NewSession) on a decomposition to multiply and solve with it
@@ -61,6 +65,7 @@ import (
 	"finegrain/internal/comm"
 	"finegrain/internal/core"
 	"finegrain/internal/gpart"
+	"finegrain/internal/graph"
 	"finegrain/internal/hgpart"
 	"finegrain/internal/hypergraph"
 	"finegrain/internal/matgen"
@@ -68,6 +73,7 @@ import (
 	"finegrain/internal/obs"
 	"finegrain/internal/reorder"
 	"finegrain/internal/sparse"
+	"finegrain/internal/spgemm"
 	"finegrain/internal/spmv"
 )
 
@@ -117,8 +123,9 @@ func ErrorCodeOf(err error) ErrorCode {
 }
 
 // classify wraps an internal pipeline error in an *Error. Context
-// cancellation and non-square inputs have dedicated codes; everything
-// else that survived the entry point's own validation is Internal.
+// cancellation has its own code, non-square inputs and structurally
+// empty SpGEMM products are BadMatrix, and everything else that
+// survived the entry point's own validation is Internal.
 func classify(op string, err error) error {
 	var e *Error
 	if errors.As(err, &e) {
@@ -128,7 +135,7 @@ func classify(op string, err error) error {
 	switch {
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		code = Canceled
-	case errors.Is(err, core.ErrNotSquare):
+	case errors.Is(err, core.ErrNotSquare), errors.Is(err, spgemm.ErrEmptyProduct):
 		code = BadMatrix
 	}
 	return &Error{Code: code, Op: op, Msg: err.Error(), err: err}
@@ -241,39 +248,20 @@ type Options struct {
 	// as -trace). Tracing never alters results; nil disables it at zero
 	// cost. See OBSERVABILITY.md for the span taxonomy.
 	Trace *obs.Trace
-	// Partitioner overrides advanced hypergraph-partitioner settings;
-	// leave zero for defaults.
-	Partitioner hgpart.Options
 }
 
 func (o Options) hgOptions() hgpart.Options {
-	opts := o.Partitioner
-	if opts.InitTrials == 0 && opts.Passes == 0 && opts.CoarsenTo == 0 {
-		defaults := hgpart.DefaultOptions()
-		// Carry concurrency/stats settings across the defaults swap: the
-		// caller may set them on Partitioner directly or at the top level.
-		defaults.Workers = opts.Workers
-		defaults.CollectStats = opts.CollectStats
-		opts = defaults
-	}
+	opts := hgpart.DefaultOptions()
 	if o.Seed != 0 {
 		opts.Seed = o.Seed
 	}
 	if o.Eps > 0 {
 		opts.Eps = o.Eps
 	}
-	if o.Workers > 0 {
-		opts.Workers = o.Workers
-	}
-	if o.CollectStats {
-		opts.CollectStats = true
-	}
-	if o.Ctx != nil {
-		opts.Ctx = o.Ctx
-	}
-	if o.Trace != nil {
-		opts.Trace = o.Trace
-	}
+	opts.Workers = o.Workers
+	opts.CollectStats = o.CollectStats
+	opts.Ctx = o.Ctx
+	opts.Trace = o.Trace
 	return opts
 }
 
@@ -285,12 +273,8 @@ func (o Options) gOptions() gpart.Options {
 	if o.Eps > 0 {
 		opts.Eps = o.Eps
 	}
-	if o.Ctx != nil {
-		opts.Ctx = o.Ctx
-	}
-	if o.Trace != nil {
-		opts.Trace = o.Trace
-	}
+	opts.Ctx = o.Ctx
+	opts.Trace = o.Trace
 	return opts
 }
 
@@ -327,6 +311,70 @@ type Decomposition struct {
 	PartStats *PartitionStats
 }
 
+// built is a model after its build step: the hypergraph decompose
+// partitions with hgpart and the decode step that reads the parts. The
+// graph model, which hgpart does not partition, sets gpart instead of
+// h; its decode reads the graph partition gpart kept. The SpGEMM models
+// set decodeSpGEMM instead of decode.
+type built struct {
+	h            *hypergraph.Hypergraph
+	gpart        func(k int, o gpart.Options) (edgeCut int, err error)
+	decode       func(*hypergraph.Partition) (*Assignment, error)
+	decodeSpGEMM func(*hypergraph.Partition) (*SpGEMMAssignment, error)
+}
+
+// decompose is the pipeline every decomposition model shares: build the
+// model, partition it, decode the parts and measure the communication
+// they cause (spgemm.Measure for an SpGEMM assignment), each stage under
+// its own finegrain span. Only build and decode (and the graph model's
+// partition call) differ between models.
+func decompose(op, model string, k int, o Options, build func() (built, error)) (*Decomposition, error) {
+	dsp := o.Trace.Begin("finegrain", "decompose").Arg("k", int64(k))
+	defer dsp.End()
+	sp := o.Trace.Begin("finegrain", "build.model")
+	b, err := build()
+	sp.End()
+	if err != nil {
+		return nil, classify(op, err)
+	}
+	dec := &Decomposition{Model: model}
+	var p *hypergraph.Partition
+	sp = o.Trace.Begin("finegrain", "partition")
+	if b.gpart != nil {
+		dec.Cutsize, err = b.gpart(k, o.gOptions())
+	} else {
+		p, dec.PartStats, err = hgpart.PartitionStats(b.h, k, o.hgOptions())
+	}
+	sp.End()
+	if err != nil {
+		return nil, classify(op, err)
+	}
+	sp = o.Trace.Begin("finegrain", "decode")
+	if b.decodeSpGEMM != nil {
+		dec.SpGEMM, err = b.decodeSpGEMM(p)
+	} else {
+		dec.Assignment, err = b.decode(p)
+	}
+	sp.End()
+	if err != nil {
+		return nil, classify(op, err)
+	}
+	sp = o.Trace.Begin("finegrain", "measure")
+	if dec.SpGEMM != nil {
+		dec.Stats, err = spgemm.Measure(dec.SpGEMM)
+	} else {
+		dec.Stats, err = comm.Measure(dec.Assignment)
+	}
+	sp.End()
+	if err != nil {
+		return nil, classify(op, err)
+	}
+	if p != nil {
+		dec.Cutsize = p.CutsizeConnectivity(b.h)
+	}
+	return dec, nil
+}
+
 // Decompose2D decomposes a square sparse matrix for K processors with
 // the paper's fine-grain hypergraph model. Failures are reported as
 // *Error values with a classification Code.
@@ -335,34 +383,13 @@ func Decompose2D(a *Matrix, k int, o Options) (*Decomposition, error) {
 	if err := checkInput(op, a, k, nnzOf(a)); err != nil {
 		return nil, err
 	}
-	dsp := o.Trace.Begin("finegrain", "decompose").Arg("k", int64(k))
-	defer dsp.End()
-	sp := o.Trace.Begin("finegrain", "build.model")
-	mdl, err := core.BuildFineGrain(a)
-	sp.End()
-	if err != nil {
-		return nil, classify(op, err)
-	}
-	sp = o.Trace.Begin("finegrain", "partition")
-	p, ps, err := hgpart.PartitionStats(mdl.H, k, o.hgOptions())
-	sp.End()
-	if err != nil {
-		return nil, classify(op, err)
-	}
-	sp = o.Trace.Begin("finegrain", "decode")
-	asg, err := mdl.Decode2D(p)
-	sp.End()
-	if err != nil {
-		return nil, classify(op, err)
-	}
-	sp = o.Trace.Begin("finegrain", "measure")
-	st, err := comm.Measure(asg)
-	sp.End()
-	if err != nil {
-		return nil, classify(op, err)
-	}
-	return &Decomposition{Model: "finegrain", Assignment: asg, Stats: st,
-		Cutsize: p.CutsizeConnectivity(mdl.H), PartStats: ps}, nil
+	return decompose(op, "finegrain", k, o, func() (built, error) {
+		mdl, err := core.BuildFineGrain(a)
+		if err != nil {
+			return built{}, err
+		}
+		return built{h: mdl.H, decode: mdl.Decode2D}, nil
+	})
 }
 
 // DecomposeMediumGrain decomposes a square sparse matrix for K
@@ -378,41 +405,20 @@ func DecomposeMediumGrain(a *Matrix, k int, o Options) (*Decomposition, error) {
 	if err := checkInput(op, a, k, rowsOf(a)+rowsOf(a)); err != nil {
 		return nil, err
 	}
-	dsp := o.Trace.Begin("finegrain", "decompose").Arg("k", int64(k))
-	defer dsp.End()
-	sp := o.Trace.Begin("finegrain", "build.model")
-	mdl, err := mediumgrain.Build(a)
-	sp.End()
-	if err != nil {
-		return nil, classify(op, err)
-	}
-	sp = o.Trace.Begin("finegrain", "partition")
-	p, ps, err := hgpart.PartitionStats(mdl.H, k, o.hgOptions())
-	sp.End()
-	if err != nil {
-		return nil, classify(op, err)
-	}
-	sp = o.Trace.Begin("finegrain", "decode")
-	asg, err := mdl.Decode(p)
-	sp.End()
-	if err != nil {
-		return nil, classify(op, err)
-	}
-	sp = o.Trace.Begin("finegrain", "measure")
-	st, err := comm.Measure(asg)
-	sp.End()
-	if err != nil {
-		return nil, classify(op, err)
-	}
-	return &Decomposition{Model: "medium_grain", Assignment: asg, Stats: st,
-		Cutsize: p.CutsizeConnectivity(mdl.H), PartStats: ps}, nil
+	return decompose(op, "medium_grain", k, o, func() (built, error) {
+		mdl, err := mediumgrain.Build(a)
+		if err != nil {
+			return built{}, err
+		}
+		return built{h: mdl.H, decode: mdl.Decode}, nil
+	})
 }
 
 // Decompose1D decomposes a square sparse matrix rowwise with the 1D
 // column-net hypergraph model. Failures are reported as *Error values
 // with a classification Code.
 func Decompose1D(a *Matrix, k int, o Options) (*Decomposition, error) {
-	return decomposeColumnNet("Decompose1D", a, k, o)
+	return decomposeColumnNet("Decompose1D", "hypergraph", a, k, o)
 }
 
 // DecomposeLocality runs the same 1D column-net pipeline with a
@@ -424,47 +430,22 @@ func Decompose1D(a *Matrix, k int, o Options) (*Decomposition, error) {
 // minimizes cache misses. Failures are reported as *Error values with
 // a classification Code.
 func DecomposeLocality(a *Matrix, k int, o Options) (*Decomposition, error) {
-	return decomposeColumnNet("DecomposeLocality", a, k, o)
+	return decomposeColumnNet("DecomposeLocality", "locality", a, k, o)
 }
 
-// decomposeColumnNet is the shared 1D column-net pipeline behind
-// Decompose1D and DecomposeLocality.
-func decomposeColumnNet(op string, a *Matrix, k int, o Options) (*Decomposition, error) {
+// decomposeColumnNet is the 1D column-net model behind Decompose1D and
+// DecomposeLocality, which differ only in the model name they record.
+func decomposeColumnNet(op, model string, a *Matrix, k int, o Options) (*Decomposition, error) {
 	if err := checkInput(op, a, k, rowsOf(a)); err != nil {
 		return nil, err
 	}
-	dsp := o.Trace.Begin("finegrain", "decompose").Arg("k", int64(k))
-	defer dsp.End()
-	sp := o.Trace.Begin("finegrain", "build.model")
-	mdl, err := core.BuildColumnNet(a)
-	sp.End()
-	if err != nil {
-		return nil, classify(op, err)
-	}
-	sp = o.Trace.Begin("finegrain", "partition")
-	p, ps, err := hgpart.PartitionStats(mdl.H, k, o.hgOptions())
-	sp.End()
-	if err != nil {
-		return nil, classify(op, err)
-	}
-	sp = o.Trace.Begin("finegrain", "decode")
-	asg, err := mdl.Decode1D(p)
-	sp.End()
-	if err != nil {
-		return nil, classify(op, err)
-	}
-	sp = o.Trace.Begin("finegrain", "measure")
-	st, err := comm.Measure(asg)
-	sp.End()
-	if err != nil {
-		return nil, classify(op, err)
-	}
-	model := "hypergraph"
-	if op == "DecomposeLocality" {
-		model = "locality"
-	}
-	return &Decomposition{Model: model, Assignment: asg, Stats: st,
-		Cutsize: p.CutsizeConnectivity(mdl.H), PartStats: ps}, nil
+	return decompose(op, model, k, o, func() (built, error) {
+		mdl, err := core.BuildColumnNet(a)
+		if err != nil {
+			return built{}, err
+		}
+		return built{h: mdl.H, decode: mdl.Decode1D}, nil
+	})
 }
 
 // Decompose1DGraph decomposes a square sparse matrix rowwise with the
@@ -475,33 +456,22 @@ func Decompose1DGraph(a *Matrix, k int, o Options) (*Decomposition, error) {
 	if err := checkInput(op, a, k, rowsOf(a)); err != nil {
 		return nil, err
 	}
-	dsp := o.Trace.Begin("finegrain", "decompose").Arg("k", int64(k))
-	defer dsp.End()
-	sp := o.Trace.Begin("finegrain", "build.model")
-	mdl, err := core.BuildStandardGraph(a)
-	sp.End()
-	if err != nil {
-		return nil, classify(op, err)
-	}
-	sp = o.Trace.Begin("finegrain", "partition")
-	p, err := gpart.Partition(mdl.G, k, o.gOptions())
-	sp.End()
-	if err != nil {
-		return nil, classify(op, err)
-	}
-	sp = o.Trace.Begin("finegrain", "decode")
-	asg, err := mdl.Decode1D(p)
-	sp.End()
-	if err != nil {
-		return nil, classify(op, err)
-	}
-	sp = o.Trace.Begin("finegrain", "measure")
-	st, err := comm.Measure(asg)
-	sp.End()
-	if err != nil {
-		return nil, classify(op, err)
-	}
-	return &Decomposition{Model: "graph", Assignment: asg, Stats: st, Cutsize: p.EdgeCut(mdl.G)}, nil
+	return decompose(op, "graph", k, o, func() (built, error) {
+		mdl, err := core.BuildStandardGraph(a)
+		if err != nil {
+			return built{}, err
+		}
+		var gp *graph.Partition
+		return built{
+			gpart: func(k int, opts gpart.Options) (cut int, err error) {
+				if gp, err = gpart.Partition(mdl.G, k, opts); err != nil {
+					return 0, err
+				}
+				return gp.EdgeCut(mdl.G), nil
+			},
+			decode: func(*hypergraph.Partition) (*Assignment, error) { return mdl.Decode1D(gp) },
+		}, nil
+	})
 }
 
 // rowsOf and nnzOf report the model vertex counts checkInput compares K

@@ -1,6 +1,8 @@
 package finegrain_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -387,5 +389,48 @@ func TestSpGEMMFacade(t *testing.T) {
 	}
 	if _, err := finegrain.ExecuteSpGEMM(dec); finegrain.ErrorCodeOf(err) != finegrain.BadModel {
 		t.Fatalf("ExecuteSpGEMM on SpMV decomposition: %v", err)
+	}
+}
+
+// TestDecomposeSpans pins the pipeline span names perfbench's layer
+// roll-up and the partition server's traces read: every registry model
+// emits finegrain/decompose and its four stage spans exactly once, and
+// auto additionally records its selection.
+func TestDecomposeSpans(t *testing.T) {
+	a, err := finegrain.Generate("cq9", 0.02, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages := []string{"decompose", "build.model", "partition", "decode", "measure"}
+	for _, m := range finegrain.Models() {
+		tr := finegrain.NewTrace()
+		if _, err := finegrain.DecomposeModel(m.Name, a, 4, finegrain.Options{Seed: 1, Trace: tr}); err != nil {
+			t.Fatalf("%s: %v", m.Name, err)
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []struct{ Ph, Cat, Name string } `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]int{}
+		for _, ev := range doc.TraceEvents {
+			if ev.Ph == "X" && ev.Cat == "finegrain" {
+				got[ev.Name]++
+			}
+		}
+		want := stages
+		if m.Name == "auto" {
+			want = append([]string{"auto.select"}, stages...)
+		}
+		for _, name := range want {
+			if got[name] != 1 {
+				t.Errorf("%s: finegrain/%s recorded %d times, want 1", m.Name, name, got[name])
+			}
+		}
 	}
 }

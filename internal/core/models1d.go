@@ -28,11 +28,7 @@ func BuildColumnNet(a *sparse.CSR) (*ColumnNetModel, error) {
 	m := a.Rows
 	b := hypergraph.NewBuilder(m, m)
 	for i := 0; i < m; i++ {
-		w := a.RowNNZ(i)
-		if w == 0 {
-			w = 0 // an empty row costs nothing to compute
-		}
-		b.SetVertexWeight(i, w)
+		b.SetVertexWeight(i, a.RowNNZ(i)) // an empty row costs nothing to compute
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 			b.AddPin(a.ColIdx[k], i)
 		}

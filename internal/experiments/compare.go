@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	finegrain "finegrain"
 	"finegrain/internal/matgen"
 )
 
@@ -73,8 +74,8 @@ func Compare(cfg Table2Config) ([]CompareRow, error) {
 			for _, model := range ComparisonModels() {
 				cell := CompareCell{Model: model}
 				for s := 1; s <= cfg.Seeds; s++ {
-					res, err := RunInstanceCfg(a, k, model, uint64(s)*0x9e3779b9, InstanceConfig{
-						Eps: cfg.Eps, Workers: cfg.Workers,
+					res, err := RunInstance(a, k, model, finegrain.Options{
+						Seed: uint64(s) * 0x9e3779b9, Eps: cfg.Eps, Workers: cfg.Workers,
 					})
 					if err != nil {
 						return nil, fmt.Errorf("experiments: %s K=%d %s: %w", paper.Name, k, model, err)

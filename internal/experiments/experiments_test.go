@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	finegrain "finegrain"
 	"finegrain/internal/matgen"
 )
 
@@ -80,7 +81,7 @@ func TestRunInstanceAllModels(t *testing.T) {
 	spec, _ := matgen.Lookup("sherman3")
 	a := spec.Scaled(0.05).Generate(MatrixSeed("sherman3"))
 	for _, m := range Models() {
-		res, err := RunInstance(a, 4, m, 1, 0)
+		res, err := RunInstance(a, 4, m, finegrain.Options{Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -105,7 +106,7 @@ func TestRunInstanceAllModels(t *testing.T) {
 func TestRunAveraged(t *testing.T) {
 	spec, _ := matgen.Lookup("bcspwr10")
 	a := spec.Scaled(0.05).Generate(MatrixSeed("bcspwr10"))
-	avg, err := RunAveraged(a, 4, Hypergraph1D, 3, 0)
+	avg, err := RunAveraged(a, 4, Hypergraph1D, 3, finegrain.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestModelOrderingLPFamily(t *testing.T) {
 	k := 16
 	volumes := map[Model]float64{}
 	for _, m := range Models() {
-		avg, err := RunAveraged(a, k, m, 2, 0)
+		avg, err := RunAveraged(a, k, m, 2, finegrain.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -192,7 +193,7 @@ func TestModelStrings(t *testing.T) {
 func TestCheckerboardInstance(t *testing.T) {
 	spec, _ := matgen.Lookup("cq9")
 	a := spec.Scaled(0.05).Generate(MatrixSeed("cq9"))
-	res, err := RunInstance(a, 16, Checkerboard2D, 1, 0)
+	res, err := RunInstance(a, 16, Checkerboard2D, finegrain.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestCheckerboardInstance(t *testing.T) {
 	}
 	// The blocking baseline must not beat the fine-grain model (it
 	// makes no communication-minimization effort).
-	fg, err := RunInstance(a, 16, FineGrain2D, 1, 0)
+	fg, err := RunInstance(a, 16, FineGrain2D, finegrain.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

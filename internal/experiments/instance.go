@@ -11,11 +11,9 @@ import (
 	"fmt"
 	"time"
 
+	finegrain "finegrain"
 	"finegrain/internal/comm"
 	"finegrain/internal/core"
-	"finegrain/internal/gpart"
-	"finegrain/internal/hgpart"
-	"finegrain/internal/mediumgrain"
 	"finegrain/internal/sparse"
 )
 
@@ -81,135 +79,57 @@ type RunResult struct {
 	AvgMsgs float64
 	// Imbalance is the percent load imbalance of the decomposition.
 	Imbalance float64
-	// Seconds is the wall-clock partitioning time (model build +
-	// partition + decode).
+	// Seconds is the wall-clock decomposition time (model build +
+	// partition + decode + measure).
 	Seconds float64
 	// Cutsize is the partitioner's objective value (connectivity−1 for
 	// the hypergraph models, edge cut for the graph model).
 	Cutsize int
 	// PartStats is the hypergraph partitioner's per-phase record;
 	// non-nil only for hypergraph models with CollectStats configured.
-	PartStats *hgpart.Stats
+	PartStats *finegrain.PartitionStats
 }
 
-// InstanceConfig carries the per-instance knobs beyond (matrix, K,
-// model, seed): balance tolerance, partitioner concurrency, and whether
-// to collect the partitioner's per-phase statistics.
-type InstanceConfig struct {
-	// Eps is the balance tolerance (0 = default 3%).
-	Eps float64
-	// Workers bounds the partitioner's goroutines (0 = GOMAXPROCS); the
-	// partition is identical for any value.
-	Workers int
-	// CollectStats requests the partitioner's per-phase record in
-	// RunResult.PartStats (hypergraph models only).
-	CollectStats bool
+// registryModels maps the Table 2 models onto their finegrain registry
+// entries. The checkerboard baseline is not a registry model.
+var registryModels = map[Model]string{
+	GraphModel:    "graph",
+	Hypergraph1D:  "hypergraph",
+	FineGrain2D:   "finegrain",
+	MediumGrain2D: "medium_grain",
 }
 
 // RunInstance partitions matrix a into k parts with the given model and
-// measures the resulting communication. The seed controls the
+// measures the resulting communication. o.Seed controls the
 // partitioner's randomization (the paper averages 50 seeds per
-// instance).
-func RunInstance(a *sparse.CSR, k int, model Model, seed uint64, eps float64) (*RunResult, error) {
-	return RunInstanceCfg(a, k, model, seed, InstanceConfig{Eps: eps})
-}
-
-// RunInstanceCfg is RunInstance with the full per-instance configuration.
-func RunInstanceCfg(a *sparse.CSR, k int, model Model, seed uint64, cfg InstanceConfig) (*RunResult, error) {
+// instance); o.Eps, o.Workers and o.CollectStats reach the partitioner
+// as in finegrain.DecomposeModel, which runs every model but the
+// checkerboard baseline.
+func RunInstance(a *sparse.CSR, k int, model Model, o finegrain.Options) (*RunResult, error) {
 	start := time.Now()
-	var asg *core.Assignment
+	var stats *comm.Stats
 	var cut int
-	var ps *hgpart.Stats
-	hgOpts := func() hgpart.Options {
-		opts := hgpart.DefaultOptions()
-		opts.Seed = seed
-		if cfg.Eps > 0 {
-			opts.Eps = cfg.Eps
-		}
-		opts.Workers = cfg.Workers
-		opts.CollectStats = cfg.CollectStats
-		return opts
-	}
-	switch model {
-	case GraphModel:
-		mdl, err := core.BuildStandardGraph(a)
-		if err != nil {
-			return nil, err
-		}
-		opts := gpart.DefaultOptions()
-		opts.Seed = seed
-		if cfg.Eps > 0 {
-			opts.Eps = cfg.Eps
-		}
-		p, err := gpart.Partition(mdl.G, k, opts)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", model, err)
-		}
-		cut = p.EdgeCut(mdl.G)
-		asg, err = mdl.Decode1D(p)
-		if err != nil {
-			return nil, err
-		}
-	case Hypergraph1D:
-		mdl, err := core.BuildColumnNet(a)
-		if err != nil {
-			return nil, err
-		}
-		p, stats, err := hgpart.PartitionStats(mdl.H, k, hgOpts())
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", model, err)
-		}
-		ps = stats
-		cut = p.CutsizeConnectivity(mdl.H)
-		asg, err = mdl.Decode1D(p)
-		if err != nil {
-			return nil, err
-		}
-	case FineGrain2D:
-		mdl, err := core.BuildFineGrain(a)
-		if err != nil {
-			return nil, err
-		}
-		p, stats, err := hgpart.PartitionStats(mdl.H, k, hgOpts())
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", model, err)
-		}
-		ps = stats
-		cut = p.CutsizeConnectivity(mdl.H)
-		asg, err = mdl.Decode2D(p)
-		if err != nil {
-			return nil, err
-		}
-	case Checkerboard2D:
+	var ps *finegrain.PartitionStats
+	if model == Checkerboard2D {
 		p, q := core.GridShape(k)
 		mdl, err := core.BuildCheckerboard(a, p, q)
 		if err != nil {
 			return nil, err
 		}
-		asg = mdl.Decode()
-		cut = 0 // no partitioner objective: pure blocking
-	case MediumGrain2D:
-		mdl, err := mediumgrain.Build(a)
-		if err != nil {
+		if stats, err = comm.Measure(mdl.Decode()); err != nil {
 			return nil, err
 		}
-		p, stats, err := hgpart.PartitionStats(mdl.H, k, hgOpts())
+		// cut stays 0: no partitioner objective, pure blocking.
+	} else {
+		name, ok := registryModels[model]
+		if !ok {
+			return nil, fmt.Errorf("experiments: unknown model %d", int(model))
+		}
+		dec, err := finegrain.DecomposeModel(name, a, k, o)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", model, err)
 		}
-		ps = stats
-		cut = p.CutsizeConnectivity(mdl.H)
-		asg, err = mdl.Decode(p)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("experiments: unknown model %d", int(model))
-	}
-	elapsed := time.Since(start).Seconds()
-	stats, err := comm.Measure(asg)
-	if err != nil {
-		return nil, err
+		stats, cut, ps = dec.Stats, dec.Cutsize, dec.PartStats
 	}
 	return &RunResult{
 		Model:     model,
@@ -219,7 +139,7 @@ func RunInstanceCfg(a *sparse.CSR, k int, model Model, seed uint64, cfg Instance
 		ScaledMax: stats.ScaledMaxVolume(a.Rows),
 		AvgMsgs:   stats.AvgMessagesPerProc,
 		Imbalance: stats.ImbalancePct,
-		Seconds:   elapsed,
+		Seconds:   time.Since(start).Seconds(),
 		Cutsize:   cut,
 		PartStats: ps,
 	}, nil
@@ -242,7 +162,7 @@ type PartAggregate struct {
 }
 
 // Add folds one partitioner record into the aggregate.
-func (pa *PartAggregate) Add(s *hgpart.Stats) {
+func (pa *PartAggregate) Add(s *finegrain.PartitionStats) {
 	if s == nil {
 		return
 	}
@@ -293,19 +213,15 @@ type Averaged struct {
 
 // RunAveraged runs RunInstance for seeds 1..seeds and averages the
 // metrics, mirroring the paper's 50-seed averaging per decomposition
-// instance.
-func RunAveraged(a *sparse.CSR, k int, model Model, seeds int, eps float64) (*Averaged, error) {
-	return RunAveragedCfg(a, k, model, seeds, InstanceConfig{Eps: eps})
-}
-
-// RunAveragedCfg is RunAveraged with the full per-instance configuration.
-func RunAveragedCfg(a *sparse.CSR, k int, model Model, seeds int, cfg InstanceConfig) (*Averaged, error) {
+// instance. Each run replaces o.Seed with its own seed.
+func RunAveraged(a *sparse.CSR, k int, model Model, seeds int, o finegrain.Options) (*Averaged, error) {
 	if seeds < 1 {
 		seeds = 1
 	}
 	avg := &Averaged{Model: model, K: k}
 	for s := 1; s <= seeds; s++ {
-		res, err := RunInstanceCfg(a, k, model, uint64(s)*0x9e3779b9, cfg)
+		o.Seed = uint64(s) * 0x9e3779b9
+		res, err := RunInstance(a, k, model, o)
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	finegrain "finegrain"
 	"finegrain/internal/matgen"
 	"finegrain/internal/sparse"
 )
@@ -160,7 +161,7 @@ func Table2(cfg Table2Config) (*Table2Result, error) {
 		a := spec.Generate(MatrixSeed(paper.Name))
 		for _, k := range cfg.Ks {
 			for _, model := range Models() {
-				avg, err := RunAveragedCfg(a, k, model, cfg.Seeds, InstanceConfig{
+				avg, err := RunAveraged(a, k, model, cfg.Seeds, finegrain.Options{
 					Eps: cfg.Eps, Workers: cfg.Workers, CollectStats: cfg.CollectStats,
 				})
 				if err != nil {

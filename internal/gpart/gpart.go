@@ -176,6 +176,12 @@ func Partition(g *graph.Graph, k int, opts Options) (*graph.Partition, error) {
 func recursiveBisect(sub *graph.Graph, ids []int, kLo, k int, epsB float64,
 	opts Options, r *rng.RNG, out []int, tk *obs.Track) error {
 
+	// A zero-weight side can come back empty; its parts stay empty.
+	// Each branch has its own r.Child(), so skipping one moves no other
+	// branch's random stream.
+	if len(ids) == 0 {
+		return nil
+	}
 	if k == 1 {
 		for _, gid := range ids {
 			out[gid] = kLo

@@ -259,3 +259,28 @@ func TestEdgelessGraph(t *testing.T) {
 		t.Fatalf("edgeless imbalance %.2f%%", imb)
 	}
 }
+
+// TestEmptyRecursionBranch is the standard graph of a 4×4 matrix whose
+// only nonzero is a_12: three zero-weight vertices and one edge. A
+// bisection can leave one side empty, and the recursion must not
+// bisect a 0-vertex subgraph.
+func TestEmptyRecursionBranch(t *testing.T) {
+	b := graph.NewBuilder(4)
+	for v := 0; v < 4; v++ {
+		b.SetVertexWeight(v, 0)
+	}
+	b.SetVertexWeight(1, 1)
+	b.AddEdge(1, 2, 1)
+	g := b.Build()
+	for seed := uint64(1); seed <= 5; seed++ {
+		opts := DefaultOptions()
+		opts.Seed = seed
+		p, err := Partition(g, 4, opts)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if err := p.Validate(g); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package finegrain
 import (
 	"fmt"
 
-	"finegrain/internal/hgpart"
 	"finegrain/internal/spgemm"
 )
 
@@ -75,34 +74,13 @@ func DecomposeSpGEMM(a, b *Matrix, k int, o Options) (*Decomposition, error) {
 	if err := checkSpGEMMInput(op, a, b, k, tasks); err != nil {
 		return nil, err
 	}
-	dsp := o.Trace.Begin("finegrain", "decompose").Arg("k", int64(k))
-	defer dsp.End()
-	sp := o.Trace.Begin("finegrain", "build.model")
-	mdl, err := spgemm.BuildFineGrain(a, b)
-	sp.End()
-	if err != nil {
-		return nil, classify(op, err)
-	}
-	sp = o.Trace.Begin("finegrain", "partition")
-	p, ps, err := hgpart.PartitionStats(mdl.H, k, o.hgOptions())
-	sp.End()
-	if err != nil {
-		return nil, classify(op, err)
-	}
-	sp = o.Trace.Begin("finegrain", "decode")
-	asg, err := mdl.Decode(p)
-	sp.End()
-	if err != nil {
-		return nil, classify(op, err)
-	}
-	sp = o.Trace.Begin("finegrain", "measure")
-	st, err := spgemm.Measure(asg)
-	sp.End()
-	if err != nil {
-		return nil, classify(op, err)
-	}
-	return &Decomposition{Model: "spgemm", SpGEMM: asg, Stats: st,
-		Cutsize: p.CutsizeConnectivity(mdl.H), PartStats: ps}, nil
+	return decompose(op, "spgemm", k, o, func() (built, error) {
+		mdl, err := spgemm.BuildFineGrain(a, b)
+		if err != nil {
+			return built{}, err
+		}
+		return built{h: mdl.H, decodeSpGEMM: mdl.Decode}, nil
+	})
 }
 
 // DecomposeSpGEMM1D decomposes C = A·B rowwise with the 1D Gustavson
@@ -125,34 +103,13 @@ func DecomposeSpGEMM1D(a, b *Matrix, k int, o Options) (*Decomposition, error) {
 		return nil, &Error{Code: BadMatrix, Op: op,
 			Msg: fmt.Sprintf("the 1D model needs square A, got %dx%d", a.Rows, a.Cols)}
 	}
-	dsp := o.Trace.Begin("finegrain", "decompose").Arg("k", int64(k))
-	defer dsp.End()
-	sp := o.Trace.Begin("finegrain", "build.model")
-	mdl, err := spgemm.BuildRowwise(a, b)
-	sp.End()
-	if err != nil {
-		return nil, classify(op, err)
-	}
-	sp = o.Trace.Begin("finegrain", "partition")
-	p, ps, err := hgpart.PartitionStats(mdl.H, k, o.hgOptions())
-	sp.End()
-	if err != nil {
-		return nil, classify(op, err)
-	}
-	sp = o.Trace.Begin("finegrain", "decode")
-	asg, err := mdl.Decode(p)
-	sp.End()
-	if err != nil {
-		return nil, classify(op, err)
-	}
-	sp = o.Trace.Begin("finegrain", "measure")
-	st, err := spgemm.Measure(asg)
-	sp.End()
-	if err != nil {
-		return nil, classify(op, err)
-	}
-	return &Decomposition{Model: "spgemm_1d", SpGEMM: asg, Stats: st,
-		Cutsize: p.CutsizeConnectivity(mdl.H), PartStats: ps}, nil
+	return decompose(op, "spgemm_1d", k, o, func() (built, error) {
+		mdl, err := spgemm.BuildRowwise(a, b)
+		if err != nil {
+			return built{}, err
+		}
+		return built{h: mdl.H, decodeSpGEMM: mdl.Decode}, nil
+	})
 }
 
 // decomposeSpGEMMSelf and decomposeSpGEMM1DSelf adapt the two-operand
