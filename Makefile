@@ -2,6 +2,10 @@ GO ?= go
 
 .PHONY: ci fmt vet vet-perfbench test race e2e-fleet bench bench-quick bench-scaling bench-spmv bench-block bench-block-smoke bench-locality bench-locality-smoke bench-spgemm bench-spgemm-smoke compare-smoke build doc-check
 
+# ci runs only the smoke variants of the benchmarks. The wall-clock
+# gates bench-scaling, bench-block and bench-locality are not part of
+# it: they need a quiet multi-CPU host and minutes of paper-size runs,
+# so they are run by hand when their BENCH_*.json files are re-recorded.
 ci: doc-check build vet-perfbench race e2e-fleet bench-locality-smoke bench-block-smoke bench-spgemm-smoke compare-smoke
 
 build:
@@ -54,8 +58,9 @@ e2e-fleet:
 	$(GO) test -race -count=1 -run 'TestFleet' ./internal/partserver/
 
 # bench regenerates BENCH_partition.json: the Workers sweep of the
-# multilevel partitioner (time, allocs/op, bytes/op) on the nl matrix
-# at K=64 and ken-11 at K=16, both at paper size.
+# multilevel partitioner (median/min/max time of 5 alternating samples
+# per worker count, allocs/op, bytes/op) on the nl matrix at K=64 and
+# ken-11 at K=16, both at paper size.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkPartitionWorkers -benchtime 1x .
 
@@ -64,10 +69,10 @@ bench:
 bench-quick:
 	$(GO) test -run '^$$' -bench BenchmarkPartitionSmall -benchtime 1x .
 
-# bench-scaling is the CI gate for partitioner scaling: it regenerates
-# BENCH_partition.json and fails if the multi-worker speedup on nl/K=64
-# drops below the floor (default 1.8x, override with
-# FINEGRAIN_SCALING_FLOOR=2.5 make bench-scaling). Hosts with a single
+# bench-scaling is the gate for partitioner scaling: it regenerates
+# BENCH_partition.json and fails if the multi-worker speedup of the
+# median times on nl/K=64 drops below the floor (default 1.8x, override
+# with FINEGRAIN_SCALING_FLOOR=2.5 make bench-scaling). Hosts with a single
 # CPU run the sweep but skip enforcement — no speedup is physically
 # possible there; the JSON records gomaxprocs so readers can tell.
 FINEGRAIN_SCALING_FLOOR ?= 1.8

@@ -12,8 +12,8 @@
 //     by the graph model; divide two benchmark results to compare).
 //   - BenchmarkFigure1 — building and rendering the Figure 1
 //     dependency-relation example.
-//   - BenchmarkAblation* — design-choice ablations called out in
-//     DESIGN.md (coarsening scheme, initial-partitioning trials).
+//   - BenchmarkCheckerboardBaseline — the prior-art 2D blocking
+//     baseline against the fine-grain model.
 //   - BenchmarkSpMV — the simulator executing a decomposed multiply.
 //
 // Matrices are shrunk by FINEGRAIN_BENCH_SCALE (default 0.05) so the
@@ -28,6 +28,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sort"
 	"strconv"
 	"testing"
 	"time"
@@ -153,88 +154,6 @@ func BenchmarkFigure1(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMatching compares the coarsening schemes on the
-// fine-grain model of an LP matrix (DESIGN.md §4.1 design choice).
-func BenchmarkAblationMatching(b *testing.B) {
-	a := genCached("ken-11", benchScale())
-	fg, err := finegrain.BuildFineGrain(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, scheme := range []hgpart.MatchScheme{hgpart.HCC, hgpart.HCM, hgpart.RandomMatch} {
-		scheme := scheme
-		b.Run(scheme.String(), func(b *testing.B) {
-			cut := 0
-			for i := 0; i < b.N; i++ {
-				opts := hgpart.DefaultOptions()
-				opts.Matching = scheme
-				opts.Seed = uint64(i + 1)
-				p, err := hgpart.Partition(fg.H, 16, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cut = p.CutsizeConnectivity(fg.H)
-			}
-			b.ReportMetric(float64(cut), "cutsize")
-		})
-	}
-}
-
-// BenchmarkAblationInitTrials varies the number of initial-partitioning
-// attempts (DESIGN.md §4.1 design choice).
-func BenchmarkAblationInitTrials(b *testing.B) {
-	a := genCached("cq9", benchScale())
-	fg, err := finegrain.BuildFineGrain(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, trials := range []int{1, 4, 8, 16} {
-		trials := trials
-		b.Run(fmt.Sprintf("trials=%d", trials), func(b *testing.B) {
-			cut := 0
-			for i := 0; i < b.N; i++ {
-				opts := hgpart.DefaultOptions()
-				opts.InitTrials = trials
-				opts.Seed = uint64(i + 1)
-				p, err := hgpart.Partition(fg.H, 16, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cut = p.CutsizeConnectivity(fg.H)
-			}
-			b.ReportMetric(float64(cut), "cutsize")
-		})
-	}
-}
-
-// BenchmarkAblationKWayRefine measures the opt-in direct K-way
-// refinement pass (the paper-era PaToH lacks it; later versions added
-// it — the paper's "planned modifications").
-func BenchmarkAblationKWayRefine(b *testing.B) {
-	a := genCached("ken-11", benchScale())
-	fg, err := finegrain.BuildFineGrain(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, passes := range []int{0, 2} {
-		passes := passes
-		b.Run(fmt.Sprintf("kway-passes=%d", passes), func(b *testing.B) {
-			cut := 0
-			for i := 0; i < b.N; i++ {
-				opts := hgpart.DefaultOptions()
-				opts.KWayPasses = passes
-				opts.Seed = uint64(i + 1)
-				p, err := hgpart.Partition(fg.H, 16, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cut = p.CutsizeConnectivity(fg.H)
-			}
-			b.ReportMetric(float64(cut), "cutsize")
-		})
-	}
-}
-
 // BenchmarkCheckerboardBaseline measures the prior-art 2D blocking
 // baseline the paper cites (no communication minimization) against the
 // fine-grain model on the same matrix.
@@ -283,11 +202,21 @@ func BenchmarkSpMV(b *testing.B) {
 	}
 }
 
+// partitionSamples is how many timed partitions the Workers sweep takes
+// per worker count. Samples alternate between the worker counts, so
+// drift on a shared host lands on every count alike.
+const partitionSamples = 5
+
 type partitionBenchRecord struct {
-	Workers     int     `json:"workers"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
+	Workers int `json:"workers"`
+	// NsPerOp is the median of the samples; MinNsPerOp and MaxNsPerOp
+	// bound their spread.
+	NsPerOp     float64   `json:"ns_per_op"`
+	MinNsPerOp  float64   `json:"min_ns_per_op"`
+	MaxNsPerOp  float64   `json:"max_ns_per_op"`
+	SamplesNs   []float64 `json:"samples_ns"`
+	AllocsPerOp float64   `json:"allocs_per_op"`
+	BytesPerOp  float64   `json:"bytes_per_op"`
 }
 
 type partitionBenchReport struct {
@@ -298,58 +227,75 @@ type partitionBenchReport struct {
 	// speedup figures are only meaningful when it exceeds 1.
 	GOMAXPROCS int                    `json:"gomaxprocs"`
 	Runs       []partitionBenchRecord `json:"runs"`
-	Speedup    float64                `json:"speedup"`
+	// Speedup is the ratio of the first and last worker counts' median
+	// ns/op.
+	Speedup float64 `json:"speedup"`
 }
 
 // partitionWorkerSweep times the fine-grain partition of a at K=k for
 // each worker count, checks every count yields the byte-identical
-// partition, and returns per-count time and allocation figures.
-// Allocations are measured as the Mallocs delta around the timed loop —
-// the whole-process count, which for a single-threaded sweep is the
-// partitioner's own footprint.
+// partition, and returns per-count time and allocation figures. After
+// one warm-up partition per count it takes partitionSamples timed
+// samples per count, alternating between the counts, and records their
+// median, minimum and maximum. Allocations are the Mallocs delta around
+// each timed call, averaged — the whole-process count, which for a
+// single-threaded sweep is the partitioner's own footprint.
 func partitionWorkerSweep(b *testing.B, name string, a *sparse.CSR, k int, workerCounts []int) partitionBenchReport {
 	fg, err := finegrain.BuildFineGrain(a)
 	if err != nil {
 		b.Fatal(err)
 	}
 	report := partitionBenchReport{Matrix: name, NNZ: a.NNZ(), K: k, GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	var ref []int
-	for _, workers := range workerCounts {
-		workers := workers
-		b.Run(fmt.Sprintf("%s/K=%d/workers=%d", name, k, workers), func(b *testing.B) {
-			b.ReportAllocs()
-			opts := hgpart.DefaultOptions()
-			opts.Seed = 1
-			opts.Workers = workers
-			// Warm-up: spawn the parked workers and grow their arenas to
-			// this problem's size, so the measured iterations reflect the
-			// steady state a server reaches rather than one-time setup.
-			if _, err := hgpart.Partition(fg.H, k, opts); err != nil {
-				b.Fatal(err)
-			}
-			var p *hypergraph.Partition
-			var ms0, ms1 runtime.MemStats
+	partition := func(workers int) []int {
+		opts := hgpart.DefaultOptions()
+		opts.Workers = workers
+		p, err := hgpart.Partition(fg.H, k, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return p.Parts
+	}
+	// Warm-up: spawn the parked workers and grow their arenas to this
+	// problem's size, so the samples reflect the steady state a server
+	// reaches rather than one-time setup.
+	ref := partition(workerCounts[0])
+	for _, workers := range workerCounts[1:] {
+		partition(workers)
+	}
+	samples := make([][]float64, len(workerCounts))
+	mallocs := make([]uint64, len(workerCounts))
+	allocBytes := make([]uint64, len(workerCounts))
+	var ms0, ms1 runtime.MemStats
+	for i := 0; i < partitionSamples; i++ {
+		for c, workers := range workerCounts {
 			runtime.ReadMemStats(&ms0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p, err = hgpart.Partition(fg.H, k, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
+			t0 := time.Now()
+			parts := partition(workers)
+			d := time.Since(t0)
 			runtime.ReadMemStats(&ms1)
-			report.Runs = append(report.Runs, partitionBenchRecord{
-				Workers:     workers,
-				NsPerOp:     float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-				AllocsPerOp: float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N),
-				BytesPerOp:  float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(b.N),
-			})
-			if ref == nil {
-				ref = p.Parts
-			} else if !slicesEqual(ref, p.Parts) {
-				b.Fatalf("workers=%d produced a different partition than workers=%d", workers, workerCounts[0])
+			samples[c] = append(samples[c], float64(d.Nanoseconds()))
+			mallocs[c] += ms1.Mallocs - ms0.Mallocs
+			allocBytes[c] += ms1.TotalAlloc - ms0.TotalAlloc
+			if !slicesEqual(ref, parts) {
+				b.Fatalf("%s: workers=%d produced a different partition than workers=%d", name, workers, workerCounts[0])
 			}
-		})
+		}
+	}
+	for c, workers := range workerCounts {
+		sorted := append([]float64(nil), samples[c]...)
+		sort.Float64s(sorted)
+		rec := partitionBenchRecord{
+			Workers:     workers,
+			NsPerOp:     sorted[len(sorted)/2],
+			MinNsPerOp:  sorted[0],
+			MaxNsPerOp:  sorted[len(sorted)-1],
+			SamplesNs:   samples[c],
+			AllocsPerOp: float64(mallocs[c]) / partitionSamples,
+			BytesPerOp:  float64(allocBytes[c]) / partitionSamples,
+		}
+		report.Runs = append(report.Runs, rec)
+		b.Logf("%s/K=%d/workers=%d: median %.3fs (min %.3fs, max %.3fs) over %d samples",
+			name, k, workers, rec.NsPerOp/1e9, rec.MinNsPerOp/1e9, rec.MaxNsPerOp/1e9, partitionSamples)
 	}
 	if n := len(report.Runs); n > 1 && report.Runs[n-1].NsPerOp > 0 {
 		report.Speedup = report.Runs[0].NsPerOp / report.Runs[n-1].NsPerOp
@@ -361,12 +307,13 @@ func partitionWorkerSweep(b *testing.B, name string, a *sparse.CSR, k int, worke
 // model of two catalog matrices at paper size — "nl" (~105k nonzeros,
 // the largest) at K=64 and "ken-11" at K=16 — checking that every
 // worker count yields the byte-identical partition, and writes the
-// measured ns/op, allocs/op and bytes/op per worker count to
+// median, minimum and maximum ns/op of partitionSamples alternating
+// samples, with allocs/op and bytes/op, per worker count to
 // BENCH_partition.json.
 //
 // When FINEGRAIN_SCALING_FLOOR is set (see `make bench-scaling`), the
-// sweep additionally fails if the multi-worker speedup on nl/K=64 drops
-// below that floor — the CI gate for ROADMAP item 1. The gate only
+// sweep additionally fails if the multi-worker speedup of the medians on
+// nl/K=64 drops below that floor — the CI gate for ROADMAP item 1. The gate only
 // fires on hosts with more than one CPU: on a single-core machine the
 // parallel path still runs (and determinism is still asserted) but no
 // speedup is physically possible, so the report records gomaxprocs and

@@ -152,3 +152,54 @@ func TestSpGEMMEmptyProductCode(t *testing.T) {
 		}
 	}
 }
+
+// TestPartitionHypergraphErrorCodes checks that PartitionHypergraph
+// reports bad input as a classified *Error instead of a plain error or
+// a panic: a nil or vertex-less hypergraph is BadMatrix, K outside
+// [1, |V|] is BadK, and a canceled context is Canceled.
+func TestPartitionHypergraphErrorCodes(t *testing.T) {
+	a, err := finegrain.Generate("cq9", 0.02, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fg, err := finegrain.BuildFineGrain(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fg.H
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	cases := []struct {
+		name string
+		h    *finegrain.Hypergraph
+		k    int
+		opts finegrain.Options
+		want finegrain.ErrorCode
+	}{
+		{"nil hypergraph", nil, 4, finegrain.Options{}, finegrain.BadMatrix},
+		{"no vertices", &finegrain.Hypergraph{}, 4, finegrain.Options{}, finegrain.BadMatrix},
+		{"k zero", h, 0, finegrain.Options{}, finegrain.BadK},
+		{"k negative", h, -1, finegrain.Options{}, finegrain.BadK},
+		{"k above |V|", h, h.NumVertices() + 1, finegrain.Options{}, finegrain.BadK},
+		{"canceled ctx", h, 4, finegrain.Options{Ctx: canceled}, finegrain.Canceled},
+	}
+	for _, tc := range cases {
+		p, err := finegrain.PartitionHypergraph(tc.h, tc.k, nil, tc.opts)
+		if err == nil {
+			t.Errorf("%s: no error (partition %v)", tc.name, p != nil)
+			continue
+		}
+		if got := finegrain.ErrorCodeOf(err); got != tc.want {
+			t.Errorf("%s: code %q, want %q (err: %v)", tc.name, got, tc.want, err)
+		}
+		var fe *finegrain.Error
+		if !errors.As(err, &fe) {
+			t.Errorf("%s: error is not a *finegrain.Error: %T", tc.name, err)
+		} else if fe.Op != "PartitionHypergraph" {
+			t.Errorf("%s: Op %q, want PartitionHypergraph", tc.name, fe.Op)
+		}
+	}
+	if _, err := finegrain.PartitionHypergraph(h, 4, nil, finegrain.Options{Seed: 1}); err != nil {
+		t.Errorf("valid call: %v", err)
+	}
+}

@@ -671,9 +671,25 @@ func BuildReduction(numInputs, numOutputs int, tasks []Task, opts ReductionOptio
 
 // PartitionHypergraph runs the PaToH-style multilevel partitioner
 // directly on a hypergraph, honoring fixed vertex assignments (fixed
-// may be nil).
+// may be nil). A nil or vertex-less hypergraph is BadMatrix and K
+// outside [1, |V|] is BadK.
 func PartitionHypergraph(h *Hypergraph, k int, fixed []int, o Options) (*Partition, error) {
-	return hgpart.PartitionFixed(h, k, fixed, o.hgOptions())
+	const op = "PartitionHypergraph"
+	if h == nil || h.NumVertices() == 0 {
+		return nil, &Error{Code: BadMatrix, Op: op, Msg: "empty hypergraph"}
+	}
+	if k < 1 {
+		return nil, &Error{Code: BadK, Op: op, Msg: fmt.Sprintf("K must be >= 1, got %d", k)}
+	}
+	if k > h.NumVertices() {
+		return nil, &Error{Code: BadK, Op: op,
+			Msg: fmt.Sprintf("K=%d exceeds the hypergraph's %d vertices", k, h.NumVertices())}
+	}
+	p, err := hgpart.PartitionFixed(h, k, fixed, o.hgOptions())
+	if err != nil {
+		return nil, classify(op, err)
+	}
+	return p, nil
 }
 
 // Verify multiplies with the decomposition through a Session and

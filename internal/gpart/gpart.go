@@ -21,29 +21,18 @@ import (
 // ErrInfeasible reports that no balanced partition could be produced.
 var ErrInfeasible = errors.New("gpart: no feasible balanced partition found")
 
-// Options configures the partitioner; see DefaultOptions.
+// Options configures the partitioner; see DefaultOptions. The
+// remaining settings of the algorithm are the package constants below.
 type Options struct {
 	// Seed drives every random choice.
 	Seed uint64
 	// Eps is the allowed final imbalance ε in W_k ≤ W_avg(1+ε).
 	Eps float64
-	// CoarsenTo stops coarsening at this vertex count.
-	CoarsenTo int
-	// MaxLevels bounds coarsening depth.
-	MaxLevels int
-	// InitTrials is the number of initial-bisection attempts.
-	InitTrials int
-	// Passes bounds FM passes per level.
-	Passes int
-	// MaxNegMoves ends an FM pass after this many consecutive
-	// non-improving moves.
-	MaxNegMoves int
-	// Runs repeats the whole algorithm, keeping the best result.
-	Runs int
-	// Trace, when non-nil, records phase spans (per-run, per-bisection,
-	// per-coarsening-level, refinement) for Chrome trace-event export.
-	// Tracing never consumes randomness or alters a partitioning
-	// decision; nil (the default) makes every span call a free no-op.
+	// Trace, when non-nil, records phase spans (the run, each
+	// bisection, coarsening level and refinement) for Chrome
+	// trace-event export. Tracing never consumes randomness or alters a
+	// partitioning decision; nil (the default) makes every span call a
+	// free no-op.
 	Trace *obs.Trace
 	// Ctx, when non-nil, lets the caller abandon a partition mid-search:
 	// the partitioner polls it at phase boundaries (each bisection, each
@@ -52,6 +41,22 @@ type Options struct {
 	// canceled is bitwise identical whether or not a context was set.
 	Ctx context.Context
 }
+
+// The fixed settings of the multilevel algorithm, the same as
+// internal/hgpart's for a fair baseline.
+const (
+	// coarsenTo stops coarsening at this vertex count.
+	coarsenTo = 100
+	// maxLevels bounds coarsening depth.
+	maxLevels = 40
+	// initTrials is the number of initial-bisection attempts.
+	initTrials = 8
+	// fmPasses bounds FM passes per level.
+	fmPasses = 4
+	// maxNegMoves ends an FM pass after this many consecutive
+	// non-improving moves.
+	maxNegMoves = 100
+)
 
 // canceled reports the context's error, if a context was set and it has
 // fired. It is polled on hot-path phase boundaries, so it must stay a
@@ -63,41 +68,15 @@ func (o *Options) canceled() error {
 	return o.Ctx.Err()
 }
 
-// DefaultOptions mirrors hgpart.DefaultOptions for a fair baseline.
+// DefaultOptions mirrors hgpart.DefaultOptions for a fair baseline:
+// seed 1 and ε = 3%.
 func DefaultOptions() Options {
-	return Options{
-		Seed:        1,
-		Eps:         0.03,
-		CoarsenTo:   100,
-		MaxLevels:   40,
-		InitTrials:  8,
-		Passes:      4,
-		MaxNegMoves: 100,
-		Runs:        1,
-	}
+	return Options{Seed: 1, Eps: 0.03}
 }
 
 func (o *Options) normalize() {
 	if o.Eps <= 0 {
 		o.Eps = 0.03
-	}
-	if o.CoarsenTo < 4 {
-		o.CoarsenTo = 4
-	}
-	if o.MaxLevels <= 0 {
-		o.MaxLevels = 40
-	}
-	if o.InitTrials <= 0 {
-		o.InitTrials = 8
-	}
-	if o.Passes <= 0 {
-		o.Passes = 4
-	}
-	if o.MaxNegMoves <= 0 {
-		o.MaxNegMoves = 100
-	}
-	if o.Runs <= 0 {
-		o.Runs = 1
 	}
 }
 
@@ -131,46 +110,28 @@ func Partition(g *graph.Graph, k int, opts Options) (*graph.Partition, error) {
 	if k == 1 {
 		return graph.NewPartition(g.NumVertices(), 1), nil
 	}
-	var best *graph.Partition
-	bestCut := -1
-	for run := 0; run < opts.Runs; run++ {
-		if err := opts.canceled(); err != nil {
-			return nil, err
-		}
-		var tk *obs.Track
-		if opts.Trace.Enabled() {
-			tk = opts.Trace.NewTrack(fmt.Sprintf("gpart run %d", run))
-		}
-		rsp := tk.Begin("gpart", "run").Arg("run", int64(run)).Arg("k", int64(k))
-		r := rng.New(opts.Seed + 0x9e3779b97f4a7c15*uint64(run+1))
-		parts := make([]int, g.NumVertices())
-		ids := make([]int, g.NumVertices())
-		for i := range ids {
-			ids[i] = i
-		}
-		err := recursiveBisect(g, ids, 0, k, bisectionEps(opts.Eps, k), opts, r, parts, tk)
-		rsp.End()
-		if err != nil {
-			if ctxErr := opts.canceled(); ctxErr != nil {
-				// Cancellation aborts the whole search, not just this run.
-				return nil, ctxErr
-			}
-			if run == opts.Runs-1 && best == nil {
-				return nil, err
-			}
-			continue
-		}
-		p := &graph.Partition{K: k, Parts: parts}
-		kwayBalance(g, p, opts.Eps)
-		cut := p.EdgeCut(g)
-		if best == nil || cut < bestCut || (cut == bestCut && p.Imbalance(g) < best.Imbalance(g)) {
-			best, bestCut = p, cut
-		}
+	var tk *obs.Track
+	if opts.Trace.Enabled() {
+		tk = opts.Trace.NewTrack("gpart run 0")
 	}
-	if best == nil {
-		return nil, ErrInfeasible
+	rsp := tk.Begin("gpart", "run").Arg("k", int64(k))
+	r := rng.New(opts.Seed + 0x9e3779b97f4a7c15)
+	parts := make([]int, g.NumVertices())
+	ids := make([]int, g.NumVertices())
+	for i := range ids {
+		ids[i] = i
 	}
-	return best, nil
+	err := recursiveBisect(g, ids, 0, k, bisectionEps(opts.Eps, k), opts, r, parts, tk)
+	rsp.End()
+	if err != nil {
+		if ctxErr := opts.canceled(); ctxErr != nil {
+			return nil, ctxErr
+		}
+		return nil, err
+	}
+	p := &graph.Partition{K: k, Parts: parts}
+	kwayBalance(g, p, opts.Eps)
+	return p, nil
 }
 
 func recursiveBisect(sub *graph.Graph, ids []int, kLo, k int, epsB float64,

@@ -13,11 +13,11 @@ type level struct {
 }
 
 // coarsen shrinks g with heavy-edge matching until it has at most
-// opts.CoarsenTo vertices or shrinkage stalls.
+// coarsenTo vertices or shrinkage stalls.
 func coarsen(g *graph.Graph, opts Options, r *rng.RNG, tk *obs.Track) []*level {
 	levels := []*level{{g: g}}
 	cur := levels[0]
-	for len(levels) < opts.MaxLevels && cur.g.NumVertices() > opts.CoarsenTo {
+	for len(levels) < maxLevels && cur.g.NumVertices() > coarsenTo {
 		if opts.canceled() != nil {
 			// Stop building the ladder; the caller polls the context right
 			// after coarsening and surfaces the error.
@@ -48,7 +48,7 @@ func heavyEdgeMatch(g *graph.Graph, opts Options, r *rng.RNG) ([]int, int) {
 	for i := range cmap {
 		cmap[i] = -1
 	}
-	maxClusterW := g.TotalVertexWeight()/opts.CoarsenTo + 1
+	maxClusterW := g.TotalVertexWeight()/coarsenTo + 1
 	if maxClusterW < 2 {
 		maxClusterW = 2
 	}
@@ -111,7 +111,7 @@ func initialBisect(g *graph.Graph, targets, strict, relaxed [2]float64, opts Opt
 	var best []int8
 	bestCut := -1
 	bestDev := 0.0
-	for trial := 0; trial < opts.InitTrials; trial++ {
+	for trial := 0; trial < initTrials; trial++ {
 		var side []int8
 		if trial%2 == 0 {
 			side = growBisect(g, targets, r.Child())
@@ -365,7 +365,7 @@ func refineBisection(g *graph.Graph, side []int8, strict, relaxed [2]float64, op
 	if w[0] > strict[0]+1e-9 || w[1] > strict[1]+1e-9 {
 		caps = relaxed
 	}
-	for pass := 0; pass < opts.Passes; pass++ {
+	for pass := 0; pass < fmPasses; pass++ {
 		if opts.canceled() != nil {
 			// Abandon refinement mid-search; the caller's next boundary
 			// check surfaces the context error.
@@ -489,7 +489,7 @@ func fmPass(g *graph.Graph, side []int8, w *[2]float64, maxW [2]float64,
 			sinceBest = 0
 		} else {
 			sinceBest++
-			if sinceBest > opts.MaxNegMoves {
+			if sinceBest > maxNegMoves {
 				break
 			}
 		}

@@ -76,7 +76,6 @@ func TestContextDoesNotPerturbResult(t *testing.T) {
 func TestCancellationWithWorkers(t *testing.T) {
 	h := randomHG(rng.New(11), 3000, 2500)
 	opts := DefaultOptions()
-	opts.Runs = 4
 	opts.Workers = 4
 	opts.Ctx = newCountdownCtx(10)
 	if _, err := Partition(h, 8, opts); !errors.Is(err, context.Canceled) {

@@ -27,15 +27,15 @@ type level struct {
 var compressCoarseNets = true
 
 // coarsen builds the level ladder from h down to a hypergraph of at most
-// opts.CoarsenTo vertices (or until shrinkage stalls). levels[0] wraps h
+// opts.coarsenTo vertices (or until shrinkage stalls). levels[0] wraps h
 // itself. fixedCap[s] bounds the total weight of clusters carrying fixed
 // side s: free vertices absorbed into a fixed cluster are committed to
 // that side for the rest of the ladder, and unbounded absorption can
 // push a side past its balance cap before the initial bisection even
-// runs. When ctx.sc is collecting and ctx.top is set (run 0's first
+// runs. When ctx.sc is collecting and ctx.top is set (the first
 // bisection), every rung's size and build time is recorded.
 //
-// Levels at or above opts.ParallelThreshold vertices are clustered by
+// Levels at or above opts.parallelThreshold vertices are clustered by
 // the parallel round path (clusterRounds); smaller ones by the serial
 // kernel. The choice depends only on the level size and the options,
 // never on Workers or scheduling.
@@ -60,7 +60,7 @@ func coarsen(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fixedCap
 	// decision sequence is identical whether or not compression is
 	// actually applied to the built hypergraphs.
 	prevCompactPins := h.NumPins()
-	for len(levels) < opts.MaxLevels && cur.h.NumVertices() > opts.CoarsenTo {
+	for len(levels) < maxLevels && cur.h.NumVertices() > opts.coarsenTo {
 		if opts.canceled() != nil {
 			// Stop building the ladder; the caller polls the context right
 			// after coarsening and surfaces the error.
@@ -74,7 +74,7 @@ func coarsen(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fixedCap
 			Arg("level", int64(len(levels))).Arg("vertices", int64(cur.h.NumVertices()))
 		var cmap []int
 		var numC int
-		if cur.h.NumVertices() >= opts.ParallelThreshold {
+		if cur.h.NumVertices() >= opts.parallelThreshold {
 			cmap, numC = clusterRounds(ctx, cur.h, cur.fixedSide, fixedCap, opts, r, s)
 		} else {
 			cmap, numC = cluster(cur.h, cur.fixedSide, fixedCap, opts, r, s)
@@ -114,12 +114,102 @@ func coarsen(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fixedCap
 	return levels
 }
 
-// cluster computes a clustering of h's vertices according to the
-// configured matching scheme and returns cmap (vertex → cluster id) and
-// the number of clusters. Vertices fixed to different sides are never
-// merged, so constraints survive coarsening exactly, and the total
-// weight bound to each fixed side stays within fixedCap (merges that
-// would commit too much free weight to a side are skipped).
+// mergeRule is the one merge filter of coarsening, shared by the
+// serial kernel (cluster), the parallel round's proposal scoring
+// (clusterRound.scoreChunk) and its apply phase. Candidate keys name
+// either an existing cluster (key < keyBase) or an unclustered vertex
+// (key − keyBase).
+type mergeRule struct {
+	h           *hypergraph.Hypergraph
+	fixedSide   []int8
+	keyBase     int
+	maxClusterW int
+	fixedCap    [2]float64
+}
+
+// newMergeRule sets up the merge filter of one level and returns the
+// weight already committed to each fixed side (the fixed vertices
+// themselves), the starting value of the boundW the filter checks.
+func newMergeRule(h *hypergraph.Hypergraph, fixedSide []int8, fixedCap [2]float64, opts Options) (mergeRule, [2]float64) {
+	maxClusterW := h.TotalVertexWeight()/opts.coarsenTo + 1
+	if maxClusterW < 2 {
+		maxClusterW = 2
+	}
+	var boundW [2]float64
+	for v, sd := range fixedSide {
+		if sd >= 0 {
+			boundW[sd] += float64(h.VertexWeight(v))
+		}
+	}
+	return mergeRule{h: h, fixedSide: fixedSide, keyBase: h.NumVertices(),
+		maxClusterW: maxClusterW, fixedCap: fixedCap}, boundW
+}
+
+// check reports whether a vertex of weight wv and fixed side sv may
+// merge with candidate key, given the clusters formed so far and the
+// weight boundW already committed to each fixed side: the union must
+// fit maxClusterW, fixed sides must agree, and the free weight the
+// merge newly binds to a fixed side must keep that side within
+// fixedCap. Free vertices absorbed into a fixed cluster are committed
+// to that side for the rest of the ladder, so the cap keeps the
+// coarsest level bisectable whenever the fine level is. On success it
+// returns the bound side (−1 for none) and the weight bound to it.
+func (m *mergeRule) check(key, wv int, sv int8, clusters []clusterMeta, boundW *[2]float64) (bindSide int, bindW float64, ok bool) {
+	var uw int
+	var uside int8
+	if key < m.keyBase {
+		uw, uside = clusters[key].w, clusters[key].side
+	} else {
+		u := key - m.keyBase
+		uw, uside = m.h.VertexWeight(u), m.fixedSide[u]
+	}
+	if uw+wv > m.maxClusterW || (sv >= 0 && uside >= 0 && sv != uside) {
+		return -1, 0, false
+	}
+	// A side-less candidate (vertex or cluster) is entirely free weight;
+	// fixed weight is already counted in boundW.
+	bindSide, bindW = -1, 0
+	switch {
+	case sv >= 0 && uside < 0:
+		bindSide, bindW = int(sv), float64(uw)
+	case sv < 0 && uside >= 0:
+		bindSide, bindW = int(uside), float64(wv)
+	}
+	if bindSide >= 0 && boundW[bindSide]+bindW > m.fixedCap[bindSide]+1e-9 {
+		return -1, 0, false
+	}
+	return bindSide, bindW, true
+}
+
+// join merges vertex v (weight wv, fixed side sv) into candidate key,
+// which check accepted: v joins the existing cluster, or opens a new
+// cluster with the unclustered vertex. It returns the grown cluster
+// list; cluster ids are positions in it.
+func (m *mergeRule) join(cmap []int, clusters []clusterMeta, v, key, wv int, sv int8) []clusterMeta {
+	if key < m.keyBase {
+		cmap[v] = key
+		clusters[key].w += wv
+		if sv >= 0 {
+			clusters[key].side = sv
+		}
+		return clusters
+	}
+	u := key - m.keyBase
+	side := sv
+	if side < 0 {
+		side = m.fixedSide[u]
+	}
+	cmap[v], cmap[u] = len(clusters), len(clusters)
+	return append(clusters, clusterMeta{w: wv + m.h.VertexWeight(u), side: side})
+}
+
+// cluster computes the heavy-connectivity clustering (PaToH's HCC) of
+// h's vertices and returns cmap (vertex → cluster id) and the number of
+// clusters. Vertices are visited in random order; an unclustered vertex
+// joins the neighbor — an unclustered vertex or an existing cluster —
+// it shares the most net connectivity with, among the candidates
+// mergeRule accepts. Vertices fixed to different sides are never
+// merged, so constraints survive coarsening exactly.
 func cluster(h *hypergraph.Hypergraph, fixedSide []int8, fixedCap [2]float64,
 	opts Options, r *rng.RNG, s *scratch) ([]int, int) {
 	numV := h.NumVertices()
@@ -127,44 +217,13 @@ func cluster(h *hypergraph.Hypergraph, fixedSide []int8, fixedCap [2]float64,
 	for i := range cmap {
 		cmap[i] = -1
 	}
+	m, boundW := newMergeRule(h, fixedSide, fixedCap, opts)
 	clusters := s.clusters[:0]
-	numC := 0
-
-	newCluster := func(w int, side int8) int {
-		clusters = append(clusters, clusterMeta{w: w, side: side})
-		numC++
-		return numC - 1
-	}
-
-	totalW := h.TotalVertexWeight()
-	maxClusterW := totalW/opts.CoarsenTo + 1
-	if maxClusterW < 2 {
-		maxClusterW = 2
-	}
-
-	// boundW[s] is the weight currently committed to fixed side s: fixed
-	// vertices themselves plus every free vertex merged into a side-s
-	// cluster. Merges binding more free weight than fixedCap allows are
-	// rejected, so the coarsest level always admits a feasible bisection
-	// whenever the fine level does.
-	var boundW [2]float64
-	for v := 0; v < numV; v++ {
-		if sd := fixedSide[v]; sd >= 0 {
-			boundW[sd] += float64(h.VertexWeight(v))
-		}
-	}
-
 	netInc := computeNetInc(h, opts, s)
 
-	// Candidate scoring uses epoch-stamped accumulators keyed by either
-	// an existing cluster id (key = cluster) or an unclustered vertex
-	// (key = numV_keyBase + u). The stamp epoch is monotonic across the
-	// scratch's lifetime, so reused buffers need no reinitialization.
-	keyBase := numV // cluster ids are < numV
 	slots := grow(s.slots, 2*numV)
 	epoch := s.epoch
 	cands := s.cands[:0]
-	isHCM := opts.Matching == HCM
 
 	order := grow(s.perm, numV)
 	r.PermInto(order)
@@ -173,128 +232,85 @@ func cluster(h *hypergraph.Hypergraph, fixedSide []int8, fixedCap [2]float64,
 			continue
 		}
 		epoch++
-		cands = cands[:0]
-		wv := h.VertexWeight(v)
-		sv := fixedSide[v]
-		for _, net := range h.Nets(v) {
-			inc := netInc[net]
-			if inc == 0 {
-				continue
-			}
-			for _, u := range h.Pins(net) {
-				if u == v {
-					continue
-				}
-				var key int
-				if c := cmap[u]; c >= 0 {
-					if isHCM {
-						continue // HCM only pairs unclustered vertices
-					}
-					key = c
-				} else {
-					key = keyBase + u
-				}
-				sl := &slots[key]
-				if sl.stamp != epoch {
-					sl.stamp = epoch
-					sl.score = 0
-					cands = append(cands, key)
-				}
-				sl.score += inc
-			}
-		}
-		// Choose the best feasible candidate: maximal score, weight
-		// union within maxClusterW, compatible fixed sides. Random
-		// matching picks uniformly among feasible candidates instead.
+		cands = scoreCandidates(h, netInc, cmap, m.keyBase, v, slots, epoch, cands)
+		// Choose the first candidate of maximal score that the merge
+		// filter accepts.
+		wv, sv := h.VertexWeight(v), fixedSide[v]
 		bestKey, bestScore := -1, 0.0
 		bestBindSide, bestBindW := -1, 0.0
-		if opts.Matching == RandomMatch && len(cands) > 0 {
-			r.Shuffle(cands)
-		}
 		for _, key := range cands {
-			var uw int
-			var uside int8
-			if key < keyBase {
-				uw = clusters[key].w
-				uside = clusters[key].side
-			} else {
-				u := key - keyBase
-				uw = h.VertexWeight(u)
-				uside = fixedSide[u]
-			}
-			if uw+wv > maxClusterW {
+			sc := slots[key].score
+			if sc <= bestScore {
 				continue
 			}
-			if sv >= 0 && uside >= 0 && sv != uside {
-				continue
-			}
-			// Free weight this merge would newly commit to a fixed side:
-			// a side-less candidate (vertex or cluster) is entirely free
-			// weight, and fixed weight is already counted in boundW.
-			bindSide, bindW := -1, 0.0
-			switch {
-			case sv >= 0 && uside < 0:
-				bindSide, bindW = int(sv), float64(uw)
-			case sv < 0 && uside >= 0:
-				bindSide, bindW = int(uside), float64(wv)
-			}
-			if bindSide >= 0 && boundW[bindSide]+bindW > fixedCap[bindSide]+1e-9 {
-				continue
-			}
-			if opts.Matching == RandomMatch {
-				bestKey, bestBindSide, bestBindW = key, bindSide, bindW
-				break
-			}
-			if sc := slots[key].score; sc > bestScore {
-				bestScore, bestKey = sc, key
+			if bindSide, bindW, ok := m.check(key, wv, sv, clusters, &boundW); ok {
+				bestKey, bestScore = key, sc
 				bestBindSide, bestBindW = bindSide, bindW
 			}
 		}
 		if bestKey < 0 {
-			cmap[v] = newCluster(wv, sv)
+			cmap[v] = len(clusters)
+			clusters = append(clusters, clusterMeta{w: wv, side: sv})
 			continue
 		}
 		if bestBindSide >= 0 {
 			boundW[bestBindSide] += bestBindW
 		}
-		if bestKey < keyBase {
-			// Join existing cluster.
-			cmap[v] = bestKey
-			clusters[bestKey].w += wv
-			if sv >= 0 {
-				clusters[bestKey].side = sv
-			}
-		} else {
-			u := bestKey - keyBase
-			side := sv
-			if side < 0 {
-				side = fixedSide[u]
-			}
-			c := newCluster(wv+h.VertexWeight(u), side)
-			cmap[v] = c
-			cmap[u] = c
-		}
+		clusters = m.join(cmap, clusters, v, bestKey, wv, sv)
 	}
 	s.clusters = clusters
 	s.slots = slots
 	s.cands = cands
 	s.epoch = epoch
-	return cmap, numC
+	return cmap, len(clusters)
+}
+
+// scoreCandidates sums, for vertex v, the connectivity it shares with
+// each candidate over the nets netInc does not skip, and returns the
+// candidates in first-encounter order (reusing cands' storage). A
+// candidate key is the cluster of an already clustered neighbor or
+// keyBase + u for an unclustered neighbor u. Scores accumulate in
+// slots stamped with epoch; the epoch is monotonic across the scratch's
+// lifetime and the caller increments it per vertex, so reused buffers
+// need no reinitialization.
+func scoreCandidates(h *hypergraph.Hypergraph, netInc []float64, cmap []int, keyBase, v int,
+	slots []candSlot, epoch int, cands []int) []int {
+	cands = cands[:0]
+	for _, net := range h.Nets(v) {
+		inc := netInc[net]
+		if inc == 0 {
+			continue
+		}
+		for _, u := range h.Pins(net) {
+			if u == v {
+				continue
+			}
+			key := keyBase + u
+			if c := cmap[u]; c >= 0 {
+				key = c
+			}
+			sl := &slots[key]
+			if sl.stamp != epoch {
+				sl.stamp = epoch
+				sl.score = 0
+				cands = append(cands, key)
+			}
+			sl.score += inc
+		}
+	}
+	return cands
 }
 
 // computeNetInc fills the per-net connectivity increments used for
 // candidate scoring, hoisted out of the per-vertex scan: zero marks
-// nets skipped for matching (too small or too large). RandomMatch
-// treats every shared net equally.
+// nets skipped for matching (too small or too large).
 func computeNetInc(h *hypergraph.Hypergraph, opts Options, s *scratch) []float64 {
 	numN := h.NumNets()
 	netInc := grow(s.netInc, numN)
 	for n := 0; n < numN; n++ {
 		size := h.NetSize(n)
-		if size < 2 || size > opts.MatchNetLimit {
+		if size < 2 || size > opts.matchNetLimit {
 			netInc[n] = 0
-		} else if opts.Matching == RandomMatch {
-			netInc[n] = 1
 		} else {
 			netInc[n] = float64(h.NetCost(n)) / float64(size-1)
 		}
@@ -304,16 +320,16 @@ func computeNetInc(h *hypergraph.Hypergraph, opts Options, s *scratch) []float64
 }
 
 // clusterRounds is the parallel-round counterpart of cluster, used on
-// levels of at least opts.ParallelThreshold vertices. Each round scores
-// a proposal per unmatched vertex concurrently over fixed chunks of one
+// levels at or above the parallel threshold. Each round scores a
+// proposal per unmatched vertex concurrently over fixed chunks of one
 // global permutation (phase A, pure function of the previous round's
 // snapshot), then applies proposals serially in permutation order with
-// live re-validation (phase B). A proposal whose target was consumed or
-// grew infeasible is skipped and the vertex retries next round; after
-// opts.CoarsenRounds rounds (or a round with no merges) the remaining
-// unmatched vertices become singletons. The resulting clustering — and
-// therefore the whole coarse ladder — depends only on (hypergraph,
-// options, RNG stream), never on worker count or chunk scheduling.
+// live re-validation (phase B). A proposal whose target grew infeasible
+// is skipped and the vertex retries next round; after coarsenRounds
+// rounds (or a round with no merges) the remaining unmatched vertices
+// become singletons. The resulting clustering — and therefore the
+// whole coarse ladder — depends only on (hypergraph, options, RNG
+// stream), never on worker count or chunk scheduling.
 func clusterRounds(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fixedCap [2]float64,
 	opts Options, r *rng.RNG, s *scratch) ([]int, int) {
 
@@ -322,20 +338,8 @@ func clusterRounds(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fi
 	for i := range cmap {
 		cmap[i] = -1
 	}
+	m, boundW := newMergeRule(h, fixedSide, fixedCap, opts)
 	clusters := s.clusters[:0]
-	numC := 0
-
-	totalW := h.TotalVertexWeight()
-	maxClusterW := totalW/opts.CoarsenTo + 1
-	if maxClusterW < 2 {
-		maxClusterW = 2
-	}
-	var boundW [2]float64
-	for v := 0; v < numV; v++ {
-		if sd := fixedSide[v]; sd >= 0 {
-			boundW[sd] += float64(h.VertexWeight(v))
-		}
-	}
 	netInc := computeNetInc(h, opts, s)
 
 	order := grow(s.perm, numV)
@@ -344,27 +348,21 @@ func clusterRounds(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fi
 
 	cr := &s.cl
 	*cr = clusterRound{
-		h:           h,
-		netInc:      netInc,
-		cmap:        cmap,
-		fixedSide:   fixedSide,
-		order:       order,
-		prop:        s.prop,
-		fixedCap:    fixedCap,
-		maxClusterW: maxClusterW,
-		keyBase:     numV,
-		chunk:       opts.parallelChunk(),
-		scheme:      opts.Matching,
+		mergeRule: m,
+		netInc:    netInc,
+		cmap:      cmap,
+		order:     order,
+		prop:      s.prop,
+		chunk:     opts.parallelChunk(),
 	}
 	rj := &s.rj
 	*rj = roundJob{nchunks: chunkCount(numV, cr.chunk), op: roundCluster, cl: cr}
 
-	isHCM := opts.Matching == HCM
-	for round := 0; round < opts.CoarsenRounds; round++ {
-		// One tie-break seed per round, drawn from the level's stream
-		// regardless of scheme so the draw sequence is scheme-independent
-		// plumbing, not a decision.
-		cr.roundSeed = r.Uint64()
+	for round := 0; round < coarsenRounds; round++ {
+		// One draw per round from the level's stream. Nothing reads it
+		// any more, but dropping it would shift every later draw of the
+		// stream and with it every partition.
+		r.Uint64()
 		cr.clusters = clusters
 		cr.boundW = boundW
 		rsp := ctx.tk.Begin("hgpart", "coarsen.round").
@@ -373,8 +371,7 @@ func clusterRounds(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fi
 
 		// Phase B: apply proposals in permutation order against the live
 		// state. Feasibility is rechecked because earlier applications
-		// this round may have consumed a target vertex or filled a
-		// cluster.
+		// this round may have filled a cluster or a fixed side's budget.
 		merges := 0
 		for p, v := range order {
 			if cmap[v] >= 0 {
@@ -384,62 +381,20 @@ func clusterRounds(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fi
 			if key < 0 {
 				continue
 			}
-			wv := h.VertexWeight(v)
-			sv := fixedSide[v]
 			if key >= numV {
 				if c := cmap[key-numV]; c >= 0 {
-					if isHCM {
-						continue // proposed partner was paired already
-					}
-					key = c // HCC: follow the partner into its new cluster
+					key = c // follow the partner into its new cluster
 				}
 			}
-			var uw int
-			var uside int8
-			if key < numV {
-				uw = clusters[key].w
-				uside = clusters[key].side
-			} else {
-				u := key - numV
-				uw = h.VertexWeight(u)
-				uside = fixedSide[u]
-			}
-			if uw+wv > maxClusterW {
-				continue
-			}
-			if sv >= 0 && uside >= 0 && sv != uside {
-				continue
-			}
-			bindSide, bindW := -1, 0.0
-			switch {
-			case sv >= 0 && uside < 0:
-				bindSide, bindW = int(sv), float64(uw)
-			case sv < 0 && uside >= 0:
-				bindSide, bindW = int(uside), float64(wv)
-			}
-			if bindSide >= 0 && boundW[bindSide]+bindW > fixedCap[bindSide]+1e-9 {
+			wv, sv := h.VertexWeight(v), fixedSide[v]
+			bindSide, bindW, ok := m.check(key, wv, sv, clusters, &boundW)
+			if !ok {
 				continue
 			}
 			if bindSide >= 0 {
 				boundW[bindSide] += bindW
 			}
-			if key < numV {
-				cmap[v] = key
-				clusters[key].w += wv
-				if sv >= 0 {
-					clusters[key].side = sv
-				}
-			} else {
-				u := key - numV
-				side := sv
-				if side < 0 {
-					side = fixedSide[u]
-				}
-				clusters = append(clusters, clusterMeta{w: wv + uw, side: side})
-				cmap[v] = numC
-				cmap[u] = numC
-				numC++
-			}
+			clusters = m.join(cmap, clusters, v, key, wv, sv)
 			merges++
 		}
 		rsp.Arg("merges", int64(merges)).End()
@@ -453,13 +408,12 @@ func clusterRounds(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fi
 	// serial kernel's no-candidate case.
 	for _, v := range order {
 		if cmap[v] < 0 {
+			cmap[v] = len(clusters)
 			clusters = append(clusters, clusterMeta{w: h.VertexWeight(v), side: fixedSide[v]})
-			cmap[v] = numC
-			numC++
 		}
 	}
 	s.clusters = clusters
-	return cmap, numC
+	return cmap, len(clusters)
 }
 
 // contract builds the coarse hypergraph induced by cmap and returns it

@@ -35,7 +35,7 @@ func TestClusterLegality(t *testing.T) {
 		}
 	}
 	// Weight cap respected.
-	maxClusterW := h.TotalVertexWeight()/opts.CoarsenTo + 1
+	maxClusterW := h.TotalVertexWeight()/opts.coarsenTo + 1
 	if maxClusterW < 2 {
 		maxClusterW = 2
 	}
@@ -136,7 +136,7 @@ func TestCoarsenLadderShrinks(t *testing.T) {
 		}
 	}
 	coarsest := levels[len(levels)-1].h
-	if coarsest.NumVertices() > 4*opts.CoarsenTo {
+	if coarsest.NumVertices() > 4*opts.coarsenTo {
 		t.Fatalf("coarsest still has %d vertices", coarsest.NumVertices())
 	}
 	// Total weight is invariant across levels.
@@ -154,7 +154,7 @@ func TestCoarsenLadderShrinks(t *testing.T) {
 //
 // Construction: 100 vertex pairs {2i, 2i+1} joined by size-2 "pair"
 // nets of cost 100, "cross" nets of cost 1 chaining the odd vertices,
-// and 100 dense nets over the even vertices that exceed MatchNetLimit
+// and 100 dense nets over the even vertices that exceed matchNetLimit
 // (so they never steer matching) and dominate the pin count. HCC's
 // score makes every vertex absorb its pair partner first, so level 1 is
 // exact pair matching: the vertex count halves, every cross net
@@ -199,8 +199,8 @@ func TestCoarsenStallsWhenPinsStopShrinking(t *testing.T) {
 	}
 
 	opts := DefaultOptions()
-	opts.CoarsenTo = 54 // cluster cap 600/54+1 = 12: pair merges (6) and pair-cluster merges (12) fit
-	opts.MatchNetLimit = 10
+	opts.coarsenTo = 54 // cluster cap 600/54+1 = 12: pair merges (6) and pair-cluster merges (12) fit
+	opts.matchNetLimit = 10
 	opts.normalize()
 	levels := coarsen(bisectCtx{}, h, fixedSide, [2]float64{1e18, 1e18}, opts, rng.New(5), getScratch())
 
@@ -238,7 +238,7 @@ func TestMatchNetLimitSkipsDenseNets(t *testing.T) {
 		fixedSide[i] = -1
 	}
 	opts := DefaultOptions()
-	opts.MatchNetLimit = 10
+	opts.matchNetLimit = 10
 	opts.normalize()
 	cmap, numC := cluster(h, fixedSide, [2]float64{1e18, 1e18}, opts, rng.New(3), getScratch())
 	if numC >= n*9/10 {

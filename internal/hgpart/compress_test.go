@@ -68,51 +68,31 @@ func TestContractCompressionExactCutsize(t *testing.T) {
 // TestCompressionInvariantPartitions is the end-to-end property: the
 // partitioner with net compression produces the same connectivity−1
 // cutsize as the uncompressed reference on small random hypergraphs
-// across seeds and matching schemes. For RandomMatch no floating point
-// enters any decision, so the partitions themselves must be identical,
-// not just their cutsize.
+// across seeds.
 func TestCompressionInvariantPartitions(t *testing.T) {
 	const k = 4
-	for _, tc := range []struct {
-		name   string
-		scheme MatchScheme
-	}{
-		{"randommatch", RandomMatch},
-		{"hcc", HCC},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			for seed := uint64(0); seed < 6; seed++ {
-				h := randomHG(rng.New(seed*31+7), 250, 350)
-				opts := DefaultOptions()
-				opts.Seed = seed
-				opts.Matching = tc.scheme
-				opts.KWayPasses = 1
+	t.Run("hcc", func(t *testing.T) {
+		for seed := uint64(0); seed < 6; seed++ {
+			h := randomHG(rng.New(seed*31+7), 250, 350)
+			opts := DefaultOptions()
+			opts.Seed = seed
 
-				var pc, pr *hypergraph.Partition
-				var errC, errR error
-				withCompression(t, true, func() {
-					pc, errC = Partition(h, k, opts)
-				})
-				withCompression(t, false, func() {
-					pr, errR = Partition(h, k, opts)
-				})
-				if errC != nil || errR != nil {
-					t.Fatalf("seed %d: errors %v / %v", seed, errC, errR)
-				}
-				got := pc.CutsizeConnectivity(h)
-				want := pr.CutsizeConnectivity(h)
-				if got != want {
-					t.Fatalf("seed %d: compressed cutsize %d, reference %d", seed, got, want)
-				}
-				if tc.scheme == RandomMatch {
-					for v := range pc.Parts {
-						if pc.Parts[v] != pr.Parts[v] {
-							t.Fatalf("seed %d: Parts[%d] = %d with compression, %d without",
-								seed, v, pc.Parts[v], pr.Parts[v])
-						}
-					}
-				}
+			var pc, pr *hypergraph.Partition
+			var errC, errR error
+			withCompression(t, true, func() {
+				pc, errC = Partition(h, k, opts)
+			})
+			withCompression(t, false, func() {
+				pr, errR = Partition(h, k, opts)
+			})
+			if errC != nil || errR != nil {
+				t.Fatalf("seed %d: errors %v / %v", seed, errC, errR)
 			}
-		})
-	}
+			got := pc.CutsizeConnectivity(h)
+			want := pr.CutsizeConnectivity(h)
+			if got != want {
+				t.Fatalf("seed %d: compressed cutsize %d, reference %d", seed, got, want)
+			}
+		}
+	})
 }

@@ -1,10 +1,10 @@
 // The partitioner's tasks on the process-wide executor (internal/par).
 //
-// Restarts, recursion branches and round helpers run as par tasks with
-// explicit argument fields (no closures). Each executor worker keeps
-// one workerLocal in its Local slot: a scratch arena whose warm buffers
-// survive across tasks, runs and Partition calls, and the forked trace
-// track of the last trace it served.
+// Recursion branches and round helpers run as par tasks with explicit
+// argument fields (no closures). Each executor worker keeps one
+// workerLocal in its Local slot: a scratch arena whose warm buffers
+// survive across tasks and Partition calls, and the forked trace track
+// of the last trace it served.
 //
 // Concurrency is bounded by the caller's workerPool semaphore: every
 // submitted task carries the pool slot its submitter acquired and
@@ -15,7 +15,6 @@ package hgpart
 import (
 	"sync"
 
-	"finegrain/internal/hypergraph"
 	"finegrain/internal/obs"
 	"finegrain/internal/par"
 )
@@ -91,26 +90,4 @@ func (t *branchTask) Run(_ int, w *par.Worker) {
 func putBranch(t *branchTask) {
 	t.ctx, t.b, t.fixed, t.opts, t.out, t.err = bisectCtx{}, branchWork{}, nil, Options{}, nil, nil
 	branchPool.Put(t)
-}
-
-// runsTask fans PartitionFixed's restarts out: shard r is run r, with
-// its own context, RNG stream and outcome slot.
-type runsTask struct {
-	g        par.Group
-	h        *hypergraph.Hypergraph
-	k        int
-	fixed    []int
-	opts     Options
-	ctxs     []bisectCtx
-	outcomes []runOutcome
-}
-
-func (t *runsTask) Run(run int, w *par.Worker) {
-	// Runs carry their own pre-named track ("hgpart run N"), built by
-	// the caller; no fork is needed here.
-	ctx := t.ctxs[run]
-	ctx.sc.enter()
-	t.outcomes[run] = partitionRun(t.h, t.k, t.fixed, t.opts, run, ctx, &localOf(w).s)
-	ctx.sc.leave()
-	ctx.pool.release()
 }

@@ -153,7 +153,7 @@ func (b *gainBuckets) bestFeasible(h *hypergraph.Hypergraph, s int, wOther, maxO
 // coarse levels with heavy clusters still refine while fine levels are
 // pulled back to the strict bound.
 //
-// Levels of at least opts.ParallelThreshold vertices refine on the
+// Levels of at least opts.parallelThreshold vertices refine on the
 // parallel round path (fmParallelRefine); smaller ones run the serial
 // gain-bucket passes. Like the coarsening dispatch, the choice depends
 // only on the level size and the options, so partitions stay identical
@@ -198,10 +198,10 @@ func refineBisection(ctx bisectCtx, h *hypergraph.Hypergraph, side []int8, fixed
 	if w[0] > strict[0]+1e-9 || w[1] > strict[1]+1e-9 {
 		caps = relaxed
 	}
-	if numV >= opts.ParallelThreshold {
+	if numV >= opts.parallelThreshold {
 		fmParallelRefine(ctx, h, side, fixedSide, sigma, &w, caps, opts, s)
 	} else {
-		for pass := 0; pass < opts.Passes; pass++ {
+		for pass := 0; pass < fmPasses; pass++ {
 			if opts.canceled() != nil {
 				// Abandon refinement mid-search; the caller's next boundary
 				// check surfaces the context error.
@@ -229,7 +229,7 @@ func refineBisection(ctx bisectCtx, h *hypergraph.Hypergraph, side []int8, fixed
 // state and accepting only still-positive, still-feasible moves. Every
 // accepted move strictly decreases the cut, so no move log or rollback
 // is needed and the loop terminates; rounds stop when one applies
-// nothing (or after 4×opts.Passes rounds, a generous bound that keeps
+// nothing (or after 4×fmPasses rounds, a generous bound that keeps
 // worst-case time proportional to the serial pass budget). Unlike the
 // serial pass it consumes no randomness — the scan order is the vertex
 // order.
@@ -256,7 +256,7 @@ func fmParallelRefine(ctx bisectCtx, h *hypergraph.Hypergraph, side []int8, fixe
 	rj := &s.rj
 	*rj = roundJob{nchunks: nchunks, op: roundFM, fm: fr}
 
-	maxRounds := 4 * opts.Passes
+	maxRounds := 4 * fmPasses
 	for round := 0; round < maxRounds; round++ {
 		if opts.canceled() != nil {
 			return
@@ -526,7 +526,7 @@ func fmPass(sc *statsCollector, h *hypergraph.Hypergraph, side []int8, fixedSide
 			sinceBest = 0
 		} else {
 			sinceBest++
-			if sinceBest > opts.MaxNegMoves {
+			if sinceBest > maxNegMoves {
 				break
 			}
 		}

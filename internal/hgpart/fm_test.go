@@ -148,6 +148,7 @@ func TestRefineBisectionStillImproves(t *testing.T) {
 		side[i] = int8(r.Intn(2))
 	}
 	opts := DefaultOptions()
+	opts.normalize()
 	caps := [2]float64{n/2 + 2, n/2 + 2}
 	refineBisection(bisectCtx{}, h, side, fixedSide, caps, caps, opts, r, getScratch())
 	if cut := bisectionCut(h, side); cut > n/8 {

@@ -37,22 +37,12 @@ func PartitionStats(h *hypergraph.Hypergraph, k int, opts Options) (*hypergraph.
 	return PartitionFixedStats(h, k, nil, opts)
 }
 
-// runOutcome is the result of one multilevel restart. cut and imb are
-// computed inside the run so the reduction never re-derives them — the
-// incumbent's imbalance is compared against a cached value, not
-// recomputed per challenger.
-type runOutcome struct {
-	p   *hypergraph.Partition
-	cut int
-	imb float64
-	err error
-}
-
 // PartitionFixedStats is PartitionFixed returning the Stats record
-// (non-nil only when opts.CollectStats is set). Runs execute
-// concurrently under a bounded worker pool of opts.Workers goroutines,
-// as do the branches of each recursive bisection; the result is bitwise
-// identical for every Workers value given the same Seed.
+// (non-nil only when opts.CollectStats is set). The branches of the
+// recursive bisection, and the round chunks of large levels, execute
+// concurrently under a bounded worker pool of opts.Workers goroutines;
+// the result is bitwise identical for every Workers value given the
+// same Seed.
 func PartitionFixedStats(h *hypergraph.Hypergraph, k int, fixed []int, opts Options) (*hypergraph.Partition, *Stats, error) {
 	opts.normalize()
 	if k < 1 {
@@ -88,96 +78,44 @@ func PartitionFixedStats(h *hypergraph.Hypergraph, k int, fixed []int, opts Opti
 		sc = &statsCollector{}
 		start = time.Now()
 	}
-	pool := newWorkerPool(opts.Workers - 1)
-
-	// Fan the restarts out over the executor. Each run owns its RNG, its
-	// output slice and its outcome slot, so runs share nothing but the
-	// read-only hypergraph. The last run always executes inline so the
-	// caller's goroutine stays busy instead of idling at the join.
+	ctx := bisectCtx{pool: newWorkerPool(opts.Workers - 1), sc: sc, top: true}
+	if opts.Trace.Enabled() {
+		ctx.tk = opts.Trace.NewTrack("hgpart run 0")
+	}
 	s := getScratch()
 	defer putScratch(s)
-	rt := &runsTask{h: h, k: k, fixed: fixed, opts: opts,
-		ctxs: make([]bisectCtx, opts.Runs), outcomes: make([]runOutcome, opts.Runs)}
-	for run := 0; run < opts.Runs; run++ {
-		ctx := bisectCtx{pool: pool, sc: sc, top: run == 0}
-		if opts.Trace.Enabled() {
-			ctx.tk = opts.Trace.NewTrack(fmt.Sprintf("hgpart run %d", run))
-		}
-		if run < opts.Runs-1 && pool.tryAcquire() {
-			sc.runSpawned()
-			rt.ctxs[run] = ctx
-			rt.g.Go(rt, run)
-		} else {
-			sc.enter()
-			rt.outcomes[run] = partitionRun(h, k, fixed, opts, run, ctx, s)
-			sc.leave()
-		}
-	}
-	rt.g.Wait()
-	outcomes := rt.outcomes
-
-	// Reduce in run-index order: the same incumbent-vs-challenger
-	// sequence the serial loop performed, so ties resolve identically
-	// no matter which run finished first.
-	var best *hypergraph.Partition
-	bestCut, bestImb := -1, 0.0
-	var lastErr error
-	for run := range outcomes {
-		oc := &outcomes[run]
-		if oc.err != nil {
-			lastErr = oc.err
-			continue
-		}
-		if best == nil || oc.cut < bestCut || (oc.cut == bestCut && oc.imb < bestImb) {
-			best, bestCut, bestImb = oc.p, oc.cut, oc.imb
-		}
-	}
-	if best == nil {
-		if lastErr != nil {
-			return nil, nil, lastErr
-		}
-		return nil, nil, ErrInfeasible
+	sc.enter()
+	p, err := partitionRun(h, k, fixed, opts, ctx, s)
+	sc.leave()
+	if err != nil {
+		return nil, nil, err
 	}
 	var stats *Stats
 	if sc != nil {
-		stats = sc.finish(time.Since(start), opts.Workers, opts.Runs)
+		stats = sc.finish(time.Since(start), opts.Workers)
 	}
-	return best, stats, nil
+	return p, stats, nil
 }
 
-// partitionRun executes one multilevel restart end to end and returns
-// its partition with the cut and imbalance already evaluated. s is the
-// arena of the goroutine running this restart (the caller's pooled one
-// or an executor worker's persistent one); it serves the entire
-// recursion, while branches that fork onto other workers use those
-// workers' own arenas.
-func partitionRun(h *hypergraph.Hypergraph, k int, fixed []int, opts Options, run int, ctx bisectCtx, s *scratch) runOutcome {
-	sp := ctx.tk.Begin("hgpart", "run").Arg("run", int64(run)).Arg("k", int64(k))
+// partitionRun executes the multilevel recursive bisection end to end
+// and balances the K-way result. s is the caller's pooled arena; it
+// serves the entire recursion, while branches that fork onto other
+// workers use those workers' own arenas.
+func partitionRun(h *hypergraph.Hypergraph, k int, fixed []int, opts Options, ctx bisectCtx, s *scratch) (*hypergraph.Partition, error) {
+	sp := ctx.tk.Begin("hgpart", "run").Arg("k", int64(k))
 	defer sp.End()
-	r := opts.newRNG(run)
+	r := opts.newRNG()
 	parts := make([]int, h.NumVertices())
 	ids := make([]int, h.NumVertices())
 	for i := range ids {
 		ids[i] = i
 	}
 	if err := recursiveBisect(ctx, h, ids, fixed, 0, k, opts.Eps, opts, r, parts, s); err != nil {
-		return runOutcome{err: err}
+		return nil, err
 	}
 	p := &hypergraph.Partition{K: k, Parts: parts}
 	kwayBalance(h, p, fixed, opts.Eps)
-	if opts.KWayPasses > 0 {
-		ksp := ctx.tk.Begin("hgpart", "kway.refine").Arg("passes", int64(opts.KWayPasses))
-		var t0 time.Time
-		if ctx.sc.enabled() {
-			t0 = time.Now()
-		}
-		kwayRefine(h, p, fixed, opts.Eps, opts.KWayPasses, r.Child(), s)
-		if ctx.sc.enabled() {
-			ctx.sc.addKWay(time.Since(t0))
-		}
-		ksp.End()
-	}
-	return runOutcome{p: p, cut: p.CutsizeConnectivity(h), imb: p.Imbalance(h)}
+	return p, nil
 }
 
 // recursiveBisect partitions the sub-hypergraph induced by ids (global
@@ -372,7 +310,7 @@ func multilevelBisect(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8,
 		t0 = time.Now()
 	}
 	isp := ctx.tk.Begin("hgpart", "initial.bisect").
-		Arg("vertices", int64(coarsest.h.NumVertices())).Arg("trials", int64(opts.InitTrials))
+		Arg("vertices", int64(coarsest.h.NumVertices())).Arg("trials", initTrials)
 	side, err := initialBisect(ctx, coarsest.h, coarsest.fixedSide, targets, maxW, coarseCaps, opts, r, scr)
 	isp.End()
 	if err != nil {

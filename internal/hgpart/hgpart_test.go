@@ -234,24 +234,6 @@ func TestFixedVerticesManyHonored(t *testing.T) {
 	}
 }
 
-func TestAllMatchingSchemes(t *testing.T) {
-	h := randomHG(rng.New(33), 800, 700)
-	for _, scheme := range []MatchScheme{HCC, HCM, RandomMatch} {
-		opts := DefaultOptions()
-		opts.Matching = scheme
-		p, err := Partition(h, 8, opts)
-		if err != nil {
-			t.Fatalf("%v: %v", scheme, err)
-		}
-		if err := p.Validate(h); err != nil {
-			t.Fatalf("%v: %v", scheme, err)
-		}
-		if imb := p.Imbalance(h); imb > 3.5 {
-			t.Fatalf("%v: imbalance %.2f%%", scheme, imb)
-		}
-	}
-}
-
 func TestWeightedVerticesBalance(t *testing.T) {
 	r := rng.New(17)
 	b := hypergraph.NewBuilder(600, 500)
@@ -330,27 +312,6 @@ func TestZeroWeightDummiesAllowed(t *testing.T) {
 	}
 	if err := p.Validate(h); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRunsImproveOrMatch(t *testing.T) {
-	h := randomHG(rng.New(77), 600, 500)
-	single := DefaultOptions()
-	single.Seed = 5
-	multi := DefaultOptions()
-	multi.Seed = 5
-	multi.Runs = 4
-	p1, err := Partition(h, 8, single)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p4, err := Partition(h, 8, multi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p4.CutsizeConnectivity(h) > p1.CutsizeConnectivity(h) {
-		t.Fatalf("4 runs (%d) worse than 1 run (%d)",
-			p4.CutsizeConnectivity(h), p1.CutsizeConnectivity(h))
 	}
 }
 

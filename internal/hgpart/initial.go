@@ -6,7 +6,7 @@ import (
 )
 
 // initialBisect produces a starting 0/1 side assignment of the coarsest
-// hypergraph. It runs opts.InitTrials attempts alternating between
+// hypergraph. It runs initTrials attempts alternating between
 // greedy hypergraph growing (GHG) and random balanced fill, refines each
 // with FM, and returns the best feasible result by cut (ties broken by
 // balance). An error is returned only if no attempt was feasible.
@@ -24,7 +24,7 @@ func initialBisect(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8,
 	haveBest := false
 	bestCut := -1
 	bestDev := 0.0
-	for trial := 0; trial < opts.InitTrials; trial++ {
+	for trial := 0; trial < initTrials; trial++ {
 		if trial%2 == 0 {
 			growBisect(h, fixedSide, targets, r.Child(), side, s)
 		} else {

@@ -3,99 +3,9 @@ package hgpart
 import (
 	"testing"
 
-	"finegrain/internal/core"
 	"finegrain/internal/hypergraph"
-	"finegrain/internal/matgen"
 	"finegrain/internal/rng"
 )
-
-func expSeed(name string) uint64 {
-	var h uint64 = 14695981039346656037
-	for _, c := range []byte(name) {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
-func TestKWayRefineNeverWorsens(t *testing.T) {
-	spec, _ := matgen.Lookup("cq9")
-	a := spec.Scaled(0.05).Generate(expSeed("cq9"))
-	fg, err := core.BuildFineGrain(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := DefaultOptions()
-	base.Seed = 3
-	p, err := Partition(fg.H, 8, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := p.CutsizeConnectivity(fg.H)
-	gain := kwayRefine(fg.H, p, nil, 0.03, 2, rng.New(1), getScratch())
-	after := p.CutsizeConnectivity(fg.H)
-	if after > before {
-		t.Fatalf("refinement worsened cut: %d -> %d", before, after)
-	}
-	if before-after != gain {
-		t.Fatalf("reported gain %d, actual %d", gain, before-after)
-	}
-	if err := p.Validate(fg.H); err != nil {
-		t.Fatal(err)
-	}
-	if imb := p.Imbalance(fg.H); imb > 3.5 {
-		t.Fatalf("refinement broke balance: %.2f%%", imb)
-	}
-}
-
-func TestKWayPassesOptionImproves(t *testing.T) {
-	spec, _ := matgen.Lookup("ken-11")
-	a := spec.Scaled(0.06).Generate(expSeed("ken-11"))
-	fg, err := core.BuildFineGrain(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := DefaultOptions()
-	base.Seed = 4
-	p1, err := Partition(fg.H, 16, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refined := base
-	refined.KWayPasses = 2
-	p2, err := Partition(fg.H, 16, refined)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1, c2 := p1.CutsizeConnectivity(fg.H), p2.CutsizeConnectivity(fg.H); c2 > c1 {
-		t.Fatalf("KWayPasses worsened cut: %d -> %d", c1, c2)
-	}
-}
-
-func TestKWayRefineRespectsFixed(t *testing.T) {
-	r := rng.New(8)
-	b := hypergraph.NewBuilder(200, 150)
-	for n := 0; n < 150; n++ {
-		for i := 0; i < 3; i++ {
-			b.AddPin(n, r.Intn(200))
-		}
-	}
-	h := b.Build()
-	fixed := make([]int, 200)
-	for v := range fixed {
-		fixed[v] = -1
-	}
-	fixed[10] = 3
-	fixed[20] = 0
-	p, err := PartitionFixed(h, 4, fixed, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	kwayRefine(h, p, fixed, 0.03, 3, rng.New(2), getScratch())
-	if p.Parts[10] != 3 || p.Parts[20] != 0 {
-		t.Fatal("refinement moved fixed vertices")
-	}
-}
 
 func TestKWayBalanceFixesImbalance(t *testing.T) {
 	// Deliberately imbalanced partition of a simple hypergraph.

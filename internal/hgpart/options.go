@@ -5,11 +5,11 @@
 // The partitioner follows the classic three-phase multilevel scheme:
 //
 //  1. Coarsening: the hypergraph is shrunk level by level by clustering
-//     vertices that share nets (heavy-connectivity matching or
-//     agglomerative clustering), until it is small enough to partition
+//     vertices that share nets (agglomerative heavy-connectivity
+//     clustering, PaToH's HCC), until it is small enough to partition
 //     directly. Single-pin and identical nets are pruned between levels.
 //  2. Initial partitioning: the coarsest hypergraph is bisected by
-//     multiple trials of greedy hypergraph growing and random balanced
+//     several trials of greedy hypergraph growing and random balanced
 //     assignment; the best feasible bisection wins.
 //  3. Uncoarsening: the bisection is projected back level by level and
 //     improved at each level with Fiduccia–Mattheyses boundary
@@ -31,35 +31,9 @@ import (
 	"finegrain/internal/rng"
 )
 
-// MatchScheme selects the coarsening clustering rule.
-type MatchScheme int
-
-const (
-	// HCC is agglomerative heavy-connectivity clustering: an unclustered
-	// vertex may join an existing cluster (PaToH's default flavor).
-	HCC MatchScheme = iota
-	// HCM is heavy-connectivity matching: only pairs of unclustered
-	// vertices are merged.
-	HCM
-	// RandomMatch pairs random neighboring vertices, ignoring
-	// connectivity weights. Useful as an ablation baseline.
-	RandomMatch
-)
-
-func (s MatchScheme) String() string {
-	switch s {
-	case HCC:
-		return "HCC"
-	case HCM:
-		return "HCM"
-	case RandomMatch:
-		return "RandomMatch"
-	}
-	return "unknown"
-}
-
-// Options configures the partitioner. The zero value is not useful; call
-// DefaultOptions and adjust.
+// Options configures the partitioner. DefaultOptions gives the
+// configuration every caller runs; the remaining settings of the
+// algorithm are the package constants below.
 type Options struct {
 	// Seed drives every random choice; identical seeds give identical
 	// partitions.
@@ -68,58 +42,17 @@ type Options struct {
 	// W_k ≤ W_avg(1+ε). The paper reports imbalance below 3%, so the
 	// default is 0.03.
 	Eps float64
-	// CoarsenTo stops coarsening when the vertex count drops to this
-	// value (or shrinkage stalls).
-	CoarsenTo int
-	// MaxLevels bounds the number of coarsening levels.
-	MaxLevels int
-	// Matching selects the clustering rule used during coarsening.
-	Matching MatchScheme
-	// MatchNetLimit skips nets larger than this during connectivity
-	// scoring; very large nets (dense matrix rows) carry little
-	// clustering signal and dominate runtime otherwise.
-	MatchNetLimit int
-	// InitTrials is the number of initial-bisection attempts on the
-	// coarsest hypergraph.
-	InitTrials int
-	// Passes bounds FM refinement passes per level.
-	Passes int
-	// MaxNegMoves ends an FM pass after this many consecutive
-	// non-improving moves (hill-climb window).
-	MaxNegMoves int
-	// Runs repeats the whole multilevel algorithm and keeps the best
-	// partition. Each run derives an independent seed.
-	Runs int
-	// KWayPasses enables direct K-way boundary refinement after
-	// recursive bisection (0 = off, matching the paper-era PaToH;
-	// 2 is a good value — see BenchmarkAblationKWayRefine).
-	KWayPasses int
 	// Workers bounds the number of goroutines partitioning concurrently
-	// (random restarts, recursive-bisection branches, and in-bisection
-	// round chunks). 0 means runtime.GOMAXPROCS(0). The partition
-	// produced is bitwise identical for every Workers value given the
-	// same Seed.
+	// (recursive-bisection branches and in-bisection round chunks).
+	// 0 means runtime.GOMAXPROCS(0). The partition produced is bitwise
+	// identical for every Workers value given the same Seed.
 	Workers int
-	// ParallelThreshold is the level size (vertex count) at or above
-	// which coarsening and FM refinement switch to the deterministic
-	// parallel round path (chunked concurrent proposal scoring, serial
-	// application in fixed order). Below it the proven serial kernels
-	// run — small levels can't amortize round barriers. The threshold
-	// affects which algorithm runs, never the schedule-independence of
-	// its result, so any value keeps partitions byte-identical across
-	// worker counts. 0 means the default (8192); negative disables the
-	// in-bisection path entirely.
-	ParallelThreshold int
-	// CoarsenRounds bounds the proposal/apply rounds per coarsening
-	// level on the parallel path (0 = default 3). Rounds after the
-	// first mop up vertices whose proposals lost a conflict.
-	CoarsenRounds int
 	// CollectStats enables the per-phase Stats record returned by
 	// PartitionFixedStats. Collection is cheap (a mutex-guarded counter
 	// update per phase) but off by default to keep hot paths clean.
 	CollectStats bool
-	// Trace, when non-nil, records phase spans (per-run, per-bisection,
-	// per-coarsening-level, per-FM-pass) onto the given trace for Chrome
+	// Trace, when non-nil, records phase spans (the run, each bisection,
+	// coarsening level and FM pass) onto the given trace for Chrome
 	// trace-event export. Tracing never consumes randomness or alters a
 	// partitioning decision, so traced and untraced runs are bitwise
 	// identical; when nil (the default) every span call is a free no-op
@@ -131,7 +64,54 @@ type Options struct {
 	// Cancellation never consumes randomness, so a run that is not
 	// canceled is bitwise identical whether or not a context was set.
 	Ctx context.Context
+
+	// Overrides of the level-size constants, zero meaning the default.
+	// Only in-package tests set them, to reach the parallel round path
+	// and the coarsening stall checks on small fixtures.
+	//
+	// coarsenTo stops coarsening when the vertex count drops to this
+	// value (default defaultCoarsenTo). matchNetLimit skips larger nets
+	// during connectivity scoring (default defaultMatchNetLimit).
+	// parallelThreshold is the level size at or above which coarsening
+	// and FM refinement take the parallel round path (default
+	// defaultParallelThreshold).
+	coarsenTo         int
+	matchNetLimit     int
+	parallelThreshold int
 }
+
+// The fixed settings of the multilevel algorithm: the PaToH-style
+// defaults every caller runs.
+const (
+	// defaultCoarsenTo is the vertex count at which coarsening stops.
+	defaultCoarsenTo = 100
+	// maxLevels bounds the number of coarsening levels.
+	maxLevels = 40
+	// defaultMatchNetLimit: nets with more pins carry little clustering
+	// signal (dense matrix rows) and would dominate scoring time, so
+	// connectivity scoring skips them.
+	defaultMatchNetLimit = 100
+	// initTrials is the number of initial-bisection attempts on the
+	// coarsest hypergraph.
+	initTrials = 8
+	// fmPasses bounds FM refinement passes per level.
+	fmPasses = 4
+	// maxNegMoves ends an FM pass after this many consecutive
+	// non-improving moves (hill-climb window).
+	maxNegMoves = 100
+	// defaultParallelThreshold is the level size (vertex count) at or
+	// above which coarsening and FM refinement switch to the
+	// deterministic parallel round path (chunked concurrent proposal
+	// scoring, serial application in fixed order). Below it the serial
+	// kernels run — small levels can't amortize round barriers. The
+	// threshold affects which algorithm runs, never the
+	// schedule-independence of its result.
+	defaultParallelThreshold = 8192
+	// coarsenRounds bounds the proposal/apply rounds per coarsening
+	// level on the parallel path. Rounds after the first mop up
+	// vertices whose proposals lost a conflict.
+	coarsenRounds = 3
+)
 
 // canceled reports the context's error, if a context was set and it has
 // fired. It is polled on hot-path phase boundaries, so it must stay a
@@ -144,61 +124,26 @@ func (o *Options) canceled() error {
 }
 
 // DefaultOptions returns the configuration used by the experiment
-// harness: ε = 3% (the paper's reported bound), HCC coarsening, 8 initial
-// trials, 4 FM passes.
+// harness: seed 1 and ε = 3% (the paper's reported bound).
 func DefaultOptions() Options {
-	return Options{
-		Seed:          1,
-		Eps:           0.03,
-		CoarsenTo:     100,
-		MaxLevels:     40,
-		Matching:      HCC,
-		MatchNetLimit: 100,
-		InitTrials:    8,
-		Passes:        4,
-		MaxNegMoves:   100,
-		Runs:          1,
-
-		ParallelThreshold: 8192,
-		CoarsenRounds:     3,
-	}
+	return Options{Seed: 1, Eps: 0.03}
 }
 
 func (o *Options) normalize() {
 	if o.Eps <= 0 {
 		o.Eps = 0.03
 	}
-	if o.CoarsenTo < 4 {
-		o.CoarsenTo = 4
+	if o.coarsenTo == 0 {
+		o.coarsenTo = defaultCoarsenTo
 	}
-	if o.MaxLevels <= 0 {
-		o.MaxLevels = 40
-	}
-	if o.MatchNetLimit <= 1 {
-		o.MatchNetLimit = 100
-	}
-	if o.InitTrials <= 0 {
-		o.InitTrials = 8
-	}
-	if o.Passes <= 0 {
-		o.Passes = 4
-	}
-	if o.MaxNegMoves <= 0 {
-		o.MaxNegMoves = 100
-	}
-	if o.Runs <= 0 {
-		o.Runs = 1
+	if o.matchNetLimit == 0 {
+		o.matchNetLimit = defaultMatchNetLimit
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.ParallelThreshold == 0 {
-		o.ParallelThreshold = 8192
-	} else if o.ParallelThreshold < 0 {
-		o.ParallelThreshold = math.MaxInt
-	}
-	if o.CoarsenRounds <= 0 {
-		o.CoarsenRounds = 3
+	if o.parallelThreshold == 0 {
+		o.parallelThreshold = defaultParallelThreshold
 	}
 }
 
@@ -208,7 +153,7 @@ func (o *Options) normalize() {
 // affect only scheduling grain — proposal scoring is a pure per-vertex
 // function — so this never influences the partition.
 func (o *Options) parallelChunk() int {
-	c := o.ParallelThreshold / 4
+	c := o.parallelThreshold / 4
 	if c < 16 {
 		c = 16
 	}
@@ -237,6 +182,6 @@ func bisectionEps(eps float64, k int) float64 {
 }
 
 // newRNG builds the run's root generator.
-func (o *Options) newRNG(run int) *rng.RNG {
-	return rng.New(o.Seed + 0x9e3779b97f4a7c15*uint64(run+1))
+func (o *Options) newRNG() *rng.RNG {
+	return rng.New(o.Seed + 0x9e3779b97f4a7c15)
 }

@@ -1,26 +1,21 @@
 // Parallel execution substrate for the multilevel partitioner.
 //
-// PartitionFixed parallelizes along three axes:
+// PartitionFixed parallelizes along two axes:
 //
-//  1. Random restarts (Options.Runs): every run owns an independently
-//     seeded RNG and its own output slice, so runs are embarrassingly
-//     parallel. The winner is selected by reducing over the run *index*,
-//     not completion order, which keeps the result bitwise identical to
-//     the serial schedule.
-//  2. Recursive-bisection branches: after a bisection, the two induced
+//  1. Recursive-bisection branches: after a bisection, the two induced
 //     sub-hypergraphs are disjoint and each branch writes a disjoint set
 //     of entries of the output slice, so siblings may run concurrently.
 //     Both child RNG streams are derived from the parent stream *before*
 //     either branch starts (in the exact order the serial code used),
 //     so scheduling cannot perturb any random sequence.
-//  3. In-bisection rounds: on levels of at least ParallelThreshold
-//     vertices, coarsening and FM refinement fan proposal scoring out
-//     over vertex chunks and apply results serially in a fixed order
-//     (see rounds.go). This is the axis with work to chew on when runs
-//     are few and the recursion is shallow — a single K-way partition
-//     saturates the pool from the first coarsening level.
+//  2. In-bisection rounds: on levels at or above the parallel threshold,
+//     coarsening and FM refinement fan proposal scoring out over vertex
+//     chunks and apply results serially in a fixed order (see
+//     rounds.go). This is the axis with work to chew on while the
+//     recursion is shallow — a K-way partition saturates the pool from
+//     the first coarsening level.
 //
-// All axes share one bounded worker pool of Options.Workers − 1 extra
+// Both axes share one bounded worker pool of Options.Workers − 1 extra
 // slots (the caller's goroutine is the first worker); work executes on
 // the parked workers of the process-wide executor (internal/par; the
 // tasks are in exec.go). Acquisition never blocks: when the pool is
@@ -67,7 +62,7 @@ func (p *workerPool) tryAcquire() bool {
 func (p *workerPool) release() { <-p.sem }
 
 // bisectCtx threads the shared worker pool, stats collector, and trace
-// track through the recursion. top marks run 0's first bisection, whose
+// track through the recursion. top marks the first bisection, whose
 // coarsening ladder and initial cut the Stats record describes. tk is
 // the trace track owned by the current goroutine (nil when tracing is
 // off); a branch that forks onto another goroutine gets its own track

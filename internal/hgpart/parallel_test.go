@@ -9,11 +9,10 @@ import (
 )
 
 type modelCase struct {
-	name       string
-	h          *hypergraph.Hypergraph
-	fixed      []int
-	eps        float64
-	kwayPasses int
+	name  string
+	h     *hypergraph.Hypergraph
+	fixed []int
+	eps   float64
 }
 
 // testModels builds the three hypergraph flavors the partitioner is used
@@ -54,24 +53,21 @@ func testModels(t testing.TB) []modelCase {
 		{name: "finegrain", h: fg.H},
 		{name: "columnnet", h: cn.H},
 		{name: "checkerboard-fixed", h: fg.H, fixed: fixed},
-		{name: "finegrain-kway", h: fg.H, kwayPasses: 2},
 	}
 }
 
 // TestWorkersDeterministic is the core guarantee of the parallel
 // partitioner: for a given Seed, Parts is byte-identical no matter how
-// many workers execute the runs and recursion branches.
+// many workers execute the recursion branches.
 func TestWorkersDeterministic(t *testing.T) {
 	const k = 8
 	for _, tc := range testModels(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Seed = 42
-			opts.Runs = 2
 			if tc.eps > 0 {
 				opts.Eps = tc.eps
 			}
-			opts.KWayPasses = tc.kwayPasses
 
 			opts.Workers = 1
 			serial, err := PartitionFixed(tc.h, k, tc.fixed, opts)
@@ -118,8 +114,6 @@ func TestStatsCollected(t *testing.T) {
 
 	opts := DefaultOptions()
 	opts.Seed = 3
-	opts.Runs = 2
-	opts.KWayPasses = 2
 	opts.Workers = 4
 
 	plain, err := Partition(fg.H, k, opts)
@@ -154,8 +148,8 @@ func TestStatsCollected(t *testing.T) {
 		t.Fatalf("phase times not recorded: total=%v coarsen=%v refine=%v",
 			stats.TotalTime, stats.CoarsenTime, stats.RefineTime)
 	}
-	if stats.Workers != 4 || stats.Runs != 2 {
-		t.Fatalf("Workers/Runs = %d/%d, want 4/2", stats.Workers, stats.Runs)
+	if stats.Workers != 4 {
+		t.Fatalf("Workers = %d, want 4", stats.Workers)
 	}
 	if stats.Utilization <= 0 || stats.Utilization > 1.0+1e-9 {
 		t.Fatalf("Utilization = %v out of range", stats.Utilization)

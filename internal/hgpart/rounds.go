@@ -2,9 +2,10 @@
 // shared by parallel coarsening (clusterRounds) and parallel FM
 // refinement (fmParallelRefine).
 //
-// Levels at or above Options.ParallelThreshold are processed in rounds
-// with a strict two-phase shape, following the many-core rounds scheme
-// of Fagginger Auer & Bisseling and mt-KaHyPar's deterministic mode:
+// Levels at or above the parallel threshold (defaultParallelThreshold
+// vertices) are processed in rounds with a strict two-phase shape,
+// following the many-core rounds scheme of Fagginger Auer & Bisseling
+// and mt-KaHyPar's deterministic mode:
 //
 //	phase A (parallel): the vertex range is cut into fixed-size chunks
 //	  (grain derived from the threshold, never from Workers). Chunks
@@ -22,9 +23,10 @@
 //	  round.
 //
 // Because every cross-goroutine dependency runs through the
-// phase-A/phase-B barrier and all tie-breaking is seeded, the coarse
-// hypergraph and the refined bisection are independent of scheduling —
-// the partition stays byte-identical at every worker count.
+// phase-A/phase-B barrier and every tie breaks by a fixed order, never
+// by timing, the coarse hypergraph and the refined bisection are
+// independent of scheduling — the partition stays byte-identical at
+// every worker count.
 package hgpart
 
 import (
@@ -106,38 +108,23 @@ func chunkCount(n, chunk int) int {
 // (chunk i owns the order positions [i·chunk, (i+1)·chunk)). Phase B
 // (apply) mutates cmap/clusters/boundW serially.
 type clusterRound struct {
-	h         *hypergraph.Hypergraph
-	netInc    []float64
-	cmap      []int
-	clusters  []clusterMeta
-	fixedSide []int8
-	order     []int // global visit permutation, drawn once per level
-	prop      []int // prop[p]: proposed key for vertex order[p], −1 none
-
-	fixedCap    [2]float64
-	boundW      [2]float64
-	maxClusterW int
-	keyBase     int
-	chunk       int
-	scheme      MatchScheme
-	roundSeed   uint64
-}
-
-// mix64 is one splitmix64 output step — the seeded per-vertex
-// tie-breaker of RandomMatch proposals (allocation-free, unlike an RNG
-// child per vertex).
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	mergeRule
+	netInc   []float64
+	cmap     []int
+	clusters []clusterMeta
+	boundW   [2]float64
+	order    []int // global visit permutation, drawn once per level
+	prop     []int // prop[p]: proposed key for vertex order[p], −1 none
+	chunk    int
 }
 
 // scoreChunk computes the proposal of every still-unmatched vertex in
-// chunk i of the visit order: the same candidate enumeration and
-// feasibility filter as the serial cluster kernel, evaluated against
-// the previous round's snapshot. Scoring state (epoch-stamped slots,
-// candidate list) comes from the executing goroutine's own scratch.
+// chunk i of the visit order: the same candidate enumeration and merge
+// filter as the serial cluster kernel, evaluated against the previous
+// round's snapshot. A snapshot check going stale is harmless — phase B
+// re-validates against the live state, so it only costs the vertex a
+// retry next round. Scoring state (epoch-stamped slots, candidate
+// list) comes from the executing goroutine's own scratch.
 func (cr *clusterRound) scoreChunk(i int, s *scratch) {
 	lo := i * cr.chunk
 	hi := lo + cr.chunk
@@ -145,8 +132,6 @@ func (cr *clusterRound) scoreChunk(i int, s *scratch) {
 		hi = len(cr.order)
 	}
 	h := cr.h
-	isHCM := cr.scheme == HCM
-	isRandom := cr.scheme == RandomMatch
 	s.slots = grow(s.slots, 2*cr.keyBase)
 	slots := s.slots
 	epoch := s.epoch
@@ -159,96 +144,22 @@ func (cr *clusterRound) scoreChunk(i int, s *scratch) {
 			continue
 		}
 		epoch++
-		cands = cands[:0]
-		wv := h.VertexWeight(v)
-		sv := cr.fixedSide[v]
-		for _, net := range h.Nets(v) {
-			inc := cr.netInc[net]
-			if inc == 0 {
+		cands = scoreCandidates(h, cr.netInc, cr.cmap, cr.keyBase, v, slots, epoch, cands)
+		wv, sv := h.VertexWeight(v), cr.fixedSide[v]
+		best, bestScore := -1, 0.0
+		for _, key := range cands {
+			sc := slots[key].score
+			if sc <= bestScore {
 				continue
 			}
-			for _, u := range h.Pins(net) {
-				if u == v {
-					continue
-				}
-				var key int
-				if c := cr.cmap[u]; c >= 0 {
-					if isHCM {
-						continue // HCM only pairs unclustered vertices
-					}
-					key = c
-				} else {
-					key = cr.keyBase + u
-				}
-				sl := &slots[key]
-				if sl.stamp != epoch {
-					sl.stamp = epoch
-					sl.score = 0
-					cands = append(cands, key)
-				}
-				sl.score += inc
-			}
-		}
-		best := -1
-		if isRandom && len(cands) > 0 {
-			// Seeded rotation through the deterministic first-encounter
-			// candidate order: random enough for the ablation baseline,
-			// identical at every worker count.
-			off := int(mix64(cr.roundSeed^uint64(v)) % uint64(len(cands)))
-			for j := range cands {
-				key := cands[(off+j)%len(cands)]
-				if cr.feasible(key, wv, sv) {
-					best = key
-					break
-				}
-			}
-		} else {
-			bestScore := 0.0
-			for _, key := range cands {
-				if !cr.feasible(key, wv, sv) {
-					continue
-				}
-				if sc := slots[key].score; sc > bestScore {
-					bestScore, best = sc, key
-				}
+			if _, _, ok := cr.check(key, wv, sv, cr.clusters, &cr.boundW); ok {
+				best, bestScore = key, sc
 			}
 		}
 		cr.prop[p] = best
 	}
 	s.epoch = epoch
 	s.cands = cands
-}
-
-// feasible applies the serial kernel's merge filter (weight cap, fixed
-// sides compatible, fixed-side weight budget) to candidate key against
-// the round snapshot. Proposals are re-validated at apply time against
-// the live state, so a snapshot check going stale is harmless — it only
-// costs the vertex a retry next round.
-func (cr *clusterRound) feasible(key, wv int, sv int8) bool {
-	var uw int
-	var uside int8
-	if key < cr.keyBase {
-		uw = cr.clusters[key].w
-		uside = cr.clusters[key].side
-	} else {
-		u := key - cr.keyBase
-		uw = cr.h.VertexWeight(u)
-		uside = cr.fixedSide[u]
-	}
-	if uw+wv > cr.maxClusterW {
-		return false
-	}
-	if sv >= 0 && uside >= 0 && sv != uside {
-		return false
-	}
-	bindSide, bindW := -1, 0.0
-	switch {
-	case sv >= 0 && uside < 0:
-		bindSide, bindW = int(sv), float64(uw)
-	case sv < 0 && uside >= 0:
-		bindSide, bindW = int(uside), float64(wv)
-	}
-	return bindSide < 0 || cr.boundW[bindSide]+bindW <= cr.fixedCap[bindSide]+1e-9
 }
 
 // fmRound is the shared state of one parallel FM proposal round: phase

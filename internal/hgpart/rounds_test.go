@@ -8,10 +8,10 @@ import (
 )
 
 // TestParallelRoundsDeterministic is the house invariant extended to the
-// in-bisection round machinery: with ParallelThreshold lowered so the
+// in-bisection round machinery: with parallelThreshold lowered so the
 // round-based coarsening and FM paths run on every level, Parts must be
-// byte-identical across worker counts for every matching scheme and with
-// fixed vertices. Runs under -race via make ci.
+// byte-identical across worker counts, with and without fixed vertices.
+// Runs under -race via make ci.
 func TestParallelRoundsDeterministic(t *testing.T) {
 	h := randomHG(rng.New(101), 1600, 1300)
 	fixed := make([]int, h.NumVertices())
@@ -23,23 +23,17 @@ func TestParallelRoundsDeterministic(t *testing.T) {
 	}
 	cases := []struct {
 		name  string
-		match MatchScheme
 		fixed []int
 	}{
-		{name: "HCC", match: HCC},
-		{name: "HCM", match: HCM},
-		{name: "RandomMatch", match: RandomMatch},
-		{name: "HCC-fixed", match: HCC, fixed: fixed},
+		{name: "HCC"},
+		{name: "HCC-fixed", fixed: fixed},
 	}
 	const k = 4
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Seed = 7
-			opts.Runs = 2
-			opts.KWayPasses = 1
-			opts.Matching = tc.match
-			opts.ParallelThreshold = 64
+			opts.parallelThreshold = 64
 
 			var ref []int
 			for _, workers := range []int{1, 2, 3, 8} {
@@ -74,17 +68,17 @@ func TestParallelRoundsExecuted(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Seed = 1
 	opts.Workers = 4
-	opts.ParallelThreshold = 64
+	opts.parallelThreshold = 64
 	opts.CollectStats = true
 	_, stats, err := PartitionStats(h, 8, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.CoarsenRounds == 0 {
-		t.Fatal("ParallelThreshold=64 executed zero parallel coarsening rounds")
+		t.Fatal("parallelThreshold=64 executed zero parallel coarsening rounds")
 	}
 	if stats.FMRounds == 0 {
-		t.Fatal("ParallelThreshold=64 executed zero parallel FM rounds")
+		t.Fatal("parallelThreshold=64 executed zero parallel FM rounds")
 	}
 }
 
@@ -129,9 +123,8 @@ func TestWorkersAllocParity(t *testing.T) {
 	measure := func(workers int) float64 {
 		opts := DefaultOptions()
 		opts.Seed = 4
-		opts.Runs = 2
 		opts.Workers = workers
-		opts.ParallelThreshold = 128
+		opts.parallelThreshold = 128
 		// Warm up so worker goroutines, their arenas, and the task pool
 		// reach steady state before counting.
 		for i := 0; i < 3; i++ {

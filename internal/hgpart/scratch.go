@@ -8,7 +8,7 @@
 // profile (millions of objects per K=64 partition), so they live here
 // instead: one scratch struct per goroutine — the caller's from a
 // sync.Pool, an executor worker's in its Local slot (exec.go) — reused
-// across levels, FM passes, restarts, and recursion depths. Buffers
+// across levels, FM passes, and recursion depths. Buffers
 // only ever grow; deeper (smaller) levels reslice the top-level
 // capacity.
 //
@@ -27,8 +27,8 @@ import "sync"
 // different groups may alias lifetimes freely because the phases run
 // strictly sequentially on one goroutine.
 type scratch struct {
-	// perm is the shared r.PermInto target used by cluster, fmPass and
-	// kwayRefine (never live in two phases at once).
+	// perm is the shared r.PermInto target used by cluster,
+	// clusterRounds and fmPass (never live in two phases at once).
 	perm []int
 
 	// cluster: per-candidate score accumulators, epoch-stamped so no
@@ -73,14 +73,7 @@ type scratch struct {
 	gainCache []int
 	dirty     []bool
 
-	// direct K-way refinement: net connectivities and the epoch-stamped
-	// part marks shared by candidate collection and λ counting.
-	lambda []int
-	stampK []int
-	epochK int
-	candsK []int
-
-	// parallel rounds (coarsen/FM on levels ≥ ParallelThreshold): the
+	// parallel rounds (coarsen/FM on levels ≥ the parallel threshold): the
 	// round-job control block helpers drain from and the shared
 	// per-round state. rj/cl/fm are referenced by helper goroutines for
 	// the duration of one round only; the buffers below back cl/fm's

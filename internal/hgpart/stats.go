@@ -20,32 +20,26 @@ type LevelStat struct {
 
 // Stats is the observability record of one PartitionFixedStats call,
 // collected when Options.CollectStats is set. Counters aggregate over
-// every bisection of every run; phase times are summed busy time (they
-// can exceed TotalTime when work ran in parallel). The Levels ladder and
-// InitialCut describe the first (top-level) bisection of run 0, the one
-// that dominates cost and quality.
+// every bisection; phase times are summed busy time (they can exceed
+// TotalTime when work ran in parallel). The Levels ladder and
+// InitialCut describe the first (top-level) bisection, the one that
+// dominates cost and quality.
 type Stats struct {
-	// Workers is the normalized worker bound the call ran with; Runs is
-	// the number of multilevel restarts.
+	// Workers is the normalized worker bound the call ran with.
 	Workers int
-	Runs    int
-	// RunsSpawned counts restarts that executed on their own goroutine
-	// (the rest ran inline on the caller's goroutine).
-	RunsSpawned int
 	// Bisections is the number of multilevel bisections performed
-	// (K−1 per successful run under recursive bisection).
+	// (K−1 under recursive bisection).
 	Bisections int
-	// Levels is the coarsening ladder of run 0's top-level bisection,
+	// Levels is the coarsening ladder of the top-level bisection,
 	// finest first.
 	Levels []LevelStat
 	// InitialCut is the cut of the best initial bisection of the
-	// coarsest hypergraph in run 0's top-level bisection.
+	// coarsest hypergraph in the top-level bisection.
 	InitialCut int
-	// Per-phase busy times, summed across runs and bisections.
+	// Per-phase busy times, summed across bisections.
 	CoarsenTime time.Duration
 	InitialTime time.Duration
 	RefineTime  time.Duration
-	KWayTime    time.Duration
 	// BusyTime is the sum of the phase times above; Utilization is
 	// BusyTime / (Workers × TotalTime), an estimate of how busy the
 	// worker pool was kept.
@@ -61,16 +55,16 @@ type Stats struct {
 	// restoration step outside FM passes.
 	RebalanceMoves int
 	// CoarsenRounds / FMRounds count parallel in-bisection rounds
-	// executed on levels of at least Options.ParallelThreshold
-	// vertices (zero when every level took the serial path).
+	// executed on levels at or above the parallel threshold (8192
+	// vertices; zero when every level took the serial path).
 	CoarsenRounds int
 	FMRounds      int
 	// BranchesSpawned / BranchesInline count recursive-bisection sibling
 	// pairs whose left branch ran on a pooled goroutine vs inline.
 	BranchesSpawned int
 	BranchesInline  int
-	// MaxConcurrent is the peak number of simultaneously active run or
-	// branch tasks observed.
+	// MaxConcurrent is the peak number of simultaneously active
+	// recursion tasks observed.
 	MaxConcurrent int
 }
 
@@ -81,18 +75,16 @@ func (s *Stats) String() string {
 	fmt.Fprintf(&b, "partitioner stats:\n")
 	fmt.Fprintf(&b, "  workers:      %d (peak concurrency %d, utilization %.0f%%)\n",
 		s.Workers, s.MaxConcurrent, 100*s.Utilization)
-	fmt.Fprintf(&b, "  runs:         %d (%d on own goroutine)\n", s.Runs, s.RunsSpawned)
 	fmt.Fprintf(&b, "  bisections:   %d (%d branches spawned, %d inline)\n",
 		s.Bisections, s.BranchesSpawned, s.BranchesInline)
-	fmt.Fprintf(&b, "  phases:       coarsen %v, initial %v, refine %v, kway %v (total wall %v)\n",
+	fmt.Fprintf(&b, "  phases:       coarsen %v, initial %v, refine %v (total wall %v)\n",
 		s.CoarsenTime.Round(time.Microsecond), s.InitialTime.Round(time.Microsecond),
-		s.RefineTime.Round(time.Microsecond), s.KWayTime.Round(time.Microsecond),
-		s.TotalTime.Round(time.Microsecond))
+		s.RefineTime.Round(time.Microsecond), s.TotalTime.Round(time.Microsecond))
 	fmt.Fprintf(&b, "  FM:           %d passes, %d moves, %d rolled back; %d rebalance moves\n",
 		s.FMPasses, s.FMMoves, s.FMRollbacks, s.RebalanceMoves)
 	fmt.Fprintf(&b, "  rounds:       %d coarsen, %d FM (parallel in-bisection)\n",
 		s.CoarsenRounds, s.FMRounds)
-	fmt.Fprintf(&b, "  initial cut:  %d (coarsest level, run 0)\n", s.InitialCut)
+	fmt.Fprintf(&b, "  initial cut:  %d (coarsest level)\n", s.InitialCut)
 	fmt.Fprintf(&b, "  ladder:")
 	for i, lv := range s.Levels {
 		if i > 0 {
@@ -104,8 +96,8 @@ func (s *Stats) String() string {
 	return b.String()
 }
 
-// statsCollector accumulates Stats under a mutex so concurrent runs and
-// branches can report without coordination. A nil collector is valid and
+// statsCollector accumulates Stats under a mutex so concurrent branches
+// can report without coordination. A nil collector is valid and
 // turns every method into a no-op, which keeps the hot paths free of
 // conditionals at the call sites.
 type statsCollector struct {
@@ -116,7 +108,7 @@ type statsCollector struct {
 
 func (c *statsCollector) enabled() bool { return c != nil }
 
-// enter/leave bracket one run or branch task for peak-concurrency
+// enter/leave bracket the run or one branch task for peak-concurrency
 // tracking.
 func (c *statsCollector) enter() {
 	if c == nil {
@@ -167,16 +159,6 @@ func (c *statsCollector) addBisection(coarsen, initial, refine time.Duration) {
 	c.s.InitialTime += initial
 	c.s.RefineTime += refine
 	c.s.BusyTime += coarsen + initial + refine
-	c.mu.Unlock()
-}
-
-func (c *statsCollector) addKWay(d time.Duration) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.s.KWayTime += d
-	c.s.BusyTime += d
 	c.mu.Unlock()
 }
 
@@ -236,22 +218,12 @@ func (c *statsCollector) branch(spawned bool) {
 	c.mu.Unlock()
 }
 
-func (c *statsCollector) runSpawned() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.s.RunsSpawned++
-	c.mu.Unlock()
-}
-
 // finish stamps the call-level fields and returns a snapshot.
-func (c *statsCollector) finish(total time.Duration, workers, runs int) *Stats {
+func (c *statsCollector) finish(total time.Duration, workers int) *Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.s.TotalTime = total
 	c.s.Workers = workers
-	c.s.Runs = runs
 	if total > 0 && workers > 0 {
 		c.s.Utilization = float64(c.s.BusyTime) / (float64(workers) * float64(total))
 	}

@@ -16,7 +16,6 @@ import (
 func TestTraceDeterminism(t *testing.T) {
 	h := randomHG(rng.New(41), 600, 500)
 	opts := DefaultOptions()
-	opts.Runs = 3
 	opts.Workers = 1
 	base, err := Partition(h, 8, opts)
 	if err != nil {
@@ -51,12 +50,11 @@ func TestTraceDeterminism(t *testing.T) {
 func TestTraceSpanTaxonomy(t *testing.T) {
 	h := randomHG(rng.New(7), 400, 350)
 	opts := DefaultOptions()
-	opts.KWayPasses = 1
 	opts.Workers = 2
-	// Between CoarsenTo (100) and the input size, so fine levels use the
+	// Between the coarsening target (100) and the input size, so fine levels use the
 	// parallel rounds (coarsen.round / fm.round) while coarse levels use
 	// the serial kernels (fm.pass) — both span families must appear.
-	opts.ParallelThreshold = 256
+	opts.parallelThreshold = 256
 	opts.Trace = obs.New()
 	if _, err := Partition(h, 4, opts); err != nil {
 		t.Fatal(err)
@@ -81,8 +79,7 @@ func TestTraceSpanTaxonomy(t *testing.T) {
 		}
 	}
 	for _, want := range []string{"run", "bisect", "coarsen", "coarsen.level",
-		"coarsen.round", "initial.bisect", "refine", "fm.pass", "fm.round",
-		"kway.refine"} {
+		"coarsen.round", "initial.bisect", "refine", "fm.pass", "fm.round"} {
 		if !seen[want] {
 			t.Errorf("span %q missing from trace; have %v", want, seen)
 		}

@@ -46,7 +46,7 @@ type metrics struct {
 	sessionSolves      atomic.Int64 // solves served through session endpoints
 
 	partitionSeconds *histogram
-	phaseSeconds     map[string]*histogram // coarsen | initial | refine | kway
+	phaseSeconds     map[string]*histogram // coarsen | initial | refine
 	solveSeconds     *histogram
 	solveRHS         *histogram // right-hand sides per solve request (batch width)
 
@@ -69,7 +69,7 @@ func (m *metrics) tenantQueueAdd(tenant string, delta int64) {
 	m.tenantMu.Unlock()
 }
 
-var phaseNames = []string{"coarsen", "initial", "refine", "kway"}
+var phaseNames = []string{"coarsen", "initial", "refine"}
 
 func newMetrics() *metrics {
 	m := &metrics{

@@ -720,7 +720,6 @@ func (s *Server) runJob(j *job) {
 		s.metrics.phaseSeconds["coarsen"].observe(ps.CoarsenTime.Seconds())
 		s.metrics.phaseSeconds["initial"].observe(ps.InitialTime.Seconds())
 		s.metrics.phaseSeconds["refine"].observe(ps.RefineTime.Seconds())
-		s.metrics.phaseSeconds["kway"].observe(ps.KWayTime.Seconds())
 	}
 	if ev := s.cache.add(j.key, res); ev > 0 {
 		s.metrics.cacheEvictions.Add(int64(ev))
