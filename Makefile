@@ -40,13 +40,14 @@ test:
 	$(GO) test ./...
 
 # race covers the concurrent subsystems, including the shared executor
-# (internal/par), the partition server's end-to-end test (in-process
+# (internal/par), both partitioners' parallel recursion branches
+# (internal/hgpart, internal/gpart), the partition server's end-to-end test (in-process
 # daemon, concurrent duplicate submissions, graceful drain), the real
 # SpMV kernel's bitwise determinism at worker counts beyond GOMAXPROCS,
 # and the solver's multi-worker block and kernel CG.
 race:
-	$(GO) test -race ./internal/par/ ./internal/hgpart/ ./internal/spmv/ ./internal/partserver/ ./internal/kernel/ ./internal/solver/ ./internal/reorder/ ./internal/mediumgrain/ ./internal/spgemm/
-	$(GO) test -race -run 'TestLocality|TestMediumGrain|TestAuto' .
+	$(GO) test -race ./internal/par/ ./internal/hgpart/ ./internal/gpart/ ./internal/spmv/ ./internal/partserver/ ./internal/kernel/ ./internal/solver/ ./internal/reorder/ ./internal/mediumgrain/ ./internal/spgemm/
+	$(GO) test -race -run 'TestLocality|TestMediumGrain|TestAuto|TestGraphModelWorkers' .
 	$(GO) test ./...
 
 # e2e-fleet boots two-replica fleets under the race detector: a shared

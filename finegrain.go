@@ -234,8 +234,9 @@ type Options struct {
 	// Eps is the allowed load imbalance ε (default 0.03, the paper's
 	// reported bound).
 	Eps float64
-	// Workers bounds the number of goroutines the hypergraph partitioner
-	// uses (0 = GOMAXPROCS). The decomposition is identical for every
+	// Workers bounds the number of goroutines the partitioner uses, the
+	// hypergraph partitioner (hgpart) and the graph partitioner (gpart)
+	// alike (0 = GOMAXPROCS). The decomposition is identical for every
 	// Workers value given the same Seed.
 	Workers int
 	// CollectStats enables the partitioner's per-phase statistics,
@@ -273,6 +274,7 @@ func (o Options) gOptions() gpart.Options {
 	if o.Eps > 0 {
 		opts.Eps = o.Eps
 	}
+	opts.Workers = o.Workers
 	opts.Ctx = o.Ctx
 	opts.Trace = o.Trace
 	return opts

@@ -118,3 +118,26 @@ func TestGoldenPartitions(t *testing.T) {
 		t.Errorf("checked %d instances, %d digests recorded", seen, len(goldenDigests))
 	}
 }
+
+// TestGraphModelWorkersDeterministic requires the graph model's owner
+// arrays to be the recorded ones at every Options.Workers: the graph
+// partitioner runs recursion branches in parallel, and the result must
+// not depend on how many run at once.
+func TestGraphModelWorkersDeterministic(t *testing.T) {
+	a, err := finegrain.Generate("ken-11", 0.05, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{16, 64} {
+		want := goldenDigests[fmt.Sprintf("ken-11/%d/graph", k)]
+		for _, workers := range []int{1, 2, 8} {
+			dec, err := finegrain.DecomposeModel("graph", a, k, finegrain.Options{Seed: 1, Workers: workers})
+			if err != nil {
+				t.Fatalf("k=%d workers=%d: %v", k, workers, err)
+			}
+			if got := ownerDigest(dec); got != want {
+				t.Errorf("k=%d workers=%d: digest %s, want %s", k, workers, got, want)
+			}
+		}
+	}
+}

@@ -118,41 +118,72 @@ type StandardGraphModel struct {
 	A *sparse.CSR
 }
 
-// BuildStandardGraph constructs the standard graph model of A.
+// BuildStandardGraph constructs the standard graph model of A. Vertex
+// i's neighbours are the sorted merge of row i of A and column i of A
+// (row i of Aᵀ) without i itself, and an edge's cost is how many of the
+// two lists hold the neighbour. The CSR arrays are written directly:
+// one pass counts each merged row, the next fills it.
 func BuildStandardGraph(a *sparse.CSR) (*StandardGraphModel, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("%w: %dx%d", ErrNotSquare, a.Rows, a.Cols)
 	}
 	m := a.Rows
-	b := graph.NewBuilder(m)
+	t := a.ToCSC()
+	adjPtr := make([]int, m+1)
+	vw := make([]int, m)
 	for i := 0; i < m; i++ {
-		w := a.RowNNZ(i)
-		b.SetVertexWeight(i, w)
+		row, _ := a.Row(i)
+		col, _ := t.Col(i)
+		adjPtr[i+1] = adjPtr[i] + mergeAdj(row, col, i, nil, nil)
+		vw[i] = len(row)
 	}
-	t := a.Transpose()
+	adjTo := make([]int, adjPtr[m])
+	adjW := make([]int, adjPtr[m])
 	for i := 0; i < m; i++ {
-		cols, _ := a.Row(i)
-		for _, j := range cols {
-			if j <= i {
-				continue // handle each unordered pair once, from the lower index
-			}
-			cost := 1
-			if t.Has(i, j) { // a_ji also stored
-				cost = 2
-			}
-			b.AddEdge(i, j, cost)
+		row, _ := a.Row(i)
+		col, _ := t.Col(i)
+		lo, hi := adjPtr[i], adjPtr[i+1]
+		mergeAdj(row, col, i, adjTo[lo:hi], adjW[lo:hi])
+	}
+	return &StandardGraphModel{G: graph.FromCSR(adjPtr, adjTo, adjW, vw), A: a}, nil
+}
+
+// mergeAdj merges two sorted unique index lists, skipping self, and
+// returns the merged length. Each merged index j gets weight 1 or 2,
+// the number of lists holding it. When to is nil it only counts.
+func mergeAdj(x, y []int, self int, to, w []int) int {
+	n := 0
+	emit := func(j, c int) {
+		if j == self {
+			return
 		}
-		// Edges present only in the transpose direction (a_ji ≠ 0,
-		// a_ij = 0) for j > i.
-		tcols, _ := t.Row(i)
-		for _, j := range tcols {
-			if j <= i || a.Has(i, j) {
-				continue
-			}
-			b.AddEdge(i, j, 1)
+		if to != nil {
+			to[n], w[n] = j, c
+		}
+		n++
+	}
+	i, k := 0, 0
+	for i < len(x) && k < len(y) {
+		switch {
+		case x[i] < y[k]:
+			emit(x[i], 1)
+			i++
+		case x[i] > y[k]:
+			emit(y[k], 1)
+			k++
+		default:
+			emit(x[i], 2)
+			i++
+			k++
 		}
 	}
-	return &StandardGraphModel{G: b.Build(), A: a}, nil
+	for ; i < len(x); i++ {
+		emit(x[i], 1)
+	}
+	for ; k < len(y); k++ {
+		emit(y[k], 1)
+	}
+	return n
 }
 
 // Decode1D decodes a K-way partition of the rows into an Assignment

@@ -3,6 +3,7 @@ package gpart
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -43,13 +44,29 @@ func TestCanceledContextRejectedUpFront(t *testing.T) {
 
 func TestCancellationMidSearch(t *testing.T) {
 	g := randomG(rng.New(7), 4000, 12000)
+	// Warm the executor, so the workers a spawned branch parks on exist
+	// before the baseline is taken.
+	warm := DefaultOptions()
+	warm.Workers = 2
+	if _, err := Partition(g, 16, warm); err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
 	// A handful of polls survive the entry checks; the search must then
 	// stop at the next phase boundary rather than run to completion.
-	for _, polls := range []int64{1, 3, 8, 20} {
-		opts := DefaultOptions()
-		opts.Ctx = newCountdownCtx(polls)
-		if _, err := Partition(g, 16, opts); !errors.Is(err, context.Canceled) {
-			t.Fatalf("polls=%d: want context.Canceled, got %v", polls, err)
+	for _, workers := range []int{1, 2} {
+		for _, polls := range []int64{1, 3, 8, 20, 150, 400} {
+			opts := DefaultOptions()
+			opts.Workers = workers
+			opts.Ctx = newCountdownCtx(polls)
+			if _, err := Partition(g, 16, opts); !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers=%d polls=%d: want context.Canceled, got %v", workers, polls, err)
+			}
+			// A spawned branch is joined before Partition returns, and its
+			// worker parks before the join, so nothing is left running.
+			if n := runtime.NumGoroutine(); n > base {
+				t.Fatalf("workers=%d polls=%d: %d goroutines after cancel, baseline %d", workers, polls, n, base)
+			}
 		}
 	}
 }

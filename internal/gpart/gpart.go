@@ -4,7 +4,9 @@
 // this algorithm. The scheme mirrors internal/hgpart: heavy-edge
 // matching coarsening, greedy graph growing + random initial bisections,
 // boundary FM refinement on the edge-cut objective, and recursive
-// bisection with proportional target weights for general K.
+// bisection with proportional target weights for general K. Recursion
+// branches run in parallel on the process-wide executor
+// (internal/par); see parallel.go.
 package gpart
 
 import (
@@ -12,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 
 	"finegrain/internal/graph"
 	"finegrain/internal/obs"
@@ -28,6 +31,10 @@ type Options struct {
 	Seed uint64
 	// Eps is the allowed final imbalance ε in W_k ≤ W_avg(1+ε).
 	Eps float64
+	// Workers bounds the goroutines one Partition call uses
+	// (0 = GOMAXPROCS). The partition is identical for every Workers
+	// value given the same Seed.
+	Workers int
 	// Trace, when non-nil, records phase spans (the run, each
 	// bisection, coarsening level and refinement) for Chrome
 	// trace-event export. Tracing never consumes randomness or alters a
@@ -78,6 +85,9 @@ func (o *Options) normalize() {
 	if o.Eps <= 0 {
 		o.Eps = 0.03
 	}
+	if o.Workers <= 0 {
+		o.Workers = runtime.GOMAXPROCS(0)
+	}
 }
 
 func bisectionEps(eps float64, k int) float64 {
@@ -121,7 +131,8 @@ func Partition(g *graph.Graph, k int, opts Options) (*graph.Partition, error) {
 	for i := range ids {
 		ids[i] = i
 	}
-	err := recursiveBisect(g, ids, 0, k, bisectionEps(opts.Eps, k), opts, r, parts, tk)
+	rc := newRecursion(opts, bisectionEps(opts.Eps, k), parts, tk)
+	err := rc.bisect(g, ids, 0, k, r, tk, new(scratch))
 	rsp.End()
 	if err != nil {
 		if ctxErr := opts.canceled(); ctxErr != nil {
@@ -134,8 +145,10 @@ func Partition(g *graph.Graph, k int, opts Options) (*graph.Partition, error) {
 	return p, nil
 }
 
-func recursiveBisect(sub *graph.Graph, ids []int, kLo, k int, epsB float64,
-	opts Options, r *rng.RNG, out []int, tk *obs.Track) error {
+// bisect splits sub, whose vertex v is vertex ids[v] of the input, into
+// parts kLo..kLo+k−1 of out. tk and s belong to the calling goroutine.
+func (rc *recursion) bisect(sub *graph.Graph, ids []int, kLo, k int, r *rng.RNG,
+	tk *obs.Track, s *scratch) error {
 
 	// A zero-weight side can come back empty; its parts stay empty.
 	// Each branch has its own r.Child(), so skipping one moves no other
@@ -145,11 +158,11 @@ func recursiveBisect(sub *graph.Graph, ids []int, kLo, k int, epsB float64,
 	}
 	if k == 1 {
 		for _, gid := range ids {
-			out[gid] = kLo
+			rc.out[gid] = kLo
 		}
 		return nil
 	}
-	if err := opts.canceled(); err != nil {
+	if err := rc.opts.canceled(); err != nil {
 		return err
 	}
 	sp := tk.Begin("gpart", "bisect").
@@ -157,51 +170,94 @@ func recursiveBisect(sub *graph.Graph, ids []int, kLo, k int, epsB float64,
 	defer sp.End()
 	kL := k / 2
 	kR := k - kL
-	side, err := multilevelBisect(sub, kL, kR, epsB, opts, r, tk)
+	side, err := multilevelBisect(sub, kL, kR, rc.epsB, rc.opts, r, tk, s)
 	if err != nil {
 		return err
 	}
-	leftG, leftIDs := inducedSide(sub, ids, side, 0)
-	rightG, rightIDs := inducedSide(sub, ids, side, 1)
-	if err := recursiveBisect(leftG, leftIDs, kLo, kL, epsB, opts, r.Child(), out, tk); err != nil {
+	leftG, leftIDs := inducedSide(sub, ids, side, 0, s)
+	rightG, rightIDs := inducedSide(sub, ids, side, 1, s)
+	// Both child streams are drawn before either branch runs. The left
+	// branch never touches r, so they are the streams a serial
+	// left-then-right recursion draws, whichever goroutine runs them.
+	rL, rR := r.Child(), r.Child()
+	if kR > 1 && len(rightIDs) > 0 {
+		if slot, ok := rc.tryAcquire(); ok {
+			t := &branchTask{rc: rc, slot: slot, sub: rightG, ids: rightIDs, kLo: kLo + kL, k: kR, r: rR}
+			t.g.Go(t, 0)
+			errL := rc.bisect(leftG, leftIDs, kLo, kL, rL, tk, s)
+			t.g.Wait()
+			if errL != nil {
+				return errL
+			}
+			return t.err
+		}
+	}
+	if err := rc.bisect(leftG, leftIDs, kLo, kL, rL, tk, s); err != nil {
 		return err
 	}
-	return recursiveBisect(rightG, rightIDs, kLo+kL, kR, epsB, opts, r.Child(), out, tk)
+	return rc.bisect(rightG, rightIDs, kLo+kL, kR, rR, tk, s)
 }
 
 // inducedSide extracts the subgraph of one side; cut edges are dropped
-// (edge cut decomposes additively over recursion levels).
-func inducedSide(g *graph.Graph, ids []int, side []int8, want int8) (*graph.Graph, []int) {
-	local := make([]int, g.NumVertices())
-	var subIDs []int
+// (edge cut decomposes additively over recursion levels). The kept
+// vertices are renumbered in order, so the map is monotone and every
+// copied neighbour list stays sorted: one counting pass sizes the CSR
+// and a second fills it.
+func inducedSide(g *graph.Graph, ids []int, side []int8, want int8, s *scratch) (*graph.Graph, []int) {
+	numV := g.NumVertices()
+	local := grow(s.local, numV)
+	s.local = local
 	n := 0
-	for v := 0; v < g.NumVertices(); v++ {
+	for v := 0; v < numV; v++ {
 		if side[v] == want {
 			local[v] = n
-			subIDs = append(subIDs, ids[v])
 			n++
 		} else {
 			local[v] = -1
 		}
 	}
-	b := graph.NewBuilder(n)
-	for v := 0; v < g.NumVertices(); v++ {
-		if local[v] < 0 {
+	subIDs := make([]int, n)
+	vw := make([]int, n)
+	adjPtr := make([]int, n+1)
+	for v := 0; v < numV; v++ {
+		lv := local[v]
+		if lv < 0 {
 			continue
 		}
-		b.SetVertexWeight(local[v], g.VertexWeight(v))
+		subIDs[lv] = ids[v]
+		vw[lv] = g.VertexWeight(v)
+		kept := 0
+		to, _ := g.Adj(v)
+		for _, u := range to {
+			if local[u] >= 0 {
+				kept++
+			}
+		}
+		adjPtr[lv+1] = adjPtr[lv] + kept
+	}
+	adjTo := make([]int, adjPtr[n])
+	adjW := make([]int, adjPtr[n])
+	for v := 0; v < numV; v++ {
+		lv := local[v]
+		if lv < 0 {
+			continue
+		}
+		pos := adjPtr[lv]
 		to, w := g.Adj(v)
 		for i, u := range to {
-			if u > v && local[u] >= 0 {
-				b.AddEdge(local[v], local[u], w[i])
+			if lu := local[u]; lu >= 0 {
+				adjTo[pos], adjW[pos] = lu, w[i]
+				pos++
 			}
 		}
 	}
-	return b.Build(), subIDs
+	return graph.FromCSR(adjPtr, adjTo, adjW, vw), subIDs
 }
 
+// multilevelBisect returns the side of each vertex of g. The slice may
+// be one of s's projection buffers, valid until s's next bisection.
 func multilevelBisect(g *graph.Graph, kL, kR int, epsB float64,
-	opts Options, r *rng.RNG, tk *obs.Track) ([]int8, error) {
+	opts Options, r *rng.RNG, tk *obs.Track, s *scratch) ([]int8, error) {
 
 	totalW := g.TotalVertexWeight()
 	targetL := float64(totalW) * float64(kL) / float64(kL+kR)
@@ -214,7 +270,7 @@ func multilevelBisect(g *graph.Graph, kL, kR int, epsB float64,
 	}
 
 	csp := tk.Begin("gpart", "coarsen").Arg("vertices", int64(g.NumVertices()))
-	levels := coarsen(g, opts, r, tk)
+	levels := coarsen(g, opts, r, tk, s)
 	csp.Arg("levels", int64(len(levels))).End()
 	if err := opts.canceled(); err != nil {
 		return nil, err
@@ -242,13 +298,13 @@ func multilevelBisect(g *graph.Graph, kL, kR int, epsB float64,
 
 	coarseCaps := capsFor(coarsest.g)
 	isp := tk.Begin("gpart", "initial.bisect").Arg("vertices", int64(coarsest.g.NumVertices()))
-	side, err := initialBisect(coarsest.g, targets, maxW, coarseCaps, opts, r)
+	side, err := initialBisect(coarsest.g, targets, maxW, coarseCaps, opts, r, s)
 	isp.End()
 	if err != nil {
 		return nil, err
 	}
 	rsp := tk.Begin("gpart", "refine").Arg("vertices", int64(coarsest.g.NumVertices()))
-	refineBisection(coarsest.g, side, maxW, coarseCaps, opts, r)
+	refineBisection(coarsest.g, side, maxW, coarseCaps, opts, r, s)
 	rsp.End()
 	fineCaps := coarseCaps
 	for i := len(levels) - 2; i >= 0; i-- {
@@ -256,19 +312,20 @@ func multilevelBisect(g *graph.Graph, kL, kR int, epsB float64,
 			return nil, err
 		}
 		lv := levels[i]
-		fine := make([]int8, lv.g.NumVertices())
+		fine := grow(s.proj[i%2], lv.g.NumVertices())
+		s.proj[i%2] = fine
 		for v := range fine {
 			fine[v] = side[lv.cmap[v]]
 		}
 		side = fine
 		fineCaps = capsFor(lv.g)
 		rsp := tk.Begin("gpart", "refine").Arg("vertices", int64(lv.g.NumVertices()))
-		refineBisection(lv.g, side, maxW, fineCaps, opts, r)
+		refineBisection(lv.g, side, maxW, fineCaps, opts, r, s)
 		rsp.End()
 	}
 	var w [2]float64
-	for v, s := range side {
-		w[s] += float64(g.VertexWeight(v))
+	for v, sd := range side {
+		w[sd] += float64(g.VertexWeight(v))
 	}
 	if w[0] > fineCaps[0]+1e-9 || w[1] > fineCaps[1]+1e-9 {
 		return nil, ErrInfeasible

@@ -14,7 +14,7 @@ type level struct {
 
 // coarsen shrinks g with heavy-edge matching until it has at most
 // coarsenTo vertices or shrinkage stalls.
-func coarsen(g *graph.Graph, opts Options, r *rng.RNG, tk *obs.Track) []*level {
+func coarsen(g *graph.Graph, opts Options, r *rng.RNG, tk *obs.Track, s *scratch) []*level {
 	levels := []*level{{g: g}}
 	cur := levels[0]
 	for len(levels) < maxLevels && cur.g.NumVertices() > coarsenTo {
@@ -25,13 +25,14 @@ func coarsen(g *graph.Graph, opts Options, r *rng.RNG, tk *obs.Track) []*level {
 		}
 		lsp := tk.Begin("gpart", "coarsen.level").
 			Arg("level", int64(len(levels))).Arg("vertices", int64(cur.g.NumVertices()))
-		cmap, numC := heavyEdgeMatch(cur.g, opts, r)
+		rg := s.rungAt(len(levels))
+		cmap, numC := heavyEdgeMatch(cur.g, opts, r, s, rg)
 		if numC >= cur.g.NumVertices()*9/10 {
 			lsp.End()
 			break
 		}
 		cur.cmap = cmap
-		coarseG := contract(cur.g, cmap, numC)
+		coarseG := contract(cur.g, cmap, numC, s, rg)
 		next := &level{g: coarseG}
 		levels = append(levels, next)
 		cur = next
@@ -41,10 +42,12 @@ func coarsen(g *graph.Graph, opts Options, r *rng.RNG, tk *obs.Track) []*level {
 }
 
 // heavyEdgeMatch pairs each unmatched vertex with its unmatched neighbor
-// of maximal edge weight, subject to a cluster-weight cap.
-func heavyEdgeMatch(g *graph.Graph, opts Options, r *rng.RNG) ([]int, int) {
+// of maximal edge weight, subject to a cluster-weight cap. The cmap it
+// returns is stored in rg.
+func heavyEdgeMatch(g *graph.Graph, opts Options, r *rng.RNG, s *scratch, rg *rung) ([]int, int) {
 	numV := g.NumVertices()
-	cmap := make([]int, numV)
+	cmap := grow(rg.cmap, numV)
+	rg.cmap = cmap
 	for i := range cmap {
 		cmap[i] = -1
 	}
@@ -53,7 +56,9 @@ func heavyEdgeMatch(g *graph.Graph, opts Options, r *rng.RNG) ([]int, int) {
 		maxClusterW = 2
 	}
 	numC := 0
-	order := r.Perm(numV)
+	order := grow(s.perm, numV)
+	r.PermInto(order)
+	s.perm = order
 	for _, v := range order {
 		if cmap[v] >= 0 {
 			continue
@@ -82,32 +87,92 @@ func heavyEdgeMatch(g *graph.Graph, opts Options, r *rng.RNG) ([]int, int) {
 	return cmap, numC
 }
 
-// contract builds the coarse graph induced by cmap, merging parallel
-// edges and dropping intra-cluster edges.
-func contract(g *graph.Graph, cmap []int, numC int) *graph.Graph {
-	b := graph.NewBuilder(numC)
-	w := make([]int, numC)
-	for v := 0; v < g.NumVertices(); v++ {
-		w[cmap[v]] += g.VertexWeight(v)
+// contract builds the coarse graph induced by cmap into rg's arrays,
+// merging parallel edges and dropping intra-cluster edges. It writes
+// the CSR directly, in the canonical form graph.Builder emits. The fine
+// vertices are bucketed by cluster with a counting sort, and each
+// cluster's distinct neighbours are collected with an epoch-stamped
+// accumulator. Presence is tracked by stamp, so an edge whose weights
+// sum to 0 survives as it does in Build.
+//
+// The neighbours come out in first-seen order. A counting-sort
+// transpose puts every list in neighbour order without sorting: the
+// graph is symmetric, so cluster c belongs in row u exactly when u is
+// in row c, with the same weight, and walking c upwards fills each row
+// in increasing order.
+func contract(g *graph.Graph, cmap []int, numC int, s *scratch, rg *rung) *graph.Graph {
+	numV := g.NumVertices()
+	start := grow(s.start, numC+1)
+	clear(start)
+	for _, c := range cmap {
+		start[c+1]++
 	}
-	for c, wc := range w {
-		b.SetVertexWeight(c, wc)
+	for c := 0; c < numC; c++ {
+		start[c+1] += start[c]
 	}
-	for v := 0; v < g.NumVertices(); v++ {
-		to, ew := g.Adj(v)
-		cv := cmap[v]
-		for i, u := range to {
-			if u > v && cmap[u] != cv {
-				b.AddEdge(cv, cmap[u], ew[i])
+	// Placing member v advances start[c] to the end of bucket c; the
+	// shift afterwards restores the bucket starts.
+	members := grow(s.members, numV)
+	for v, c := range cmap {
+		members[start[c]] = v
+		start[c]++
+	}
+	copy(start[1:], start[:numC])
+	start[0] = 0
+
+	acc := grow(s.acc, numC)
+	adjPtr := grow(rg.adjPtr, numC+1)
+	vw := grow(rg.vw, numC)
+	// The coarse rows hold at most the fine adjacency's 2|E| entries.
+	rowTo := grow(s.rowTo, 2*g.NumEdges())[:0]
+	rowW := grow(s.rowW, 2*g.NumEdges())[:0]
+	adjPtr[0] = 0
+	for c := 0; c < numC; c++ {
+		s.epoch++
+		ep := s.epoch
+		first := len(rowTo)
+		vw[c] = 0
+		for _, v := range members[start[c]:start[c+1]] {
+			vw[c] += g.VertexWeight(v)
+			to, w := g.Adj(v)
+			for i, u := range to {
+				cu := cmap[u]
+				if cu == c {
+					continue
+				}
+				if a := &acc[cu]; a.stamp != ep {
+					*a = accSlot{stamp: ep, w: w[i]}
+					rowTo = append(rowTo, cu)
+				} else {
+					a.w += w[i]
+				}
 			}
 		}
+		for _, cu := range rowTo[first:] {
+			rowW = append(rowW, acc[cu].w)
+		}
+		adjPtr[c+1] = len(rowTo)
 	}
-	return b.Build()
+
+	adjTo := grow(rg.adjTo, len(rowTo))
+	adjW := grow(rg.adjW, len(rowTo))
+	next := start[:numC]
+	copy(next, adjPtr[:numC])
+	for c := 0; c < numC; c++ {
+		for j := adjPtr[c]; j < adjPtr[c+1]; j++ {
+			u := rowTo[j]
+			adjTo[next[u]], adjW[next[u]] = c, rowW[j]
+			next[u]++
+		}
+	}
+	s.start, s.members, s.acc, s.rowTo, s.rowW = start, members, acc, rowTo, rowW
+	rg.adjPtr, rg.adjTo, rg.adjW, rg.vw = adjPtr, adjTo, adjW, vw
+	return graph.FromCSR(adjPtr, adjTo, adjW, vw)
 }
 
 // initialBisect tries greedy graph growing and random fills, refines
 // each, and keeps the best feasible bisection by cut.
-func initialBisect(g *graph.Graph, targets, strict, relaxed [2]float64, opts Options, r *rng.RNG) ([]int8, error) {
+func initialBisect(g *graph.Graph, targets, strict, relaxed [2]float64, opts Options, r *rng.RNG, s *scratch) ([]int8, error) {
 	var best []int8
 	bestCut := -1
 	bestDev := 0.0
@@ -118,10 +183,10 @@ func initialBisect(g *graph.Graph, targets, strict, relaxed [2]float64, opts Opt
 		} else {
 			side = randomBisect(g, targets, r.Child())
 		}
-		refineBisection(g, side, strict, relaxed, opts, r)
+		refineBisection(g, side, strict, relaxed, opts, r, s)
 		var w [2]float64
-		for v, s := range side {
-			w[s] += float64(g.VertexWeight(v))
+		for v, sd := range side {
+			w[sd] += float64(g.VertexWeight(v))
 		}
 		if w[0] > relaxed[0]+1e-9 || w[1] > relaxed[1]+1e-9 {
 			continue
@@ -244,23 +309,24 @@ type gainBuckets struct {
 	count [2]int
 }
 
-func newGainBuckets(numV, maxBound int) *gainBuckets {
-	b := &gainBuckets{
-		off:   maxBound,
-		next:  make([]int, numV),
-		prev:  make([]int, numV),
-		gain:  make([]int, numV),
-		sideA: make([]int8, numV),
-		in:    make([]bool, numV),
-	}
+// reset empties the buckets for a pass over numV vertices with gains in
+// [−maxBound, maxBound], reusing the arrays of earlier passes.
+func (b *gainBuckets) reset(numV, maxBound int) {
+	b.off = maxBound
+	b.next = grow(b.next, numV)
+	b.prev = grow(b.prev, numV)
+	b.gain = grow(b.gain, numV)
+	b.sideA = grow(b.sideA, numV)
+	b.in = grow(b.in, numV)
+	clear(b.in)
 	for s := 0; s < 2; s++ {
-		b.heads[s] = make([]int, 2*maxBound+1)
+		b.heads[s] = grow(b.heads[s], 2*maxBound+1)
 		for i := range b.heads[s] {
 			b.heads[s][i] = -1
 		}
 		b.maxG[s] = -maxBound - 1
+		b.count[s] = 0
 	}
-	return b
 }
 
 func (b *gainBuckets) insert(v int, side int8, gain int) {
@@ -300,14 +366,14 @@ func (b *gainBuckets) remove(v int) {
 	b.count[s]--
 }
 
-func (b *gainBuckets) updateGain(v, delta int) {
+// update re-files v, if it is still bucketed, under its new gain.
+func (b *gainBuckets) update(v, gain int) {
 	if !b.in[v] {
 		return
 	}
 	side := b.sideA[v]
-	g := b.gain[v] + delta
 	b.remove(v)
-	b.insert(v, side, g)
+	b.insert(v, side, gain)
 }
 
 func (b *gainBuckets) bestFeasible(g *graph.Graph, s int, wOther, maxOther float64, probeCap int) (int, int, bool) {
@@ -340,30 +406,39 @@ func (b *gainBuckets) bestFeasible(g *graph.Graph, s int, wOther, maxOther float
 // refineBisection improves a graph bisection in place with FM passes,
 // rebalancing toward the strict caps first and refining under the
 // relaxed caps only when the level's vertex granularity requires it.
-func refineBisection(g *graph.Graph, side []int8, strict, relaxed [2]float64, opts Options, r *rng.RNG) {
+func refineBisection(g *graph.Graph, side []int8, strict, relaxed [2]float64, opts Options, r *rng.RNG, s *scratch) {
 	numV := g.NumVertices()
 	if numV == 0 {
 		return
 	}
 	var w [2]float64
-	for v, s := range side {
-		w[s] += float64(g.VertexWeight(v))
-	}
-	maxBound := 1
-	for v := 0; v < numV; v++ {
-		sum := 0
-		_, ws := g.Adj(v)
-		for _, x := range ws {
-			sum += x
-		}
-		if sum > maxBound {
-			maxBound = sum
-		}
+	for v, sd := range side {
+		w[sd] += float64(g.VertexWeight(v))
 	}
 	rebalance(g, side, &w, strict)
 	caps := strict
 	if w[0] > strict[0]+1e-9 || w[1] > strict[1]+1e-9 {
 		caps = relaxed
+	}
+	// gain[v] is the cut reduction of moving v. It is computed once
+	// here; fmPass keeps it exact through every move and rollback, so
+	// each pass starts from the values a fresh computation would give.
+	gain := grow(s.gain, numV)
+	s.gain = gain
+	maxBound := 1
+	for v := 0; v < numV; v++ {
+		gn, sum := 0, 0
+		to, ws := g.Adj(v)
+		for i, u := range to {
+			sum += ws[i]
+			if side[u] == side[v] {
+				gn -= ws[i]
+			} else {
+				gn += ws[i]
+			}
+		}
+		gain[v] = gn
+		maxBound = max(maxBound, sum)
 	}
 	for pass := 0; pass < fmPasses; pass++ {
 		if opts.canceled() != nil {
@@ -371,7 +446,7 @@ func refineBisection(g *graph.Graph, side []int8, strict, relaxed [2]float64, op
 			// check surfaces the context error.
 			return
 		}
-		if !fmPass(g, side, &w, caps, maxBound, opts, r) {
+		if !fmPass(g, side, gain, &w, caps, maxBound, r, s) {
 			break
 		}
 	}
@@ -421,32 +496,26 @@ func rebalance(g *graph.Graph, side []int8, w *[2]float64, maxW [2]float64) {
 	}
 }
 
-func fmPass(g *graph.Graph, side []int8, w *[2]float64, maxW [2]float64,
-	maxBound int, opts Options, r *rng.RNG) bool {
+// fmPass runs one FM pass and rolls back to its best prefix. gain must
+// hold every vertex's move gain under side; the pass leaves it so.
+func fmPass(g *graph.Graph, side []int8, gain []int, w *[2]float64, maxW [2]float64,
+	maxBound int, r *rng.RNG, s *scratch) bool {
 
 	numV := g.NumVertices()
-	buckets := newGainBuckets(numV, maxBound)
-	locked := make([]bool, numV)
+	buckets := &s.buckets
+	buckets.reset(numV, maxBound)
+	locked := grow(s.locked, numV)
+	clear(locked)
+	s.locked = locked
 
-	computeGain := func(v int) int {
-		gn := 0
-		to, ws := g.Adj(v)
-		for i, u := range to {
-			if side[u] == side[v] {
-				gn -= ws[i]
-			} else {
-				gn += ws[i]
-			}
-		}
-		return gn
-	}
-	order := r.Perm(numV)
+	order := grow(s.perm, numV)
+	r.PermInto(order)
+	s.perm = order
 	for _, v := range order {
-		buckets.insert(v, side[v], computeGain(v))
+		buckets.insert(v, side[v], gain[v])
 	}
 
-	type mv struct{ v int }
-	var moves []mv
+	moves := s.moves[:0]
 	delta, best, bestIdx := 0, 0, -1
 	sinceBest := 0
 
@@ -468,22 +537,17 @@ func fmPass(g *graph.Graph, side []int8, w *[2]float64, maxW [2]float64,
 		to := 1 - from
 		buckets.remove(v)
 		locked[v] = true
-		side[v] = int8(to)
+		flip(g, side, gain, v)
 		w[from] -= float64(g.VertexWeight(v))
 		w[to] += float64(g.VertexWeight(v))
-		adjTo, adjW := g.Adj(v)
-		for i, u := range adjTo {
-			if locked[u] {
-				continue
-			}
-			if int(side[u]) == from {
-				buckets.updateGain(u, 2*adjW[i])
-			} else {
-				buckets.updateGain(u, -2*adjW[i])
+		adjTo, _ := g.Adj(v)
+		for _, u := range adjTo {
+			if !locked[u] {
+				buckets.update(u, gain[u])
 			}
 		}
 		delta += gn
-		moves = append(moves, mv{v: v})
+		moves = append(moves, v)
 		if delta > best {
 			best, bestIdx = delta, len(moves)-1
 			sinceBest = 0
@@ -495,13 +559,30 @@ func fmPass(g *graph.Graph, side []int8, w *[2]float64, maxW [2]float64,
 		}
 	}
 
+	s.moves = moves
 	for i := len(moves) - 1; i > bestIdx; i-- {
-		v := moves[i].v
+		v := moves[i]
 		to := int(side[v])
 		from := 1 - to
-		side[v] = int8(from)
+		flip(g, side, gain, v)
 		w[to] -= float64(g.VertexWeight(v))
 		w[from] += float64(g.VertexWeight(v))
 	}
 	return best > 0
+}
+
+// flip moves v to the other side and keeps gain exact: v's gain changes
+// sign, and each neighbour's moves by twice the edge weight, up when
+// the edge is now cut and down when it is now internal.
+func flip(g *graph.Graph, side []int8, gain []int, v int) {
+	side[v] = 1 - side[v]
+	gain[v] = -gain[v]
+	to, w := g.Adj(v)
+	for i, u := range to {
+		if side[u] == side[v] {
+			gain[u] -= 2 * w[i]
+		} else {
+			gain[u] += 2 * w[i]
+		}
+	}
 }

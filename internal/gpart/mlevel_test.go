@@ -1,6 +1,7 @@
 package gpart
 
 import (
+	"slices"
 	"testing"
 
 	"finegrain/internal/graph"
@@ -16,7 +17,7 @@ func TestHeavyEdgeMatchLegality(t *testing.T) {
 	g := b.Build()
 	opts := DefaultOptions()
 	opts.normalize()
-	cmap, numC := heavyEdgeMatch(g, opts, r)
+	cmap, numC := heavyEdgeMatch(g, opts, r, new(scratch), new(rung))
 	sizes := make([]int, numC)
 	for v, c := range cmap {
 		if c < 0 || c >= numC {
@@ -52,7 +53,7 @@ func TestHeavyEdgeMatchPrefersHeavy(t *testing.T) {
 	// Try several seeds: whenever 0 initiates the match, it must pick 3.
 	matched03 := 0
 	for seed := uint64(0); seed < 20; seed++ {
-		cmap, _ := heavyEdgeMatch(g, opts, rng.New(seed))
+		cmap, _ := heavyEdgeMatch(g, opts, rng.New(seed), new(scratch), new(rung))
 		if cmap[0] == cmap[3] {
 			matched03++
 		}
@@ -72,7 +73,7 @@ func TestContractPreservesWeightAndDropsLoops(t *testing.T) {
 	b.SetVertexWeight(1, 5)
 	g := b.Build()
 	cmap := []int{0, 0, 1, 2}
-	coarse := contract(g, cmap, 3)
+	coarse := contract(g, cmap, 3, new(scratch), new(rung))
 	if coarse.NumVertices() != 3 {
 		t.Fatalf("coarse V = %d", coarse.NumVertices())
 	}
@@ -96,7 +97,7 @@ func TestCoarsenLadder(t *testing.T) {
 	g := path(3000)
 	opts := DefaultOptions()
 	opts.normalize()
-	levels := coarsen(g, opts, rng.New(2), nil)
+	levels := coarsen(g, opts, rng.New(2), nil, new(scratch))
 	if len(levels) < 3 {
 		t.Fatalf("only %d levels for a 3000-vertex path", len(levels))
 	}
@@ -123,5 +124,54 @@ func TestBisectionCutMatchesEdgeCut(t *testing.T) {
 	}
 	if bisectionCut(g, side) != p.EdgeCut(g) {
 		t.Fatal("bisectionCut disagrees with EdgeCut")
+	}
+}
+
+// TestFMPassKeepsGainsExact checks the invariant refineBisection relies
+// on to skip recomputing gains: after every pass, moves and rollbacks
+// included, each carried gain equals a fresh computation.
+func TestFMPassKeepsGainsExact(t *testing.T) {
+	r := rng.New(9)
+	s := new(scratch)
+	for trial := 0; trial < 20; trial++ {
+		g := randomZeroG(r, 300, 1200)
+		numV := g.NumVertices()
+		side := make([]int8, numV)
+		var w [2]float64
+		for v := range side {
+			side[v] = int8(r.Intn(2))
+			w[side[v]] += float64(g.VertexWeight(v))
+		}
+		fresh := func() []int {
+			gain := make([]int, numV)
+			for v := range gain {
+				to, ws := g.Adj(v)
+				for i, u := range to {
+					if side[u] == side[v] {
+						gain[v] -= ws[i]
+					} else {
+						gain[v] += ws[i]
+					}
+				}
+			}
+			return gain
+		}
+		gain := fresh()
+		maxBound := 1
+		for v := 0; v < numV; v++ {
+			sum := 0
+			_, ws := g.Adj(v)
+			for _, x := range ws {
+				sum += x
+			}
+			maxBound = max(maxBound, sum)
+		}
+		caps := [2]float64{w[0] + w[1], w[0] + w[1]}
+		for pass := 0; pass < 3; pass++ {
+			fmPass(g, side, gain, &w, caps, maxBound, r, s)
+			if want := fresh(); !slices.Equal(gain, want) {
+				t.Fatalf("trial %d pass %d: carried gains %v, fresh %v", trial, pass, gain, want)
+			}
+		}
 	}
 }

@@ -13,7 +13,8 @@ import (
 
 // Graph is an immutable undirected graph in CSR adjacency form. Each
 // undirected edge {u, v} is stored twice, once per endpoint. Construct
-// instances with a Builder.
+// instances with a Builder, or wrap arrays already in canonical form
+// with FromCSR.
 type Graph struct {
 	numV   int
 	adjPtr []int
@@ -53,6 +54,17 @@ func (g *Graph) TotalVertexWeight() int {
 // String returns a compact summary.
 func (g *Graph) String() string {
 	return fmt.Sprintf("Graph{V=%d, E=%d}", g.numV, g.NumEdges())
+}
+
+// FromCSR wraps CSR arrays as a graph without copying or checking them:
+// vertex v's neighbours are adjTo[adjPtr[v]:adjPtr[v+1]] with weights
+// adjW over the same range, and vw holds the vertex weights (so
+// len(vw) is |V|). The arrays must already be in the form Build emits:
+// symmetric, with sorted unique neighbour lists and no self-loops
+// (Validate checks this). The graph aliases the arrays, so they must
+// not change while it is in use.
+func FromCSR(adjPtr, adjTo, adjW, vw []int) *Graph {
+	return &Graph{numV: len(vw), adjPtr: adjPtr, adjTo: adjTo, adjW: adjW, vw: vw}
 }
 
 // Builder assembles a graph incrementally. Parallel edges are merged by
@@ -165,7 +177,7 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("graph: neighbors of %d not sorted/unique", v)
 			}
 			prev = u
-			if g.edgeWeight(u, v) != w[i] {
+			if back, ok := g.edge(u, v); !ok || back != w[i] {
 				return fmt.Errorf("graph: asymmetric weight on edge {%d,%d}", v, u)
 			}
 		}
@@ -173,7 +185,9 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-func (g *Graph) edgeWeight(u, v int) int {
+// edge looks v up in u's sorted neighbour list and returns the edge's
+// weight and whether it is stored.
+func (g *Graph) edge(u, v int) (int, bool) {
 	to, w := g.Adj(u)
 	lo, hi := 0, len(to)
 	for lo < hi {
@@ -185,10 +199,14 @@ func (g *Graph) edgeWeight(u, v int) int {
 		}
 	}
 	if lo < len(to) && to[lo] == v {
-		return w[lo]
+		return w[lo], true
 	}
-	return 0
+	return 0, false
 }
 
-// HasEdge reports whether {u, v} is an edge.
-func (g *Graph) HasEdge(u, v int) bool { return g.edgeWeight(u, v) != 0 }
+// HasEdge reports whether {u, v} is an edge, whatever its weight: a
+// stored edge of weight 0 is an edge, as Degree and Adj count it.
+func (g *Graph) HasEdge(u, v int) bool {
+	_, ok := g.edge(u, v)
+	return ok
+}

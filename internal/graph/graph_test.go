@@ -63,7 +63,7 @@ func TestParallelEdgesMerged(t *testing.T) {
 	if g.NumEdges() != 1 {
 		t.Fatalf("E = %d, want 1", g.NumEdges())
 	}
-	if w := g.edgeWeight(0, 1); w != 5 {
+	if w, _ := g.edge(0, 1); w != 5 {
 		t.Fatalf("merged weight %d, want 5", w)
 	}
 	if !g.HasEdge(1, 0) {
@@ -179,5 +179,50 @@ func TestEdgeCutSymmetricCount(t *testing.T) {
 		return p.EdgeCut(g) == want
 	}, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestHasEdge(t *testing.T) {
+	b := NewBuilder(4)
+	b.AddEdge(0, 1, 2)
+	b.AddEdge(1, 2, 0) // stored with weight 0: still an edge
+	g := b.Build()
+	for _, c := range []struct {
+		u, v int
+		want bool
+	}{
+		{0, 1, true},
+		{1, 0, true},
+		{1, 2, true},
+		{2, 1, true},
+		{0, 2, false},
+		{2, 3, false},
+		{3, 3, false},
+	} {
+		if got := g.HasEdge(c.u, c.v); got != c.want {
+			t.Errorf("HasEdge(%d, %d) = %v, want %v", c.u, c.v, got, c.want)
+		}
+	}
+	if g.Degree(2) != 1 {
+		t.Fatalf("Degree(2) = %d, want 1", g.Degree(2))
+	}
+}
+
+func TestFromCSRWrapsBuilderForm(t *testing.T) {
+	if err := quick.Check(func(seed uint64) bool {
+		g := randomGraph(rng.New(seed), 40, 120)
+		w := FromCSR(g.adjPtr, g.adjTo, g.adjW, g.vw)
+		return w.Validate() == nil && w.NumVertices() == g.NumVertices() &&
+			w.NumEdges() == g.NumEdges() && w.TotalVertexWeight() == g.TotalVertexWeight()
+	}, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestValidateRejectsAsymmetricCSR(t *testing.T) {
+	// 0→1 is stored but 1→0 is not.
+	g := FromCSR([]int{0, 1, 1}, []int{1}, []int{0}, []int{1, 1})
+	if g.Validate() == nil {
+		t.Fatal("one-sided zero-weight edge accepted")
 	}
 }

@@ -67,16 +67,28 @@ func TestTraceSpanTaxonomy(t *testing.T) {
 		TraceEvents []struct {
 			Name string `json:"name"`
 			Cat  string `json:"cat"`
+			Args struct {
+				Name string `json:"name"`
+			} `json:"args"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
+	tracks := map[string]bool{}
 	for _, ev := range out.TraceEvents {
 		if ev.Cat == "hgpart" {
 			seen[ev.Name] = true
 		}
+		if ev.Name == "thread_name" {
+			tracks[ev.Args.Name] = true
+		}
+	}
+	// Branches and round helpers spawned onto the executor record on a
+	// forked track with this name.
+	if !tracks["hgpart worker"] {
+		t.Errorf("no %q track; have %v", "hgpart worker", tracks)
 	}
 	for _, want := range []string{"run", "bisect", "coarsen", "coarsen.level",
 		"coarsen.round", "initial.bisect", "refine", "fm.pass", "fm.round"} {
