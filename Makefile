@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet vet-perfbench test race e2e-fleet bench bench-quick bench-scaling bench-spmv bench-block bench-block-smoke bench-locality bench-locality-smoke bench-spgemm bench-spgemm-smoke compare-smoke build doc-check
+.PHONY: ci fmt vet vet-perfbench test race e2e-fleet bench bench-quick bench-scaling bench-spmv bench-block bench-block-smoke bench-locality bench-locality-smoke bench-spgemm bench-spgemm-smoke compare-smoke build doc-check loc
 
 # ci runs only the smoke variants of the benchmarks. The wall-clock
 # gates bench-scaling, bench-block and bench-locality are not part of
@@ -38,6 +38,12 @@ doc-check: fmt vet
 
 test:
 	$(GO) test ./...
+
+# loc prints the line count of the non-test Go files outside perfbench/
+# (tracked and untracked, not ignored): the size figure ROADMAP quotes,
+# so a change can state its line delta from one command.
+loc:
+	@git ls-files -co --exclude-standard '*.go' | grep -v '_test\.go$$' | grep -v '^perfbench/' | xargs cat | wc -l
 
 # race covers the concurrent subsystems, including the shared executor
 # (internal/par), both partitioners' parallel recursion branches

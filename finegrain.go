@@ -70,6 +70,7 @@ import (
 	"finegrain/internal/hypergraph"
 	"finegrain/internal/matgen"
 	"finegrain/internal/mediumgrain"
+	"finegrain/internal/mlpart"
 	"finegrain/internal/obs"
 	"finegrain/internal/reorder"
 	"finegrain/internal/sparse"
@@ -251,7 +252,9 @@ type Options struct {
 	Trace *obs.Trace
 }
 
-func (o Options) hgOptions() hgpart.Options {
+// partOptions converts o into the partitioners' options: hgpart takes
+// them whole, gpart takes their shared core, the Options field.
+func (o Options) partOptions() hgpart.Options {
 	opts := hgpart.DefaultOptions()
 	if o.Seed != 0 {
 		opts.Seed = o.Seed
@@ -261,20 +264,6 @@ func (o Options) hgOptions() hgpart.Options {
 	}
 	opts.Workers = o.Workers
 	opts.CollectStats = o.CollectStats
-	opts.Ctx = o.Ctx
-	opts.Trace = o.Trace
-	return opts
-}
-
-func (o Options) gOptions() gpart.Options {
-	opts := gpart.DefaultOptions()
-	if o.Seed != 0 {
-		opts.Seed = o.Seed
-	}
-	if o.Eps > 0 {
-		opts.Eps = o.Eps
-	}
-	opts.Workers = o.Workers
 	opts.Ctx = o.Ctx
 	opts.Trace = o.Trace
 	return opts
@@ -320,7 +309,7 @@ type Decomposition struct {
 // set decodeSpGEMM instead of decode.
 type built struct {
 	h            *hypergraph.Hypergraph
-	gpart        func(k int, o gpart.Options) (edgeCut int, err error)
+	gpart        func(k int, o mlpart.Options) (edgeCut int, err error)
 	decode       func(*hypergraph.Partition) (*Assignment, error)
 	decodeSpGEMM func(*hypergraph.Partition) (*SpGEMMAssignment, error)
 }
@@ -343,9 +332,9 @@ func decompose(op, model string, k int, o Options, build func() (built, error)) 
 	var p *hypergraph.Partition
 	sp = o.Trace.Begin("finegrain", "partition")
 	if b.gpart != nil {
-		dec.Cutsize, err = b.gpart(k, o.gOptions())
+		dec.Cutsize, err = b.gpart(k, o.partOptions().Options)
 	} else {
-		p, dec.PartStats, err = hgpart.PartitionStats(b.h, k, o.hgOptions())
+		p, dec.PartStats, err = hgpart.PartitionStats(b.h, k, o.partOptions())
 	}
 	sp.End()
 	if err != nil {
@@ -465,7 +454,7 @@ func Decompose1DGraph(a *Matrix, k int, o Options) (*Decomposition, error) {
 		}
 		var gp *graph.Partition
 		return built{
-			gpart: func(k int, opts gpart.Options) (cut int, err error) {
+			gpart: func(k int, opts mlpart.Options) (cut int, err error) {
 				if gp, err = gpart.Partition(mdl.G, k, opts); err != nil {
 					return 0, err
 				}
@@ -687,7 +676,7 @@ func PartitionHypergraph(h *Hypergraph, k int, fixed []int, o Options) (*Partiti
 		return nil, &Error{Code: BadK, Op: op,
 			Msg: fmt.Sprintf("K=%d exceeds the hypergraph's %d vertices", k, h.NumVertices())}
 	}
-	p, err := hgpart.PartitionFixed(h, k, fixed, o.hgOptions())
+	p, err := hgpart.PartitionFixed(h, k, fixed, o.partOptions())
 	if err != nil {
 		return nil, classify(op, err)
 	}

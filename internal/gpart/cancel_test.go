@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"finegrain/internal/mlpart"
 	"finegrain/internal/rng"
 )
 
@@ -35,7 +36,7 @@ func TestCanceledContextRejectedUpFront(t *testing.T) {
 	g := path(64)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opts := DefaultOptions()
+	opts := mlpart.DefaultOptions()
 	opts.Ctx = ctx
 	if _, err := Partition(g, 4, opts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -46,7 +47,7 @@ func TestCancellationMidSearch(t *testing.T) {
 	g := randomG(rng.New(7), 4000, 12000)
 	// Warm the executor, so the workers a spawned branch parks on exist
 	// before the baseline is taken.
-	warm := DefaultOptions()
+	warm := mlpart.DefaultOptions()
 	warm.Workers = 2
 	if _, err := Partition(g, 16, warm); err != nil {
 		t.Fatal(err)
@@ -56,7 +57,7 @@ func TestCancellationMidSearch(t *testing.T) {
 	// stop at the next phase boundary rather than run to completion.
 	for _, workers := range []int{1, 2} {
 		for _, polls := range []int64{1, 3, 8, 20, 150, 400} {
-			opts := DefaultOptions()
+			opts := mlpart.DefaultOptions()
 			opts.Workers = workers
 			opts.Ctx = newCountdownCtx(polls)
 			if _, err := Partition(g, 16, opts); !errors.Is(err, context.Canceled) {
@@ -73,7 +74,7 @@ func TestCancellationMidSearch(t *testing.T) {
 
 func TestContextDoesNotPerturbResult(t *testing.T) {
 	g := randomG(rng.New(3), 600, 2000)
-	opts := DefaultOptions()
+	opts := mlpart.DefaultOptions()
 	base, err := Partition(g, 8, opts)
 	if err != nil {
 		t.Fatal(err)

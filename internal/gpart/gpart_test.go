@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"finegrain/internal/graph"
+	"finegrain/internal/mlpart"
 	"finegrain/internal/rng"
 )
 
@@ -47,7 +48,7 @@ func randomG(r *rng.RNG, maxV, maxE int) *graph.Graph {
 
 func TestPathOptimalBisection(t *testing.T) {
 	g := path(500)
-	p, err := Partition(g, 2, DefaultOptions())
+	p, err := Partition(g, 2, mlpart.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestPathOptimalBisection(t *testing.T) {
 func TestPathKWay(t *testing.T) {
 	g := path(1024)
 	for _, k := range []int{4, 8, 16} {
-		p, err := Partition(g, k, DefaultOptions())
+		p, err := Partition(g, k, mlpart.DefaultOptions())
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -77,7 +78,7 @@ func TestPathKWay(t *testing.T) {
 
 func TestGridBisectionNearOptimal(t *testing.T) {
 	g := grid(24, 24)
-	p, err := Partition(g, 2, DefaultOptions())
+	p, err := Partition(g, 2, mlpart.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestGridBisectionNearOptimal(t *testing.T) {
 func TestNonPowerOfTwoK(t *testing.T) {
 	g := path(600)
 	for _, k := range []int{3, 5, 6, 11} {
-		p, err := Partition(g, k, DefaultOptions())
+		p, err := Partition(g, k, mlpart.DefaultOptions())
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -106,7 +107,7 @@ func TestNonPowerOfTwoK(t *testing.T) {
 func TestBeatsRandom(t *testing.T) {
 	r := rng.New(4)
 	g := randomG(r, 800, 2500)
-	p, err := Partition(g, 8, DefaultOptions())
+	p, err := Partition(g, 8, mlpart.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestBeatsRandom(t *testing.T) {
 
 func TestDeterministicPerSeed(t *testing.T) {
 	g := randomG(rng.New(6), 400, 1200)
-	opts := DefaultOptions()
+	opts := mlpart.DefaultOptions()
 	opts.Seed = 99
 	a, err := Partition(g, 4, opts)
 	if err != nil {
@@ -140,21 +141,21 @@ func TestDeterministicPerSeed(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	g := path(10)
-	if _, err := Partition(g, 0, DefaultOptions()); err == nil {
+	if _, err := Partition(g, 0, mlpart.DefaultOptions()); err == nil {
 		t.Error("K=0 accepted")
 	}
-	if _, err := Partition(g, 11, DefaultOptions()); err == nil {
+	if _, err := Partition(g, 11, mlpart.DefaultOptions()); err == nil {
 		t.Error("K > |V| accepted")
 	}
 	empty := graph.NewBuilder(0).Build()
-	if _, err := Partition(empty, 1, DefaultOptions()); err == nil {
+	if _, err := Partition(empty, 1, mlpart.DefaultOptions()); err == nil {
 		t.Error("empty graph accepted")
 	}
 }
 
 func TestKOne(t *testing.T) {
 	g := path(30)
-	p, err := Partition(g, 1, DefaultOptions())
+	p, err := Partition(g, 1, mlpart.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestWeightedBalance(t *testing.T) {
 	}
 	g := b.Build()
 	for _, k := range []int{4, 8} {
-		p, err := Partition(g, k, DefaultOptions())
+		p, err := Partition(g, k, mlpart.DefaultOptions())
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -199,7 +200,7 @@ func TestDisconnectedGraph(t *testing.T) {
 		b.AddEdge(100+i, 100+i+1, 1)
 	}
 	g := b.Build()
-	p, err := Partition(g, 2, DefaultOptions())
+	p, err := Partition(g, 2, mlpart.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestPropertyValidOutput(t *testing.T) {
 		r := rng.New(seed)
 		g := randomG(r, 300, 900)
 		k := 2 + r.Intn(6)
-		opts := DefaultOptions()
+		opts := mlpart.DefaultOptions()
 		opts.Seed = seed
 		p, err := Partition(g, k, opts)
 		if k > g.NumVertices() {
@@ -248,7 +249,7 @@ func TestPropertyValidOutput(t *testing.T) {
 
 func TestEdgelessGraph(t *testing.T) {
 	g := graph.NewBuilder(64).Build()
-	p, err := Partition(g, 4, DefaultOptions())
+	p, err := Partition(g, 4, mlpart.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +274,7 @@ func TestEmptyRecursionBranch(t *testing.T) {
 	b.AddEdge(1, 2, 1)
 	g := b.Build()
 	for seed := uint64(1); seed <= 5; seed++ {
-		opts := DefaultOptions()
+		opts := mlpart.DefaultOptions()
 		opts.Seed = seed
 		p, err := Partition(g, 4, opts)
 		if err != nil {

@@ -2,6 +2,7 @@ package gpart
 
 import (
 	"finegrain/internal/graph"
+	"finegrain/internal/mlpart"
 	"finegrain/internal/obs"
 	"finegrain/internal/rng"
 )
@@ -13,12 +14,12 @@ type level struct {
 }
 
 // coarsen shrinks g with heavy-edge matching until it has at most
-// coarsenTo vertices or shrinkage stalls.
-func coarsen(g *graph.Graph, opts Options, r *rng.RNG, tk *obs.Track, s *scratch) []*level {
+// mlpart.CoarsenTo vertices or shrinkage stalls.
+func coarsen(g *graph.Graph, opts mlpart.Options, r *rng.RNG, tk *obs.Track, s *scratch) []*level {
 	levels := []*level{{g: g}}
 	cur := levels[0]
-	for len(levels) < maxLevels && cur.g.NumVertices() > coarsenTo {
-		if opts.canceled() != nil {
+	for len(levels) < mlpart.MaxLevels && cur.g.NumVertices() > mlpart.CoarsenTo {
+		if opts.Canceled() != nil {
 			// Stop building the ladder; the caller polls the context right
 			// after coarsening and surfaces the error.
 			break
@@ -44,19 +45,19 @@ func coarsen(g *graph.Graph, opts Options, r *rng.RNG, tk *obs.Track, s *scratch
 // heavyEdgeMatch pairs each unmatched vertex with its unmatched neighbor
 // of maximal edge weight, subject to a cluster-weight cap. The cmap it
 // returns is stored in rg.
-func heavyEdgeMatch(g *graph.Graph, opts Options, r *rng.RNG, s *scratch, rg *rung) ([]int, int) {
+func heavyEdgeMatch(g *graph.Graph, opts mlpart.Options, r *rng.RNG, s *scratch, rg *rung) ([]int, int) {
 	numV := g.NumVertices()
-	cmap := grow(rg.cmap, numV)
+	cmap := mlpart.Grow(rg.cmap, numV)
 	rg.cmap = cmap
 	for i := range cmap {
 		cmap[i] = -1
 	}
-	maxClusterW := g.TotalVertexWeight()/coarsenTo + 1
+	maxClusterW := g.TotalVertexWeight()/mlpart.CoarsenTo + 1
 	if maxClusterW < 2 {
 		maxClusterW = 2
 	}
 	numC := 0
-	order := grow(s.perm, numV)
+	order := mlpart.Grow(s.perm, numV)
 	r.PermInto(order)
 	s.perm = order
 	for _, v := range order {
@@ -102,7 +103,7 @@ func heavyEdgeMatch(g *graph.Graph, opts Options, r *rng.RNG, s *scratch, rg *ru
 // in increasing order.
 func contract(g *graph.Graph, cmap []int, numC int, s *scratch, rg *rung) *graph.Graph {
 	numV := g.NumVertices()
-	start := grow(s.start, numC+1)
+	start := mlpart.Grow(s.start, numC+1)
 	clear(start)
 	for _, c := range cmap {
 		start[c+1]++
@@ -112,7 +113,7 @@ func contract(g *graph.Graph, cmap []int, numC int, s *scratch, rg *rung) *graph
 	}
 	// Placing member v advances start[c] to the end of bucket c; the
 	// shift afterwards restores the bucket starts.
-	members := grow(s.members, numV)
+	members := mlpart.Grow(s.members, numV)
 	for v, c := range cmap {
 		members[start[c]] = v
 		start[c]++
@@ -120,12 +121,12 @@ func contract(g *graph.Graph, cmap []int, numC int, s *scratch, rg *rung) *graph
 	copy(start[1:], start[:numC])
 	start[0] = 0
 
-	acc := grow(s.acc, numC)
-	adjPtr := grow(rg.adjPtr, numC+1)
-	vw := grow(rg.vw, numC)
+	acc := mlpart.Grow(s.acc, numC)
+	adjPtr := mlpart.Grow(rg.adjPtr, numC+1)
+	vw := mlpart.Grow(rg.vw, numC)
 	// The coarse rows hold at most the fine adjacency's 2|E| entries.
-	rowTo := grow(s.rowTo, 2*g.NumEdges())[:0]
-	rowW := grow(s.rowW, 2*g.NumEdges())[:0]
+	rowTo := mlpart.Grow(s.rowTo, 2*g.NumEdges())[:0]
+	rowW := mlpart.Grow(s.rowW, 2*g.NumEdges())[:0]
 	adjPtr[0] = 0
 	for c := 0; c < numC; c++ {
 		s.epoch++
@@ -154,8 +155,8 @@ func contract(g *graph.Graph, cmap []int, numC int, s *scratch, rg *rung) *graph
 		adjPtr[c+1] = len(rowTo)
 	}
 
-	adjTo := grow(rg.adjTo, len(rowTo))
-	adjW := grow(rg.adjW, len(rowTo))
+	adjTo := mlpart.Grow(rg.adjTo, len(rowTo))
+	adjW := mlpart.Grow(rg.adjW, len(rowTo))
 	next := start[:numC]
 	copy(next, adjPtr[:numC])
 	for c := 0; c < numC; c++ {
@@ -172,11 +173,11 @@ func contract(g *graph.Graph, cmap []int, numC int, s *scratch, rg *rung) *graph
 
 // initialBisect tries greedy graph growing and random fills, refines
 // each, and keeps the best feasible bisection by cut.
-func initialBisect(g *graph.Graph, targets, strict, relaxed [2]float64, opts Options, r *rng.RNG, s *scratch) ([]int8, error) {
+func initialBisect(g *graph.Graph, targets, strict, relaxed [2]float64, opts mlpart.Options, r *rng.RNG, s *scratch) ([]int8, error) {
 	var best []int8
 	bestCut := -1
 	bestDev := 0.0
-	for trial := 0; trial < initTrials; trial++ {
+	for trial := 0; trial < mlpart.InitTrials; trial++ {
 		var side []int8
 		if trial%2 == 0 {
 			side = growBisect(g, targets, r.Child())
@@ -184,11 +185,8 @@ func initialBisect(g *graph.Graph, targets, strict, relaxed [2]float64, opts Opt
 			side = randomBisect(g, targets, r.Child())
 		}
 		refineBisection(g, side, strict, relaxed, opts, r, s)
-		var w [2]float64
-		for v, sd := range side {
-			w[sd] += float64(g.VertexWeight(v))
-		}
-		if w[0] > relaxed[0]+1e-9 || w[1] > relaxed[1]+1e-9 {
+		w := mlpart.SideWeights(g.VertexWeights(), side)
+		if !mlpart.Within(w, relaxed) {
 			continue
 		}
 		cut := bisectionCut(g, side)
@@ -297,133 +295,24 @@ func randomBisect(g *graph.Graph, targets [2]float64, r *rng.RNG) []int8 {
 
 // ---- FM refinement on edge cut ----
 
-type gainBuckets struct {
-	off   int
-	heads [2][]int
-	next  []int
-	prev  []int
-	gain  []int
-	sideA []int8
-	in    []bool
-	maxG  [2]int
-	count [2]int
-}
-
-// reset empties the buckets for a pass over numV vertices with gains in
-// [−maxBound, maxBound], reusing the arrays of earlier passes.
-func (b *gainBuckets) reset(numV, maxBound int) {
-	b.off = maxBound
-	b.next = grow(b.next, numV)
-	b.prev = grow(b.prev, numV)
-	b.gain = grow(b.gain, numV)
-	b.sideA = grow(b.sideA, numV)
-	b.in = grow(b.in, numV)
-	clear(b.in)
-	for s := 0; s < 2; s++ {
-		b.heads[s] = grow(b.heads[s], 2*maxBound+1)
-		for i := range b.heads[s] {
-			b.heads[s][i] = -1
-		}
-		b.maxG[s] = -maxBound - 1
-		b.count[s] = 0
-	}
-}
-
-func (b *gainBuckets) insert(v int, side int8, gain int) {
-	idx := gain + b.off
-	s := int(side)
-	b.gain[v] = gain
-	b.sideA[v] = side
-	b.in[v] = true
-	head := b.heads[s][idx]
-	b.next[v] = head
-	b.prev[v] = -1
-	if head >= 0 {
-		b.prev[head] = v
-	}
-	b.heads[s][idx] = v
-	if gain > b.maxG[s] {
-		b.maxG[s] = gain
-	}
-	b.count[s]++
-}
-
-func (b *gainBuckets) remove(v int) {
-	if !b.in[v] {
-		return
-	}
-	s := int(b.sideA[v])
-	idx := b.gain[v] + b.off
-	if b.prev[v] >= 0 {
-		b.next[b.prev[v]] = b.next[v]
-	} else {
-		b.heads[s][idx] = b.next[v]
-	}
-	if b.next[v] >= 0 {
-		b.prev[b.next[v]] = b.prev[v]
-	}
-	b.in[v] = false
-	b.count[s]--
-}
-
-// update re-files v, if it is still bucketed, under its new gain.
-func (b *gainBuckets) update(v, gain int) {
-	if !b.in[v] {
-		return
-	}
-	side := b.sideA[v]
-	b.remove(v)
-	b.insert(v, side, gain)
-}
-
-func (b *gainBuckets) bestFeasible(g *graph.Graph, s int, wOther, maxOther float64, probeCap int) (int, int, bool) {
-	if b.count[s] == 0 {
-		return -1, 0, false
-	}
-	probes := 0
-	for gn := b.maxG[s]; gn >= -b.off; gn-- {
-		v := b.heads[s][gn+b.off]
-		if v < 0 {
-			if gn == b.maxG[s] {
-				b.maxG[s] = gn - 1
-			}
-			continue
-		}
-		for v >= 0 {
-			if wOther+float64(g.VertexWeight(v)) <= maxOther+1e-9 {
-				return v, gn, true
-			}
-			probes++
-			if probes >= probeCap {
-				return -1, 0, false
-			}
-			v = b.next[v]
-		}
-	}
-	return -1, 0, false
-}
-
 // refineBisection improves a graph bisection in place with FM passes,
 // rebalancing toward the strict caps first and refining under the
 // relaxed caps only when the level's vertex granularity requires it.
-func refineBisection(g *graph.Graph, side []int8, strict, relaxed [2]float64, opts Options, r *rng.RNG, s *scratch) {
+func refineBisection(g *graph.Graph, side []int8, strict, relaxed [2]float64, opts mlpart.Options, r *rng.RNG, s *scratch) {
 	numV := g.NumVertices()
 	if numV == 0 {
 		return
 	}
-	var w [2]float64
-	for v, sd := range side {
-		w[sd] += float64(g.VertexWeight(v))
-	}
+	w := mlpart.SideWeights(g.VertexWeights(), side)
 	rebalance(g, side, &w, strict)
 	caps := strict
-	if w[0] > strict[0]+1e-9 || w[1] > strict[1]+1e-9 {
+	if !mlpart.Within(w, strict) {
 		caps = relaxed
 	}
 	// gain[v] is the cut reduction of moving v. It is computed once
 	// here; fmPass keeps it exact through every move and rollback, so
 	// each pass starts from the values a fresh computation would give.
-	gain := grow(s.gain, numV)
+	gain := mlpart.Grow(s.gain, numV)
 	s.gain = gain
 	maxBound := 1
 	for v := 0; v < numV; v++ {
@@ -440,8 +329,8 @@ func refineBisection(g *graph.Graph, side []int8, strict, relaxed [2]float64, op
 		gain[v] = gn
 		maxBound = max(maxBound, sum)
 	}
-	for pass := 0; pass < fmPasses; pass++ {
-		if opts.canceled() != nil {
+	for pass := 0; pass < mlpart.FMPasses; pass++ {
+		if opts.Canceled() != nil {
 			// Abandon refinement mid-search; the caller's next boundary
 			// check surfaces the context error.
 			return
@@ -502,26 +391,24 @@ func fmPass(g *graph.Graph, side []int8, gain []int, w *[2]float64, maxW [2]floa
 	maxBound int, r *rng.RNG, s *scratch) bool {
 
 	numV := g.NumVertices()
+	vw := g.VertexWeights()
 	buckets := &s.buckets
-	buckets.reset(numV, maxBound)
-	locked := grow(s.locked, numV)
-	clear(locked)
-	s.locked = locked
+	buckets.Ensure(numV, maxBound)
 
-	order := grow(s.perm, numV)
+	order := mlpart.Grow(s.perm, numV)
 	r.PermInto(order)
 	s.perm = order
 	for _, v := range order {
-		buckets.insert(v, side[v], gain[v])
+		buckets.Insert(v, side[v], gain[v])
 	}
 
 	moves := s.moves[:0]
 	delta, best, bestIdx := 0, 0, -1
 	sinceBest := 0
 
-	for buckets.count[0]+buckets.count[1] > 0 {
-		v0, g0, ok0 := buckets.bestFeasible(g, 0, w[1], maxW[1], 64)
-		v1, g1, ok1 := buckets.bestFeasible(g, 1, w[0], maxW[0], 64)
+	for buckets.Len() > 0 {
+		v0, g0, ok0 := buckets.BestFeasible(vw, 0, w[1], maxW[1], 64, 64)
+		v1, g1, ok1 := buckets.BestFeasible(vw, 1, w[0], maxW[0], 64, 64)
 		var v, gn, from int
 		switch {
 		case ok0 && (!ok1 || g0 > g1 || (g0 == g1 && w[0] >= w[1])):
@@ -535,17 +422,10 @@ func fmPass(g *graph.Graph, side []int8, gain []int, w *[2]float64, maxW [2]floa
 			break
 		}
 		to := 1 - from
-		buckets.remove(v)
-		locked[v] = true
-		flip(g, side, gain, v)
-		w[from] -= float64(g.VertexWeight(v))
-		w[to] += float64(g.VertexWeight(v))
-		adjTo, _ := g.Adj(v)
-		for _, u := range adjTo {
-			if !locked[u] {
-				buckets.update(u, gain[u])
-			}
-		}
+		buckets.Remove(v)
+		flip(g, side, gain, v, buckets)
+		w[from] -= float64(vw[v])
+		w[to] += float64(vw[v])
 		delta += gn
 		moves = append(moves, v)
 		if delta > best {
@@ -553,7 +433,7 @@ func fmPass(g *graph.Graph, side []int8, gain []int, w *[2]float64, maxW [2]floa
 			sinceBest = 0
 		} else {
 			sinceBest++
-			if sinceBest > maxNegMoves {
+			if sinceBest > mlpart.MaxNegMoves {
 				break
 			}
 		}
@@ -564,25 +444,30 @@ func fmPass(g *graph.Graph, side []int8, gain []int, w *[2]float64, maxW [2]floa
 		v := moves[i]
 		to := int(side[v])
 		from := 1 - to
-		flip(g, side, gain, v)
-		w[to] -= float64(g.VertexWeight(v))
-		w[from] += float64(g.VertexWeight(v))
+		flip(g, side, gain, v, nil)
+		w[to] -= float64(vw[v])
+		w[from] += float64(vw[v])
 	}
 	return best > 0
 }
 
 // flip moves v to the other side and keeps gain exact: v's gain changes
 // sign, and each neighbour's moves by twice the edge weight, up when
-// the edge is now cut and down when it is now internal.
-func flip(g *graph.Graph, side []int8, gain []int, v int) {
+// the edge is now cut and down when it is now internal. A non-nil b
+// gets the same change for every neighbour it still holds; moved
+// vertices have left b, so they stay locked for the rest of the pass.
+func flip(g *graph.Graph, side []int8, gain []int, v int, b *mlpart.Buckets) {
 	side[v] = 1 - side[v]
 	gain[v] = -gain[v]
 	to, w := g.Adj(v)
 	for i, u := range to {
+		d := 2 * w[i]
 		if side[u] == side[v] {
-			gain[u] -= 2 * w[i]
-		} else {
-			gain[u] += 2 * w[i]
+			d = -d
+		}
+		gain[u] += d
+		if b != nil {
+			b.Update(u, d)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"finegrain/internal/graph"
+	"finegrain/internal/mlpart"
 	"finegrain/internal/rng"
 )
 
@@ -15,8 +16,8 @@ func TestHeavyEdgeMatchLegality(t *testing.T) {
 		b.AddEdge(r.Intn(300), r.Intn(300), 1+r.Intn(5))
 	}
 	g := b.Build()
-	opts := DefaultOptions()
-	opts.normalize()
+	opts := mlpart.DefaultOptions()
+	opts.Normalize()
 	cmap, numC := heavyEdgeMatch(g, opts, r, new(scratch), new(rung))
 	sizes := make([]int, numC)
 	for v, c := range cmap {
@@ -48,8 +49,8 @@ func TestHeavyEdgeMatchPrefersHeavy(t *testing.T) {
 	b.AddEdge(0, 3, 100)
 	b.AddEdge(0, 4, 1)
 	g := b.Build()
-	opts := DefaultOptions()
-	opts.normalize()
+	opts := mlpart.DefaultOptions()
+	opts.Normalize()
 	// Try several seeds: whenever 0 initiates the match, it must pick 3.
 	matched03 := 0
 	for seed := uint64(0); seed < 20; seed++ {
@@ -95,8 +96,8 @@ func TestContractPreservesWeightAndDropsLoops(t *testing.T) {
 
 func TestCoarsenLadder(t *testing.T) {
 	g := path(3000)
-	opts := DefaultOptions()
-	opts.normalize()
+	opts := mlpart.DefaultOptions()
+	opts.Normalize()
 	levels := coarsen(g, opts, rng.New(2), nil, new(scratch))
 	if len(levels) < 3 {
 		t.Fatalf("only %d levels for a 3000-vertex path", len(levels))

@@ -2,6 +2,7 @@ package gpart
 
 import (
 	"finegrain/internal/graph"
+	"finegrain/internal/mlpart"
 	"finegrain/internal/obs"
 	"finegrain/internal/par"
 	"finegrain/internal/rng"
@@ -18,7 +19,7 @@ import (
 // the token touches. gpart keeps nothing in par.Worker.Local, whose
 // slot hgpart claims for its own arena.
 type recursion struct {
-	opts  Options
+	opts  mlpart.Options
 	epsB  float64
 	out   []int
 	tk    *obs.Track
@@ -33,7 +34,7 @@ type slotState struct {
 	tk *obs.Track
 }
 
-func newRecursion(opts Options, epsB float64, out []int, tk *obs.Track) *recursion {
+func newRecursion(opts mlpart.Options, epsB float64, out []int, tk *obs.Track) *recursion {
 	extra := opts.Workers - 1
 	rc := &recursion{opts: opts, epsB: epsB, out: out, tk: tk,
 		slots: make(chan int, extra), slot: make([]slotState, extra)}

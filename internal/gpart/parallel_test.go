@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"finegrain/internal/graph"
+	"finegrain/internal/mlpart"
 	"finegrain/internal/obs"
 	"finegrain/internal/rng"
 )
@@ -24,7 +25,7 @@ func TestWorkersDeterministic(t *testing.T) {
 		for _, k := range []int{2, 5, 64} {
 			var base []int
 			for _, workers := range []int{1, 2, 8} {
-				opts := DefaultOptions()
+				opts := mlpart.DefaultOptions()
 				opts.Seed = 5
 				opts.Workers = workers
 				p, err := Partition(g, k, opts)
@@ -46,7 +47,7 @@ func TestWorkersDeterministic(t *testing.T) {
 // forked "gpart worker" track. Tracing must not change the parts.
 func TestTraceWorkerTrack(t *testing.T) {
 	g := grid(30, 30)
-	opts := DefaultOptions()
+	opts := mlpart.DefaultOptions()
 	opts.Workers = 2
 	base, err := Partition(g, 8, opts)
 	if err != nil {

@@ -1,5 +1,7 @@
 package gpart
 
+import "finegrain/internal/mlpart"
+
 // scratch holds the reusable working buffers of one goroutine of a
 // Partition call: the caller's own, and one per worker slot. Buffers
 // only grow, so deeper (smaller) levels and later passes reslice the
@@ -29,11 +31,9 @@ type scratch struct {
 	// inducedSide: the old → new vertex map.
 	local []int
 
-	// FM refinement: move gains, gain buckets, locked flags and the
-	// move log.
+	// FM refinement: move gains, gain buckets and the move log.
 	gain    []int
-	buckets gainBuckets
-	locked  []bool
+	buckets mlpart.Buckets
 	moves   []int
 
 	// projection: two side buffers that the uncoarsening levels take
@@ -64,13 +64,4 @@ func (s *scratch) rungAt(i int) *rung {
 type accSlot struct {
 	stamp int
 	w     int
-}
-
-// grow returns b resliced to length n, reallocating only when its
-// capacity is short. The contents are unspecified.
-func grow[T any](b []T, n int) []T {
-	if cap(b) < n {
-		return make([]T, n)
-	}
-	return b[:n]
 }

@@ -42,6 +42,10 @@ func (g *Graph) Degree(v int) int { return g.adjPtr[v+1] - g.adjPtr[v] }
 // VertexWeight returns w_v.
 func (g *Graph) VertexWeight(v int) int { return g.vw[v] }
 
+// VertexWeights returns w_v for every vertex. The slice is g's own
+// storage: callers must not modify it.
+func (g *Graph) VertexWeights() []int { return g.vw }
+
 // TotalVertexWeight returns Σ w_v.
 func (g *Graph) TotalVertexWeight() int {
 	t := 0

@@ -55,6 +55,23 @@ func (p *Partition) EdgeCut(g *Graph) int {
 	return cut
 }
 
+// MoveDelta returns the change in EdgeCut if vertex v, now in part
+// from, moved to part to: its edges into from become cut and its edges
+// into to become internal.
+func (p *Partition) MoveDelta(g *Graph, v, from, to int) int {
+	delta := 0
+	adj, w := g.Adj(v)
+	for i, u := range adj {
+		switch p.Parts[u] {
+		case from:
+			delta += w[i]
+		case to:
+			delta -= w[i]
+		}
+	}
+	return delta
+}
+
 // PartWeights returns W_k for each part.
 func (p *Partition) PartWeights(g *Graph) []int {
 	w := make([]int, p.K)

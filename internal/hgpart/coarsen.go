@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"finegrain/internal/hypergraph"
+	"finegrain/internal/mlpart"
 	"finegrain/internal/rng"
 )
 
@@ -60,8 +61,8 @@ func coarsen(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fixedCap
 	// decision sequence is identical whether or not compression is
 	// actually applied to the built hypergraphs.
 	prevCompactPins := h.NumPins()
-	for len(levels) < maxLevels && cur.h.NumVertices() > opts.coarsenTo {
-		if opts.canceled() != nil {
+	for len(levels) < mlpart.MaxLevels && cur.h.NumVertices() > opts.coarsenTo {
+		if opts.Canceled() != nil {
 			// Stop building the ladder; the caller polls the context right
 			// after coarsening and surfaces the error.
 			break
@@ -221,11 +222,11 @@ func cluster(h *hypergraph.Hypergraph, fixedSide []int8, fixedCap [2]float64,
 	clusters := s.clusters[:0]
 	netInc := computeNetInc(h, opts, s)
 
-	slots := grow(s.slots, 2*numV)
+	slots := mlpart.Grow(s.slots, 2*numV)
 	epoch := s.epoch
 	cands := s.cands[:0]
 
-	order := grow(s.perm, numV)
+	order := mlpart.Grow(s.perm, numV)
 	r.PermInto(order)
 	for _, v := range order {
 		if cmap[v] >= 0 {
@@ -306,7 +307,7 @@ func scoreCandidates(h *hypergraph.Hypergraph, netInc []float64, cmap []int, key
 // nets skipped for matching (too small or too large).
 func computeNetInc(h *hypergraph.Hypergraph, opts Options, s *scratch) []float64 {
 	numN := h.NumNets()
-	netInc := grow(s.netInc, numN)
+	netInc := mlpart.Grow(s.netInc, numN)
 	for n := 0; n < numN; n++ {
 		size := h.NetSize(n)
 		if size < 2 || size > opts.matchNetLimit {
@@ -342,9 +343,9 @@ func clusterRounds(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fi
 	clusters := s.clusters[:0]
 	netInc := computeNetInc(h, opts, s)
 
-	order := grow(s.perm, numV)
+	order := mlpart.Grow(s.perm, numV)
 	r.PermInto(order)
-	s.prop = grow(s.prop, numV)
+	s.prop = mlpart.Grow(s.prop, numV)
 
 	cr := &s.cl
 	*cr = clusterRound{
@@ -398,7 +399,7 @@ func clusterRounds(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fi
 			merges++
 		}
 		rsp.Arg("merges", int64(merges)).End()
-		ctx.sc.addCoarsenRound(merges)
+		ctx.sc.addCoarsenRound()
 		if merges == 0 {
 			break
 		}
@@ -431,7 +432,7 @@ func clusterRounds(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fi
 // the coarse hypergraph's own exact-size arrays.
 func contract(h *hypergraph.Hypergraph, cmap []int, numC int, s *scratch) (*hypergraph.Hypergraph, int) {
 	numN := h.NumNets()
-	mark := grow(s.mark, numC)
+	mark := mlpart.Grow(s.mark, numC)
 	for i := range mark {
 		mark[i] = -1
 	}
@@ -465,7 +466,7 @@ func contract(h *hypergraph.Hypergraph, cmap []int, numC int, s *scratch) (*hype
 	for tabSize < 2*nCand {
 		tabSize *= 2
 	}
-	htab := grow(s.htab, tabSize)
+	htab := mlpart.Grow(s.htab, tabSize)
 	for i := range htab {
 		htab[i] = 0
 	}

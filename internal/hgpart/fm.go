@@ -4,145 +4,15 @@ import (
 	"slices"
 
 	"finegrain/internal/hypergraph"
+	"finegrain/internal/mlpart"
 	"finegrain/internal/rng"
 )
 
-// gainBuckets is the classic Fiduccia–Mattheyses bucket structure: one
-// array of doubly linked lists per side, indexed by gain (shifted by
-// off so negative gains index correctly), with a moving max-gain pointer
-// per side.
 // fmMove records one applied FM move so the pass can roll back to the
 // best prefix.
 type fmMove struct {
 	v    int
 	gain int
-}
-
-type gainBuckets struct {
-	off    int
-	heads  [2][]int
-	next   []int
-	prev   []int
-	gain   []int
-	sideAt []int8
-	in     []bool
-	maxG   [2]int
-	count  [2]int
-}
-
-// ensure (re)initializes b for a hypergraph of numV vertices with the
-// given gain bound, growing its arrays in place. Only the membership
-// flags and bucket heads need clearing: next/prev/gain/sideAt are
-// written before any read for every inserted vertex, so stale entries
-// from a previous use are never observed.
-func (b *gainBuckets) ensure(numV, maxBound int) {
-	b.off = maxBound
-	b.next = grow(b.next, numV)
-	b.prev = grow(b.prev, numV)
-	b.gain = grow(b.gain, numV)
-	b.sideAt = grow(b.sideAt, numV)
-	b.in = grow(b.in, numV)
-	clear(b.in)
-	for s := 0; s < 2; s++ {
-		b.heads[s] = grow(b.heads[s], 2*maxBound+1)
-		for i := range b.heads[s] {
-			b.heads[s][i] = -1
-		}
-		b.maxG[s] = -maxBound - 1
-		b.count[s] = 0
-	}
-}
-
-func newGainBuckets(numV, maxBound int) *gainBuckets {
-	b := &gainBuckets{}
-	b.ensure(numV, maxBound)
-	return b
-}
-
-func (b *gainBuckets) insert(v int, side int8, gain int) {
-	idx := gain + b.off
-	s := int(side)
-	b.gain[v] = gain
-	b.sideAt[v] = side
-	b.in[v] = true
-	head := b.heads[s][idx]
-	b.next[v] = head
-	b.prev[v] = -1
-	if head >= 0 {
-		b.prev[head] = v
-	}
-	b.heads[s][idx] = v
-	if gain > b.maxG[s] {
-		b.maxG[s] = gain
-	}
-	b.count[s]++
-}
-
-func (b *gainBuckets) remove(v int) {
-	if !b.in[v] {
-		return
-	}
-	s := int(b.sideAt[v])
-	idx := b.gain[v] + b.off
-	if b.prev[v] >= 0 {
-		b.next[b.prev[v]] = b.next[v]
-	} else {
-		b.heads[s][idx] = b.next[v]
-	}
-	if b.next[v] >= 0 {
-		b.prev[b.next[v]] = b.prev[v]
-	}
-	b.in[v] = false
-	b.count[s]--
-}
-
-func (b *gainBuckets) updateGain(v, delta int) {
-	if !b.in[v] {
-		return
-	}
-	side := b.sideAt[v]
-	g := b.gain[v] + delta
-	b.remove(v)
-	b.insert(v, side, g)
-}
-
-// bestFeasible finds the highest-gain vertex on side s whose move to the
-// other side keeps that side within maxOther. It probes at most
-// bucketCap vertices within a single gain bucket before advancing to the
-// next (lower-gain) bucket — a cluster of heavy vertices at the top gain
-// must not hide feasible moves below it — and at most totalCap vertices
-// overall before giving up (weights are near-uniform in practice, so the
-// first candidate almost always fits).
-func (b *gainBuckets) bestFeasible(h *hypergraph.Hypergraph, s int, wOther, maxOther float64, bucketCap, totalCap int) (int, int, bool) {
-	if b.count[s] == 0 {
-		return -1, 0, false
-	}
-	total := 0
-	for g := b.maxG[s]; g >= -b.off; g-- {
-		v := b.heads[s][g+b.off]
-		if v < 0 {
-			if g == b.maxG[s] {
-				b.maxG[s] = g - 1
-			}
-			continue
-		}
-		inBucket := 0
-		for v >= 0 {
-			if wOther+float64(h.VertexWeight(v)) <= maxOther+1e-9 {
-				return v, g, true
-			}
-			total++
-			if total >= totalCap {
-				return -1, 0, false
-			}
-			inBucket++
-			if inBucket >= bucketCap {
-				break // blocked bucket: fall through to lower gains
-			}
-			v = b.next[v]
-		}
-	}
-	return -1, 0, false
 }
 
 // refineBisection improves a bisection in place with repeated FM passes.
@@ -169,8 +39,8 @@ func refineBisection(ctx bisectCtx, h *hypergraph.Hypergraph, side []int8, fixed
 	rsp := ctx.tk.Begin("hgpart", "refine").Arg("vertices", int64(numV))
 	defer rsp.End()
 	// σ(n, s): pins of net n currently on side s.
-	s.sigma[0] = grow(s.sigma[0], h.NumNets())
-	s.sigma[1] = grow(s.sigma[1], h.NumNets())
+	s.sigma[0] = mlpart.Grow(s.sigma[0], h.NumNets())
+	s.sigma[1] = mlpart.Grow(s.sigma[1], h.NumNets())
 	sigma := s.sigma
 	clear(sigma[0])
 	clear(sigma[1])
@@ -195,14 +65,14 @@ func refineBisection(ctx bisectCtx, h *hypergraph.Hypergraph, side []int8, fixed
 
 	rebalance(sc, h, side, fixedSide, sigma, &w, strict, s)
 	caps := strict
-	if w[0] > strict[0]+1e-9 || w[1] > strict[1]+1e-9 {
+	if !mlpart.Within(w, strict) {
 		caps = relaxed
 	}
 	if numV >= opts.parallelThreshold {
 		fmParallelRefine(ctx, h, side, fixedSide, sigma, &w, caps, opts, s)
 	} else {
-		for pass := 0; pass < fmPasses; pass++ {
-			if opts.canceled() != nil {
+		for pass := 0; pass < mlpart.FMPasses; pass++ {
+			if opts.Canceled() != nil {
 				// Abandon refinement mid-search; the caller's next boundary
 				// check surfaces the context error.
 				return
@@ -229,7 +99,7 @@ func refineBisection(ctx bisectCtx, h *hypergraph.Hypergraph, side []int8, fixed
 // state and accepting only still-positive, still-feasible moves. Every
 // accepted move strictly decreases the cut, so no move log or rollback
 // is needed and the loop terminates; rounds stop when one applies
-// nothing (or after 4×fmPasses rounds, a generous bound that keeps
+// nothing (or after 4×mlpart.FMPasses rounds, a generous bound that keeps
 // worst-case time proportional to the serial pass budget). Unlike the
 // serial pass it consumes no randomness — the scan order is the vertex
 // order.
@@ -239,8 +109,8 @@ func fmParallelRefine(ctx bisectCtx, h *hypergraph.Hypergraph, side []int8, fixe
 	numV := h.NumVertices()
 	chunk := opts.parallelChunk()
 	nchunks := chunkCount(numV, chunk)
-	s.fmCands = grow(s.fmCands, numV)
-	s.fmCounts = grow(s.fmCounts, nchunks)
+	s.fmCands = mlpart.Grow(s.fmCands, numV)
+	s.fmCounts = mlpart.Grow(s.fmCounts, nchunks)
 
 	fr := &s.fm
 	*fr = fmRound{
@@ -256,9 +126,9 @@ func fmParallelRefine(ctx bisectCtx, h *hypergraph.Hypergraph, side []int8, fixe
 	rj := &s.rj
 	*rj = roundJob{nchunks: nchunks, op: roundFM, fm: fr}
 
-	maxRounds := 4 * fmPasses
+	maxRounds := 4 * mlpart.FMPasses
 	for round := 0; round < maxRounds; round++ {
-		if opts.canceled() != nil {
+		if opts.Canceled() != nil {
 			return
 		}
 		psp := ctx.tk.Begin("hgpart", "fm.round").Arg("round", int64(round))
@@ -329,6 +199,7 @@ func rebalance(sc *statsCollector, h *hypergraph.Hypergraph, side []int8, fixedS
 	sigma [2][]int, w *[2]float64, maxW [2]float64, scr *scratch) {
 
 	numV := h.NumVertices()
+	vw := h.VertexWeights()
 	moved := 0
 	for s := 0; s < 2; s++ {
 		if w[s] <= maxW[s]+1e-9 {
@@ -350,7 +221,7 @@ func rebalance(sc *statsCollector, h *hypergraph.Hypergraph, side []int8, fixedS
 			}
 		}
 		buckets := &scr.buckets
-		buckets.ensure(numV, maxBound)
+		buckets.Ensure(numV, maxBound)
 		for v := 0; v < numV; v++ {
 			if int(side[v]) != s || fixedSide[v] >= 0 {
 				continue
@@ -365,7 +236,7 @@ func rebalance(sc *statsCollector, h *hypergraph.Hypergraph, side []int8, fixedS
 					g -= c
 				}
 			}
-			buckets.insert(v, int8(s), g)
+			buckets.Insert(v, int8(s), g)
 		}
 
 		// Repeatedly pick the best-gain movable vertex on side s whose
@@ -373,11 +244,11 @@ func rebalance(sc *statsCollector, h *hypergraph.Hypergraph, side []int8, fixedS
 		// s-side vertex, so an exhaustive probe budget makes this the
 		// same greedy choice as a full scan.
 		for w[s] > maxW[s]+1e-9 {
-			v, _, ok := buckets.bestFeasible(h, s, w[o], maxW[o], numV, numV)
+			v, _, ok := buckets.BestFeasible(vw, s, w[o], maxW[o], numV, numV)
 			if !ok {
 				break // nothing movable fits; give up quietly
 			}
-			buckets.remove(v)
+			buckets.Remove(v)
 			side[v] = int8(o)
 			w[s] -= float64(h.VertexWeight(v))
 			w[o] += float64(h.VertexWeight(v))
@@ -385,7 +256,7 @@ func rebalance(sc *statsCollector, h *hypergraph.Hypergraph, side []int8, fixedS
 			// Update gains of the remaining s-side bucket members. Only
 			// two of the four σ transitions touch s-side pins; the other
 			// vertices affected are on side o and were never inserted
-			// (updateGain is a no-op for them).
+			// (Update is a no-op for them).
 			for _, n := range h.Nets(v) {
 				c := h.NetCost(n)
 				if sigma[o][n] == 0 {
@@ -393,7 +264,7 @@ func rebalance(sc *statsCollector, h *hypergraph.Hypergraph, side []int8, fixedS
 					// loses its "newly cuts" penalty.
 					for _, u := range h.Pins(n) {
 						if u != v {
-							buckets.updateGain(u, +c)
+							buckets.Update(u, +c)
 						}
 					}
 				}
@@ -403,7 +274,7 @@ func rebalance(sc *statsCollector, h *hypergraph.Hypergraph, side []int8, fixedS
 					// One s-side pin left; moving it now uncuts net n.
 					for _, u := range h.Pins(n) {
 						if u != v && int(side[u]) == s {
-							buckets.updateGain(u, +c)
+							buckets.Update(u, +c)
 						}
 					}
 				}
@@ -420,9 +291,10 @@ func fmPass(sc *statsCollector, h *hypergraph.Hypergraph, side []int8, fixedSide
 	opts Options, r *rng.RNG, scr *scratch) bool {
 
 	numV := h.NumVertices()
+	vw := h.VertexWeights()
 	buckets := &scr.buckets
-	buckets.ensure(numV, maxBound)
-	scr.locked = grow(scr.locked, numV)
+	buckets.Ensure(numV, maxBound)
+	scr.locked = mlpart.Grow(scr.locked, numV)
 	locked := scr.locked
 	clear(locked)
 
@@ -441,7 +313,7 @@ func fmPass(sc *statsCollector, h *hypergraph.Hypergraph, side []int8, fixedSide
 		return g
 	}
 
-	scr.perm = grow(scr.perm, numV)
+	scr.perm = mlpart.Grow(scr.perm, numV)
 	order := scr.perm
 	r.PermInto(order)
 	for _, v := range order {
@@ -449,7 +321,7 @@ func fmPass(sc *statsCollector, h *hypergraph.Hypergraph, side []int8, fixedSide
 			locked[v] = true
 			continue
 		}
-		buckets.insert(v, side[v], computeGain(v))
+		buckets.Insert(v, side[v], computeGain(v))
 	}
 
 	moves := scr.moves[:0]
@@ -464,13 +336,13 @@ func fmPass(sc *statsCollector, h *hypergraph.Hypergraph, side []int8, fixedSide
 			case 0:
 				for _, u := range pins {
 					if u != v && !locked[u] {
-						buckets.updateGain(u, +c)
+						buckets.Update(u, +c)
 					}
 				}
 			case 1:
 				for _, u := range pins {
 					if int(side[u]) == to && !locked[u] {
-						buckets.updateGain(u, -c)
+						buckets.Update(u, -c)
 						break
 					}
 				}
@@ -481,13 +353,13 @@ func fmPass(sc *statsCollector, h *hypergraph.Hypergraph, side []int8, fixedSide
 			case 0:
 				for _, u := range pins {
 					if u != v && !locked[u] {
-						buckets.updateGain(u, -c)
+						buckets.Update(u, -c)
 					}
 				}
 			case 1:
 				for _, u := range pins {
 					if int(side[u]) == from && !locked[u] {
-						buckets.updateGain(u, +c)
+						buckets.Update(u, +c)
 						break
 					}
 				}
@@ -495,9 +367,9 @@ func fmPass(sc *statsCollector, h *hypergraph.Hypergraph, side []int8, fixedSide
 		}
 	}
 
-	for buckets.count[0]+buckets.count[1] > 0 {
-		v0, g0, ok0 := buckets.bestFeasible(h, 0, w[1], maxW[1], 64, 256)
-		v1, g1, ok1 := buckets.bestFeasible(h, 1, w[0], maxW[0], 64, 256)
+	for buckets.Len() > 0 {
+		v0, g0, ok0 := buckets.BestFeasible(vw, 0, w[1], maxW[1], 64, 256)
+		v1, g1, ok1 := buckets.BestFeasible(vw, 1, w[0], maxW[0], 64, 256)
 		var v, g, from int
 		switch {
 		case ok0 && (!ok1 || g0 > g1 || (g0 == g1 && w[0] >= w[1])):
@@ -512,7 +384,7 @@ func fmPass(sc *statsCollector, h *hypergraph.Hypergraph, side []int8, fixedSide
 			break
 		}
 		to := 1 - from
-		buckets.remove(v)
+		buckets.Remove(v)
 		locked[v] = true
 		side[v] = int8(to)
 		w[from] -= float64(h.VertexWeight(v))
@@ -526,7 +398,7 @@ func fmPass(sc *statsCollector, h *hypergraph.Hypergraph, side []int8, fixedSide
 			sinceBest = 0
 		} else {
 			sinceBest++
-			if sinceBest > maxNegMoves {
+			if sinceBest > mlpart.MaxNegMoves {
 				break
 			}
 		}

@@ -7,41 +7,6 @@ import (
 	"finegrain/internal/rng"
 )
 
-// TestBestFeasibleSkipsBlockedBucket reproduces the search defect where a
-// cluster of infeasibly heavy vertices in the top gain bucket aborted the
-// whole search: with the per-bucket probe cap the search must fall
-// through to a lower-gain bucket holding a feasible light vertex.
-func TestBestFeasibleSkipsBlockedBucket(t *testing.T) {
-	const heavy = 70 // more heavy vertices than the per-bucket cap
-	b := hypergraph.NewBuilder(heavy+1, 1)
-	for v := 0; v < heavy; v++ {
-		b.SetVertexWeight(v, 100)
-	}
-	b.SetVertexWeight(heavy, 1)
-	b.AddPin(0, 0)
-	b.AddPin(0, 1)
-	h := b.Build()
-
-	bk := newGainBuckets(heavy+1, 8)
-	for v := 0; v < heavy; v++ {
-		bk.insert(v, 0, 5) // top bucket: all too heavy to move
-	}
-	bk.insert(heavy, 0, 4) // next bucket: fits
-
-	// Other side has room for weight 50 only: every heavy vertex is
-	// infeasible, the light one is not.
-	v, g, ok := bk.bestFeasible(h, 0, 0, 50, 64, 256)
-	if !ok || v != heavy || g != 4 {
-		t.Fatalf("bestFeasible = (%d,%d,%v), want (%d,4,true)", v, g, ok, heavy)
-	}
-
-	// The total budget still bounds the search: with a budget smaller
-	// than the blocked bucket's cap, the search gives up.
-	if _, _, ok := bk.bestFeasible(h, 0, 0, 50, 64, 8); ok {
-		t.Fatal("bestFeasible should exhaust a tiny total budget")
-	}
-}
-
 // rebalanceState builds the σ counts and side weights refineBisection
 // would hand to rebalance.
 func rebalanceState(h *hypergraph.Hypergraph, side []int8) ([2][]int, [2]float64) {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"finegrain/internal/hypergraph"
+	"finegrain/internal/mlpart"
 	"finegrain/internal/rng"
 )
 
@@ -64,7 +65,7 @@ func PartitionFixedStats(h *hypergraph.Hypergraph, k int, fixed []int, opts Opti
 			}
 		}
 	}
-	if err := opts.canceled(); err != nil {
+	if err := opts.Canceled(); err != nil {
 		return nil, nil, err
 	}
 	if k == 1 {
@@ -104,7 +105,7 @@ func PartitionFixedStats(h *hypergraph.Hypergraph, k int, fixed []int, opts Opti
 func partitionRun(h *hypergraph.Hypergraph, k int, fixed []int, opts Options, ctx bisectCtx, s *scratch) (*hypergraph.Partition, error) {
 	sp := ctx.tk.Begin("hgpart", "run").Arg("k", int64(k))
 	defer sp.End()
-	r := opts.newRNG()
+	r := opts.NewRNG()
 	parts := make([]int, h.NumVertices())
 	ids := make([]int, h.NumVertices())
 	for i := range ids {
@@ -114,7 +115,9 @@ func partitionRun(h *hypergraph.Hypergraph, k int, fixed []int, opts Options, ct
 		return nil, err
 	}
 	p := &hypergraph.Partition{K: k, Parts: parts}
-	kwayBalance(h, p, fixed, opts.Eps)
+	mlpart.Balance(k, parts, h.VertexWeights(), fixed, opts.Eps, func(v, from, to int) int {
+		return p.MoveDelta(h, v, from, to)
+	})
 	return p, nil
 }
 
@@ -134,7 +137,7 @@ func partitionRun(h *hypergraph.Hypergraph, k int, fixed []int, opts Options, ct
 func recursiveBisect(ctx bisectCtx, sub *hypergraph.Hypergraph, ids []int, fixed []int,
 	kLo, k int, slack float64, opts Options, r *rng.RNG, out []int, s *scratch) error {
 
-	if err := opts.canceled(); err != nil {
+	if err := opts.Canceled(); err != nil {
 		return err
 	}
 	if k == 1 {
@@ -147,7 +150,7 @@ func recursiveBisect(ctx bisectCtx, sub *hypergraph.Hypergraph, ids []int, fixed
 		Arg("k", int64(k)).Arg("kLo", int64(kLo)).Arg("vertices", int64(sub.NumVertices()))
 	defer sp.End()
 
-	epsB := bisectionEps(slack, k)
+	epsB := mlpart.BisectionEps(slack, k)
 	childSlack := (1+slack)/(1+epsB) - 1
 	kL := k / 2
 	kR := k - kL
@@ -195,7 +198,7 @@ func recursiveBisect(ctx bisectCtx, sub *hypergraph.Hypergraph, ids []int, fixed
 // the id map allocate — counting state lives in the scratch arena.
 func inducedSide(h *hypergraph.Hypergraph, ids []int, side []int8, want int8, s *scratch) (*hypergraph.Hypergraph, []int) {
 	numV := h.NumVertices()
-	local := grow(s.vlocal, numV)
+	local := mlpart.Grow(s.vlocal, numV)
 	n := 0
 	for v := 0; v < numV; v++ {
 		if side[v] == want {
@@ -255,63 +258,31 @@ func multilevelBisect(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8,
 	epsB float64, opts Options, r *rng.RNG, scr *scratch) ([]int8, error) {
 
 	sc := ctx.sc
-	totalW := h.TotalVertexWeight()
-	targetL := float64(totalW) * float64(kL) / float64(kL+kR)
-	targets := [2]float64{targetL, float64(totalW) - targetL}
-	maxW := [2]float64{targets[0] * (1 + epsB), targets[1] * (1 + epsB)}
-	// With unit weights and odd counts, the strict bound can be
-	// infeasible; always allow at least ceil(target) plus the heaviest
-	// single free vertex's slack at tiny sizes.
-	for s := 0; s < 2; s++ {
-		if maxW[s] < targets[s]+1 {
-			maxW[s] = targets[s] + 1
-		}
-	}
+	bounds := mlpart.NewBounds(h.TotalVertexWeight(), kL, kR, epsB)
 
 	var t0 time.Time
 	if sc.enabled() {
 		t0 = time.Now()
 	}
 	csp := ctx.tk.Begin("hgpart", "coarsen").Arg("vertices", int64(h.NumVertices()))
-	levels := coarsen(ctx, h, fixedSide, maxW, opts, r, scr)
+	levels := coarsen(ctx, h, fixedSide, bounds.Strict, opts, r, scr)
 	csp.Arg("levels", int64(len(levels))).End()
 	var coarsenD time.Duration
 	if sc.enabled() {
 		coarsenD = time.Since(t0)
 	}
-	if err := opts.canceled(); err != nil {
+	if err := opts.Canceled(); err != nil {
 		return nil, err
 	}
 	coarsest := levels[len(levels)-1]
 
-	// Per-level caps: a level whose vertices (clusters) are heavier
-	// than the balance slack could never be refined under the strict
-	// bound, so each level's cap is relaxed by its heaviest vertex.
-	// Finer levels have lighter vertices, so the bound tightens as the
-	// partition is projected back.
-	capsFor := func(hh *hypergraph.Hypergraph) [2]float64 {
-		mw := 0
-		for v := 0; v < hh.NumVertices(); v++ {
-			if w := hh.VertexWeight(v); w > mw {
-				mw = w
-			}
-		}
-		caps := maxW
-		for s := 0; s < 2; s++ {
-			if relaxed := targets[s] + float64(mw); relaxed > caps[s] {
-				caps[s] = relaxed
-			}
-		}
-		return caps
-	}
-
-	coarseCaps := capsFor(coarsest.h)
+	coarseCaps := bounds.Caps(coarsest.h.VertexWeights())
 	if sc.enabled() {
 		t0 = time.Now()
 	}
 	isp := ctx.tk.Begin("hgpart", "initial.bisect").
-		Arg("vertices", int64(coarsest.h.NumVertices())).Arg("trials", initTrials)
-	side, err := initialBisect(ctx, coarsest.h, coarsest.fixedSide, targets, maxW, coarseCaps, opts, r, scr)
+		Arg("vertices", int64(coarsest.h.NumVertices())).Arg("trials", mlpart.InitTrials)
+	side, err := initialBisect(ctx, coarsest.h, coarsest.fixedSide, bounds.Targets, bounds.Strict, coarseCaps, opts, r, scr)
 	isp.End()
 	if err != nil {
 		return nil, err
@@ -321,7 +292,7 @@ func multilevelBisect(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8,
 		initialD = time.Since(t0)
 		t0 = time.Now()
 	}
-	refineBisection(ctx, coarsest.h, side, coarsest.fixedSide, maxW, coarseCaps, opts, r, scr)
+	refineBisection(ctx, coarsest.h, side, coarsest.fixedSide, bounds.Strict, coarseCaps, opts, r, scr)
 
 	// Project back through the levels, refining at each. The two
 	// scr.proj buffers ping-pong: initialBisect returned proj[0], so the
@@ -329,19 +300,19 @@ func multilevelBisect(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8,
 	fineCaps := coarseCaps
 	cur := 0
 	for i := len(levels) - 2; i >= 0; i-- {
-		if err := opts.canceled(); err != nil {
+		if err := opts.Canceled(); err != nil {
 			return nil, err
 		}
 		lv := levels[i]
 		cur = 1 - cur
-		scr.proj[cur] = grow(scr.proj[cur], lv.h.NumVertices())
+		scr.proj[cur] = mlpart.Grow(scr.proj[cur], lv.h.NumVertices())
 		fine := scr.proj[cur]
 		for v := range fine {
 			fine[v] = side[lv.cmap[v]]
 		}
 		side = fine
-		fineCaps = capsFor(lv.h)
-		refineBisection(ctx, lv.h, side, lv.fixedSide, maxW, fineCaps, opts, r, scr)
+		fineCaps = bounds.Caps(lv.h.VertexWeights())
+		refineBisection(ctx, lv.h, side, lv.fixedSide, bounds.Strict, fineCaps, opts, r, scr)
 	}
 	if sc.enabled() {
 		sc.addBisection(coarsenD, initialD, time.Since(t0))
@@ -349,11 +320,7 @@ func multilevelBisect(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8,
 
 	// Final feasibility check against the finest-level caps (strict
 	// ε-balance when vertex weights allow it).
-	var w [2]float64
-	for v, s := range side {
-		w[s] += float64(h.VertexWeight(v))
-	}
-	if w[0] > fineCaps[0]+1e-9 || w[1] > fineCaps[1]+1e-9 {
+	if !mlpart.Within(mlpart.SideWeights(h.VertexWeights(), side), fineCaps) {
 		return nil, ErrInfeasible
 	}
 	return side, nil

@@ -315,57 +315,6 @@ func TestZeroWeightDummiesAllowed(t *testing.T) {
 	}
 }
 
-func TestBisectionEps(t *testing.T) {
-	if e := bisectionEps(0.03, 2); e != 0.03 {
-		t.Fatalf("K=2 eps %v", e)
-	}
-	e16 := bisectionEps(0.03, 16)
-	if e16 <= 0 || e16 >= 0.03 {
-		t.Fatalf("K=16 per-level eps %v out of range", e16)
-	}
-	// Compounding over 4 levels must not exceed the K-way bound.
-	c := 1.0
-	for i := 0; i < 4; i++ {
-		c *= 1 + e16
-	}
-	if c > 1.0300001 {
-		t.Fatalf("compounded eps %v exceeds 1.03", c)
-	}
-}
-
-func TestGainBuckets(t *testing.T) {
-	b := newGainBuckets(10, 5)
-	b.insert(3, 0, 2)
-	b.insert(4, 0, 5)
-	b.insert(5, 1, -3)
-	if b.count[0] != 2 || b.count[1] != 1 {
-		t.Fatalf("counts %v", b.count)
-	}
-	chainH := chain(10)
-	v, g, ok := b.bestFeasible(chainH, 0, 0, 100, 16, 64)
-	if !ok || v != 4 || g != 5 {
-		t.Fatalf("bestFeasible = (%d,%d,%v)", v, g, ok)
-	}
-	b.remove(4)
-	v, g, ok = b.bestFeasible(chainH, 0, 0, 100, 16, 64)
-	if !ok || v != 3 || g != 2 {
-		t.Fatalf("after remove: (%d,%d,%v)", v, g, ok)
-	}
-	b.updateGain(3, -4)
-	v, g, ok = b.bestFeasible(chainH, 0, 0, 100, 16, 64)
-	if !ok || v != 3 || g != -2 {
-		t.Fatalf("after update: (%d,%d,%v)", v, g, ok)
-	}
-	// Weight feasibility: a unit-weight candidate does not fit when the
-	// other side is already at its cap, and fits once there is room.
-	if _, _, ok := b.bestFeasible(chainH, 1, 100, 100, 16, 64); ok {
-		t.Fatal("candidate should not fit with zero room")
-	}
-	if _, _, ok := b.bestFeasible(chainH, 1, 100, 101.5, 16, 64); !ok {
-		t.Fatal("side 1 candidate should fit with room")
-	}
-}
-
 func TestStarHypergraphSplit(t *testing.T) {
 	// One giant net over everything plus pairwise nets: the giant net
 	// must be cut, pairwise ones mostly kept.

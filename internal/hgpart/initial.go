@@ -2,11 +2,12 @@ package hgpart
 
 import (
 	"finegrain/internal/hypergraph"
+	"finegrain/internal/mlpart"
 	"finegrain/internal/rng"
 )
 
 // initialBisect produces a starting 0/1 side assignment of the coarsest
-// hypergraph. It runs initTrials attempts alternating between
+// hypergraph. It runs mlpart.InitTrials attempts alternating between
 // greedy hypergraph growing (GHG) and random balanced fill, refines each
 // with FM, and returns the best feasible result by cut (ties broken by
 // balance). An error is returned only if no attempt was feasible.
@@ -17,25 +18,22 @@ func initialBisect(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8,
 	targets, strict, relaxed [2]float64, opts Options, r *rng.RNG, s *scratch) ([]int8, error) {
 
 	numV := h.NumVertices()
-	s.proj[0] = grow(s.proj[0], numV)
+	s.proj[0] = mlpart.Grow(s.proj[0], numV)
 	best := s.proj[0]
-	s.sideTrial = grow(s.sideTrial, numV)
+	s.sideTrial = mlpart.Grow(s.sideTrial, numV)
 	side := s.sideTrial
 	haveBest := false
 	bestCut := -1
 	bestDev := 0.0
-	for trial := 0; trial < initTrials; trial++ {
+	for trial := 0; trial < mlpart.InitTrials; trial++ {
 		if trial%2 == 0 {
 			growBisect(h, fixedSide, targets, r.Child(), side, s)
 		} else {
 			randomBisect(h, fixedSide, targets, r.Child(), side, s)
 		}
 		refineBisection(ctx, h, side, fixedSide, strict, relaxed, opts, r, s)
-		var w [2]float64
-		for v, sd := range side {
-			w[sd] += float64(h.VertexWeight(v))
-		}
-		if w[0] > relaxed[0]+1e-9 || w[1] > relaxed[1]+1e-9 {
+		w := mlpart.SideWeights(h.VertexWeights(), side)
+		if !mlpart.Within(w, relaxed) {
 			continue
 		}
 		cut := bisectionCut(h, side)
@@ -109,7 +107,7 @@ func growBisect(h *hypergraph.Hypergraph, fixedSide []int8, targets [2]float64, 
 
 	// σ(n, side1) pin counts let us score candidates by how much of
 	// each net is already inside the growing part.
-	s.sigmaGrow = grow(s.sigmaGrow, h.NumNets())
+	s.sigmaGrow = mlpart.Grow(s.sigmaGrow, h.NumNets())
 	sigma1 := s.sigmaGrow
 	clear(sigma1)
 	for v := 0; v < numV; v++ {
@@ -120,12 +118,12 @@ func growBisect(h *hypergraph.Hypergraph, fixedSide []int8, targets [2]float64, 
 		}
 	}
 
-	s.inFront = grow(s.inFront, numV)
+	s.inFront = mlpart.Grow(s.inFront, numV)
 	inFront := s.inFront
 	clear(inFront)
-	s.gainCache = grow(s.gainCache, numV)
+	s.gainCache = mlpart.Grow(s.gainCache, numV)
 	gainCache := s.gainCache
-	s.dirty = grow(s.dirty, numV)
+	s.dirty = mlpart.Grow(s.dirty, numV)
 	dirty := s.dirty
 	// gainCache/dirty need no clearing: a vertex is only read after
 	// addFrontier marked it dirty, which forces a recompute first.

@@ -23,54 +23,27 @@
 package hgpart
 
 import (
-	"context"
-	"math"
-	"runtime"
-
-	"finegrain/internal/obs"
-	"finegrain/internal/rng"
+	"finegrain/internal/mlpart"
 )
 
-// Options configures the partitioner. DefaultOptions gives the
-// configuration every caller runs; the remaining settings of the
-// algorithm are the package constants below.
+// Options configures the partitioner: the options core every
+// multilevel partitioner shares, plus the switch for the per-phase
+// Stats record. DefaultOptions gives the configuration every caller
+// runs; the remaining settings of the algorithm are the mlpart and
+// package constants.
 type Options struct {
-	// Seed drives every random choice; identical seeds give identical
-	// partitions.
-	Seed uint64
-	// Eps is the allowed final imbalance ε in the balance criterion
-	// W_k ≤ W_avg(1+ε). The paper reports imbalance below 3%, so the
-	// default is 0.03.
-	Eps float64
-	// Workers bounds the number of goroutines partitioning concurrently
-	// (recursive-bisection branches and in-bisection round chunks).
-	// 0 means runtime.GOMAXPROCS(0). The partition produced is bitwise
-	// identical for every Workers value given the same Seed.
-	Workers int
+	mlpart.Options
 	// CollectStats enables the per-phase Stats record returned by
 	// PartitionFixedStats. Collection is cheap (a mutex-guarded counter
 	// update per phase) but off by default to keep hot paths clean.
 	CollectStats bool
-	// Trace, when non-nil, records phase spans (the run, each bisection,
-	// coarsening level and FM pass) onto the given trace for Chrome
-	// trace-event export. Tracing never consumes randomness or alters a
-	// partitioning decision, so traced and untraced runs are bitwise
-	// identical; when nil (the default) every span call is a free no-op
-	// and the hot path stays allocation-free.
-	Trace *obs.Trace
-	// Ctx, when non-nil, lets the caller abandon a partition mid-search:
-	// the partitioner polls it at phase boundaries (each bisection, each
-	// coarsening level, each FM pass) and returns the context's error.
-	// Cancellation never consumes randomness, so a run that is not
-	// canceled is bitwise identical whether or not a context was set.
-	Ctx context.Context
 
 	// Overrides of the level-size constants, zero meaning the default.
 	// Only in-package tests set them, to reach the parallel round path
 	// and the coarsening stall checks on small fixtures.
 	//
 	// coarsenTo stops coarsening when the vertex count drops to this
-	// value (default defaultCoarsenTo). matchNetLimit skips larger nets
+	// value (default mlpart.CoarsenTo). matchNetLimit skips larger nets
 	// during connectivity scoring (default defaultMatchNetLimit).
 	// parallelThreshold is the level size at or above which coarsening
 	// and FM refinement take the parallel round path (default
@@ -80,25 +53,13 @@ type Options struct {
 	parallelThreshold int
 }
 
-// The fixed settings of the multilevel algorithm: the PaToH-style
-// defaults every caller runs.
+// The level-size settings of the hypergraph partitioner; the settings
+// it shares with the graph partitioner are the mlpart constants.
 const (
-	// defaultCoarsenTo is the vertex count at which coarsening stops.
-	defaultCoarsenTo = 100
-	// maxLevels bounds the number of coarsening levels.
-	maxLevels = 40
 	// defaultMatchNetLimit: nets with more pins carry little clustering
 	// signal (dense matrix rows) and would dominate scoring time, so
 	// connectivity scoring skips them.
 	defaultMatchNetLimit = 100
-	// initTrials is the number of initial-bisection attempts on the
-	// coarsest hypergraph.
-	initTrials = 8
-	// fmPasses bounds FM refinement passes per level.
-	fmPasses = 4
-	// maxNegMoves ends an FM pass after this many consecutive
-	// non-improving moves (hill-climb window).
-	maxNegMoves = 100
 	// defaultParallelThreshold is the level size (vertex count) at or
 	// above which coarsening and FM refinement switch to the
 	// deterministic parallel round path (chunked concurrent proposal
@@ -113,34 +74,19 @@ const (
 	coarsenRounds = 3
 )
 
-// canceled reports the context's error, if a context was set and it has
-// fired. It is polled on hot-path phase boundaries, so it must stay a
-// plain nil check plus ctx.Err().
-func (o *Options) canceled() error {
-	if o.Ctx == nil {
-		return nil
-	}
-	return o.Ctx.Err()
-}
-
 // DefaultOptions returns the configuration used by the experiment
 // harness: seed 1 and ε = 3% (the paper's reported bound).
 func DefaultOptions() Options {
-	return Options{Seed: 1, Eps: 0.03}
+	return Options{Options: mlpart.DefaultOptions()}
 }
 
 func (o *Options) normalize() {
-	if o.Eps <= 0 {
-		o.Eps = 0.03
-	}
+	o.Options.Normalize()
 	if o.coarsenTo == 0 {
-		o.coarsenTo = defaultCoarsenTo
+		o.coarsenTo = mlpart.CoarsenTo
 	}
 	if o.matchNetLimit == 0 {
 		o.matchNetLimit = defaultMatchNetLimit
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	if o.parallelThreshold == 0 {
 		o.parallelThreshold = defaultParallelThreshold
@@ -158,30 +104,4 @@ func (o *Options) parallelChunk() int {
 		c = 16
 	}
 	return c
-}
-
-// bisectionEps converts a remaining imbalance budget ε (multiplicative
-// slack 1+ε) into this bisection's ε′ such that compounding over the
-// ⌈log2 k⌉ levels of the deepest recursion path below stays within the
-// budget: (1+ε′)^depth = 1+ε. recursiveBisect re-derives ε′ at every
-// node from the budget left after its ancestors spent theirs — for K a
-// power of two every node sees the same depth and this reduces to the
-// classic constant ε′, but uneven splits (K not a power of two) give
-// shallow subtrees fewer levels and therefore a larger, easier ε′ per
-// level, while every root-to-leaf product still telescopes to exactly
-// the caller's 1+ε.
-func bisectionEps(eps float64, k int) float64 {
-	depth := 0
-	for p := 1; p < k; p *= 2 {
-		depth++
-	}
-	if depth <= 1 {
-		return eps
-	}
-	return math.Pow(1+eps, 1/float64(depth)) - 1
-}
-
-// newRNG builds the run's root generator.
-func (o *Options) newRNG() *rng.RNG {
-	return rng.New(o.Seed + 0x9e3779b97f4a7c15)
 }

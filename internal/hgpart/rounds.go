@@ -33,6 +33,7 @@ import (
 	"sync/atomic"
 
 	"finegrain/internal/hypergraph"
+	"finegrain/internal/mlpart"
 	"finegrain/internal/par"
 )
 
@@ -132,7 +133,7 @@ func (cr *clusterRound) scoreChunk(i int, s *scratch) {
 		hi = len(cr.order)
 	}
 	h := cr.h
-	s.slots = grow(s.slots, 2*cr.keyBase)
+	s.slots = mlpart.Grow(s.slots, 2*cr.keyBase)
 	slots := s.slots
 	epoch := s.epoch
 	cands := s.cands[:0]

@@ -20,7 +20,11 @@
 // scratch — fresh or recycled — a goroutine happens to receive.
 package hgpart
 
-import "sync"
+import (
+	"sync"
+
+	"finegrain/internal/mlpart"
+)
 
 // scratch holds the reusable working buffers of one partitioner
 // goroutine. Fields are grouped by their owning phase; buffers in
@@ -56,7 +60,7 @@ type scratch struct {
 	keep   []int
 
 	// FM refinement: gain buckets, σ pin counts, move log.
-	buckets gainBuckets
+	buckets mlpart.Buckets
 	sigma   [2][]int
 	locked  []bool
 	moves   []fmMove
@@ -106,13 +110,3 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 func getScratch() *scratch  { return scratchPool.Get().(*scratch) }
 func putScratch(s *scratch) { scratchPool.Put(s) }
-
-// grow returns buf resliced to length n, reallocating only when the
-// capacity is insufficient. Contents are unspecified: callers must
-// initialize every entry they read (or stamp-guard reads).
-func grow[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	return buf[:n]
-}

@@ -59,8 +59,11 @@ type Stats struct {
 	// vertices; zero when every level took the serial path).
 	CoarsenRounds int
 	FMRounds      int
-	// BranchesSpawned / BranchesInline count recursive-bisection sibling
-	// pairs whose left branch ran on a pooled goroutine vs inline.
+	// BranchesSpawned counts recursive-bisection sibling pairs that
+	// found a free pool slot: the branch with fewer pins (the right one
+	// on a tie) ran on an executor worker while the other ran inline.
+	// BranchesInline counts pairs that found none and ran both
+	// branches inline, left first.
 	BranchesSpawned int
 	BranchesInline  int
 	// MaxConcurrent is the peak number of simultaneously active
@@ -182,9 +185,8 @@ func (c *statsCollector) addRebalance(moves int) {
 	c.mu.Unlock()
 }
 
-// addCoarsenRound records one parallel clustering round; merges is the
-// number of cluster joins it applied.
-func (c *statsCollector) addCoarsenRound(merges int) {
+// addCoarsenRound records one parallel clustering round.
+func (c *statsCollector) addCoarsenRound() {
 	if c == nil {
 		return
 	}

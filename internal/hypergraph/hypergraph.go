@@ -61,6 +61,10 @@ func (h *Hypergraph) Degree(v int) int { return h.vnetPtr[v+1] - h.vnetPtr[v] }
 // VertexWeight returns w_v.
 func (h *Hypergraph) VertexWeight(v int) int { return h.vweight[v] }
 
+// VertexWeights returns w_v for every vertex. The slice is h's own
+// storage: callers must not modify it.
+func (h *Hypergraph) VertexWeights() []int { return h.vweight }
+
 // NetCost returns c_n.
 func (h *Hypergraph) NetCost(n int) int { return h.netCost[n] }
 

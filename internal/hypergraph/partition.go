@@ -155,6 +155,32 @@ func (p *Partition) CutsizeConnectivity(h *Hypergraph) int {
 	return total
 }
 
+// MoveDelta returns the change in CutsizeConnectivity if vertex v, now
+// in part from, moved to part to: each of v's nets gains connectivity
+// when it has no pin in to yet and loses it when v is its last pin in
+// from.
+func (p *Partition) MoveDelta(h *Hypergraph, v, from, to int) int {
+	delta := 0
+	for _, n := range h.Nets(v) {
+		sigmaFrom, sigmaTo := 0, 0
+		for _, u := range h.Pins(n) {
+			switch p.Parts[u] {
+			case from:
+				sigmaFrom++
+			case to:
+				sigmaTo++
+			}
+		}
+		if sigmaTo == 0 {
+			delta += h.NetCost(n)
+		}
+		if sigmaFrom == 1 {
+			delta -= h.NetCost(n)
+		}
+	}
+	return delta
+}
+
 // connCounter computes net connectivities with an epoch-stamped mark
 // array, avoiding a map allocation per net.
 type connCounter struct {

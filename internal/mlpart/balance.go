@@ -1,68 +1,45 @@
-package hgpart
+package mlpart
 
-import (
-	"finegrain/internal/hypergraph"
-)
-
-// kwayBalance repairs residual imbalance of a K-way partition that
+// Balance repairs residual imbalance of a K-way partition that
 // recursive bisection can leave behind when heavy vertices concentrate
 // in one branch (per-bisection balance is blind to leaf granularity).
+// parts[v] is vertex v's part in [0, k) and is updated in place; vw
+// holds the vertex weights. fixed[v] ≥ 0 pins vertex v (a nil fixed
+// pins nothing), and zero-weight vertices never move either.
+//
 // It greedily moves vertices out of over-capacity parts into the
 // lightest parts, choosing, among the moves that fit, the one with the
-// smallest connectivity−1 cutsize increase. Two escapes handle the
-// dense-row granularity case where every movable vertex outweighs the
-// cap slack: a receiver may exceed the cap while staying strictly below
-// the sender (monotone Σ W_k² descent), and when even that fails, the
-// receiver first sheds light vertices to third parts to make room.
-// Fixed vertices never move.
-func kwayBalance(h *hypergraph.Hypergraph, p *hypergraph.Partition, fixed []int, eps float64) {
-	k := p.K
+// smallest objective increase delta(v, from, to), computed against the
+// current parts. Two escapes handle the dense-row granularity case
+// where every movable vertex outweighs the cap slack: a receiver may
+// exceed the cap while staying strictly below the sender (monotone
+// Σ W_k² descent), and when even that fails, the receiver first sheds
+// light vertices to third parts to make room.
+func Balance(k int, parts, vw, fixed []int, eps float64, delta func(v, from, to int) int) {
 	if k < 2 {
 		return
 	}
-	weights := p.PartWeights(h)
+	weights := make([]int, k)
 	total := 0
-	for _, w := range weights {
-		total += w
+	for v, part := range parts {
+		weights[part] += vw[v]
+		total += vw[v]
 	}
 	cap := float64(total) / float64(k) * (1 + eps)
 
 	byPart := make([][]int, k)
-	for v, part := range p.Parts {
+	for v, part := range parts {
 		byPart[part] = append(byPart[part], v)
 	}
 	movable := func(v, part int) bool {
-		return p.Parts[v] == part && h.VertexWeight(v) > 0 && (fixed == nil || fixed[v] < 0)
-	}
-
-	moveDelta := func(v, from, to int) int {
-		delta := 0
-		for _, n := range h.Nets(v) {
-			sigmaFrom, sigmaTo := 0, 0
-			for _, u := range h.Pins(n) {
-				switch p.Parts[u] {
-				case from:
-					sigmaFrom++
-				case to:
-					sigmaTo++
-				}
-			}
-			if sigmaTo == 0 {
-				delta += h.NetCost(n)
-			}
-			if sigmaFrom == 1 {
-				delta -= h.NetCost(n)
-			}
-		}
-		return delta
+		return parts[v] == part && vw[v] > 0 && (fixed == nil || fixed[v] < 0)
 	}
 
 	const maxCandidates = 4096
 	doMove := func(v, from, to int) {
-		p.Parts[v] = to
-		w := h.VertexWeight(v)
-		weights[from] -= w
-		weights[to] += w
+		parts[v] = to
+		weights[from] -= vw[v]
+		weights[to] += vw[v]
 		byPart[to] = append(byPart[to], v)
 	}
 	// bestMove picks the cheapest movable vertex of part `from` with
@@ -74,12 +51,12 @@ func kwayBalance(h *hypergraph.Hypergraph, p *hypergraph.Partition, fixed []int,
 			if !movable(v, from) {
 				continue
 			}
-			wv := h.VertexWeight(v)
+			wv := vw[v]
 			if float64(wv) > room {
 				continue
 			}
 			scanned++
-			d := moveDelta(v, from, to)
+			d := delta(v, from, to)
 			if bestV < 0 || d < bestDelta || (d == bestDelta && wv > bestW) {
 				bestV, bestDelta, bestW = v, d, wv
 			}
@@ -92,7 +69,7 @@ func kwayBalance(h *hypergraph.Hypergraph, p *hypergraph.Partition, fixed []int,
 
 	// bestSwap finds v ∈ from, u ∈ to with w(u) < w(v) and the receiver
 	// staying strictly below the sender's old weight, minimizing the
-	// combined cutsize delta.
+	// combined delta.
 	bestSwap := func(from, to int) (int, int) {
 		limit := float64(weights[from]-1) - float64(weights[to])
 		bestV, bestU, bestDelta := -1, -1, 0
@@ -101,17 +78,17 @@ func kwayBalance(h *hypergraph.Hypergraph, p *hypergraph.Partition, fixed []int,
 			if !movable(v, from) {
 				continue
 			}
-			wv := h.VertexWeight(v)
+			wv := vw[v]
 			for _, u := range byPart[to] {
 				if !movable(u, to) {
 					continue
 				}
-				wu := h.VertexWeight(u)
+				wu := vw[u]
 				if wu >= wv || float64(wv-wu) > limit {
 					continue
 				}
 				scanned++
-				d := moveDelta(v, from, to) + moveDelta(u, to, from)
+				d := delta(v, from, to) + delta(u, to, from)
 				if bestV < 0 || d < bestDelta {
 					bestV, bestU, bestDelta = v, u, d
 				}
@@ -161,7 +138,7 @@ func kwayBalance(h *hypergraph.Hypergraph, p *hypergraph.Partition, fixed []int,
 		minW := -1
 		for _, v := range byPart[from] {
 			if movable(v, from) {
-				if w := h.VertexWeight(v); minW < 0 || w < minW {
+				if w := vw[v]; minW < 0 || w < minW {
 					minW = w
 				}
 			}
@@ -185,8 +162,7 @@ func kwayBalance(h *hypergraph.Hypergraph, p *hypergraph.Partition, fixed []int,
 			if q < 0 {
 				return
 			}
-			shedRoom := cap - float64(weights[q])
-			v := bestMove(to, q, shedRoom)
+			v := bestMove(to, q, cap-float64(weights[q]))
 			if v < 0 {
 				return
 			}
