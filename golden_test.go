@@ -138,24 +138,28 @@ func TestGoldenPartitions(t *testing.T) {
 	}
 }
 
-// TestGraphModelWorkersDeterministic requires the graph model's owner
-// arrays to be the recorded ones at every Options.Workers: the graph
-// partitioner runs recursion branches in parallel, and the result must
-// not depend on how many run at once.
+// TestGraphModelWorkersDeterministic requires the owner arrays of the
+// graph model and of the hypergraph models (finegrain, hypergraph,
+// medium_grain) to be the recorded ones at every Options.Workers: both
+// partitioners run recursion branches in parallel, hgpart also its
+// round helpers, and the result must not depend on how many run at
+// once.
 func TestGraphModelWorkersDeterministic(t *testing.T) {
 	a, err := finegrain.Generate("ken-11", 0.05, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []int{16, 64} {
-		want := goldenDigests[fmt.Sprintf("ken-11/%d/graph", k)]
-		for _, workers := range []int{1, 2, 8} {
-			dec, err := finegrain.DecomposeModel("graph", a, k, finegrain.Options{Seed: 1, Workers: workers})
-			if err != nil {
-				t.Fatalf("k=%d workers=%d: %v", k, workers, err)
-			}
-			if got := ownerDigest(dec); got != want {
-				t.Errorf("k=%d workers=%d: digest %s, want %s", k, workers, got, want)
+	for _, model := range []string{"graph", "finegrain", "hypergraph", "medium_grain"} {
+		for _, k := range []int{16, 64} {
+			want := goldenDigests[fmt.Sprintf("ken-11/%d/%s", k, model)]
+			for _, workers := range []int{1, 2, 8} {
+				dec, err := finegrain.DecomposeModel(model, a, k, finegrain.Options{Seed: 1, Workers: workers})
+				if err != nil {
+					t.Fatalf("%s k=%d workers=%d: %v", model, k, workers, err)
+				}
+				if got := ownerDigest(dec); got != want {
+					t.Errorf("%s k=%d workers=%d: digest %s, want %s", model, k, workers, got, want)
+				}
 			}
 		}
 	}
@@ -213,26 +217,28 @@ func goldenReduction(t *testing.T, k int) *finegrain.ReductionModel {
 
 // TestGoldenFixedPartition partitions the reduction hypergraph at
 // K = 12, seed 5, where the K-way balancer moves a vertex, and compares the SHA-256 of its part array, prefixed by K and
-// the array length, against the recorded digest.
+// the array length, against the recorded digest at Workers 1, 2 and 8.
 func TestGoldenFixedPartition(t *testing.T) {
 	const k = 12
 	rm := goldenReduction(t, k)
-	p, err := finegrain.PartitionHypergraph(rm.H, k, rm.Fixed, finegrain.Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, f := range rm.Fixed {
-		if f >= 0 && p.Parts[v] != f {
-			t.Fatalf("fixed vertex %d in part %d, want %d", v, p.Parts[v], f)
+	for _, workers := range []int{1, 2, 8} {
+		p, err := finegrain.PartitionHypergraph(rm.H, k, rm.Fixed, finegrain.Options{Seed: 5, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	h := sha256.New()
-	var buf [8]byte
-	for _, x := range append([]int{p.K, len(p.Parts)}, p.Parts...) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(x))
-		h.Write(buf[:])
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != goldenFixedDigest {
-		t.Errorf("digest %s, want %s", got, goldenFixedDigest)
+		for v, f := range rm.Fixed {
+			if f >= 0 && p.Parts[v] != f {
+				t.Fatalf("workers=%d: fixed vertex %d in part %d, want %d", workers, v, p.Parts[v], f)
+			}
+		}
+		h := sha256.New()
+		var buf [8]byte
+		for _, x := range append([]int{p.K, len(p.Parts)}, p.Parts...) {
+			binary.LittleEndian.PutUint64(buf[:], uint64(x))
+			h.Write(buf[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != goldenFixedDigest {
+			t.Errorf("workers=%d: digest %s, want %s", workers, got, goldenFixedDigest)
+		}
 	}
 }

@@ -67,6 +67,7 @@ func TestTraceSpanTaxonomy(t *testing.T) {
 		TraceEvents []struct {
 			Name string `json:"name"`
 			Cat  string `json:"cat"`
+			Tid  int64  `json:"tid"`
 			Args struct {
 				Name string `json:"name"`
 			} `json:"args"`
@@ -77,18 +78,26 @@ func TestTraceSpanTaxonomy(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	tracks := map[string]bool{}
+	workerTracks := 0
 	for _, ev := range out.TraceEvents {
 		if ev.Cat == "hgpart" {
 			seen[ev.Name] = true
 		}
 		if ev.Name == "thread_name" {
 			tracks[ev.Args.Name] = true
+			if ev.Args.Name == "hgpart worker" {
+				workerTracks++
+			}
 		}
 	}
 	// Branches and round helpers spawned onto the executor record on a
 	// forked track with this name.
 	if !tracks["hgpart worker"] {
 		t.Errorf("no %q track; have %v", "hgpart worker", tracks)
+	}
+	// Workers 2 is one worker slot, so one forked track.
+	if workerTracks != 1 {
+		t.Errorf("%d %q tracks, want one at Workers 2", workerTracks, "hgpart worker")
 	}
 	for _, want := range []string{"run", "bisect", "coarsen", "coarsen.level",
 		"coarsen.round", "initial.bisect", "refine", "fm.pass", "fm.round"} {
