@@ -46,14 +46,16 @@ loc:
 	@git ls-files -co --exclude-standard '*.go' | grep -v '_test\.go$$' | grep -v '^perfbench/' | xargs cat | wc -l
 
 # race covers the concurrent subsystems, including the shared executor
-# (internal/par), both partitioners' parallel recursion branches
-# (internal/hgpart, internal/gpart), the partition server's end-to-end test (in-process
+# (internal/par), the recursion scheduler and balancer the partitioners
+# share (internal/mlpart), both partitioners' parallel recursion branches
+# (internal/hgpart, internal/gpart) and the golden digests at Workers
+# 1, 2 and 8, the partition server's end-to-end test (in-process
 # daemon, concurrent duplicate submissions, graceful drain), the real
 # SpMV kernel's bitwise determinism at worker counts beyond GOMAXPROCS,
 # and the solver's multi-worker block and kernel CG.
 race:
-	$(GO) test -race ./internal/par/ ./internal/hgpart/ ./internal/gpart/ ./internal/spmv/ ./internal/partserver/ ./internal/kernel/ ./internal/solver/ ./internal/reorder/ ./internal/mediumgrain/ ./internal/spgemm/
-	$(GO) test -race -run 'TestLocality|TestMediumGrain|TestAuto|TestGraphModelWorkers' .
+	$(GO) test -race ./internal/par/ ./internal/mlpart/ ./internal/hgpart/ ./internal/gpart/ ./internal/spmv/ ./internal/partserver/ ./internal/kernel/ ./internal/solver/ ./internal/reorder/ ./internal/mediumgrain/ ./internal/spgemm/
+	$(GO) test -race -run 'TestLocality|TestMediumGrain|TestAuto|TestGraphModelWorkers|TestGoldenFixedPartition' .
 	$(GO) test ./...
 
 # e2e-fleet boots two-replica fleets under the race detector: a shared

@@ -7,8 +7,7 @@
 // + random initial bisections, boundary FM refinement on the edge-cut
 // objective, and recursive bisection with proportional target weights
 // for general K. Recursion
-// branches run in parallel on the process-wide executor
-// (internal/par); see parallel.go.
+// branches run in parallel under mlpart's recursion scheduler.
 package gpart
 
 import (
@@ -57,8 +56,10 @@ func Partition(g *graph.Graph, k int, opts mlpart.Options) (*graph.Partition, er
 	// Every bisection spends the same ε′, sized for the deepest path;
 	// hgpart's telescoping slack budget would change graph partitions
 	// at K that are not powers of two.
-	rc := newRecursion(opts, mlpart.BisectionEps(opts.Eps, k), parts, tk)
-	err := rc.bisect(g, ids, 0, k, r, tk, new(scratch))
+	c, s := sched.Begin(opts.Workers, tk)
+	rc := &recursion{opts: opts, epsB: mlpart.BisectionEps(opts.Eps, k), out: parts, call: c}
+	err := branch{rc: rc, sub: g, ids: ids, k: k, r: r}.Run(tk, s, false)
+	c.End()
 	rsp.End()
 	if err != nil {
 		if ctxErr := opts.Canceled(); ctxErr != nil {
@@ -73,19 +74,47 @@ func Partition(g *graph.Graph, k int, opts mlpart.Options) (*graph.Partition, er
 	return p, nil
 }
 
-// bisect splits sub, whose vertex v is vertex ids[v] of the input, into
-// parts kLo..kLo+k−1 of out. tk and s belong to the calling goroutine.
-func (rc *recursion) bisect(sub *graph.Graph, ids []int, kLo, k int, r *rng.RNG,
-	tk *obs.Track, s *scratch) error {
+// sched holds gpart's scratch arenas and spawn tasks across calls. A
+// branch spawned onto a worker slot records on the slot's
+// "gpart worker" trace track.
+var sched = mlpart.Scheduler[scratch, branch]{Track: "gpart worker"}
 
+// recursion is the state the branches of one Partition call share.
+type recursion struct {
+	opts mlpart.Options
+	epsB float64
+	out  []int
+	call *mlpart.Call[scratch, branch]
+}
+
+// branch is one recursion node: sub, whose vertex v is vertex ids[v]
+// of the input, goes to parts kLo..kLo+k−1 of out.
+type branch struct {
+	rc  *recursion
+	sub *graph.Graph
+	ids []int
+	kLo int
+	k   int
+	r   *rng.RNG
+}
+
+func (b branch) Splits() bool { return b.k > 1 && len(b.ids) > 0 }
+
+// Size is the branch's edge count.
+func (b branch) Size() int { return b.sub.NumEdges() }
+
+// Run bisects the branch and forks its two sides. tk and s belong to
+// the calling goroutine.
+func (b branch) Run(tk *obs.Track, s *scratch, _ bool) error {
+	rc, kLo, k := b.rc, b.kLo, b.k
 	// A zero-weight side can come back empty; its parts stay empty.
 	// Each branch has its own r.Child(), so skipping one moves no other
 	// branch's random stream.
-	if len(ids) == 0 {
+	if len(b.ids) == 0 {
 		return nil
 	}
 	if k == 1 {
-		for _, gid := range ids {
+		for _, gid := range b.ids {
 			rc.out[gid] = kLo
 		}
 		return nil
@@ -94,36 +123,24 @@ func (rc *recursion) bisect(sub *graph.Graph, ids []int, kLo, k int, r *rng.RNG,
 		return err
 	}
 	sp := tk.Begin("gpart", "bisect").
-		Arg("k", int64(k)).Arg("kLo", int64(kLo)).Arg("vertices", int64(sub.NumVertices()))
+		Arg("k", int64(k)).Arg("kLo", int64(kLo)).Arg("vertices", int64(b.sub.NumVertices()))
 	defer sp.End()
 	kL := k / 2
 	kR := k - kL
-	side, err := multilevelBisect(sub, kL, kR, rc.epsB, rc.opts, r, tk, s)
+	side, err := multilevelBisect(b.sub, kL, kR, rc.epsB, rc.opts, b.r, tk, s)
 	if err != nil {
 		return err
 	}
-	leftG, leftIDs := inducedSide(sub, ids, side, 0, s)
-	rightG, rightIDs := inducedSide(sub, ids, side, 1, s)
+	leftG, leftIDs := inducedSide(b.sub, b.ids, side, 0, s)
+	rightG, rightIDs := inducedSide(b.sub, b.ids, side, 1, s)
 	// Both child streams are drawn before either branch runs. The left
 	// branch never touches r, so they are the streams a serial
 	// left-then-right recursion draws, whichever goroutine runs them.
-	rL, rR := r.Child(), r.Child()
-	if kR > 1 && len(rightIDs) > 0 {
-		if slot, ok := rc.tryAcquire(); ok {
-			t := &branchTask{rc: rc, slot: slot, sub: rightG, ids: rightIDs, kLo: kLo + kL, k: kR, r: rR}
-			t.g.Go(t, 0)
-			errL := rc.bisect(leftG, leftIDs, kLo, kL, rL, tk, s)
-			t.g.Wait()
-			if errL != nil {
-				return errL
-			}
-			return t.err
-		}
-	}
-	if err := rc.bisect(leftG, leftIDs, kLo, kL, rL, tk, s); err != nil {
-		return err
-	}
-	return rc.bisect(rightG, rightIDs, kLo+kL, kR, rR, tk, s)
+	rL, rR := b.r.Child(), b.r.Child()
+	_, err = rc.call.Fork(tk, s,
+		branch{rc: rc, sub: leftG, ids: leftIDs, kLo: kLo, k: kL, r: rL},
+		branch{rc: rc, sub: rightG, ids: rightIDs, kLo: kLo + kL, k: kR, r: rR})
+	return err
 }
 
 // inducedSide extracts the subgraph of one side; cut edges are dropped

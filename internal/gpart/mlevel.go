@@ -1,6 +1,8 @@
 package gpart
 
 import (
+	"math"
+
 	"finegrain/internal/graph"
 	"finegrain/internal/mlpart"
 	"finegrain/internal/obs"
@@ -182,7 +184,8 @@ func initialBisect(g *graph.Graph, targets, strict, relaxed [2]float64, opts mlp
 		if trial%2 == 0 {
 			side = growBisect(g, targets, r.Child())
 		} else {
-			side = randomBisect(g, targets, r.Child())
+			side = make([]int8, g.NumVertices())
+			s.perm = mlpart.RandomBisect(g.VertexWeights(), nil, targets, r.Child(), side, s.perm)
 		}
 		refineBisection(g, side, strict, relaxed, opts, r, s)
 		w := mlpart.SideWeights(g.VertexWeights(), side)
@@ -190,10 +193,7 @@ func initialBisect(g *graph.Graph, targets, strict, relaxed [2]float64, opts mlp
 			continue
 		}
 		cut := bisectionCut(g, side)
-		dev := w[0] - targets[0]
-		if dev < 0 {
-			dev = -dev
-		}
+		dev := math.Abs(w[0] - targets[0])
 		if best == nil || cut < bestCut || (cut == bestCut && dev < bestDev) {
 			best = append(best[:0:0], side...)
 			bestCut, bestDev = cut, dev
@@ -273,22 +273,6 @@ func growBisect(g *graph.Graph, targets [2]float64, r *rng.RNG) []int8 {
 			}
 		}
 		move(bestV)
-	}
-	return side
-}
-
-func randomBisect(g *graph.Graph, targets [2]float64, r *rng.RNG) []int8 {
-	numV := g.NumVertices()
-	side := make([]int8, numV)
-	var w0 float64
-	order := r.Perm(numV)
-	for _, v := range order {
-		if w0 < targets[0] {
-			side[v] = 0
-			w0 += float64(g.VertexWeight(v))
-		} else {
-			side[v] = 1
-		}
 	}
 	return side
 }

@@ -10,7 +10,8 @@ import "finegrain/internal/mlpart"
 // before it is read, or guarded by the monotone epoch stamp, so the
 // partition cannot depend on which scratch served a call.
 type scratch struct {
-	// perm is the r.PermInto target of heavyEdgeMatch and fmPass.
+	// perm is the r.PermInto target of heavyEdgeMatch and fmPass, and
+	// the free-vertex buffer of the random initial fill.
 	perm []int
 
 	// contract: counting-sort bucket offsets (then the transpose's

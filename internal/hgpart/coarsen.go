@@ -368,7 +368,7 @@ func clusterRounds(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fi
 		cr.boundW = boundW
 		rsp := ctx.tk.Begin("hgpart", "coarsen.round").
 			Arg("round", int64(round)).Arg("vertices", int64(numV))
-		runRound(ctx.pool, s, rj)
+		runRound(ctx.call, s, rj)
 
 		// Phase B: apply proposals in permutation order against the live
 		// state. Feasibility is rechecked because earlier applications

@@ -26,7 +26,7 @@ func TestClusterLegality(t *testing.T) {
 
 	opts := DefaultOptions()
 	opts.normalize()
-	cmap, numC := cluster(h, fixedSide, [2]float64{1e18, 1e18}, opts, r, getScratch())
+	cmap, numC := cluster(h, fixedSide, [2]float64{1e18, 1e18}, opts, r, new(scratch))
 
 	// Every vertex mapped, cluster ids in range.
 	for v, c := range cmap {
@@ -73,7 +73,7 @@ func TestContractDropsSinglePinNets(t *testing.T) {
 	b.AddPin(1, 2) // net 1 = {0,2}: survives
 	h := b.Build()
 	cmap := []int{0, 0, 1, 2} // merge 0 and 1
-	coarse, _ := contract(h, cmap, 3, getScratch())
+	coarse, _ := contract(h, cmap, 3, new(scratch))
 	if coarse.NumNets() != 1 {
 		t.Fatalf("coarse nets %d, want 1 (single-pin net dropped)", coarse.NumNets())
 	}
@@ -99,7 +99,7 @@ func TestContractMergesIdenticalNets(t *testing.T) {
 	b.SetNetCost(1, 3)
 	h := b.Build()
 	cmap := []int{0, 0, 1, 2} // 0,1 merge → nets 0,1 both = {0,1}
-	coarse, _ := contract(h, cmap, 3, getScratch())
+	coarse, _ := contract(h, cmap, 3, new(scratch))
 	if coarse.NumNets() != 2 {
 		t.Fatalf("coarse nets %d, want 2 (identical nets merged)", coarse.NumNets())
 	}
@@ -123,7 +123,7 @@ func TestCoarsenLadderShrinks(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.normalize()
-	levels := coarsen(bisectCtx{}, h, fixedSide, [2]float64{1e18, 1e18}, opts, rng.New(1), getScratch())
+	levels := coarsen(bisectCtx{}, h, fixedSide, [2]float64{1e18, 1e18}, opts, rng.New(1), new(scratch))
 	if len(levels) < 2 {
 		t.Fatal("no coarsening happened on a 2000-vertex chain")
 	}
@@ -202,7 +202,7 @@ func TestCoarsenStallsWhenPinsStopShrinking(t *testing.T) {
 	opts.coarsenTo = 54 // cluster cap 600/54+1 = 12: pair merges (6) and pair-cluster merges (12) fit
 	opts.matchNetLimit = 10
 	opts.normalize()
-	levels := coarsen(bisectCtx{}, h, fixedSide, [2]float64{1e18, 1e18}, opts, rng.New(5), getScratch())
+	levels := coarsen(bisectCtx{}, h, fixedSide, [2]float64{1e18, 1e18}, opts, rng.New(5), new(scratch))
 
 	if len(levels) != 2 {
 		t.Fatalf("ladder has %d levels, want 2 (stop after the first pin-stalled level)", len(levels))
@@ -240,7 +240,7 @@ func TestMatchNetLimitSkipsDenseNets(t *testing.T) {
 	opts := DefaultOptions()
 	opts.matchNetLimit = 10
 	opts.normalize()
-	cmap, numC := cluster(h, fixedSide, [2]float64{1e18, 1e18}, opts, rng.New(3), getScratch())
+	cmap, numC := cluster(h, fixedSide, [2]float64{1e18, 1e18}, opts, rng.New(3), new(scratch))
 	if numC >= n*9/10 {
 		t.Fatalf("clustering stalled: %d clusters of %d vertices", numC, n)
 	}

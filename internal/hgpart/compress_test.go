@@ -39,10 +39,10 @@ func TestContractCompressionExactCutsize(t *testing.T) {
 
 		var compressed, reference *hypergraph.Hypergraph
 		withCompression(t, true, func() {
-			compressed, _ = contract(h, cmap, numC, getScratch())
+			compressed, _ = contract(h, cmap, numC, new(scratch))
 		})
 		withCompression(t, false, func() {
-			reference, _ = contract(h, cmap, numC, getScratch())
+			reference, _ = contract(h, cmap, numC, new(scratch))
 		})
 		if compressed.NumNets() > reference.NumNets() {
 			t.Fatalf("trial %d: compression grew the net count (%d > %d)",

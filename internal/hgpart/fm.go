@@ -132,7 +132,7 @@ func fmParallelRefine(ctx bisectCtx, h *hypergraph.Hypergraph, side []int8, fixe
 			return
 		}
 		psp := ctx.tk.Begin("hgpart", "fm.round").Arg("round", int64(round))
-		runRound(ctx.pool, s, rj)
+		runRound(ctx.call, s, rj)
 
 		merged := s.fmMerged[:0]
 		for c := 0; c < nchunks; c++ {

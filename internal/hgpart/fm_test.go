@@ -36,7 +36,7 @@ func TestRebalanceInvariants(t *testing.T) {
 
 	sigma, w := rebalanceState(h, side)
 	maxW := [2]float64{n / 2, n / 2}
-	rebalance(nil, h, side, fixedSide, sigma, &w, maxW, getScratch())
+	rebalance(nil, h, side, fixedSide, sigma, &w, maxW, new(scratch))
 
 	if w[0] > maxW[0]+1e-9 {
 		t.Fatalf("side 0 still overweight: %v > %v", w[0], maxW[0])
@@ -69,7 +69,7 @@ func TestRebalanceCutOnChain(t *testing.T) {
 		fixedSide[i] = -1
 	}
 	sigma, w := rebalanceState(h, side)
-	rebalance(nil, h, side, fixedSide, sigma, &w, [2]float64{n / 2, n / 2}, getScratch())
+	rebalance(nil, h, side, fixedSide, sigma, &w, [2]float64{n / 2, n / 2}, new(scratch))
 	if cut := bisectionCut(h, side); cut > n/4 {
 		t.Fatalf("rebalance produced a poor cut %d on a chain", cut)
 	}
@@ -93,7 +93,7 @@ func BenchmarkRebalanceWorstCase(b *testing.B) {
 		side := make([]int8, n)
 		sigma, w := rebalanceState(h, side)
 		b.StartTimer()
-		rebalance(nil, h, side, fixedSide, sigma, &w, maxW, getScratch())
+		rebalance(nil, h, side, fixedSide, sigma, &w, maxW, new(scratch))
 	}
 }
 
@@ -115,7 +115,7 @@ func TestRefineBisectionStillImproves(t *testing.T) {
 	opts := DefaultOptions()
 	opts.normalize()
 	caps := [2]float64{n/2 + 2, n/2 + 2}
-	refineBisection(bisectCtx{}, h, side, fixedSide, caps, caps, opts, r, getScratch())
+	refineBisection(bisectCtx{}, h, side, fixedSide, caps, caps, opts, r, new(scratch))
 	if cut := bisectionCut(h, side); cut > n/8 {
 		t.Fatalf("refinement left cut %d on a chain of %d", cut, n)
 	}

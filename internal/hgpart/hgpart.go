@@ -7,6 +7,7 @@ import (
 
 	"finegrain/internal/hypergraph"
 	"finegrain/internal/mlpart"
+	"finegrain/internal/obs"
 	"finegrain/internal/rng"
 )
 
@@ -41,7 +42,7 @@ func PartitionStats(h *hypergraph.Hypergraph, k int, opts Options) (*hypergraph.
 // PartitionFixedStats is PartitionFixed returning the Stats record
 // (non-nil only when opts.CollectStats is set). The branches of the
 // recursive bisection, and the round chunks of large levels, execute
-// concurrently under a bounded worker pool of opts.Workers goroutines;
+// concurrently on at most opts.Workers goroutines;
 // the result is bitwise identical for every Workers value given the
 // same Seed.
 func PartitionFixedStats(h *hypergraph.Hypergraph, k int, fixed []int, opts Options) (*hypergraph.Partition, *Stats, error) {
@@ -79,12 +80,13 @@ func PartitionFixedStats(h *hypergraph.Hypergraph, k int, fixed []int, opts Opti
 		sc = &statsCollector{}
 		start = time.Now()
 	}
-	ctx := bisectCtx{pool: newWorkerPool(opts.Workers - 1), sc: sc, top: true}
+	ctx := bisectCtx{sc: sc, top: true}
 	if opts.Trace.Enabled() {
 		ctx.tk = opts.Trace.NewTrack("hgpart run 0")
 	}
-	s := getScratch()
-	defer putScratch(s)
+	c, s := sched.Begin(opts.Workers, ctx.tk)
+	defer c.End()
+	ctx.call = c
 	sc.enter()
 	p, err := partitionRun(h, k, fixed, opts, ctx, s)
 	sc.leave()
@@ -99,9 +101,8 @@ func PartitionFixedStats(h *hypergraph.Hypergraph, k int, fixed []int, opts Opti
 }
 
 // partitionRun executes the multilevel recursive bisection end to end
-// and balances the K-way result. s is the caller's pooled arena; it
-// serves the entire recursion, while branches that fork onto other
-// workers use those workers' own arenas.
+// and balances the K-way result. s is the caller's arena; branches and
+// round helpers on worker slots use their slots' arenas.
 func partitionRun(h *hypergraph.Hypergraph, k int, fixed []int, opts Options, ctx bisectCtx, s *scratch) (*hypergraph.Partition, error) {
 	sp := ctx.tk.Begin("hgpart", "run").Arg("k", int64(k))
 	defer sp.End()
@@ -111,7 +112,8 @@ func partitionRun(h *hypergraph.Hypergraph, k int, fixed []int, opts Options, ct
 	for i := range ids {
 		ids[i] = i
 	}
-	if err := recursiveBisect(ctx, h, ids, fixed, 0, k, opts.Eps, opts, r, parts, s); err != nil {
+	root := branch{ctx: ctx, sub: h, ids: ids, fixed: fixed, k: k, slack: opts.Eps, opts: opts, r: r, out: parts}
+	if err := root.Run(ctx.tk, s, false); err != nil {
 		return nil, err
 	}
 	p := &hypergraph.Partition{K: k, Parts: parts}
@@ -121,12 +123,31 @@ func partitionRun(h *hypergraph.Hypergraph, k int, fixed []int, opts Options, ct
 	return p, nil
 }
 
-// recursiveBisect partitions the sub-hypergraph induced by ids (global
-// vertex indices into h, with sub being the current working hypergraph
-// when non-nil) into parts [kLo, kLo+k). Sibling branches may run on
-// concurrent goroutines: they operate on disjoint sub-hypergraphs and
-// write disjoint entries of out, and their RNG streams are derived
-// before either starts, so the result is schedule-independent.
+// sched holds hgpart's scratch arenas and spawn tasks across calls.
+// The branches of each bisection fork on the call's Options.Workers − 1
+// worker slots, which the round helpers of large coarsening and FM
+// levels (rounds.go) share; a branch spawned onto a slot records on the
+// slot's "hgpart worker" trace track.
+var sched = mlpart.Scheduler[scratch, branch]{Track: "hgpart worker"}
+
+// bisectCtx threads the call's worker slots, stats collector, and trace
+// track through the recursion. top marks the first bisection, whose
+// coarsening ladder and initial cut the Stats record describes. tk is
+// the trace track owned by the current goroutine (nil when tracing is
+// off).
+type bisectCtx struct {
+	call *mlpart.Call[scratch, branch]
+	sc   *statsCollector
+	tk   *obs.Track
+	top  bool
+}
+
+// branch is one recursion node: the sub-hypergraph sub, whose vertex v
+// is vertex ids[v] of the input, goes to parts [kLo, kLo+k) of out.
+// Sibling branches may run on concurrent goroutines: they operate on
+// disjoint sub-hypergraphs and write disjoint entries of out, and their
+// RNG streams are derived before either starts, so the result is
+// schedule-independent.
 //
 // slack is the imbalance budget remaining on this subtree (the
 // caller's ε at the root). Each node spends (1+ε′) of it on its own
@@ -134,15 +155,39 @@ func partitionRun(h *hypergraph.Hypergraph, k int, fixed []int, opts Options, ct
 // rest down, so every root-to-leaf product of per-level slacks
 // telescopes to exactly 1+ε no matter how unevenly a non-power-of-two
 // K splits.
-func recursiveBisect(ctx bisectCtx, sub *hypergraph.Hypergraph, ids []int, fixed []int,
-	kLo, k int, slack float64, opts Options, r *rng.RNG, out []int, s *scratch) error {
+type branch struct {
+	ctx   bisectCtx
+	sub   *hypergraph.Hypergraph
+	ids   []int
+	fixed []int
+	kLo   int
+	k     int
+	slack float64
+	opts  Options
+	r     *rng.RNG
+	out   []int
+}
 
-	if err := opts.Canceled(); err != nil {
+func (b branch) Splits() bool { return b.k > 1 && len(b.ids) > 0 }
+
+// Size is the branch's pin count.
+func (b branch) Size() int { return b.sub.NumPins() }
+
+// Run bisects the branch on track tk with arena s and forks its two
+// sides.
+func (b branch) Run(tk *obs.Track, s *scratch, spawned bool) error {
+	ctx, sub, ids, kLo, k := b.ctx, b.sub, b.ids, b.kLo, b.k
+	ctx.tk = tk
+	if spawned {
+		ctx.sc.enter()
+		defer ctx.sc.leave()
+	}
+	if err := b.opts.Canceled(); err != nil {
 		return err
 	}
 	if k == 1 {
 		for _, g := range ids {
-			out[g] = kLo
+			b.out[g] = kLo
 		}
 		return nil
 	}
@@ -150,8 +195,8 @@ func recursiveBisect(ctx bisectCtx, sub *hypergraph.Hypergraph, ids []int, fixed
 		Arg("k", int64(k)).Arg("kLo", int64(kLo)).Arg("vertices", int64(sub.NumVertices()))
 	defer sp.End()
 
-	epsB := mlpart.BisectionEps(slack, k)
-	childSlack := (1+slack)/(1+epsB) - 1
+	epsB := mlpart.BisectionEps(b.slack, k)
+	childSlack := (1+b.slack)/(1+epsB) - 1
 	kL := k / 2
 	kR := k - kL
 	// Side of each fixed vertex at this bisection level, derived from
@@ -160,9 +205,9 @@ func recursiveBisect(ctx bisectCtx, sub *hypergraph.Hypergraph, ids []int, fixed
 	for i := range fixedSide {
 		fixedSide[i] = -1
 	}
-	if fixed != nil {
+	if b.fixed != nil {
 		for local, g := range ids {
-			if p := fixed[g]; p >= 0 {
+			if p := b.fixed[g]; p >= 0 {
 				if p < kLo+kL {
 					fixedSide[local] = 0
 				} else {
@@ -172,7 +217,7 @@ func recursiveBisect(ctx bisectCtx, sub *hypergraph.Hypergraph, ids []int, fixed
 		}
 	}
 
-	side, err := multilevelBisect(ctx, sub, fixedSide, kL, kR, epsB, opts, r, s)
+	side, err := multilevelBisect(ctx, sub, fixedSide, kL, kR, epsB, b.opts, b.r, s)
 	if err != nil {
 		return err
 	}
@@ -184,10 +229,13 @@ func recursiveBisect(ctx bisectCtx, sub *hypergraph.Hypergraph, ids []int, fixed
 	rightHG, rightIDs := inducedSide(sub, ids, side, 1, s)
 	// Both child streams are derived here, in the serial order (left
 	// first), before either branch can run.
-	rs := r.Children(2)
-	return forkJoin(ctx.child(), s, fixed, childSlack, opts, out,
-		branchWork{sub: leftHG, ids: leftIDs, kLo: kLo, k: kL, r: rs[0]},
-		branchWork{sub: rightHG, ids: rightIDs, kLo: kLo + kL, k: kR, r: rs[1]})
+	rL, rR := b.r.Child(), b.r.Child()
+	ctx.top = false
+	forked, err := ctx.call.Fork(ctx.tk, s,
+		branch{ctx: ctx, sub: leftHG, ids: leftIDs, fixed: b.fixed, kLo: kLo, k: kL, slack: childSlack, opts: b.opts, r: rL, out: b.out},
+		branch{ctx: ctx, sub: rightHG, ids: rightIDs, fixed: b.fixed, kLo: kLo + kL, k: kR, slack: childSlack, opts: b.opts, r: rR, out: b.out})
+	ctx.sc.branch(forked)
+	return err
 }
 
 // inducedSide builds the sub-hypergraph of vertices with side[v] == want.
@@ -252,7 +300,7 @@ func inducedSide(h *hypergraph.Hypergraph, ids []int, side []int8, want int8, s 
 // multilevelBisect runs coarsen → initial bisect → refine and returns a
 // 0/1 side per vertex of h. Targets are proportional to kL:kR. The
 // returned side slice is scratch-owned (one of scr.proj); it stays valid
-// only until the caller's next use of the arena (recursiveBisect copies
+// only until the caller's next use of the arena (branch.Run copies
 // it into the induced sub-hypergraphs before recursing).
 func multilevelBisect(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, kL, kR int,
 	epsB float64, opts Options, r *rng.RNG, scr *scratch) ([]int8, error) {

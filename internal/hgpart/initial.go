@@ -1,6 +1,8 @@
 package hgpart
 
 import (
+	"math"
+
 	"finegrain/internal/hypergraph"
 	"finegrain/internal/mlpart"
 	"finegrain/internal/rng"
@@ -29,7 +31,7 @@ func initialBisect(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8,
 		if trial%2 == 0 {
 			growBisect(h, fixedSide, targets, r.Child(), side, s)
 		} else {
-			randomBisect(h, fixedSide, targets, r.Child(), side, s)
+			s.free = mlpart.RandomBisect(h.VertexWeights(), fixedSide, targets, r.Child(), side, s.free)
 		}
 		refineBisection(ctx, h, side, fixedSide, strict, relaxed, opts, r, s)
 		w := mlpart.SideWeights(h.VertexWeights(), side)
@@ -37,7 +39,7 @@ func initialBisect(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8,
 			continue
 		}
 		cut := bisectionCut(h, side)
-		dev := absF(w[0] - targets[0])
+		dev := math.Abs(w[0] - targets[0])
 		if !haveBest || cut < bestCut || (cut == bestCut && dev < bestDev) {
 			copy(best, side)
 			haveBest = true
@@ -51,13 +53,6 @@ func initialBisect(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8,
 		ctx.sc.setInitialCut(bestCut)
 	}
 	return best, nil
-}
-
-func absF(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // bisectionCut returns the cut-net cost of a bisection, which for K = 2
@@ -232,36 +227,4 @@ func growBisect(h *hypergraph.Hypergraph, fixedSide []int8, targets [2]float64, 
 		moveTo1(bestV)
 	}
 	s.frontier = frontier
-}
-
-// randomBisect assigns fixed vertices first, then fills side 0 with
-// random free vertices up to its target weight and puts the rest on
-// side 1. The result is written into side (every entry is assigned).
-func randomBisect(h *hypergraph.Hypergraph, fixedSide []int8, targets [2]float64, r *rng.RNG,
-	side []int8, s *scratch) {
-
-	numV := h.NumVertices()
-	var w0 float64
-	free := s.free[:0]
-	for v := 0; v < numV; v++ {
-		switch fixedSide[v] {
-		case 0:
-			side[v] = 0
-			w0 += float64(h.VertexWeight(v))
-		case 1:
-			side[v] = 1
-		default:
-			free = append(free, v)
-		}
-	}
-	r.Shuffle(free)
-	for _, v := range free {
-		if w0 < targets[0] {
-			side[v] = 0
-			w0 += float64(h.VertexWeight(v))
-		} else {
-			side[v] = 1
-		}
-	}
-	s.free = free
 }

@@ -164,26 +164,3 @@ func TestStatsCollected(t *testing.T) {
 		}
 	}
 }
-
-// TestWorkerPool checks the non-blocking semaphore used to bound
-// partitioner goroutines.
-func TestWorkerPool(t *testing.T) {
-	if p := newWorkerPool(0); p.tryAcquire() {
-		t.Fatal("capacity-0 pool must never grant a slot")
-	}
-	var nilPool *workerPool
-	if nilPool.tryAcquire() {
-		t.Fatal("nil pool must never grant a slot")
-	}
-	p := newWorkerPool(2)
-	if !p.tryAcquire() || !p.tryAcquire() {
-		t.Fatal("capacity-2 pool should grant two slots")
-	}
-	if p.tryAcquire() {
-		t.Fatal("exhausted pool should refuse")
-	}
-	p.release()
-	if !p.tryAcquire() {
-		t.Fatal("released slot should be reusable")
-	}
-}

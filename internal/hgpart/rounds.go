@@ -9,8 +9,8 @@
 //
 //	phase A (parallel): the vertex range is cut into fixed-size chunks
 //	  (grain derived from the threshold, never from Workers). Chunks
-//	  are claimed from an atomic counter by the caller plus any pool
-//	  workers it recruited; each computes a pure per-vertex proposal
+//	  are claimed from an atomic counter by the caller plus any slot
+//	  helpers it recruited; each computes a pure per-vertex proposal
 //	  against the state *snapshot from the end of the previous round*,
 //	  writing into a position-keyed result slot. Claim order is racy,
 //	  results are not: a chunk's output depends only on the snapshot
@@ -46,8 +46,9 @@ const (
 // roundJob is the control block of one phase-A fan-out: an atomic chunk
 // cursor plus pointers to the operation state. It lives in the caller's
 // scratch and runs as a par task on the barrier: shard 0 is the owner
-// draining with its own scratch s, the other shards are helpers that
-// drain with their worker's arena and then return their pool slot.
+// draining with its own scratch s, shard i > 0 is a helper holding
+// worker-slot token tokens[i−1], which drains with that slot's arena
+// and then returns the token.
 type roundJob struct {
 	g       par.Group
 	next    atomic.Int64
@@ -55,17 +56,19 @@ type roundJob struct {
 	op      int
 	cl      *clusterRound
 	fm      *fmRound
-	pool    *workerPool
+	call    *mlpart.Call[scratch, branch]
 	s       *scratch
+	tokens  []int
 }
 
-func (rj *roundJob) Run(_ int, w *par.Worker) {
-	if w == nil {
+func (rj *roundJob) Run(shard int, _ *par.Worker) {
+	if shard == 0 {
 		rj.drain(rj.s)
 		return
 	}
-	rj.drain(&localOf(w).s)
-	rj.pool.release()
+	i := rj.tokens[shard-1]
+	rj.drain(rj.call.Arena(i))
+	rj.call.Release(i)
 }
 
 // drain claims and processes chunks until none remain.
@@ -85,17 +88,22 @@ func (rj *roundJob) drain(s *scratch) {
 }
 
 // runRound executes rj's chunks across the caller plus up to nchunks−1
-// recruited pool workers and returns when every chunk is done. With an
-// exhausted (or zero-capacity) pool the caller simply drains everything
-// inline — same results, serial schedule.
-func runRound(pool *workerPool, s *scratch, rj *roundJob) {
+// helpers on free worker slots and returns when every chunk is done.
+// With no free slot the caller simply drains everything inline — same
+// results, serial schedule.
+func runRound(c *mlpart.Call[scratch, branch], s *scratch, rj *roundJob) {
 	rj.next.Store(0)
-	rj.pool, rj.s = pool, s
-	n := 1
-	for n < rj.nchunks && pool.tryAcquire() {
-		n++
+	rj.call, rj.s = c, s
+	tokens := s.tokens[:0]
+	for len(tokens)+1 < rj.nchunks {
+		i, ok := c.TryAcquire()
+		if !ok {
+			break
+		}
+		tokens = append(tokens, i)
 	}
-	rj.g.Run(n, rj)
+	s.tokens, rj.tokens = tokens, tokens
+	rj.g.Run(len(tokens)+1, rj)
 }
 
 // chunkCount returns the number of chunks covering n items at the given

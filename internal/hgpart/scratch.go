@@ -6,25 +6,21 @@
 // epoch-stamped score tables) sized to the current level. Allocating
 // them per level and per pass dominated the partitioner's allocation
 // profile (millions of objects per K=64 partition), so they live here
-// instead: one scratch struct per goroutine — the caller's from a
-// sync.Pool, an executor worker's in its Local slot (exec.go) — reused
-// across levels, FM passes, and recursion depths. Buffers
-// only ever grow; deeper (smaller) levels reslice the top-level
-// capacity.
+// instead: one scratch struct per goroutine of a call — the caller's
+// and one per worker slot, all from the recursion scheduler's free list
+// (parallel.go) — reused across levels, FM passes, recursion depths and
+// calls. Buffers only ever grow; deeper (smaller) levels reslice the
+// top-level capacity.
 //
 // Determinism contract: a scratch never carries semantic state between
 // uses. Every buffer is either fully (re)initialized by its consumer
 // before reads, or guarded by a monotonically increasing epoch stamp so
 // stale entries can never compare equal to the current epoch. The
-// partition produced is therefore byte-identical no matter which pooled
+// partition produced is therefore byte-identical no matter which
 // scratch — fresh or recycled — a goroutine happens to receive.
 package hgpart
 
-import (
-	"sync"
-
-	"finegrain/internal/mlpart"
-)
+import "finegrain/internal/mlpart"
 
 // scratch holds the reusable working buffers of one partitioner
 // goroutine. Fields are grouped by their owning phase; buffers in
@@ -81,7 +77,7 @@ type scratch struct {
 	// round-job control block helpers drain from and the shared
 	// per-round state. rj/cl/fm are referenced by helper goroutines for
 	// the duration of one round only; the buffers below back cl/fm's
-	// slices between rounds.
+	// slices and the helpers' slot tokens between rounds.
 	rj       roundJob
 	cl       clusterRound
 	fm       fmRound
@@ -89,6 +85,7 @@ type scratch struct {
 	fmCands  []fmCand
 	fmCounts []int32
 	fmMerged []fmCand
+	tokens   []int
 }
 
 // candSlot is one epoch-stamped score accumulator of cluster's candidate
@@ -105,8 +102,3 @@ type clusterMeta struct {
 	w    int
 	side int8
 }
-
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-func getScratch() *scratch  { return scratchPool.Get().(*scratch) }
-func putScratch(s *scratch) { scratchPool.Put(s) }

@@ -42,7 +42,7 @@ type Stats struct {
 	RefineTime  time.Duration
 	// BusyTime is the sum of the phase times above; Utilization is
 	// BusyTime / (Workers × TotalTime), an estimate of how busy the
-	// worker pool was kept.
+	// workers were kept.
 	BusyTime    time.Duration
 	TotalTime   time.Duration
 	Utilization float64
@@ -60,10 +60,11 @@ type Stats struct {
 	CoarsenRounds int
 	FMRounds      int
 	// BranchesSpawned counts recursive-bisection sibling pairs that
-	// found a free pool slot: the branch with fewer pins (the right one
-	// on a tie) ran on an executor worker while the other ran inline.
-	// BranchesInline counts pairs that found none and ran both
-	// branches inline, left first.
+	// both still bisect and found a free worker slot: the branch with
+	// fewer pins (the right one on a tie) ran on an executor worker
+	// while the other ran inline. BranchesInline counts every other
+	// pair, including those with a K = 1 side, which ran both branches
+	// inline, left first.
 	BranchesSpawned int
 	BranchesInline  int
 	// MaxConcurrent is the peak number of simultaneously active

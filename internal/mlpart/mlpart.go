@@ -164,6 +164,37 @@ func SideWeights(vw []int, side []int8) [2]float64 {
 	return w
 }
 
+// RandomBisect writes a random bisection into side, one entry per
+// vertex of weight vw[v]: a vertex with fixedSide[v] ≥ 0 keeps that
+// side (no vertex is fixed when fixedSide is nil), and the free ones,
+// shuffled, fill side 0 up to targets[0] and the rest go to side 1. free
+// is a reusable buffer; RandomBisect returns it grown.
+func RandomBisect(vw []int, fixedSide []int8, targets [2]float64, r *rng.RNG, side []int8, free []int) []int {
+	var w0 float64
+	free = free[:0]
+	for v := range side {
+		switch {
+		case fixedSide == nil || fixedSide[v] < 0:
+			free = append(free, v)
+		case fixedSide[v] == 0:
+			side[v] = 0
+			w0 += float64(vw[v])
+		default:
+			side[v] = 1
+		}
+	}
+	r.Shuffle(free)
+	for _, v := range free {
+		if w0 < targets[0] {
+			side[v] = 0
+			w0 += float64(vw[v])
+		} else {
+			side[v] = 1
+		}
+	}
+	return free
+}
+
 // Grow returns buf resliced to length n, reallocating only when its
 // capacity is short. The contents are unspecified: callers initialize
 // every entry they read, or stamp-guard their reads.

@@ -176,17 +176,6 @@ func (k *Track) Fork(name string) *Track {
 	return k.t.NewTrack(name)
 }
 
-// Trace returns the trace this track records onto (nil for a nil
-// track). Long-lived workers use it as a cache key so one forked track
-// per (worker, trace) pair is enough, instead of one per handed-off
-// task.
-func (k *Track) Trace() *Trace {
-	if k == nil {
-		return nil
-	}
-	return k.t
-}
-
 // Instant records a zero-duration marker event on the track.
 func (k *Track) Instant(cat, name string) {
 	if k == nil {

@@ -1,21 +1,21 @@
 // Package par is the process-wide executor behind every parallel path
-// of the partitioner (internal/hgpart) and both SpMV runtimes
-// (internal/spmv, internal/kernel). It keeps one free list of parked
-// goroutines, initialised lazily and shared by all callers, the way
-// mt-KaHyPar holds one thread pool per process.
+// of both partitioners (internal/hgpart, internal/gpart) and both SpMV
+// runtimes (internal/spmv, internal/kernel). It keeps one free list of
+// parked goroutines, initialised lazily and shared by all callers, the
+// way mt-KaHyPar holds one thread pool per process.
 //
 // The contract:
 //
 //   - Submission never blocks: Go hands a task to a parked worker, or
 //     starts a new one when none is parked.
 //   - The executor never creates concurrency on its own. Callers bound
-//     it: the partitioner through its worker-slot semaphore, the SpMV
-//     runtimes through their per-call worker counts. The number of
-//     goroutines is the peak number of tasks ever in flight at once.
+//     it: the partitioners through the worker slots of mlpart's
+//     recursion scheduler (Workers − 1 per call), the SpMV runtimes
+//     through their per-call worker counts. The number of goroutines is
+//     the peak number of tasks ever in flight at once.
 //   - A worker parks before it signals completion, so a waiter that
 //     submits again right after Wait reuses it while its caches are
 //     warm.
-//   - Each worker has a Local slot that survives across tasks.
 //   - Steady-state Go/Wait allocates nothing: tasks travel as interface
 //     values holding pointers, and the completion barrier is a
 //     caller-owned Group.
@@ -34,12 +34,10 @@ type Task interface {
 	Run(shard int, w *Worker)
 }
 
-// Worker is one parked goroutine of the executor.
+// Worker is one parked goroutine of the executor. It keeps no state
+// across tasks: a caller that wants per-goroutine scratch owns it, as
+// the partitioners' worker slots do.
 type Worker struct {
-	// Local is per-worker state that survives across tasks, such as a
-	// scratch arena. Only the worker's current task touches it.
-	Local any
-
 	ch chan msg
 }
 

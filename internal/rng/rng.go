@@ -59,18 +59,6 @@ func (r *RNG) Child() *RNG {
 	return New(r.Uint64() ^ 0xd1b54a32d192ed03)
 }
 
-// Children derives n independent generators in one call, equivalent to n
-// successive Child calls. Callers that later hand work to concurrent
-// goroutines use this to pin down every stream before any branch runs,
-// so the derived sequences cannot depend on scheduling order.
-func (r *RNG) Children(n int) []*RNG {
-	cs := make([]*RNG, n)
-	for i := range cs {
-		cs[i] = r.Child()
-	}
-	return cs
-}
-
 func rotl(x uint64, k uint) uint64 {
 	return (x << k) | (x >> (64 - k))
 }
