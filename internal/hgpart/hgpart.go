@@ -42,9 +42,8 @@ func PartitionStats(h *hypergraph.Hypergraph, k int, opts Options) (*hypergraph.
 // PartitionFixedStats is PartitionFixed returning the Stats record
 // (non-nil only when opts.CollectStats is set). The branches of the
 // recursive bisection, and the round chunks of large levels, execute
-// concurrently on at most opts.Workers goroutines;
-// the result is bitwise identical for every Workers value given the
-// same Seed.
+// concurrently on at most opts.Workers goroutines; the result is
+// bitwise identical for every Workers value given the same Seed.
 func PartitionFixedStats(h *hypergraph.Hypergraph, k int, fixed []int, opts Options) (*hypergraph.Partition, *Stats, error) {
 	opts.normalize()
 	if k < 1 {

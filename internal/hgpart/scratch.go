@@ -8,9 +8,9 @@
 // profile (millions of objects per K=64 partition), so they live here
 // instead: one scratch struct per goroutine of a call — the caller's
 // and one per worker slot, all from the recursion scheduler's free list
-// (parallel.go) — reused across levels, FM passes, recursion depths and
-// calls. Buffers only ever grow; deeper (smaller) levels reslice the
-// top-level capacity.
+// (sched in hgpart.go) — reused across levels, FM passes, recursion
+// depths and calls. Buffers only ever grow; deeper (smaller) levels
+// reslice the top-level capacity.
 //
 // Determinism contract: a scratch never carries semantic state between
 // uses. Every buffer is either fully (re)initialized by its consumer

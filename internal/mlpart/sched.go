@@ -98,7 +98,9 @@ func (sc *Scheduler[S, B]) Begin(workers int, tk *obs.Track) (*Call[S, B], *S) {
 	return c, c.own
 }
 
-// End returns every arena the call took to the free list.
+// End returns every arena the call took to the free list. An arena may
+// still point at the call (hgpart's round job does), so End also drops
+// the call's tracks: a parked arena must not pin a finished trace.
 func (c *Call[S, B]) End() {
 	for _, st := range c.slots {
 		if st.s != nil {
@@ -106,7 +108,7 @@ func (c *Call[S, B]) End() {
 		}
 	}
 	c.sched.arenas.put(c.own)
-	c.own, c.slots = nil, nil
+	c.own, c.tk, c.slots = nil, nil, nil
 }
 
 // TryAcquire takes a free token without blocking. A nil call or one
