@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: ci fmt vet vet-perfbench test race e2e-fleet bench bench-quick bench-scaling bench-spmv bench-block bench-block-smoke bench-locality bench-locality-smoke bench-spgemm bench-spgemm-smoke compare-smoke build doc-check loc
+.PHONY: ci fmt vet vet-perfbench test race e2e-fleet bench bench-quick bench-initial-smoke bench-scaling bench-spmv bench-block bench-block-smoke bench-locality bench-locality-smoke bench-spgemm bench-spgemm-smoke compare-smoke build doc-check loc
 
 # ci runs only the smoke variants of the benchmarks. The wall-clock
 # gates bench-scaling, bench-block and bench-locality are not part of
 # it: they need a quiet multi-CPU host and minutes of paper-size runs,
 # so they are run by hand when their BENCH_*.json files are re-recorded.
-ci: doc-check build vet-perfbench race e2e-fleet bench-locality-smoke bench-block-smoke bench-spgemm-smoke compare-smoke
+ci: doc-check build vet-perfbench race e2e-fleet bench-initial-smoke bench-locality-smoke bench-block-smoke bench-spgemm-smoke compare-smoke
 
 build:
 	$(GO) build ./...
@@ -77,6 +77,13 @@ bench:
 # path: one small matrix, no JSON artifact.
 bench-quick:
 	$(GO) test -run '^$$' -bench BenchmarkPartitionSmall -benchtime 1x .
+
+# bench-initial-smoke runs the layer benchmark of hgpart's initial
+# bisection (GHG and random-fill trials on the coarsest level of the nl
+# fine-grain ladder) once, so it keeps compiling and running; raise
+# -benchtime to time the layer.
+bench-initial-smoke:
+	$(GO) test -run '^$$' -bench BenchmarkInitialBisect -benchtime 1x ./internal/hgpart/
 
 # bench-scaling is the gate for partitioner scaling: it regenerates
 # BENCH_partition.json and fails if the multi-worker speedup of the

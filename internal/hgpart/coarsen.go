@@ -259,7 +259,7 @@ func cluster(h *hypergraph.Hypergraph, fixedSide []int8, fixedCap [2]float64,
 		}
 		clusters = m.join(cmap, clusters, v, bestKey, wv, sv)
 	}
-	s.clusters = clusters
+	s.clusters, s.perm = clusters, order
 	s.slots = slots
 	s.cands = cands
 	s.epoch = epoch
@@ -413,7 +413,7 @@ func clusterRounds(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fi
 			clusters = append(clusters, clusterMeta{w: h.VertexWeight(v), side: fixedSide[v]})
 		}
 	}
-	s.clusters = clusters
+	s.clusters, s.perm = clusters, order
 	return cmap, len(clusters)
 }
 
@@ -527,6 +527,7 @@ func contract(h *hypergraph.Hypergraph, cmap []int, numC int, s *scratch) (*hype
 	}
 	xpins[len(keep)] = pos
 
+	s.mark, s.htab = mark, htab
 	s.cpins, s.cxpins, s.ccost, s.ckeep = cpins, cxp, ccost, ckeep
 	return hypergraph.FromCompact(vw, cost, xpins, pins), compactPins
 }

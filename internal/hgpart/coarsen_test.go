@@ -246,3 +246,46 @@ func TestMatchNetLimitSkipsDenseNets(t *testing.T) {
 	}
 	_ = cmap
 }
+
+// TestWarmScratchAllocatesOnlyOutputs pins that every scratch buffer of
+// cluster, contract and inducedSide is stored back: once the arena is
+// warm, a call allocates only what it returns. cluster's result is the
+// cluster map; contract's and inducedSide's are the hypergraph
+// (FromCompact's struct and vertex→net arrays) over their four own
+// arrays, plus the id map for inducedSide.
+func TestWarmScratchAllocatesOnlyOutputs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates per sync op")
+	}
+	h := randomHG(rng.New(5), 600, 500)
+	opts := DefaultOptions()
+	opts.normalize()
+	fixedSide := make([]int8, h.NumVertices())
+	side := make([]int8, h.NumVertices())
+	ids := make([]int, h.NumVertices())
+	for v := range fixedSide {
+		fixedSide[v] = -1
+		side[v] = int8(v % 2)
+		ids[v] = v
+	}
+	fixedCap := [2]float64{1e18, 1e18}
+	r := rng.New(6)
+	s := new(scratch)
+	cmap, numC := cluster(h, fixedSide, fixedCap, opts, r, s)
+	contract(h, cmap, numC, s)
+	inducedSide(h, ids, side, 0, s)
+
+	for _, c := range []struct {
+		name string
+		want float64
+		call func()
+	}{
+		{"cluster", 1, func() { cluster(h, fixedSide, fixedCap, opts, r, s) }},
+		{"contract", 7, func() { contract(h, cmap, numC, s) }},
+		{"inducedSide", 8, func() { inducedSide(h, ids, side, 1, s) }},
+	} {
+		if got := testing.AllocsPerRun(5, c.call); got != c.want {
+			t.Errorf("%s on a warm scratch: %.0f allocs/op, want %.0f (its outputs)", c.name, got, c.want)
+		}
+	}
+}

@@ -155,13 +155,7 @@ func fmParallelRefine(ctx bisectCtx, h *hypergraph.Hypergraph, side []int8, fixe
 			to := 1 - from
 			g := 0
 			for _, n := range h.Nets(v) {
-				c := h.NetCost(n)
-				if sigma[from][n] == 1 {
-					g += c
-				}
-				if sigma[to][n] == 0 {
-					g -= c
-				}
+				g += netGain(h.NetCost(n), sigma[from][n], sigma[to][n])
 			}
 			if g <= 0 {
 				continue // a neighbor's earlier move consumed this gain
@@ -228,13 +222,7 @@ func rebalance(sc *statsCollector, h *hypergraph.Hypergraph, side []int8, fixedS
 			}
 			g := 0
 			for _, n := range h.Nets(v) {
-				c := h.NetCost(n)
-				if sigma[s][n] == 1 {
-					g += c
-				}
-				if sigma[o][n] == 0 {
-					g -= c
-				}
+				g += netGain(h.NetCost(n), sigma[s][n], sigma[o][n])
 			}
 			buckets.Insert(v, int8(s), g)
 		}
@@ -302,13 +290,7 @@ func fmPass(sc *statsCollector, h *hypergraph.Hypergraph, side []int8, fixedSide
 		s := int(side[v])
 		g := 0
 		for _, n := range h.Nets(v) {
-			c := h.NetCost(n)
-			if sigma[s][n] == 1 {
-				g += c // moving v uncuts (or keeps internal-at-target) net n
-			}
-			if sigma[1-s][n] == 0 {
-				g -= c // moving v newly cuts net n
-			}
+			g += netGain(h.NetCost(n), sigma[s][n], sigma[1-s][n])
 		}
 		return g
 	}
@@ -420,4 +402,20 @@ func fmPass(sc *statsCollector, h *hypergraph.Hypergraph, side []int8, fixedSide
 	}
 	scr.moves = moves
 	return best > 0
+}
+
+// netGain is a net's term in the FM gain of moving one of its pins to
+// the other side, given the net's cost c and its pin counts on the
+// source (from) and target (to) side before the move. The move uncuts
+// the net, or keeps it internal to the target, when the pin is the last
+// on the source side, and newly cuts it when the target side has none.
+func netGain(c, from, to int) int {
+	g := 0
+	if from == 1 {
+		g += c
+	}
+	if to == 0 {
+		g -= c
+	}
+	return g
 }

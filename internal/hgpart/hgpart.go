@@ -292,7 +292,7 @@ func inducedSide(h *hypergraph.Hypergraph, ids []int, side []int8, want int8, s 
 		cost[newNet] = h.NetCost(net)
 	}
 	xpins[len(keep)] = pos
-	s.keep = keep
+	s.vlocal, s.keep = local, keep
 	return hypergraph.FromCompact(vw, cost, xpins, pins), subIDs
 }
 

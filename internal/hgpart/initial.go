@@ -75,60 +75,81 @@ func bisectionCut(h *hypergraph.Hypergraph, side []int8) int {
 	return cut
 }
 
-// growBisect implements greedy hypergraph growing: everything starts on
-// side 0; side 1 grows from a random seed by repeatedly absorbing the
-// free vertex with the best move gain until side 1 reaches its target
-// weight. Fixed vertices are pre-placed and never absorbed across sides.
-// The result is written into side (len = NumVertices).
+// growBisect implements greedy hypergraph growing (GHG). Everything
+// starts on side 0 except the vertices fixed to side 1, which seed side
+// 1 if they carry weight; otherwise a random vertex not fixed to side 0
+// does. Side 1 then absorbs free side-0 vertices until its weight
+// reaches targets[1]. Candidates are the frontier, the free side-0 pins
+// of nets side 1 touches, in the order they became candidates; the
+// first of maximal gain wins, and an empty frontier (a disconnected
+// hypergraph) falls back to the lowest-index free side-0 vertex. The
+// result is written into side (len = NumVertices).
 //
-// Frontier gains are cached: absorbing a vertex only changes the gain of
-// another free pin u of net n on the σ₁ transitions 0→1 (u's "newly
-// cuts" penalty appears) and |n|−2→|n|−1 (u's "fully absorbs" bonus
-// appears), so only those transitions mark pins dirty and everything
-// else is served from the cache. The selected vertex is identical to a
-// full rescan at every step, just cheaper.
+// Frontier gains are exact at every step and kept by integer deltas: a
+// vertex's gain is computed in full when it joins the frontier, and a
+// step of σ₁(n) from old to old+1 adds the change in n's netGain term,
+// c_n·[old = 0] + c_n·[old = |n|−2] (2·c_n for a 2-pin net), to each
+// free side-0 pin of n. (It is −c_n at old = |n|−1, which needs σ₁ to
+// count a vertex twice: a random seed that is a zero-weight vertex
+// already fixed to side 1 is moved again.) A net's pins are walked when
+// side 1 first touches it, to offer them to the frontier, and after
+// that only on a step with a nonzero delta, about twice per trial.
 func growBisect(h *hypergraph.Hypergraph, fixedSide []int8, targets [2]float64, r *rng.RNG,
 	side []int8, s *scratch) {
 
-	numV := h.NumVertices()
+	numV, numN := h.NumVertices(), h.NumNets()
+	// σ(n, side1) pin counts let us score candidates by how much of
+	// each net is already inside the growing part.
+	s.sigmaGrow = mlpart.Grow(s.sigmaGrow, numN)
+	sigma1 := s.sigmaGrow
+	clear(sigma1)
 	clear(side)
 	var w1 float64
 	for v := 0; v < numV; v++ {
 		if fixedSide[v] == 1 {
 			side[v] = 1
 			w1 += float64(h.VertexWeight(v))
-		}
-	}
-
-	// σ(n, side1) pin counts let us score candidates by how much of
-	// each net is already inside the growing part.
-	s.sigmaGrow = mlpart.Grow(s.sigmaGrow, h.NumNets())
-	sigma1 := s.sigmaGrow
-	clear(sigma1)
-	for v := 0; v < numV; v++ {
-		if side[v] == 1 {
 			for _, n := range h.Nets(v) {
 				sigma1[n]++
 			}
 		}
 	}
+	// offered[n] records that every pin of n has been offered to the
+	// frontier: each is in it, on side 1 or fixed to side 0 from then
+	// on, so a later walk of n matters only for a nonzero delta.
+	s.offered = mlpart.Grow(s.offered, numN)
+	offered := s.offered
+	clear(offered)
 
 	s.inFront = mlpart.Grow(s.inFront, numV)
 	inFront := s.inFront
 	clear(inFront)
-	s.gainCache = mlpart.Grow(s.gainCache, numV)
-	gainCache := s.gainCache
-	s.dirty = mlpart.Grow(s.dirty, numV)
-	dirty := s.dirty
-	// gainCache/dirty need no clearing: a vertex is only read after
-	// addFrontier marked it dirty, which forces a recompute first.
+	// gain needs no clearing: a vertex's entry is written when it joins
+	// the frontier, before any read.
+	s.gain = mlpart.Grow(s.gain, numV)
+	gain := s.gain
 	frontier := s.frontier[:0]
-	addFrontier := func(v int) {
-		if !inFront[v] && side[v] == 0 && fixedSide[v] != 0 {
-			inFront[v] = true
-			dirty[v] = true
-			frontier = append(frontier, v)
+
+	// offer walks the pins of net n: a free side-0 pin already in the
+	// frontier gains delta, any other joins it with its full gain.
+	offer := func(n, delta int) {
+		for _, u := range h.Pins(n) {
+			if side[u] != 0 || fixedSide[u] == 0 {
+				continue
+			}
+			if inFront[u] {
+				gain[u] += delta
+				continue
+			}
+			inFront[u] = true
+			frontier = append(frontier, u)
+			g := 0
+			for _, m := range h.Nets(u) {
+				g += netGain(h.NetCost(m), h.NetSize(m)-sigma1[m], sigma1[m])
+			}
+			gain[u] = g
 		}
+		offered[n] = true
 	}
 
 	moveTo1 := func(v int) {
@@ -137,12 +158,9 @@ func growBisect(h *hypergraph.Hypergraph, fixedSide []int8, targets [2]float64, 
 		for _, n := range h.Nets(v) {
 			old := sigma1[n]
 			sigma1[n] = old + 1
-			gainShift := old == 0 || old == h.NetSize(n)-2
-			for _, u := range h.Pins(n) {
-				if gainShift {
-					dirty[u] = true
-				}
-				addFrontier(u)
+			c, size := h.NetCost(n), h.NetSize(n)
+			if d := netGain(c, size-old-1, old+1) - netGain(c, size-old, old); d != 0 || !offered[n] {
+				offer(n, d)
 			}
 		}
 	}
@@ -157,38 +175,19 @@ func growBisect(h *hypergraph.Hypergraph, fixedSide []int8, targets [2]float64, 
 		}
 		s.free = free
 		if len(free) == 0 {
-			s.frontier = frontier
-			return
+			return // frontier is still s.frontier[:0]
 		}
 		moveTo1(free[r.Intn(len(free))])
 	} else {
 		for v := 0; v < numV; v++ {
 			if side[v] == 1 {
 				for _, n := range h.Nets(v) {
-					for _, u := range h.Pins(n) {
-						addFrontier(u)
+					if !offered[n] {
+						offer(n, 0)
 					}
 				}
 			}
 		}
-	}
-
-	gainOf := func(v int) int {
-		// FM gain of moving v from side 0 to side 1 given current
-		// sides: nets fully absorbed gain their cost, nets newly cut
-		// lose it.
-		g := 0
-		for _, n := range h.Nets(v) {
-			size := h.NetSize(n)
-			s1 := sigma1[n]
-			if s1 == size-1 {
-				g += h.NetCost(n)
-			}
-			if s1 == 0 {
-				g -= h.NetCost(n)
-			}
-		}
-		return g
 	}
 
 	for w1 < targets[1] {
@@ -198,18 +197,11 @@ func growBisect(h *hypergraph.Hypergraph, fixedSide []int8, targets [2]float64, 
 		compact := frontier[:0]
 		for _, v := range frontier {
 			if side[v] != 0 {
-				inFront[v] = false
-				continue
+				continue // absorbed; offer skips it from now on
 			}
 			compact = append(compact, v)
-			g := gainCache[v]
-			if dirty[v] {
-				g = gainOf(v)
-				gainCache[v] = g
-				dirty[v] = false
-			}
-			if bestV < 0 || g > bestG {
-				bestV, bestG = v, g
+			if bestV < 0 || gain[v] > bestG {
+				bestV, bestG = v, gain[v]
 			}
 		}
 		frontier = compact

@@ -63,15 +63,16 @@ type scratch struct {
 
 	// initial bisection and projection: trial buffer, the two
 	// ping-pong side buffers (best-so-far / projected), and greedy
-	// hypergraph growing's frontier state with its dirty-gain cache.
+	// hypergraph growing's per-net σ₁ and offered flags and its frontier
+	// with exact per-vertex gains.
 	sideTrial []int8
 	proj      [2][]int8
 	sigmaGrow []int
+	offered   []bool
 	inFront   []bool
 	frontier  []int
+	gain      []int
 	free      []int
-	gainCache []int
-	dirty     []bool
 
 	// parallel rounds (coarsen/FM on levels ≥ the parallel threshold): the
 	// round-job control block helpers drain from and the shared
