@@ -1,6 +1,7 @@
 package hgpart
 
 import (
+	"slices"
 	"time"
 
 	"finegrain/internal/hypergraph"
@@ -119,7 +120,9 @@ func coarsen(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fixedCap
 // serial kernel (cluster), the parallel round's proposal scoring
 // (clusterRound.scoreChunk) and its apply phase. Candidate keys name
 // either an existing cluster (key < keyBase) or an unclustered vertex
-// (key − keyBase).
+// (key − keyBase). While a level is being clustered, cmap holds every
+// vertex's current key: its cluster once it has one, keyBase + v
+// before.
 type mergeRule struct {
 	h           *hypergraph.Hypergraph
 	fixedSide   []int8
@@ -214,10 +217,7 @@ func (m *mergeRule) join(cmap []int, clusters []clusterMeta, v, key, wv int, sv 
 func cluster(h *hypergraph.Hypergraph, fixedSide []int8, fixedCap [2]float64,
 	opts Options, r *rng.RNG, s *scratch) ([]int, int) {
 	numV := h.NumVertices()
-	cmap := make([]int, numV)
-	for i := range cmap {
-		cmap[i] = -1
-	}
+	cmap := unclusteredKeys(numV)
 	m, boundW := newMergeRule(h, fixedSide, fixedCap, opts)
 	clusters := s.clusters[:0]
 	netInc := computeNetInc(h, opts, s)
@@ -229,11 +229,11 @@ func cluster(h *hypergraph.Hypergraph, fixedSide []int8, fixedCap [2]float64,
 	order := mlpart.Grow(s.perm, numV)
 	r.PermInto(order)
 	for _, v := range order {
-		if cmap[v] >= 0 {
+		if cmap[v] < numV {
 			continue
 		}
 		epoch++
-		cands = scoreCandidates(h, netInc, cmap, m.keyBase, v, slots, epoch, cands)
+		cands = scoreCandidates(h, netInc, cmap, v, slots, epoch, cands)
 		// Choose the first candidate of maximal score that the merge
 		// filter accepts.
 		wv, sv := h.VertexWeight(v), fixedSide[v]
@@ -266,30 +266,36 @@ func cluster(h *hypergraph.Hypergraph, fixedSide []int8, fixedCap [2]float64,
 	return cmap, len(clusters)
 }
 
-// scoreCandidates sums, for vertex v, the connectivity it shares with
-// each candidate over the nets netInc does not skip, and returns the
-// candidates in first-encounter order (reusing cands' storage). A
-// candidate key is the cluster of an already clustered neighbor or
-// keyBase + u for an unclustered neighbor u. Scores accumulate in
-// slots stamped with epoch; the epoch is monotonic across the scratch's
-// lifetime and the caller increments it per vertex, so reused buffers
-// need no reinitialization.
-func scoreCandidates(h *hypergraph.Hypergraph, netInc []float64, cmap []int, keyBase, v int,
+// unclusteredKeys returns the starting cmap of a level of numV
+// vertices: every vertex v is its own candidate key numV + v.
+func unclusteredKeys(numV int) []int {
+	cmap := make([]int, numV)
+	for i := range cmap {
+		cmap[i] = numV + i
+	}
+	return cmap
+}
+
+// scoreCandidates sums, for the unclustered vertex v, the connectivity
+// it shares with each candidate over the nets netInc does not skip, and
+// returns the candidates in first-encounter order (reusing cands'
+// storage). A neighbor u's candidate key is cmap[u]: its cluster, or
+// keyBase + u while unclustered. Scores accumulate in slots stamped
+// with epoch; the epoch is monotonic across the scratch's lifetime and
+// the caller increments it per vertex, so reused buffers need no
+// reinitialization. v's own slot is stamped before the scan, so v never
+// becomes its own candidate; the score it gathers there is never read.
+func scoreCandidates(h *hypergraph.Hypergraph, netInc []float64, cmap []int, v int,
 	slots []candSlot, epoch int, cands []int) []int {
 	cands = cands[:0]
+	slots[cmap[v]].stamp = epoch
 	for _, net := range h.Nets(v) {
 		inc := netInc[net]
 		if inc == 0 {
 			continue
 		}
 		for _, u := range h.Pins(net) {
-			if u == v {
-				continue
-			}
-			key := keyBase + u
-			if c := cmap[u]; c >= 0 {
-				key = c
-			}
+			key := cmap[u]
 			sl := &slots[key]
 			if sl.stamp != epoch {
 				sl.stamp = epoch
@@ -322,23 +328,20 @@ func computeNetInc(h *hypergraph.Hypergraph, opts Options, s *scratch) []float64
 
 // clusterRounds is the parallel-round counterpart of cluster, used on
 // levels at or above the parallel threshold. Each round scores a
-// proposal per unmatched vertex concurrently over fixed chunks of one
-// global permutation (phase A, pure function of the previous round's
-// snapshot), then applies proposals serially in permutation order with
-// live re-validation (phase B). A proposal whose target grew infeasible
-// is skipped and the vertex retries next round; after coarsenRounds
-// rounds (or a round with no merges) the remaining unmatched vertices
-// become singletons. The resulting clustering — and therefore the
+// proposal per unmatched vertex concurrently over fixed chunks of the
+// vertex ids (phase A, pure function of the previous round's
+// snapshot), then applies proposals serially in the level's random
+// permutation with live re-validation (phase B). A proposal whose
+// target grew infeasible is skipped and the vertex retries next round;
+// after coarsenRounds rounds (or a round with no merges) the remaining
+// unmatched vertices become singletons. The resulting clustering — and therefore the
 // whole coarse ladder — depends only on (hypergraph, options, RNG
 // stream), never on worker count or chunk scheduling.
 func clusterRounds(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fixedCap [2]float64,
 	opts Options, r *rng.RNG, s *scratch) ([]int, int) {
 
 	numV := h.NumVertices()
-	cmap := make([]int, numV)
-	for i := range cmap {
-		cmap[i] = -1
-	}
+	cmap := unclusteredKeys(numV)
 	m, boundW := newMergeRule(h, fixedSide, fixedCap, opts)
 	clusters := s.clusters[:0]
 	netInc := computeNetInc(h, opts, s)
@@ -352,7 +355,6 @@ func clusterRounds(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fi
 		mergeRule: m,
 		netInc:    netInc,
 		cmap:      cmap,
-		order:     order,
 		prop:      s.prop,
 		chunk:     opts.parallelChunk(),
 	}
@@ -374,18 +376,16 @@ func clusterRounds(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fi
 		// state. Feasibility is rechecked because earlier applications
 		// this round may have filled a cluster or a fixed side's budget.
 		merges := 0
-		for p, v := range order {
-			if cmap[v] >= 0 {
+		for _, v := range order {
+			if cmap[v] < numV {
 				continue
 			}
-			key := cr.prop[p]
+			key := cr.prop[v]
 			if key < 0 {
 				continue
 			}
 			if key >= numV {
-				if c := cmap[key-numV]; c >= 0 {
-					key = c // follow the partner into its new cluster
-				}
+				key = cmap[key-numV] // follow the partner into its new cluster, if any
 			}
 			wv, sv := h.VertexWeight(v), fixedSide[v]
 			bindSide, bindW, ok := m.check(key, wv, sv, clusters, &boundW)
@@ -408,7 +408,7 @@ func clusterRounds(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fi
 	// Leftovers become singleton clusters, in permutation order like the
 	// serial kernel's no-candidate case.
 	for _, v := range order {
-		if cmap[v] < 0 {
+		if cmap[v] >= numV {
 			cmap[v] = len(clusters)
 			clusters = append(clusters, clusterMeta{w: h.VertexWeight(v), side: fixedSide[v]})
 		}
@@ -452,7 +452,7 @@ func contract(h *hypergraph.Hypergraph, cmap []int, numC int, s *scratch) (*hype
 				cpins = append(cpins, c)
 			}
 		}
-		sortInts(cpins[start:])
+		slices.Sort(cpins[start:])
 		cxp = append(cxp, len(cpins))
 		ccost = append(ccost, h.NetCost(net))
 	}
@@ -488,7 +488,7 @@ func contract(h *hypergraph.Hypergraph, cmap []int, numC int, s *scratch) (*hype
 				break
 			}
 			j := e - 1
-			if pinsEqual(cpins[cxp[j]:cxp[j+1]], ps) {
+			if slices.Equal(cpins[cxp[j]:cxp[j+1]], ps) {
 				if compressCoarseNets {
 					ccost[j] += ccost[i]
 				}
@@ -532,20 +532,6 @@ func contract(h *hypergraph.Hypergraph, cmap []int, numC int, s *scratch) (*hype
 	return hypergraph.FromCompact(vw, cost, xpins, pins), compactPins
 }
 
-func sortInts(a []int) {
-	// Insertion sort: coarse pin lists are short on average, and this
-	// avoids interface overhead in the hot contraction loop.
-	for i := 1; i < len(a); i++ {
-		x := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > x {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = x
-	}
-}
-
 // hashPins mixes a sorted pin list through splitmix64 steps, one per
 // element, seeded with the length. One multiply-xor chain per pin is
 // considerably cheaper than byte-at-a-time FNV on the contraction path.
@@ -558,16 +544,4 @@ func hashPins(a []int) uint64 {
 		h = z ^ (z >> 31)
 	}
 	return h
-}
-
-func pinsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"finegrain/internal/hypergraph"
+	"finegrain/internal/mlpart"
 	"finegrain/internal/rng"
 )
 
@@ -288,4 +289,145 @@ func TestWarmScratchAllocatesOnlyOutputs(t *testing.T) {
 			t.Errorf("%s on a warm scratch: %.0f allocs/op, want %.0f (its outputs)", c.name, got, c.want)
 		}
 	}
+}
+
+// scoreCandidatesReference is HCC candidate scoring by the rule of the
+// cmap of −1 for an unclustered vertex: skip v itself, key an
+// unclustered neighbor u as keyBase + u and a clustered one as its
+// cluster, and sum each key's increments in a map. It returns the keys
+// in first-encounter order with their scores.
+func scoreCandidatesReference(h *hypergraph.Hypergraph, netInc []float64, cmap []int, keyBase, v int) ([]int, []float64) {
+	var keys []int
+	score := map[int]float64{}
+	for _, net := range h.Nets(v) {
+		inc := netInc[net]
+		if inc == 0 {
+			continue
+		}
+		for _, u := range h.Pins(net) {
+			if u == v {
+				continue
+			}
+			key := keyBase + u
+			if cmap[u] >= 0 {
+				key = cmap[u]
+			}
+			if _, seen := score[key]; !seen {
+				keys = append(keys, key)
+			}
+			score[key] += inc
+		}
+	}
+	scores := make([]float64, len(keys))
+	for i, key := range keys {
+		scores[i] = score[key]
+	}
+	return keys, scores
+}
+
+// TestScoreCandidatesMatchesReference checks scoreCandidates, which
+// reads keys straight from a key-valued cmap and stamps v's own slot
+// instead of testing u == v, against the reference rule: same
+// candidates in the same order with == scores. The hypergraphs repeat
+// vertices across nets, leave some vertices without nets, and skip some
+// nets by a zero increment; the clusterings come from random joins, and
+// one slot table and epoch serve every case, as a scratch arena does.
+func TestScoreCandidatesMatchesReference(t *testing.T) {
+	r := rng.New(77)
+	var slots []candSlot
+	epoch := 0
+	var cands []int
+	for c := 0; c < 200; c++ {
+		numV := 1 + r.Intn(60)
+		numN := r.Intn(40)
+		b := hypergraph.NewBuilder(numV, numN)
+		// Pins come from the lower two thirds of the ids, so the top
+		// third has degree 0.
+		span := max(1, 2*numV/3)
+		for n := 0; n < numN; n++ {
+			for i := 0; i < 1+r.Intn(8); i++ {
+				b.AddPin(n, r.Intn(span))
+			}
+			b.SetNetCost(n, 1+r.Intn(3))
+		}
+		h := b.Build()
+		netInc := make([]float64, numN)
+		for n := range netInc {
+			if r.Intn(4) > 0 {
+				netInc[n] = float64(1+r.Intn(5)) / float64(1+r.Intn(7))
+			}
+		}
+		fixedSide := make([]int8, numV)
+		for v := range fixedSide {
+			fixedSide[v] = -1
+		}
+		opts := DefaultOptions()
+		opts.coarsenTo = 1
+		opts.normalize()
+		m, _ := newMergeRule(h, fixedSide, [2]float64{1e18, 1e18}, opts)
+		cmap := unclusteredKeys(numV)
+		var clusters []clusterMeta
+		for j := r.Intn(numV); j > 0; j-- {
+			v := r.Intn(numV)
+			if cmap[v] < numV {
+				continue
+			}
+			key := cmap[r.Intn(numV)]
+			if key == cmap[v] {
+				continue
+			}
+			clusters = m.join(cmap, clusters, v, key, h.VertexWeight(v), -1)
+		}
+		ref := make([]int, numV)
+		for v, key := range cmap {
+			ref[v] = -1
+			if key < numV {
+				ref[v] = key
+			}
+		}
+
+		slots = mlpart.Grow(slots, 2*numV)
+		for v := 0; v < numV; v++ {
+			if cmap[v] < numV {
+				continue
+			}
+			epoch++
+			cands = scoreCandidates(h, netInc, cmap, v, slots, epoch, cands)
+			wantKeys, wantScores := scoreCandidatesReference(h, netInc, ref, numV, v)
+			if len(cands) != len(wantKeys) {
+				t.Fatalf("case %d vertex %d: candidates %v, want %v", c, v, cands, wantKeys)
+			}
+			for i, key := range cands {
+				if key != wantKeys[i] || slots[key].score != wantScores[i] {
+					t.Fatalf("case %d vertex %d: candidate %d is key %d score %v, want key %d score %v",
+						c, v, i, key, slots[key].score, wantKeys[i], wantScores[i])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkCoarsen times coarsen, the whole level ladder, for the first
+// K = 64 bisection of the finan512 fine-grain hypergraph at paper size,
+// Workers 1: the largest top level of the pipeline benchmark's matrices,
+// clustered by the round path.
+func BenchmarkCoarsen(b *testing.B) {
+	h := fineGrainFixture(b, "finan512", 1)
+	opts := DefaultOptions()
+	opts.normalize()
+	c, s := sched.Begin(1, nil)
+	defer c.End()
+	ctx := bisectCtx{call: c}
+	const k = 64
+	bounds := mlpart.NewBounds(h.TotalVertexWeight(), k/2, k/2, mlpart.BisectionEps(opts.Eps, k))
+	fixedSide := make([]int8, h.NumVertices())
+	for v := range fixedSide {
+		fixedSide[v] = -1
+	}
+	b.ResetTimer()
+	var levels []*level
+	for i := 0; i < b.N; i++ {
+		levels = coarsen(ctx, h, fixedSide, bounds.Strict, opts, opts.NewRNG(), s)
+	}
+	b.ReportMetric(float64(len(levels)), "levels")
 }

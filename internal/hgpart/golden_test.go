@@ -29,7 +29,8 @@ var roundPathDigests = map[string]string{
 }
 
 // fineGrainFixture builds the fine-grain hypergraph of a catalog matrix
-// at the given scale, seeded the way cmd/experiments seeds it.
+// at the given scale. FNV-1a of the name is the matrix seed
+// cmd/experiments uses.
 func fineGrainFixture(t testing.TB, name string, scale float64) *hypergraph.Hypergraph {
 	t.Helper()
 	spec, err := matgen.Lookup(name)

@@ -1,12 +1,9 @@
 package hgpart
 
 import (
-	"hash/fnv"
 	"testing"
 
-	"finegrain/internal/core"
 	"finegrain/internal/hypergraph"
-	"finegrain/internal/matgen"
 	"finegrain/internal/mlpart"
 	"finegrain/internal/rng"
 )
@@ -188,18 +185,7 @@ func TestGrowBisectMatchesRescan(t *testing.T) {
 // first K = 64 bisection of the nl fine-grain hypergraph at paper size,
 // the level the partitioner's initial phase runs on.
 func BenchmarkInitialBisect(b *testing.B) {
-	spec, err := matgen.Lookup("nl")
-	if err != nil {
-		b.Fatal(err)
-	}
-	// FNV-1a of the name is the matrix seed cmd/experiments uses.
-	seed := fnv.New64a()
-	seed.Write([]byte(spec.Name))
-	m, err := core.BuildFineGrain(spec.Scaled(1).Generate(seed.Sum64()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	h := m.H
+	h := fineGrainFixture(b, "nl", 1)
 	opts := DefaultOptions()
 	opts.normalize()
 	c, s := sched.Begin(1, nil)

@@ -7,14 +7,17 @@
 // following the many-core rounds scheme of Fagginger Auer & Bisseling
 // and mt-KaHyPar's deterministic mode:
 //
-//	phase A (parallel): the vertex range is cut into fixed-size chunks
-//	  (grain derived from the threshold, never from Workers). Chunks
-//	  are claimed from an atomic counter by the caller plus any slot
-//	  helpers it recruited; each computes a pure per-vertex proposal
-//	  against the state *snapshot from the end of the previous round*,
-//	  writing into a position-keyed result slot. Claim order is racy,
-//	  results are not: a chunk's output depends only on the snapshot
-//	  and the chunk index.
+//	phase A (parallel): the vertex id range is cut into fixed-size
+//	  chunks (grain derived from the threshold, never from Workers).
+//	  Chunks are claimed from an atomic counter by the caller plus any
+//	  slot helpers it recruited; each computes a pure per-vertex
+//	  proposal against the state *snapshot from the end of the previous
+//	  round*, writing into a result slot keyed by vertex id. Claim order
+//	  is racy, results are not: a chunk's output depends only on the
+//	  snapshot and the chunk index. Scanning ids in order, not in the
+//	  level's permutation, keeps neighboring vertices' score slots and
+//	  cmap entries in cache: fine-grain vertex ids follow the matrix's
+//	  nonzero order, so consecutive vertices share nets.
 //
 //	phase B (serial): the caller applies proposals in one fixed order
 //	  (the level's global permutation for clustering, sorted
@@ -114,46 +117,42 @@ func chunkCount(n, chunk int) int {
 
 // clusterRound is the shared state of one parallel clustering round.
 // During phase A everything here is read-only; prop is write-disjoint
-// (chunk i owns the order positions [i·chunk, (i+1)·chunk)). Phase B
+// (chunk i owns the vertex ids [i·chunk, (i+1)·chunk)). Phase B
 // (apply) mutates cmap/clusters/boundW serially.
 type clusterRound struct {
 	mergeRule
 	netInc   []float64
-	cmap     []int
+	cmap     []int // current candidate key of every vertex (see mergeRule)
 	clusters []clusterMeta
 	boundW   [2]float64
-	order    []int // global visit permutation, drawn once per level
-	prop     []int // prop[p]: proposed key for vertex order[p], −1 none
+	prop     []int // prop[v]: proposed key for vertex v, −1 none
 	chunk    int
 }
 
 // scoreChunk computes the proposal of every still-unmatched vertex in
-// chunk i of the visit order: the same candidate enumeration and merge
+// chunk i of the vertex ids: the same candidate enumeration and merge
 // filter as the serial cluster kernel, evaluated against the previous
 // round's snapshot. A snapshot check going stale is harmless — phase B
 // re-validates against the live state, so it only costs the vertex a
 // retry next round. Scoring state (epoch-stamped slots, candidate
 // list) comes from the executing goroutine's own scratch.
 func (cr *clusterRound) scoreChunk(i int, s *scratch) {
+	numV := cr.keyBase
 	lo := i * cr.chunk
-	hi := lo + cr.chunk
-	if hi > len(cr.order) {
-		hi = len(cr.order)
-	}
+	hi := min(lo+cr.chunk, numV)
 	h := cr.h
-	s.slots = mlpart.Grow(s.slots, 2*cr.keyBase)
+	s.slots = mlpart.Grow(s.slots, 2*numV)
 	slots := s.slots
 	epoch := s.epoch
 	cands := s.cands[:0]
 
-	for p := lo; p < hi; p++ {
-		v := cr.order[p]
-		if cr.cmap[v] >= 0 {
-			cr.prop[p] = -1
+	for v := lo; v < hi; v++ {
+		if cr.cmap[v] < numV {
+			cr.prop[v] = -1
 			continue
 		}
 		epoch++
-		cands = scoreCandidates(h, cr.netInc, cr.cmap, cr.keyBase, v, slots, epoch, cands)
+		cands = scoreCandidates(h, cr.netInc, cr.cmap, v, slots, epoch, cands)
 		wv, sv := h.VertexWeight(v), cr.fixedSide[v]
 		best, bestScore := -1, 0.0
 		for _, key := range cands {
@@ -165,7 +164,7 @@ func (cr *clusterRound) scoreChunk(i int, s *scratch) {
 				best, bestScore = key, sc
 			}
 		}
-		cr.prop[p] = best
+		cr.prop[v] = best
 	}
 	s.epoch = epoch
 	s.cands = cands
