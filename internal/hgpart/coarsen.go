@@ -334,9 +334,9 @@ func computeNetInc(h *hypergraph.Hypergraph, opts Options, s *scratch) []float64
 // permutation with live re-validation (phase B). A proposal whose
 // target grew infeasible is skipped and the vertex retries next round;
 // after coarsenRounds rounds (or a round with no merges) the remaining
-// unmatched vertices become singletons. The resulting clustering — and therefore the
-// whole coarse ladder — depends only on (hypergraph, options, RNG
-// stream), never on worker count or chunk scheduling.
+// unmatched vertices become singletons. The resulting clustering — and
+// therefore the whole coarse ladder — depends only on (hypergraph,
+// options, RNG stream), never on worker count or chunk scheduling.
 func clusterRounds(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fixedCap [2]float64,
 	opts Options, r *rng.RNG, s *scratch) ([]int, int) {
 
