@@ -135,9 +135,9 @@ func BenchmarkTable2Summary(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	g := res.Overall[experiments.GraphModel]
-	h := res.Overall[experiments.Hypergraph1D]
-	f := res.Overall[experiments.FineGrain2D]
+	g := res.Overall["graph"]
+	h := res.Overall["hypergraph"]
+	f := res.Overall["finegrain"]
 	b.ReportMetric(g.ScaledTot, "graph-tot/n")
 	b.ReportMetric(h.ScaledTot, "hg1d-tot/n")
 	b.ReportMetric(f.ScaledTot, "fg2d-tot/n")
@@ -159,9 +159,8 @@ func BenchmarkFigure1(b *testing.B) {
 // fine-grain model on the same matrix.
 func BenchmarkCheckerboardBaseline(b *testing.B) {
 	a := genCached("cq9", benchScale())
-	for _, model := range []experiments.Model{experiments.Checkerboard2D, experiments.FineGrain2D} {
-		model := model
-		b.Run(model.String(), func(b *testing.B) {
+	for _, model := range []experiments.Model{"checkerboard", "finegrain"} {
+		b.Run(model, func(b *testing.B) {
 			var res *experiments.RunResult
 			var err error
 			for i := 0; i < b.N; i++ {

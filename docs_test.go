@@ -184,3 +184,28 @@ func TestDocsLocalitySurface(t *testing.T) {
 		}},
 	})
 }
+
+// TestDocsDeletedNames keeps removed APIs out of the user-facing docs:
+// a document that still names one sends readers to code that no longer
+// exists. Extend the list when a change deletes a documented name.
+func TestDocsDeletedNames(t *testing.T) {
+	deleted := []string{
+		// The multiply handles and helpers Session replaced.
+		"Multiplier", "LocalMultiplier", "spmv.Run", "CGOnPlan", "MultiplyInto",
+		"Options.Runs", "kwayrefine",
+		// The copy of the part-grouping permutation reorder replaced,
+		// and the pattern writer no program called.
+		"PartGroupedPermutation", "SortIndicesByKey", "WritePattern",
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", "OBSERVABILITY.md", "EXPERIMENTS.md", "MODELS.md"} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range deleted {
+			if regexp.MustCompile(`\b` + regexp.QuoteMeta(name) + `\b`).Match(b) {
+				t.Errorf("%s names %q, which was removed", doc, name)
+			}
+		}
+	}
+}

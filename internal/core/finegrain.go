@@ -97,10 +97,6 @@ func BuildFineGrain(a *sparse.CSR) (*FineGrainModel, error) {
 	return &FineGrainModel{H: b.Build(), A: a, DummyDiag: dummies, diagVertex: diagVertex}, nil
 }
 
-// NumRealVertices returns the number of vertices that correspond to
-// stored nonzeros (excluding dummies).
-func (fg *FineGrainModel) NumRealVertices() int { return fg.A.NNZ() }
-
 // DiagVertex returns the vertex index of v_jj.
 func (fg *FineGrainModel) DiagVertex(j int) int { return fg.diagVertex[j] }
 

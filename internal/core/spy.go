@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-
-	"finegrain/internal/sparse"
 )
 
 // RenderSpy draws an ASCII "spy plot" of a decomposition: the matrix
@@ -75,13 +73,4 @@ func ownerChar(owner int) byte {
 	default:
 		return '#'
 	}
-}
-
-// PartGroupedPermutation returns row and column permutations that group
-// indices by their vector owners (rows by YOwner, columns by XOwner),
-// so Permute exposes the decomposition's block structure.
-func PartGroupedPermutation(asg *Assignment) (rowPerm, colPerm []int) {
-	rowPerm = sparse.SortIndicesByKey(asg.A.Rows, func(i int) int { return asg.YOwner[i] })
-	colPerm = sparse.SortIndicesByKey(asg.A.Cols, func(j int) int { return asg.XOwner[j] })
-	return rowPerm, colPerm
 }

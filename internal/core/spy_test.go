@@ -81,24 +81,3 @@ func TestOwnerChar(t *testing.T) {
 		}
 	}
 }
-
-func TestPartGroupedPermutation(t *testing.T) {
-	a := figure1()
-	asg := &Assignment{
-		K: 2, A: a,
-		NonzeroOwner: make([]int, a.NNZ()),
-		XOwner:       []int{1, 0, 1, 0, 1},
-		YOwner:       []int{1, 0, 1, 0, 1},
-	}
-	rowPerm, colPerm := PartGroupedPermutation(asg)
-	// Owner-0 indices first (1, 3), then owner-1 (0, 2, 4).
-	want := []int{1, 3, 0, 2, 4}
-	for i := range want {
-		if rowPerm[i] != want[i] || colPerm[i] != want[i] {
-			t.Fatalf("perms %v / %v, want %v", rowPerm, colPerm, want)
-		}
-	}
-	if _, err := a.Permute(rowPerm, colPerm); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -5,39 +5,23 @@ import (
 	"io"
 
 	finegrain "finegrain"
-	"finegrain/internal/matgen"
 )
 
 // ComparisonModels lists the SpMV models the `-compare` sweep runs, in
 // column order: the two 1D baselines of Table 2, the paper's 2D
 // fine-grain model, and the later medium-grain 2D model.
 func ComparisonModels() []Model {
-	return []Model{GraphModel, Hypergraph1D, FineGrain2D, MediumGrain2D}
-}
-
-// CompareCell averages one model's metrics over the seeds of one
-// (matrix, K) instance.
-type CompareCell struct {
-	Model Model
-	// Cut is the partitioner's objective averaged over seeds: edge cut
-	// for the graph model, connectivity−1 (== total volume) for the
-	// hypergraph models.
-	Cut float64
-	// ScaledTot is the total communication volume scaled by the matrix
-	// dimension, the paper's headline metric.
-	ScaledTot float64
-	// AvgMsgs is the average message count per processor.
-	AvgMsgs float64
-	// Imbalance is the percent load imbalance.
-	Imbalance float64
+	return []Model{"graph", "hypergraph", "finegrain", "medium_grain"}
 }
 
 // CompareRow is one (matrix, K) line of the model-comparison table,
-// with one cell per ComparisonModels() entry.
+// with one cell per ComparisonModels() entry, averaged over seeds. A
+// cell's Cut is the partitioner's objective: edge cut for the graph
+// model, connectivity−1 (== total volume) for the hypergraph models.
 type CompareRow struct {
 	Matrix string
 	K      int
-	Cells  []CompareCell
+	Cells  []*Averaged
 }
 
 // Compare sweeps the four SpMV models (ComparisonModels) over the
@@ -45,26 +29,9 @@ type CompareRow struct {
 // 1D cutsize comparison of EXPERIMENTS.md. It reuses Table2Config for
 // the knobs; CollectStats is ignored.
 func Compare(cfg Table2Config) ([]CompareRow, error) {
-	if cfg.Scale <= 0 {
-		cfg.Scale = 1
-	}
-	if len(cfg.Ks) == 0 {
-		cfg.Ks = []int{16, 32, 64}
-	}
-	if cfg.Seeds < 1 {
-		cfg.Seeds = 1
-	}
-	specs := matgen.Catalog()
-	if cfg.Matrices != nil {
-		var filtered []matgen.Spec
-		for _, name := range cfg.Matrices {
-			s, err := matgen.Lookup(name)
-			if err != nil {
-				return nil, err
-			}
-			filtered = append(filtered, s)
-		}
-		specs = filtered
+	specs, err := cfg.normalize()
+	if err != nil {
+		return nil, err
 	}
 	var rows []CompareRow
 	for _, paper := range specs {
@@ -72,28 +39,14 @@ func Compare(cfg Table2Config) ([]CompareRow, error) {
 		for _, k := range cfg.Ks {
 			row := CompareRow{Matrix: paper.Name, K: k}
 			for _, model := range ComparisonModels() {
-				cell := CompareCell{Model: model}
-				for s := 1; s <= cfg.Seeds; s++ {
-					res, err := RunInstance(a, k, model, finegrain.Options{
-						Seed: uint64(s) * 0x9e3779b9, Eps: cfg.Eps, Workers: cfg.Workers,
-					})
-					if err != nil {
-						return nil, fmt.Errorf("experiments: %s K=%d %s: %w", paper.Name, k, model, err)
-					}
-					cell.Cut += float64(res.Cutsize)
-					cell.ScaledTot += res.ScaledTot
-					cell.AvgMsgs += res.AvgMsgs
-					cell.Imbalance += res.Imbalance
+				avg, err := RunAveraged(a, k, model, cfg.Seeds, finegrain.Options{Eps: cfg.Eps, Workers: cfg.Workers})
+				if err != nil {
+					return nil, fmt.Errorf("experiments: %s K=%d %s: %w", paper.Name, k, model, err)
 				}
-				f := float64(cfg.Seeds)
-				cell.Cut /= f
-				cell.ScaledTot /= f
-				cell.AvgMsgs /= f
-				cell.Imbalance /= f
-				row.Cells = append(row.Cells, cell)
+				row.Cells = append(row.Cells, avg)
 				if cfg.Progress != nil {
 					cfg.Progress(fmt.Sprintf("%-12s K=%-3d %-14s cut=%.0f tot=%.3f msgs=%.2f imb=%.1f%%",
-						paper.Name, k, model, cell.Cut, cell.ScaledTot, cell.AvgMsgs, cell.Imbalance))
+						paper.Name, k, model, avg.Cut, avg.ScaledTot, avg.AvgMsgs, avg.Imbalance))
 				}
 			}
 			rows = append(rows, row)

@@ -97,7 +97,7 @@ func TestRunInstanceAllModels(t *testing.T) {
 		// The hypergraph models' cutsize equals the measured volume
 		// (the paper's theorem); the graph model's cut only
 		// approximates it.
-		if m != GraphModel && res.Cutsize != res.Stats.TotalVolume {
+		if m != "graph" && res.Cutsize != res.Stats.TotalVolume {
 			t.Fatalf("%s: cutsize %d != volume %d", m, res.Cutsize, res.Stats.TotalVolume)
 		}
 	}
@@ -106,7 +106,7 @@ func TestRunInstanceAllModels(t *testing.T) {
 func TestRunAveraged(t *testing.T) {
 	spec, _ := matgen.Lookup("bcspwr10")
 	a := spec.Scaled(0.05).Generate(MatrixSeed("bcspwr10"))
-	avg, err := RunAveraged(a, 4, Hypergraph1D, 3, finegrain.Options{})
+	avg, err := RunAveraged(a, 4, "hypergraph", 3, finegrain.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestTable2SmallSweep(t *testing.T) {
 	if len(res.Cells) != 2*1*3 {
 		t.Fatalf("%d cells, want 6", len(res.Cells))
 	}
-	if res.Overall[FineGrain2D] == nil || res.PerK[4][GraphModel] == nil {
+	if res.Overall["finegrain"] == nil || res.PerK[4]["graph"] == nil {
 		t.Fatal("averages missing")
 	}
 	var buf bytes.Buffer
@@ -170,30 +170,34 @@ func TestModelOrderingLPFamily(t *testing.T) {
 		}
 		volumes[m] = avg.ScaledTot
 	}
-	if volumes[FineGrain2D] >= volumes[Hypergraph1D]*0.75 {
+	if volumes["finegrain"] >= volumes["hypergraph"]*0.75 {
 		t.Fatalf("fine-grain %.3f not clearly below 1D hypergraph %.3f on an LP matrix",
-			volumes[FineGrain2D], volumes[Hypergraph1D])
+			volumes["finegrain"], volumes["hypergraph"])
 	}
-	if volumes[Hypergraph1D] > volumes[GraphModel]*1.15 {
+	if volumes["hypergraph"] > volumes["graph"]*1.15 {
 		t.Fatalf("1D hypergraph %.3f worse than graph %.3f beyond slack",
-			volumes[Hypergraph1D], volumes[GraphModel])
+			volumes["hypergraph"], volumes["graph"])
 	}
 }
 
+// TestModelStrings pins the harness's model names to the registry:
+// every model but the checkerboard baseline is a canonical registry
+// name.
 func TestModelStrings(t *testing.T) {
-	if GraphModel.String() != "graph-1d" || Hypergraph1D.String() != "hypergraph-1d" ||
-		FineGrain2D.String() != "finegrain-2d" {
-		t.Fatal("model names changed")
-	}
 	if len(Models()) != 3 {
 		t.Fatal("model list wrong")
+	}
+	for _, m := range append(Models(), ComparisonModels()...) {
+		if rm, ok := finegrain.LookupModel(m); !ok || rm.Name != m {
+			t.Fatalf("model %q is not a canonical registry name", m)
+		}
 	}
 }
 
 func TestCheckerboardInstance(t *testing.T) {
 	spec, _ := matgen.Lookup("cq9")
 	a := spec.Scaled(0.05).Generate(MatrixSeed("cq9"))
-	res, err := RunInstance(a, 16, Checkerboard2D, finegrain.Options{Seed: 1})
+	res, err := RunInstance(a, 16, "checkerboard", finegrain.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +212,7 @@ func TestCheckerboardInstance(t *testing.T) {
 	}
 	// The blocking baseline must not beat the fine-grain model (it
 	// makes no communication-minimization effort).
-	fg, err := RunInstance(a, 16, FineGrain2D, finegrain.Options{Seed: 1})
+	fg, err := RunInstance(a, 16, "finegrain", finegrain.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,52 +17,22 @@ import (
 	"finegrain/internal/sparse"
 )
 
-// Model selects one of the three decomposition methods of Table 2.
-type Model int
+// Model is a decomposition method: a finegrain registry name, or
+// "checkerboard", the prior-art 2D baseline the paper cites
+// (Hendrickson et al.; Lewis & van de Geijn) that blocks the matrix onto
+// a near-square processor grid with no explicit communication
+// minimization. The checkerboard is the one harness-local model:
+// RunInstance builds it itself.
+type Model = string
 
-const (
-	// GraphModel is the 1D standard graph model partitioned with the
-	// MeTiS-style partitioner.
-	GraphModel Model = iota
-	// Hypergraph1D is the 1D column-net hypergraph model partitioned
-	// with the PaToH-style partitioner.
-	Hypergraph1D
-	// FineGrain2D is the paper's 2D fine-grain hypergraph model.
-	FineGrain2D
-	// Checkerboard2D is the prior-art 2D baseline the paper cites
-	// (Hendrickson et al.; Lewis & van de Geijn): block the matrix onto
-	// a near-square processor grid with no explicit communication
-	// minimization. Not part of Table 2; used by the comparison
-	// example and ablation benchmarks.
-	Checkerboard2D
-	// MediumGrain2D is the Pelt–Bisseling medium-grain 2D model: each
-	// nonzero joins its row or column group, and the combined
-	// (m+n)-vertex hypergraph is partitioned once. Not part of Table 2
-	// (the paper predates it); used by the model-comparison sweep.
-	MediumGrain2D
-)
-
-func (m Model) String() string {
-	switch m {
-	case GraphModel:
-		return "graph-1d"
-	case Hypergraph1D:
-		return "hypergraph-1d"
-	case FineGrain2D:
-		return "finegrain-2d"
-	case Checkerboard2D:
-		return "checkerboard-2d"
-	case MediumGrain2D:
-		return "mediumgrain-2d"
-	}
-	return "unknown"
-}
-
-// Models lists the three methods in Table 2 column order.
-func Models() []Model { return []Model{GraphModel, Hypergraph1D, FineGrain2D} }
+// Models lists the three methods of Table 2 in column order: the 1D
+// standard graph model (MeTiS-style partitioner), the 1D column-net
+// hypergraph model (PaToH-style partitioner) and the paper's 2D
+// fine-grain hypergraph model.
+func Models() []Model { return []Model{"graph", "hypergraph", "finegrain"} }
 
 // AllModels additionally includes the checkerboard prior-art baseline.
-func AllModels() []Model { return []Model{GraphModel, Hypergraph1D, FineGrain2D, Checkerboard2D} }
+func AllModels() []Model { return append(Models(), "checkerboard") }
 
 // RunResult is the outcome of one decomposition instance — one (matrix,
 // K, model) cell of Table 2 for one seed.
@@ -90,15 +60,6 @@ type RunResult struct {
 	PartStats *finegrain.PartitionStats
 }
 
-// registryModels maps the Table 2 models onto their finegrain registry
-// entries. The checkerboard baseline is not a registry model.
-var registryModels = map[Model]string{
-	GraphModel:    "graph",
-	Hypergraph1D:  "hypergraph",
-	FineGrain2D:   "finegrain",
-	MediumGrain2D: "medium_grain",
-}
-
 // RunInstance partitions matrix a into k parts with the given model and
 // measures the resulting communication. o.Seed controls the
 // partitioner's randomization (the paper averages 50 seeds per
@@ -110,7 +71,7 @@ func RunInstance(a *sparse.CSR, k int, model Model, o finegrain.Options) (*RunRe
 	var stats *comm.Stats
 	var cut int
 	var ps *finegrain.PartitionStats
-	if model == Checkerboard2D {
+	if model == "checkerboard" {
 		p, q := core.GridShape(k)
 		mdl, err := core.BuildCheckerboard(a, p, q)
 		if err != nil {
@@ -121,11 +82,7 @@ func RunInstance(a *sparse.CSR, k int, model Model, o finegrain.Options) (*RunRe
 		}
 		// cut stays 0: no partitioner objective, pure blocking.
 	} else {
-		name, ok := registryModels[model]
-		if !ok {
-			return nil, fmt.Errorf("experiments: unknown model %d", int(model))
-		}
-		dec, err := finegrain.DecomposeModel(name, a, k, o)
+		dec, err := finegrain.DecomposeModel(model, a, k, o)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", model, err)
 		}
@@ -198,8 +155,10 @@ func (pa *PartAggregate) Merge(o *PartAggregate) {
 
 // Averaged holds per-instance metrics averaged over seeds.
 type Averaged struct {
-	Model     Model
-	K         int
+	Model Model
+	K     int
+	// Cut is the partitioner's objective (RunResult.Cutsize).
+	Cut       float64
 	ScaledTot float64
 	ScaledMax float64
 	AvgMsgs   float64
@@ -225,12 +184,10 @@ func RunAveraged(a *sparse.CSR, k int, model Model, seeds int, o finegrain.Optio
 		if err != nil {
 			return nil, err
 		}
-		avg.ScaledTot += res.ScaledTot
-		avg.ScaledMax += res.ScaledMax
-		avg.AvgMsgs += res.AvgMsgs
-		avg.Imbalance += res.Imbalance
-		avg.Seconds += res.Seconds
-		avg.Runs++
+		avg.add(&Averaged{
+			Cut: float64(res.Cutsize), ScaledTot: res.ScaledTot, ScaledMax: res.ScaledMax,
+			AvgMsgs: res.AvgMsgs, Imbalance: res.Imbalance, Seconds: res.Seconds,
+		})
 		if res.PartStats != nil {
 			if avg.Part == nil {
 				avg.Part = &PartAggregate{}
@@ -238,11 +195,31 @@ func RunAveraged(a *sparse.CSR, k int, model Model, seeds int, o finegrain.Optio
 			avg.Part.Add(res.PartStats)
 		}
 	}
-	f := float64(avg.Runs)
-	avg.ScaledTot /= f
-	avg.ScaledMax /= f
-	avg.AvgMsgs /= f
-	avg.Imbalance /= f
-	avg.Seconds /= f
+	avg.finish()
 	return avg, nil
+}
+
+// add folds src's metrics into the running sums of a and counts one
+// more run; finish turns the sums into means.
+func (a *Averaged) add(src *Averaged) {
+	a.Cut += src.Cut
+	a.ScaledTot += src.ScaledTot
+	a.ScaledMax += src.ScaledMax
+	a.AvgMsgs += src.AvgMsgs
+	a.Imbalance += src.Imbalance
+	a.Seconds += src.Seconds
+	a.Runs++
+}
+
+func (a *Averaged) finish() {
+	if a.Runs == 0 {
+		return
+	}
+	f := float64(a.Runs)
+	a.Cut /= f
+	a.ScaledTot /= f
+	a.ScaledMax /= f
+	a.AvgMsgs /= f
+	a.Imbalance /= f
+	a.Seconds /= f
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	finegrain "finegrain"
@@ -89,6 +90,32 @@ type Table2Config struct {
 	Progress func(string)
 }
 
+// normalize fills cfg's defaults and resolves the catalog matrices it
+// sweeps, in catalog order when cfg.Matrices is nil.
+func (cfg *Table2Config) normalize() ([]matgen.Spec, error) {
+	if cfg.Scale <= 0 {
+		cfg.Scale = 1
+	}
+	if len(cfg.Ks) == 0 {
+		cfg.Ks = []int{16, 32, 64}
+	}
+	if cfg.Seeds < 1 {
+		cfg.Seeds = 1
+	}
+	if cfg.Matrices == nil {
+		return matgen.Catalog(), nil
+	}
+	specs := make([]matgen.Spec, 0, len(cfg.Matrices))
+	for _, name := range cfg.Matrices {
+		s, err := matgen.Lookup(name)
+		if err != nil {
+			return nil, err
+		}
+		specs = append(specs, s)
+	}
+	return specs, nil
+}
+
 // Table2Result holds every cell plus the derived per-K and overall
 // averages (the bottom block of Table 2).
 type Table2Result struct {
@@ -106,54 +133,14 @@ type Table2Result struct {
 // Table2 runs the full sweep of Table 2: every matrix × K × model,
 // averaged over seeds.
 func Table2(cfg Table2Config) (*Table2Result, error) {
-	if cfg.Scale <= 0 {
-		cfg.Scale = 1
-	}
-	if len(cfg.Ks) == 0 {
-		cfg.Ks = []int{16, 32, 64}
-	}
-	if cfg.Seeds < 1 {
-		cfg.Seeds = 1
-	}
-	specs := matgen.Catalog()
-	if cfg.Matrices != nil {
-		var filtered []matgen.Spec
-		for _, name := range cfg.Matrices {
-			s, err := matgen.Lookup(name)
-			if err != nil {
-				return nil, err
-			}
-			filtered = append(filtered, s)
-		}
-		specs = filtered
+	specs, err := cfg.normalize()
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Table2Result{
 		PerK:    make(map[int]map[Model]*Averaged),
 		Overall: make(map[Model]*Averaged),
-	}
-	type acc struct {
-		sum  map[Model]*Averaged
-		runs int
-	}
-	addInto := func(dst *Averaged, src *Averaged) {
-		dst.ScaledTot += src.ScaledTot
-		dst.ScaledMax += src.ScaledMax
-		dst.AvgMsgs += src.AvgMsgs
-		dst.Imbalance += src.Imbalance
-		dst.Seconds += src.Seconds
-		dst.Runs++
-	}
-	finish := func(a *Averaged) {
-		if a.Runs == 0 {
-			return
-		}
-		f := float64(a.Runs)
-		a.ScaledTot /= f
-		a.ScaledMax /= f
-		a.AvgMsgs /= f
-		a.Imbalance /= f
-		a.Seconds /= f
 	}
 
 	for _, paper := range specs {
@@ -183,8 +170,8 @@ func Table2(cfg Table2Config) (*Table2Result, error) {
 				if res.Overall[model] == nil {
 					res.Overall[model] = &Averaged{Model: model}
 				}
-				addInto(res.PerK[k][model], avg)
-				addInto(res.Overall[model], avg)
+				res.PerK[k][model].add(avg)
+				res.Overall[model].add(avg)
 				if cfg.Progress != nil {
 					cfg.Progress(fmt.Sprintf("%-12s K=%-3d %-14s tot=%.3f max=%.3f msgs=%.2f imb=%.1f%% t=%.2fs",
 						paper.Name, k, model, avg.ScaledTot, avg.ScaledMax, avg.AvgMsgs, avg.Imbalance, avg.Seconds))
@@ -194,11 +181,11 @@ func Table2(cfg Table2Config) (*Table2Result, error) {
 	}
 	for _, byModel := range res.PerK {
 		for _, a := range byModel {
-			finish(a)
+			a.finish()
 		}
 	}
 	for _, a := range res.Overall {
-		finish(a)
+		a.finish()
 	}
 	return res, nil
 }
@@ -232,7 +219,7 @@ func WriteTable2(w io.Writer, res *Table2Result) {
 		byKey[kk][c.Avg.Model] = c.Avg
 	}
 	writeTriple := func(name string, k int, cells map[Model]*Averaged) {
-		g, h, f := cells[GraphModel], cells[Hypergraph1D], cells[FineGrain2D]
+		g, h, f := cells["graph"], cells["hypergraph"], cells["finegrain"]
 		norm := func(a *Averaged) string {
 			if g == nil || g.Seconds == 0 || a == nil {
 				return "-"
@@ -261,24 +248,14 @@ func WriteTable2(w io.Writer, res *Table2Result) {
 	for k := range res.PerK {
 		ks = append(ks, k)
 	}
-	for i := 0; i < len(ks); i++ {
-		for j := i + 1; j < len(ks); j++ {
-			if ks[j] < ks[i] {
-				ks[i], ks[j] = ks[j], ks[i]
-			}
-		}
-	}
+	slices.Sort(ks)
 	for _, k := range ks {
 		writeTriple("average", k, res.PerK[k])
 	}
-	overall := map[Model]*Averaged{}
-	for m, a := range res.Overall {
-		overall[m] = a
-	}
-	writeTriple("overall", 0, overall)
+	writeTriple("overall", 0, res.Overall)
 
-	if g, f := res.Overall[GraphModel], res.Overall[FineGrain2D]; g != nil && f != nil && g.ScaledTot > 0 {
-		h := res.Overall[Hypergraph1D]
+	if g, f := res.Overall["graph"], res.Overall["finegrain"]; g != nil && f != nil && g.ScaledTot > 0 {
+		h := res.Overall["hypergraph"]
 		fmt.Fprintf(w, "\nheadline: fine-grain total volume is %.0f%% lower than the graph model",
 			100*(1-f.ScaledTot/g.ScaledTot))
 		if h != nil && h.ScaledTot > 0 {

@@ -153,11 +153,7 @@ func fmParallelRefine(ctx bisectCtx, h *hypergraph.Hypergraph, side []int8, fixe
 			v := cand.v
 			from := int(side[v])
 			to := 1 - from
-			g := 0
-			for _, n := range h.Nets(v) {
-				g += netGain(h.NetCost(n), sigma[from][n], sigma[to][n])
-			}
-			if g <= 0 {
+			if moveGain(h, sigma, from, v) <= 0 {
 				continue // a neighbor's earlier move consumed this gain
 			}
 			wv := float64(h.VertexWeight(v))
@@ -220,11 +216,7 @@ func rebalance(sc *statsCollector, h *hypergraph.Hypergraph, side []int8, fixedS
 			if int(side[v]) != s || fixedSide[v] >= 0 {
 				continue
 			}
-			g := 0
-			for _, n := range h.Nets(v) {
-				g += netGain(h.NetCost(n), sigma[s][n], sigma[o][n])
-			}
-			buckets.Insert(v, int8(s), g)
+			buckets.Insert(v, int8(s), moveGain(h, sigma, s, v))
 		}
 
 		// Repeatedly pick the best-gain movable vertex on side s whose
@@ -286,15 +278,6 @@ func fmPass(sc *statsCollector, h *hypergraph.Hypergraph, side []int8, fixedSide
 	locked := scr.locked
 	clear(locked)
 
-	computeGain := func(v int) int {
-		s := int(side[v])
-		g := 0
-		for _, n := range h.Nets(v) {
-			g += netGain(h.NetCost(n), sigma[s][n], sigma[1-s][n])
-		}
-		return g
-	}
-
 	scr.perm = mlpart.Grow(scr.perm, numV)
 	order := scr.perm
 	r.PermInto(order)
@@ -303,7 +286,7 @@ func fmPass(sc *statsCollector, h *hypergraph.Hypergraph, side []int8, fixedSide
 			locked[v] = true
 			continue
 		}
-		buckets.Insert(v, side[v], computeGain(v))
+		buckets.Insert(v, side[v], moveGain(h, sigma, int(side[v]), v))
 	}
 
 	moves := scr.moves[:0]
@@ -402,6 +385,17 @@ func fmPass(sc *statsCollector, h *hypergraph.Hypergraph, side []int8, fixedSide
 	}
 	scr.moves = moves
 	return best > 0
+}
+
+// moveGain is the FM gain of moving v from side from to the other
+// side: the sum of netGain over v's nets, given the pin counts sigma
+// before the move.
+func moveGain(h *hypergraph.Hypergraph, sigma [2][]int, from, v int) int {
+	g := 0
+	for _, n := range h.Nets(v) {
+		g += netGain(h.NetCost(n), sigma[from][n], sigma[1-from][n])
+	}
+	return g
 }
 
 // netGain is a net's term in the FM gain of moving one of its pins to

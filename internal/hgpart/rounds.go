@@ -204,18 +204,7 @@ func (fr *fmRound) scanChunk(i int, _ *scratch) {
 		if fr.fixedSide[v] >= 0 {
 			continue
 		}
-		s := int(fr.side[v])
-		g := 0
-		for _, net := range h.Nets(v) {
-			c := h.NetCost(net)
-			if fr.sigma[s][net] == 1 {
-				g += c
-			}
-			if fr.sigma[1-s][net] == 0 {
-				g -= c
-			}
-		}
-		if g > 0 {
+		if g := moveGain(h, fr.sigma, int(fr.side[v]), v); g > 0 {
 			fr.cands[lo+n] = fmCand{v: v, gain: g}
 			n++
 		}

@@ -109,13 +109,6 @@ func NewBuilder(numV, numN int) *Builder {
 	return b
 }
 
-// AddVertex appends a vertex with the given weight and returns its index.
-func (b *Builder) AddVertex(weight int) int {
-	b.vweight = append(b.vweight, weight)
-	b.numV++
-	return b.numV - 1
-}
-
 // AddPin connects vertex v to net n. It panics on out-of-range indices.
 func (b *Builder) AddPin(n, v int) {
 	if n < 0 || n >= len(b.netPins) {

@@ -78,19 +78,6 @@ func TestBuilderDeduplicatesPins(t *testing.T) {
 	}
 }
 
-func TestBuilderAddVertex(t *testing.T) {
-	b := NewBuilder(2, 1)
-	v := b.AddVertex(7)
-	if v != 2 {
-		t.Fatalf("AddVertex returned %d, want 2", v)
-	}
-	b.AddPin(0, v)
-	h := b.Build()
-	if h.NumVertices() != 3 || h.VertexWeight(2) != 7 {
-		t.Fatal("added vertex wrong")
-	}
-}
-
 func TestBuilderPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"net out of range":    func() { NewBuilder(2, 1).AddPin(1, 0) },

@@ -325,27 +325,6 @@ func Write(w io.Writer, m *sparse.CSR) error {
 	return bw.Flush()
 }
 
-// WritePattern emits the structure of m as a pattern general coordinate
-// Matrix Market stream (no values).
-func WritePattern(w io.Writer, m *sparse.CSR) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%%%%MatrixMarket matrix coordinate pattern general\n"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(bw, "%d %d %d\n", m.Rows, m.Cols, m.NNZ()); err != nil {
-		return err
-	}
-	for i := 0; i < m.Rows; i++ {
-		cols, _ := m.Row(i)
-		for _, j := range cols {
-			if _, err := fmt.Fprintf(bw, "%d %d\n", i+1, j+1); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
 // ReadFile reads a Matrix Market file from disk. Paths ending in .gz
 // are decompressed transparently, so on-disk corpora can stay gzipped
 // (*.mtx.gz is how large Matrix Market collections ship).

@@ -18,7 +18,6 @@ import (
 	"finegrain/internal/core"
 	"finegrain/internal/mmio"
 	"finegrain/internal/obs"
-	"finegrain/internal/solver"
 )
 
 // Handler returns the service's HTTP surface:
@@ -632,7 +631,7 @@ type iterLine struct {
 }
 
 // stackRHS normalizes the request's right-hand sides — rhs array or
-// the all-ones default — into the stacked layout solver.BlockCG takes.
+// the all-ones default — into the stacked layout Session.Solve takes.
 func stackRHS(req *solveRequest, rows int) ([]float64, int, error) {
 	if req.RHS == nil {
 		ones := make([]float64, rows)
@@ -656,11 +655,11 @@ func stackRHS(req *solveRequest, rows int) ([]float64, int, error) {
 }
 
 // handleSolve runs a block conjugate-gradient solve on a finished
-// job's decomposition. The first solve compiles the decomposition into
-// an spmv.Plan that is cached on the result (shared with the
-// decomposition cache and any open sessions), so repeated solves — and
-// every iteration within one — pay only execution cost. Solves on one
-// result serialize; distinct jobs solve concurrently.
+// job's decomposition. The first solve opens a finegrain.Session that
+// is cached on the result (shared with the decomposition cache and any
+// open sessions), so repeated solves — and every iteration within one —
+// pay only execution cost. Solves on one result serialize; distinct
+// jobs solve concurrently.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	j, res, ok := s.resultOf(w, r.PathValue("id"))
 	if !ok {
@@ -670,9 +669,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 }
 
 // runSolve is the solve core shared by the job and session endpoints:
-// decode and validate the batch, compile-or-reuse the plan, run block
-// CG, and render the batch response — streamed as NDJSON residual
-// lines plus a final response object when the client asked for it.
+// decode and validate the batch, open-or-reuse the result's session,
+// run block CG through it, and render the batch response — streamed as
+// NDJSON residual lines plus a final response object when the client
+// asked for it.
 func (s *Server) runSolve(w http.ResponseWriter, r *http.Request, jobID, sessionID string, res *jobResult) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	defer body.Close()
@@ -696,18 +696,14 @@ func (s *Server) runSolve(w http.ResponseWriter, r *http.Request, jobID, session
 	ndjson := strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
 
 	res.mu.Lock()
-	pl, err := res.planLocked()
+	sess, err := res.sessionLocked()
 	if err != nil {
 		res.mu.Unlock()
 		httpError(w, http.StatusInternalServerError, finegrain.Internal, "compiling plan: %v", err)
 		return
 	}
-	opts := solver.BlockCGOptions{
-		Tol:     req.Tol,
-		MaxIter: req.MaxIter,
-		Workers: req.Workers,
-		Trace:   res.trace, // solves append to the job's trace
-	}
+	// The session traces into the job's trace, so solves append to it.
+	opts := finegrain.SolveOptions{Tol: req.Tol, MaxIter: req.MaxIter, Workers: req.Workers}
 	var enc *json.Encoder
 	var flusher http.Flusher
 	if ndjson {
@@ -723,7 +719,7 @@ func (s *Server) runSolve(w http.ResponseWriter, r *http.Request, jobID, session
 		}
 	}
 	t0 := time.Now()
-	blk, err := solver.BlockCG(pl, res.dec.Assignment.K, B, n, opts)
+	blk, err := sess.Solve(B, n, opts)
 	elapsed := time.Since(t0)
 	res.mu.Unlock()
 	if err != nil {
@@ -775,10 +771,10 @@ func (s *Server) runSolve(w http.ResponseWriter, r *http.Request, jobID, session
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleSessionOpen opens a solver session on a finished job: the plan
-// is compiled (or reused) immediately — a session that cannot solve
-// should not exist — and held resident until the session is closed,
-// evicted for capacity, or expires idle.
+// handleSessionOpen opens a solver session on a finished job: the
+// result's finegrain.Session is opened (or reused) immediately — a
+// session that cannot solve should not exist — and held resident until
+// the session is closed, evicted for capacity, or expires idle.
 func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	j, res, ok := s.resultOf(w, r.PathValue("id"))
 	if !ok {
@@ -786,7 +782,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	res.mu.Lock()
 	t0 := time.Now()
-	_, err := res.planLocked()
+	_, err := res.sessionLocked()
 	if err == nil {
 		res.trace.AddComplete(nil, "partserver", "session.open", t0, time.Now())
 	}

@@ -9,7 +9,6 @@ import (
 	finegrain "finegrain"
 	"finegrain/internal/obs"
 	"finegrain/internal/sparse"
-	"finegrain/internal/spmv"
 )
 
 // JobState is the lifecycle of a partition job. Transitions:
@@ -148,41 +147,39 @@ type jobResult struct {
 	// decomposition's time go" means under content addressing.
 	trace *obs.Trace
 
-	// mu guards the lazily compiled execution plan. The plan is built on
-	// the first /solve of this decomposition and reused by every later
-	// solve (Exec is not reentrant, so solves on one result serialize).
+	// mu guards the lazily opened solve session. The session is opened
+	// on the first /solve of this decomposition and reused by every later
+	// solve (a Session is not safe for concurrent calls, so solves on one
+	// result serialize).
 	mu   sync.Mutex
-	plan *spmv.Plan
+	sess *finegrain.Session
 }
 
-// planLocked returns the result's compiled plan, building it on first
+// sessionLocked returns the result's solve session, opening it on first
 // use (the compile is recorded on the result's trace). Caller holds mu
 // for the whole solve.
-func (res *jobResult) planLocked() (*spmv.Plan, error) {
-	if res.plan == nil {
-		if res.dec.Assignment == nil {
-			return nil, &finegrain.Error{Code: finegrain.BadModel, Op: "planLocked",
-				Msg: "decomposition has no SpMV assignment to execute"}
-		}
-		pl, err := spmv.NewPlanTraced(res.dec.Assignment, res.trace)
+func (res *jobResult) sessionLocked() (*finegrain.Session, error) {
+	if res.sess == nil {
+		sess, err := finegrain.NewSession(res.dec, finegrain.SessionOptions{Trace: res.trace})
 		if err != nil {
 			return nil, err
 		}
-		res.plan = pl
+		res.sess = sess
 	}
-	return res.plan, nil
+	return res.sess, nil
 }
 
-// releasePlan closes and drops the result's compiled plan, if any. The
-// cache calls it on eviction so the plan's memory is freed even while a
-// job record still references the result; that record rebuilds the
-// plan on its next solve via planLocked. Taking res.mu serializes with in-flight solves,
-// so a plan is never closed mid-Exec.
+// releasePlan closes and drops the result's session and so its compiled
+// plan, if any. The cache calls it on eviction so the plan's memory is
+// freed even while a job record still references the result; that
+// record reopens the session on its next solve via sessionLocked. Taking
+// res.mu serializes with in-flight solves, so a plan is never closed
+// mid-Exec.
 func (res *jobResult) releasePlan() {
 	res.mu.Lock()
-	if res.plan != nil {
-		res.plan.Close()
-		res.plan = nil
+	if res.sess != nil {
+		res.sess.Close()
+		res.sess = nil
 	}
 	res.mu.Unlock()
 }

@@ -58,7 +58,7 @@ func planOf(t *testing.T, s *Server, id string) bool {
 	}
 	res.mu.Lock()
 	defer res.mu.Unlock()
-	return res.plan != nil
+	return res.sess != nil
 }
 
 // TestCacheEvictionReleasesPlan pins the plan lifecycle: evicting a

@@ -326,21 +326,7 @@ func (s *Server) lookup(req JobRequest, m *finegrain.Matrix, key, reqID string) 
 		s.metrics.cacheEvictions.Add(int64(ev))
 	}
 	s.metrics.cacheEntries.Store(int64(s.cache.len()))
-	if m == nil {
-		m = res.dec.Assignment.A
-	}
-	j := s.newJobLocked(key, req, m, reqID)
-	j.state = JobDone
-	j.cacheHit = true
-	j.storeHit = true
-	j.started = j.created
-	j.finished = j.created
-	j.result = res
-	j.trace = res.trace
-	close(j.done)
-	s.log.Info("job served from store", "job_id", j.id, "request_id", reqID,
-		"model", req.Model, "k", req.K)
-	return j.status(), true, nil
+	return s.hitJobLocked(key, req, m, reqID, res, true), true, nil
 }
 
 // lookupLocked checks the in-memory cache and the in-flight map (caller
@@ -349,20 +335,7 @@ func (s *Server) lookup(req JobRequest, m *finegrain.Matrix, key, reqID string) 
 func (s *Server) lookupLocked(key string, req JobRequest, m *finegrain.Matrix, reqID string) (JobStatus, bool) {
 	if res, ok := s.cache.get(key); ok {
 		s.metrics.cacheHits.Add(1)
-		if m == nil {
-			m = res.dec.Assignment.A
-		}
-		j := s.newJobLocked(key, req, m, reqID)
-		j.state = JobDone
-		j.cacheHit = true
-		j.started = j.created
-		j.finished = j.created
-		j.result = res
-		j.trace = res.trace
-		close(j.done)
-		s.log.Info("job served from cache", "job_id", j.id, "request_id", reqID,
-			"model", req.Model, "k", req.K)
-		return j.status(), true
+		return s.hitJobLocked(key, req, m, reqID, res, false), true
 	}
 	if primary, ok := s.inflight[key]; ok {
 		// An identical computation is already queued or running; the
@@ -375,6 +348,31 @@ func (s *Server) lookupLocked(key string, req JobRequest, m *finegrain.Matrix, r
 		return st, true
 	}
 	return JobStatus{}, false
+}
+
+// hitJobLocked registers a job born done on res, a result found in the
+// cache or, with storeHit, loaded from the disk store (caller holds mu).
+// m may be nil; the status then reports res's matrix.
+func (s *Server) hitJobLocked(key string, req JobRequest, m *finegrain.Matrix, reqID string,
+	res *jobResult, storeHit bool) JobStatus {
+	if m == nil {
+		m = res.dec.Assignment.A
+	}
+	j := s.newJobLocked(key, req, m, reqID)
+	j.state = JobDone
+	j.cacheHit = true
+	j.storeHit = storeHit
+	j.started = j.created
+	j.finished = j.created
+	j.result = res
+	j.trace = res.trace
+	close(j.done)
+	msg := "job served from cache"
+	if storeHit {
+		msg = "job served from store"
+	}
+	s.log.Info(msg, "job_id", j.id, "request_id", reqID, "model", req.Model, "k", req.K)
+	return j.status()
 }
 
 // loadFromStore probes the disk store for key and rebuilds a servable

@@ -607,7 +607,7 @@ func TestSolveEndToEnd(t *testing.T) {
 	res := j.result
 	s.mu.Unlock()
 	res.mu.Lock()
-	pl1 := res.plan
+	pl1 := res.sess
 	res.mu.Unlock()
 	if pl1 == nil {
 		t.Fatal("first solve did not cache a plan")
@@ -625,7 +625,7 @@ func TestSolveEndToEnd(t *testing.T) {
 		}
 	}
 	res.mu.Lock()
-	pl2 := res.plan
+	pl2 := res.sess
 	res.mu.Unlock()
 	if pl2 != pl1 {
 		t.Fatal("second solve recompiled the plan")

@@ -8,17 +8,18 @@ import (
 )
 
 // session is a long-lived solver handle over a finished job's
-// decomposition: the compiled SpMV plan is built when the session opens
-// and stays resident until the session is closed, evicted for
-// capacity, or expires idle. Sessions are the server-side face of
-// finegrain.Session — open once, solve many batches.
+// decomposition: the result's finegrain.Session (and so its compiled
+// SpMV plan) is opened when the session opens and stays resident until
+// the session is closed, evicted for capacity, or expires idle.
+// Sessions are the server-side face of finegrain.Session — open once,
+// solve many batches.
 //
 // A session does not own its result exclusively: the jobResult (and
-// its plan) is shared with the decomposition cache, the job record,
-// and any other session opened on the same job. Plan release on
-// session teardown therefore only happens when no other live session
-// references the same result; a later solve through any surviving
-// reference transparently rebuilds via planLocked.
+// its finegrain.Session) is shared with the decomposition cache, the
+// job record, and any other session opened on the same job. Plan
+// release on session teardown therefore only happens when no other
+// live session references the same result; a later solve through any
+// surviving reference transparently reopens via sessionLocked.
 type session struct {
 	id    string
 	jobID string
@@ -62,7 +63,7 @@ func (s *Server) sessionStatusLocked(sess *session) SessionStatus {
 
 // openSession registers a new session over a finished job's result,
 // evicting the least-recently-used session when the registry is at
-// MaxSessions. The caller has already compiled the plan.
+// MaxSessions. The caller has already opened the result's Session.
 func (s *Server) openSession(j *job, res *jobResult) (SessionStatus, error) {
 	now := time.Now()
 	var evicted *session

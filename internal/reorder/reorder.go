@@ -88,20 +88,14 @@ func (p *Permutation) Then(q *Permutation) (*Permutation, error) {
 	return r, nil
 }
 
-// FromAssignment decodes a decomposition into a cache-blocking
+// FromAssignmentTraced decodes a decomposition into a cache-blocking
 // permutation: rows are grouped by their y owner and columns by their
 // x owner, original order preserved within a group (the decode is a
 // stable counting sort, so it is deterministic). Rows computed by one
 // simulated processor — whose column footprints the partitioner made
 // overlap — become one contiguous block, and the x entries that block
-// reads become contiguous too.
-func FromAssignment(asg *core.Assignment) (*Permutation, error) {
-	return FromAssignmentTraced(asg, nil)
-}
-
-// FromAssignmentTraced is FromAssignment recording one "decode" span
-// in the "reorder" category on tr's default track (no-op when tr is
-// nil).
+// reads become contiguous too. It records one "decode" span in the
+// "reorder" category on tr's default track (no-op when tr is nil).
 func FromAssignmentTraced(asg *core.Assignment, tr *obs.Trace) (*Permutation, error) {
 	sp := tr.Begin("reorder", "decode")
 	defer func() { sp.End() }()

@@ -128,16 +128,6 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
-// ExpFloat64 returns an exponentially distributed float64 with rate 1.
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
 // Perm returns a random permutation of [0, n) as a slice.
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
@@ -162,10 +152,4 @@ func (r *RNG) Shuffle(p []int) {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}
-}
-
-// Pick returns a uniformly chosen element of xs. It panics on an empty
-// slice.
-func (r *RNG) Pick(xs []int) int {
-	return xs[r.Intn(len(xs))]
 }

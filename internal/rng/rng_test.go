@@ -117,22 +117,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(13)
-	const n = 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		x := r.ExpFloat64()
-		if x < 0 {
-			t.Fatalf("exponential sample negative: %v", x)
-		}
-		sum += x
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Fatalf("exponential mean %.4f, want ~1", mean)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(21)
 	for _, n := range []int{0, 1, 2, 17, 100} {
@@ -181,17 +165,6 @@ func TestChildIndependence(t *testing.T) {
 	}
 	if same > 2 {
 		t.Fatalf("sibling children produced %d/100 identical values", same)
-	}
-}
-
-func TestPick(t *testing.T) {
-	r := New(31)
-	xs := []int{10, 20, 30}
-	for i := 0; i < 100; i++ {
-		v := r.Pick(xs)
-		if v != 10 && v != 20 && v != 30 {
-			t.Fatalf("Pick returned %d not in slice", v)
-		}
 	}
 }
 

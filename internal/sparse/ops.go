@@ -78,18 +78,6 @@ func (m *CSR) Scale(s float64) {
 	}
 }
 
-// MaxAbs returns the largest absolute stored value, or 0 for an empty
-// matrix.
-func (m *CSR) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.Val {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
 // Stats summarizes the nonzero structure of a matrix in the form the
 // paper's Table 1 reports: total nonzeros and the minimum, maximum and
 // average number of nonzeros per row and per column. For square matrices
