@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: ci fmt vet vet-perfbench test race e2e-fleet bench bench-quick bench-hgpart-smoke bench-scaling bench-spmv bench-block bench-block-smoke bench-locality bench-locality-smoke bench-spgemm bench-spgemm-smoke compare-smoke build doc-check loc
+.PHONY: ci fmt vet vet-perfbench test race e2e-fleet fuzz-smoke bench bench-quick bench-hgpart-smoke bench-scaling bench-spmv bench-block bench-block-smoke bench-locality bench-locality-smoke bench-spgemm bench-spgemm-smoke compare-smoke build doc-check loc
 
 # ci runs only the smoke variants of the benchmarks. The wall-clock
 # gates bench-scaling, bench-block and bench-locality are not part of
 # it: they need a quiet multi-CPU host and minutes of paper-size runs,
 # so they are run by hand when their BENCH_*.json files are re-recorded.
-ci: doc-check build vet-perfbench race e2e-fleet bench-hgpart-smoke bench-locality-smoke bench-block-smoke bench-spgemm-smoke compare-smoke
+ci: doc-check build vet-perfbench race e2e-fleet fuzz-smoke bench-hgpart-smoke bench-locality-smoke bench-block-smoke bench-spgemm-smoke compare-smoke
 
 build:
 	$(GO) build ./...
@@ -65,6 +65,17 @@ race:
 # when the owner is down.
 e2e-fleet:
 	$(GO) test -race -count=1 -run 'TestFleet' ./internal/partserver/
+
+# fuzz-smoke fuzzes the Matrix Market reader for 10s per target:
+# FuzzRead (Read: no panic, valid matrix, write/read round trip) and
+# FuzzReadCSRStream (ReadCSRStream on plain and gzip bodies: no panic,
+# hash matches the compiled matrix, agrees with Read). go test -fuzz
+# takes one target per run, so each gets its own invocation; a failing
+# input is saved under internal/mmio/testdata/fuzz/ as a regression
+# seed.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/mmio/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSRStream$$' -fuzztime 10s ./internal/mmio/
 
 # bench regenerates BENCH_partition.json: the Workers sweep of the
 # multilevel partitioner (median/min/max time of 5 alternating samples

@@ -4,6 +4,11 @@
 // or pattern, and symmetry general, symmetric or skew-symmetric.
 // Pattern entries get value 1. Symmetric storage is expanded to full
 // general storage on read.
+//
+// Read and ReadCSRStream share one entry loop: the same bounds checks,
+// comment-line cap, symmetric mirroring and canonical-order fast path.
+// ReadCSRStream adds gzip sniffing and the canonical content hash that
+// the serving pipeline keys uploads by.
 package mmio
 
 import (
@@ -37,15 +42,14 @@ func newScanner(r io.Reader) *bufio.Scanner {
 	return sc
 }
 
-// maxSkipLines bounds blank and comment lines. Buffered inputs were
-// implicitly bounded by their byte size, but the streaming reader can be
-// fed a small gzip body that decompresses to an endless comment section;
-// the cap turns that into ErrFormat instead of an unbounded scan.
+// maxSkipLines bounds blank and comment lines, before the size line and
+// between entries. A small gzip body can decompress to an endless
+// comment section; the cap turns that into ErrFormat instead of an
+// unbounded scan.
 const maxSkipLines = 1 << 20
 
 // readPreamble parses the banner, skips comments, and reads the size
-// line, applying the adversarial-header bounds shared by Read and
-// ReadCSRStream.
+// line, applying the adversarial-header bounds.
 func readPreamble(sc *bufio.Scanner) (h header, rows, cols, nnz int, err error) {
 	if !sc.Scan() {
 		return h, 0, 0, 0, fmt.Errorf("%w: empty input", ErrFormat)
@@ -117,81 +121,21 @@ func readPreamble(sc *bufio.Scanner) (h header, rows, cols, nnz int, err error) 
 	if nnz > maxNNZ {
 		return h, 0, 0, 0, fmt.Errorf("%w: nnz %d exceeds limit %d", ErrFormat, nnz, maxNNZ)
 	}
+	// Mirroring (i,j) to (j,i) needs a square matrix; the format only
+	// defines symmetric storage for square ones.
+	if h.symmetry != "general" && rows != cols {
+		return h, 0, 0, 0, fmt.Errorf("%w: %s matrix is %dx%d, not square", ErrFormat, h.symmetry, rows, cols)
+	}
 	return h, rows, cols, nnz, nil
 }
 
-// Read parses a Matrix Market stream into a CSR matrix.
+// Read parses a Matrix Market stream into a CSR matrix. It runs
+// ReadCSRStream's entry loop, without the gzip sniff and without the
+// content hash: ReadFile decompresses by file suffix, and callers that
+// need the hash use ReadCSRStream.
 func Read(r io.Reader) (*sparse.CSR, error) {
-	sc := newScanner(r)
-	h, rows, cols, nnz, err := readPreamble(sc)
-	if err != nil {
-		return nil, err
-	}
-
-	// Entry loop fast path: work on the scanner's byte slice directly
-	// (no per-line string or Fields allocations) and pre-size the
-	// triplet slice from the header's nnz count, doubled for symmetric
-	// variants whose off-diagonal entries are mirrored.
-	coo := sparse.NewCOO(rows, cols)
-	capHint := nnz
-	if h.symmetry != "general" {
-		capHint = 2 * nnz
-	}
-	// Cap the preallocation: the hint comes from an untrusted header, and
-	// a fabricated nnz must not commit gigabytes before the entry loop
-	// discovers the file is short. Beyond the cap, append regrows.
-	if capHint > 1<<20 {
-		capHint = 1 << 20
-	}
-	coo.Entries = make([]sparse.Entry, 0, capHint)
-	pattern := h.field == "pattern"
-	read := 0
-	for read < nnz {
-		if !sc.Scan() {
-			return nil, fmt.Errorf("%w: expected %d entries, got %d", ErrFormat, nnz, read)
-		}
-		line := sc.Bytes()
-		pos := skipSpace(line, 0)
-		if pos == len(line) || line[pos] == '%' {
-			continue
-		}
-		i, pos, ok := parseIntBytes(line, pos)
-		if !ok {
-			return nil, fmt.Errorf("%w: entry line %q", ErrFormat, string(line))
-		}
-		j, pos, ok := parseIntBytes(line, pos)
-		if !ok {
-			return nil, fmt.Errorf("%w: entry line %q", ErrFormat, string(line))
-		}
-		if i < 1 || i > rows || j < 1 || j > cols {
-			return nil, fmt.Errorf("%w: entry (%d,%d) out of bounds for %dx%d", ErrFormat, i, j, rows, cols)
-		}
-		v := 1.0
-		if !pattern {
-			v, ok = parseFloatBytes(line, pos)
-			if !ok {
-				return nil, fmt.Errorf("%w: entry line %q", ErrFormat, string(line))
-			}
-		}
-		i--
-		j--
-		coo.Add(i, j, v)
-		switch h.symmetry {
-		case "symmetric":
-			if i != j {
-				coo.Add(j, i, v)
-			}
-		case "skew-symmetric":
-			if i != j {
-				coo.Add(j, i, -v)
-			}
-		}
-		read++
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("mmio: %v", err)
-	}
-	return coo.ToCSR(), nil
+	m, _, err := readCSR(newScanner(r), StreamOptions{}, false)
+	return m, err
 }
 
 // skipSpace advances pos past blanks. \r handles CRLF files, which are

@@ -108,6 +108,8 @@ func TestReadMalformed(t *testing.T) {
 		"bad value":         "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 x\n",
 		"bad row index":     "%%MatrixMarket matrix coordinate real general\n1 1 1\nx 1 1\n",
 		"truncated pattern": "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1\n",
+		// Mirroring (2,1) to (1,2) would fall outside a 2×1 matrix.
+		"non-square symmetric": "%%MatrixMarket matrix coordinate pattern symmetric\n2 1 1\n2 1\n",
 	}
 	for name, in := range adversarialHeaders {
 		cases[name] = in

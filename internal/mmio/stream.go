@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
+	"slices"
 
 	"finegrain/internal/sparse"
 )
@@ -75,12 +76,17 @@ func ReadCSRStream(r io.Reader, opt StreamOptions) (*sparse.CSR, StreamInfo, err
 			return nil, info, fmt.Errorf("%w: gzip: %v", ErrFormat, err)
 		}
 		defer gz.Close()
-		return readCSRStream(newScanner(gz), opt)
+		return readCSR(newScanner(gz), opt, true)
 	}
-	return readCSRStream(newScanner(br), opt)
+	return readCSR(newScanner(br), opt, true)
 }
 
-func readCSRStream(sc *bufio.Scanner, opt StreamOptions) (*sparse.CSR, StreamInfo, error) {
+// readCSR is the one Matrix Market entry loop, shared by Read and
+// ReadCSRStream. With hash set it computes the content hash (inline on
+// the canonical path, from the compiled CSR otherwise), fills Sum and
+// HashDone and calls opt.OnContentHash; without it Read pays for
+// neither.
+func readCSR(sc *bufio.Scanner, opt StreamOptions, hash bool) (*sparse.CSR, StreamInfo, error) {
 	var info StreamInfo
 	h, rows, cols, nnz, err := readPreamble(sc)
 	if err != nil {
@@ -98,19 +104,23 @@ func readCSRStream(sc *bufio.Scanner, opt StreamOptions) (*sparse.CSR, StreamInf
 
 	// Canonical-order fast path state: entries append straight into the
 	// final CSR arrays, per-row counts accumulate for the row-pointer
-	// prefix sum, and the content hasher runs inline. The preallocation
-	// cap mirrors Read's: the header is untrusted, so growth beyond the
-	// cap is paid by append, not up front.
-	capHint := nnz
-	if capHint > 1<<20 {
-		capHint = 1 << 20
-	}
+	// prefix sum, and the content hasher (when asked for) runs inline.
+	// Symmetric variants mirror their off-diagonal entries, so their
+	// triplet hint is doubled. The preallocation is capped because the
+	// header is untrusted: a fabricated nnz must not commit gigabytes
+	// before the loop finds the input short, and growth beyond the cap is
+	// paid by append, not up front.
 	canonical := h.symmetry == "general"
+	capHint := nnz
+	if !canonical {
+		capHint = 2 * nnz
+	}
+	capHint = min(capHint, 1<<20)
 	var (
 		colIdx  []int
 		vals    []float64
 		counts  []int // per-row entry counts, grown to the highest row seen
-		hasher  = sparse.NewContentHasher(rows, cols)
+		hasher  *sparse.ContentHasher
 		prevRow = -1
 		prevCol = -1
 		coo     *sparse.COO // fallback triplet buffer, nil while canonical
@@ -118,9 +128,15 @@ func readCSRStream(sc *bufio.Scanner, opt StreamOptions) (*sparse.CSR, StreamInf
 		read    = 0
 		skipped = 0
 	)
+	if hash {
+		hasher = sparse.NewContentHasher(rows, cols)
+	}
 	if canonical {
-		colIdx = make([]int, 0, capHint)
-		vals = make([]float64, 0, capHint)
+		// Start small: unsorted input usually leaves the fast path
+		// within a few entries, and would abandon full-size arrays. The
+		// first regrowth jumps straight to the hint.
+		colIdx = make([]int, 0, min(capHint, 1<<10))
+		vals = make([]float64, 0, cap(colIdx))
 	} else {
 		coo = sparse.NewCOO(rows, cols)
 		coo.Entries = make([]sparse.Entry, 0, capHint)
@@ -131,7 +147,7 @@ func readCSRStream(sc *bufio.Scanner, opt StreamOptions) (*sparse.CSR, StreamInf
 	// from the counts alone.
 	demote := func() {
 		coo = sparse.NewCOO(rows, cols)
-		coo.Entries = make([]sparse.Entry, 0, cap(colIdx))
+		coo.Entries = make([]sparse.Entry, 0, max(capHint, len(colIdx)))
 		p := 0
 		for i, c := range counts {
 			for ; c > 0; c-- {
@@ -192,9 +208,15 @@ func readCSRStream(sc *bufio.Scanner, opt StreamOptions) (*sparse.CSR, StreamInf
 				counts = append(counts, make([]int, grow-len(counts))...)
 			}
 			counts[i]++
+			if len(colIdx) == cap(colIdx) && len(colIdx) < capHint {
+				colIdx = slices.Grow(colIdx, capHint-len(colIdx))
+				vals = slices.Grow(vals, capHint-len(vals))
+			}
 			colIdx = append(colIdx, j)
 			vals = append(vals, v)
-			hasher.Entry(i, j, v)
+			if hash {
+				hasher.Entry(i, j, v)
+			}
 			prevRow, prevCol = i, j
 		} else {
 			coo.Add(i, j, v)
@@ -215,17 +237,30 @@ func readCSRStream(sc *bufio.Scanner, opt StreamOptions) (*sparse.CSR, StreamInf
 		return nil, info, fmt.Errorf("mmio: %v", err)
 	}
 
+	var m *sparse.CSR
 	if canonical {
-		// The hash is complete before the CSR is assembled: this is the
-		// early-duplicate window the callback exists for.
 		info.Canonical = true
-		info.Sum, info.HashDone = hasher.Sum(), true
+	} else {
+		m = coo.ToCSR()
+	}
+	if hash {
+		// On the canonical path the hash is complete before the CSR is
+		// assembled: this is the early-duplicate window the callback
+		// exists for.
+		if canonical {
+			info.Sum = hasher.Sum()
+		} else {
+			info.Sum = m.ContentHash()
+		}
+		info.HashDone = true
 		if opt.OnContentHash != nil {
 			if err := opt.OnContentHash(info.Sum); err != nil {
 				return nil, info, err
 			}
 		}
-		m := &sparse.CSR{Rows: rows, Cols: cols, ColIdx: colIdx, Val: vals}
+	}
+	if canonical {
+		m = &sparse.CSR{Rows: rows, Cols: cols, ColIdx: colIdx, Val: vals}
 		m.RowPtr = make([]int, rows+1)
 		for i := 0; i < rows; i++ {
 			c := 0
@@ -233,14 +268,6 @@ func readCSRStream(sc *bufio.Scanner, opt StreamOptions) (*sparse.CSR, StreamInf
 				c = counts[i]
 			}
 			m.RowPtr[i+1] = m.RowPtr[i] + c
-		}
-		return m, info, nil
-	}
-	m := coo.ToCSR()
-	info.Sum, info.HashDone = m.ContentHash(), true
-	if opt.OnContentHash != nil {
-		if err := opt.OnContentHash(info.Sum); err != nil {
-			return nil, info, err
 		}
 	}
 	return m, info, nil

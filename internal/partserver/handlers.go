@@ -151,10 +151,13 @@ const forwardedHeader = "X-Partserver-Forwarded"
 
 // handleSubmit accepts either a JSON JobRequest or a raw Matrix Market
 // body (plain or gzip, detected by magic bytes) with parameters in the
-// query string.
+// query string. The two forms differ only in where the parameters and
+// the matrix bytes come from: both are validated before any matrix is
+// read, so a malformed request costs nothing, and both upload forms
+// stream through the same reader under the same -max-nnz bound.
 //
-// Raw bodies are ingested incrementally: the matrix is parsed and
-// content-hashed while the upload streams, so peak memory is
+// Uploads are ingested incrementally: the matrix is parsed and
+// content-hashed while the bytes stream, so peak memory is
 // proportional to the compiled CSR, not to the bytes on the wire, and
 // a duplicate of something already computed is detected the moment the
 // hash completes — before the CSR is even assembled. Under a
@@ -168,45 +171,56 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	var (
 		req JobRequest
+		src io.Reader = body
+		err error
+	)
+	ct, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
+	isJSON := ct == "application/json"
+	if isJSON {
+		err = json.NewDecoder(body).Decode(&req)
+	} else {
+		req, err = requestFromQuery(r)
+	}
+	if err != nil {
+		httpError(w, http.StatusBadRequest, codeBadRequest, "decoding request: %v", err)
+		return
+	}
+	req.Tenant = r.Header.Get("X-Tenant")
+	if err := req.normalize(); err != nil {
+		httpError(w, http.StatusBadRequest, codeOf(err, codeBadRequest), "%v", err)
+		return
+	}
+	if isJSON {
+		switch {
+		case req.Catalog != "" && req.Matrix != "":
+			httpError(w, http.StatusBadRequest, finegrain.BadMatrix, "set either catalog or matrix, not both")
+			return
+		case req.Catalog == "" && req.Matrix == "":
+			httpError(w, http.StatusBadRequest, finegrain.BadMatrix, "the request needs a matrix: set catalog or matrix")
+			return
+		}
+		// Drop the text from the request so job records do not pin
+		// multi-megabyte upload bodies.
+		src, req.Matrix = strings.NewReader(req.Matrix), ""
+	}
+
+	var (
 		m   *finegrain.Matrix
 		sum [32]byte
 	)
-	ct, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
-	if ct == "application/json" {
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, codeBadRequest, "decoding request: %v", err)
-			return
+	if req.Catalog != "" {
+		if req.GenSeed == 0 {
+			req.GenSeed = 1
 		}
-		req.Tenant = r.Header.Get("X-Tenant")
-		if err := req.normalize(); err != nil {
-			httpError(w, http.StatusBadRequest, codeOf(err, codeBadRequest), "%v", err)
-			return
-		}
-		var err error
-		if m, sum, err = buildMatrix(&req); err != nil {
+		if m, err = finegrain.Generate(req.Catalog, req.Scale, req.GenSeed); err != nil {
 			httpError(w, http.StatusBadRequest, codeOf(err, finegrain.BadMatrix), "%v", err)
 			return
 		}
-		// The matrix text has served its purpose; drop it so job records
-		// do not pin multi-megabyte upload bodies.
-		req.Matrix = ""
+		sum = m.ContentHash()
 	} else {
-		// Raw Matrix Market upload; parameters ride in the query. They
-		// are validated before the body is read so a malformed request
-		// costs nothing, and so the content key can be computed the
-		// moment the stream hash lands.
-		var err error
-		if req, err = requestFromQuery(r); err != nil {
-			httpError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
-			return
-		}
-		req.Tenant = r.Header.Get("X-Tenant")
-		if err := req.normalize(); err != nil {
-			httpError(w, http.StatusBadRequest, codeOf(err, codeBadRequest), "%v", err)
-			return
-		}
 		var early *JobStatus
-		mm, info, err := mmio.ReadCSRStream(body, mmio.StreamOptions{
+		var info mmio.StreamInfo
+		m, info, err = mmio.ReadCSRStream(src, mmio.StreamOptions{
 			MaxNNZ: s.cfg.MaxNNZ,
 			OnContentHash: func(h [32]byte) error {
 				key := keyFromHash(h, req.Model, req.K, req.Eps, req.Seed)
@@ -232,12 +246,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, codeOf(err, finegrain.BadMatrix), "%v", err)
 			return
 		}
-		if mm.Rows != mm.Cols {
+		if m.Rows != m.Cols {
 			httpError(w, http.StatusBadRequest, finegrain.BadMatrix,
-				"matrix is %dx%d; the decomposition models need a square matrix", mm.Rows, mm.Cols)
+				"matrix is %dx%d; the decomposition models need a square matrix", m.Rows, m.Cols)
 			return
 		}
-		m, sum = mm, info.Sum
+		sum = info.Sum
 	}
 
 	// Model "auto" resolves to its concrete model here — after the
@@ -245,7 +259,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// submission and an explicit submission of the chosen model share a
 	// key and coalesce. The selection is a pure function of the matrix
 	// structure and the key covers the matrix hash, so equal keys always
-	// agree on the selection. (The raw-upload early-hit probe above runs
+	// agree on the selection. (The upload early-hit probe above runs
 	// before the CSR exists and therefore cannot resolve auto; it simply
 	// misses, and the post-parse lookup below catches the duplicate.)
 	if req.Model == "auto" {
@@ -435,39 +449,6 @@ func requestFromQuery(r *http.Request) (JobRequest, error) {
 		}
 	}
 	return req, err
-}
-
-// buildMatrix materializes the job's matrix from its single source and
-// returns its canonical content hash. The matrix comes back exactly as
-// uploaded or generated — empty-row patching happens later, at compute
-// time — so the hash (and the content key derived from it) is a pure
-// function of what the client sent, matching what the streaming ingest
-// path computes on the wire.
-func buildMatrix(req *JobRequest) (*finegrain.Matrix, [32]byte, error) {
-	var zero [32]byte
-	switch {
-	case req.Catalog != "" && req.Matrix != "":
-		return nil, zero, errors.New("set either catalog or matrix, not both")
-	case req.Catalog != "":
-		if req.GenSeed == 0 {
-			req.GenSeed = 1
-		}
-		m, err := finegrain.Generate(req.Catalog, req.Scale, req.GenSeed)
-		if err != nil {
-			return nil, zero, err
-		}
-		return m, m.ContentHash(), nil
-	case req.Matrix != "":
-		a, err := mmio.Read(strings.NewReader(req.Matrix))
-		if err != nil {
-			return nil, zero, err
-		}
-		if a.Rows != a.Cols {
-			return nil, zero, fmt.Errorf("matrix is %dx%d; the decomposition models need a square matrix", a.Rows, a.Cols)
-		}
-		return a, a.ContentHash(), nil
-	}
-	return nil, zero, errors.New("the request needs a matrix: set catalog or matrix")
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -696,6 +677,9 @@ func (s *Server) runSolve(w http.ResponseWriter, r *http.Request, jobID, session
 	ndjson := strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
 
 	res.mu.Lock()
+	// The clock starts before the session is fetched, so the first solve
+	// on a decomposition includes its plan compile.
+	t0 := time.Now()
 	sess, err := res.sessionLocked()
 	if err != nil {
 		res.mu.Unlock()
@@ -718,7 +702,6 @@ func (s *Server) runSolve(w http.ResponseWriter, r *http.Request, jobID, session
 			}
 		}
 	}
-	t0 := time.Now()
 	blk, err := sess.Solve(B, n, opts)
 	elapsed := time.Since(t0)
 	res.mu.Unlock()

@@ -575,51 +575,33 @@ func (s *Server) finalizeLocked(j *job, state JobState, err error) {
 func (s *Server) worker() {
 	defer s.wg.Done()
 	hi, lo := s.tasksHi, s.tasksLo
+	// A closed tier is set to nil, and a nil channel never fires, so the
+	// two selects serve every combination of open and closed tiers.
 	for hi != nil || lo != nil {
 		// Fast path: an interactive job is already waiting.
-		if hi != nil {
-			select {
-			case j, ok := <-hi:
-				if !ok {
-					hi = nil
-					continue
-				}
+		select {
+		case j, ok := <-hi:
+			if ok {
 				s.runJob(j)
-				continue
-			default:
-			}
-		}
-		if hi == nil {
-			j, ok := <-lo
-			if !ok {
-				lo = nil
-				continue
-			}
-			s.runJob(j)
-			continue
-		}
-		if lo == nil {
-			j, ok := <-hi
-			if !ok {
+			} else {
 				hi = nil
-				continue
 			}
-			s.runJob(j)
 			continue
+		default:
 		}
 		select {
 		case j, ok := <-hi:
-			if !ok {
+			if ok {
+				s.runJob(j)
+			} else {
 				hi = nil
-				continue
 			}
-			s.runJob(j)
 		case j, ok := <-lo:
-			if !ok {
+			if ok {
+				s.runJob(j)
+			} else {
 				lo = nil
-				continue
 			}
-			s.runJob(j)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -752,4 +753,106 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 	}
 	close(gate)
 	pollDone(t, ts, first.ID)
+}
+
+// TestMaxNNZBoundsEveryUpload checks Config.MaxNNZ on both upload
+// forms: a raw body and a JSON "matrix" string whose size line is over
+// the cap are each rejected with 400 BadMatrix by the size-line check,
+// before any entry is parsed or any CSR built, and no job is created.
+func TestMaxNNZBoundsEveryUpload(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 1, MaxNNZ: 4})
+	mm := "%%MatrixMarket matrix coordinate real general\n3 3 5\n1 1 1\n1 2 1\n2 2 1\n3 1 1\n3 3 1\n"
+	jsonBody, _ := json.Marshal(map[string]any{"matrix": mm, "k": 2})
+	uploads := []struct{ name, url, ct, body string }{
+		{"raw", ts.URL + "/v1/jobs?k=2", "text/plain", mm},
+		{"json", ts.URL + "/v1/jobs", "application/json", string(jsonBody)},
+	}
+	for _, u := range uploads {
+		resp, err := http.Post(u.url, u.ct, strings.NewReader(u.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eb := decodeErrorBody(t, resp)
+		if resp.StatusCode != http.StatusBadRequest || eb.Code != string(finegrain.BadMatrix) ||
+			!strings.Contains(eb.Error, "exceeds the configured limit") {
+			t.Errorf("%s upload over MaxNNZ: %d code %q (%s), want 400 BadMatrix from the size-line check",
+				u.name, resp.StatusCode, eb.Code, eb.Error)
+		}
+	}
+	if n := metricValue(t, ts, "partserver_jobs_submitted_total"); n != 0 {
+		t.Errorf("%d jobs submitted, want 0", n)
+	}
+}
+
+// TestSolveSecondsIncludeSessionOpen checks that the first solve on a
+// decomposition counts its plan compile: the solve histogram's sum must
+// cover the job trace's finegrain/session.open span plus the solver's
+// own solver/cg.block span.
+func TestSolveSecondsIncludeSessionOpen(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 1})
+	a := matgen.Grid5Point(9, 9)
+	coo := a.ToCOO()
+	for i := 0; i < a.Rows; i++ {
+		coo.Add(i, i, 1)
+	}
+	var mm bytes.Buffer
+	if err := mmio.Write(&mm, coo.ToCSR()); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs?model=finegrain&k=8&seed=2", "text/plain", &mm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st JobStatus
+	decodeBody(t, resp, &st)
+	pollDone(t, ts, st.ID)
+
+	resp, err = http.Post(ts.URL+"/v1/jobs/"+st.ID+"/solve", "application/json", strings.NewReader(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("solve: %d", resp.StatusCode)
+	}
+
+	tresp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Cat  string `json:"cat"`
+			Dur  int64  `json:"dur"`
+		} `json:"traceEvents"`
+	}
+	decodeBody(t, tresp, &tr)
+	spanUS := map[string]int64{}
+	for _, ev := range tr.TraceEvents {
+		spanUS[ev.Cat+"/"+ev.Name] += ev.Dur
+	}
+	open, cg := spanUS["finegrain/session.open"], spanUS["solver/cg.block"]
+	if open == 0 || cg == 0 {
+		t.Fatalf("trace spans: session.open %dµs, cg.block %dµs; want both recorded", open, cg)
+	}
+
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.ReadFrom(mresp.Body)
+	mresp.Body.Close()
+	var sum float64
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "partserver_solve_seconds_sum "); ok {
+			if sum, err = strconv.ParseFloat(v, 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if sumUS := sum * 1e6; sumUS < float64(open+cg) {
+		t.Errorf("partserver_solve_seconds_sum = %.0fµs, want >= session.open %dµs + cg.block %dµs", sumUS, open, cg)
+	}
 }
