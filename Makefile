@@ -116,7 +116,8 @@ bench-spmv:
 
 # bench-block regenerates BENCH_block.json: one ExecBlock over N
 # stacked right-hand sides against N single Execs on the same reused
-# plan (nl at paper size, K=64, N in 1/4/8/16). The run itself asserts
+# plan (nl at paper size, K=64, N in 1/4/8/16), median/min/max of 5
+# alternating samples per width. The run itself asserts
 # the block path's message count equals a single multiply's at every
 # width; the wall-clock speedup gate (default 1.0x, override with
 # FINEGRAIN_BLOCK_FLOOR=1.2 make bench-block) is enforced only on
@@ -128,10 +129,14 @@ bench-block:
 
 # bench-block-smoke is the ci wiring check: one iteration per batch
 # width on a shrunken matrix, no artifact, no gate — but the message
-# equality assertion still runs.
+# equality assertion still runs. It also runs BenchmarkSessionSolve
+# once (1- and 8-RHS Session.Solve on nl's SPD form, fine-grain K=64,
+# Workers 1, shrunken here), the solve path's layer benchmark; for a
+# timing at paper size run
+# go test -run '^$$' -bench BenchmarkSessionSolve -benchtime 10x .
 bench-block-smoke:
 	FINEGRAIN_BLOCK_SMOKE=1 \
-		$(GO) test -run '^$$' -bench BenchmarkBlockSpMV -benchtime 1x .
+		$(GO) test -run '^$$' -bench 'BenchmarkBlockSpMV|BenchmarkSessionSolve' -benchtime 1x .
 
 # bench-locality regenerates BENCH_locality.json: wall-clock ns/op and
 # GFLOP/s of the real multithreaded kernel on nl (K=8), ken-11 (K=64)

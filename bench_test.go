@@ -28,6 +28,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
@@ -201,6 +202,76 @@ func BenchmarkSpMV(b *testing.B) {
 	}
 }
 
+// spdForm returns the graph Laplacian of a's symmetrized off-diagonal
+// pattern plus the identity: symmetric and strictly diagonally dominant
+// with a positive diagonal, hence SPD — the form perfbench's solve
+// workload gives its catalog matrices.
+func spdForm(a *sparse.CSR) *sparse.CSR {
+	n := a.Rows
+	nbrs := make([][]int, n)
+	for i := 0; i < n; i++ {
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			if j := a.ColIdx[p]; j != i && j < n {
+				nbrs[i] = append(nbrs[i], j)
+				nbrs[j] = append(nbrs[j], i)
+			}
+		}
+	}
+	coo := sparse.NewCOO(n, n)
+	for i, row := range nbrs {
+		slices.Sort(row)
+		row = slices.Compact(row)
+		coo.Add(i, i, float64(len(row)+1))
+		for _, j := range row {
+			coo.Add(i, j, -1)
+		}
+	}
+	return coo.ToCSR()
+}
+
+// BenchmarkSessionSolve times the warm solve path a session serves: a
+// 1-RHS and an 8-RHS Session.Solve to 1e-8 on the fine-grain
+// decomposition of nl's SPD form at paper size, K=64, Workers 1 — the
+// per-layer view of what perfbench's solve workload times. Beside ns/op
+// it reports ns per right-hand side and the block iterations of one
+// solve. With FINEGRAIN_BLOCK_SMOKE set (`make bench-block-smoke`) the
+// matrix is shrunken as in BenchmarkBlockSpMV.
+func BenchmarkSessionSolve(b *testing.B) {
+	scale := 1.0
+	if os.Getenv("FINEGRAIN_BLOCK_SMOKE") != "" {
+		scale = benchScale()
+	}
+	a := spdForm(genCached("nl", scale))
+	dec, err := finegrain.DecomposeModel("finegrain", a, 64, finegrain.Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := finegrain.NewSession(dec, finegrain.SessionOptions{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	for _, n := range []int{1, 8} {
+		B := stackedB(a.Rows, n)
+		b.Run(fmt.Sprintf("nrhs=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			iters := 0
+			for i := 0; i < b.N; i++ {
+				res, err := s.Solve(B, n, finegrain.SolveOptions{Tol: 1e-8})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.AllConverged() {
+					b.Fatalf("n=%d: not converged after %d block iterations", n, res.BlockIterations)
+				}
+				iters = res.BlockIterations
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/rhs")
+			b.ReportMetric(float64(iters), "iters")
+		})
+	}
+}
+
 // partitionSamples is how many timed partitions the Workers sweep takes
 // per worker count. Samples alternate between the worker counts, so
 // drift on a shared host lands on every count alike.
@@ -229,6 +300,13 @@ type partitionBenchReport struct {
 	// Speedup is the ratio of the first and last worker counts' median
 	// ns/op.
 	Speedup float64 `json:"speedup"`
+}
+
+// sampleSpread returns the median, minimum and maximum of samples.
+func sampleSpread(samples []float64) (median, lo, hi float64) {
+	sorted := append([]float64(nil), samples...)
+	sort.Float64s(sorted)
+	return sorted[len(sorted)/2], sorted[0], sorted[len(sorted)-1]
 }
 
 // partitionWorkerSweep times the fine-grain partition of a at K=k for
@@ -281,17 +359,13 @@ func partitionWorkerSweep(b *testing.B, name string, a *sparse.CSR, k int, worke
 		}
 	}
 	for c, workers := range workerCounts {
-		sorted := append([]float64(nil), samples[c]...)
-		sort.Float64s(sorted)
 		rec := partitionBenchRecord{
 			Workers:     workers,
-			NsPerOp:     sorted[len(sorted)/2],
-			MinNsPerOp:  sorted[0],
-			MaxNsPerOp:  sorted[len(sorted)-1],
 			SamplesNs:   samples[c],
 			AllocsPerOp: float64(mallocs[c]) / partitionSamples,
 			BytesPerOp:  float64(allocBytes[c]) / partitionSamples,
 		}
+		rec.NsPerOp, rec.MinNsPerOp, rec.MaxNsPerOp = sampleSpread(samples[c])
 		report.Runs = append(report.Runs, rec)
 		b.Logf("%s/K=%d/workers=%d: median %.3fs (min %.3fs, max %.3fs) over %d samples",
 			name, k, workers, rec.NsPerOp/1e9, rec.MinNsPerOp/1e9, rec.MaxNsPerOp/1e9, partitionSamples)
@@ -551,12 +625,22 @@ func BenchmarkSpMVPlan(b *testing.B) {
 	}
 }
 
+// blockSamples is how many timed samples BenchmarkBlockSpMV takes of
+// the single-Exec baseline and of every batch width. Samples alternate
+// between the baseline and the widths, so drift on a shared host lands
+// on all of them alike.
+const blockSamples = 5
+
 type blockBenchRecord struct {
-	NRHS     int     `json:"nrhs"`
-	NsPerOp  float64 `json:"ns_per_op"` // one ExecBlock call over the whole batch
-	NsPerRHS float64 `json:"ns_per_rhs"`
-	// Speedup is nrhs single Execs over one ExecBlock in wall clock —
-	// what batching buys beyond the message amortization.
+	NRHS int `json:"nrhs"`
+	// NsPerOp is the median sample of one ExecBlock call over the whole
+	// batch; MinNsPerOp and MaxNsPerOp bound the samples' spread.
+	NsPerOp    float64 `json:"ns_per_op"`
+	MinNsPerOp float64 `json:"min_ns_per_op"`
+	MaxNsPerOp float64 `json:"max_ns_per_op"`
+	NsPerRHS   float64 `json:"ns_per_rhs"`
+	// Speedup is nrhs single Execs over one ExecBlock, medians in wall
+	// clock — what batching buys beyond the message amortization.
 	Speedup     float64 `json:"speedup_vs_n_execs"`
 	Words       int     `json:"words"`
 	WordsPerRHS int     `json:"words_per_rhs"`
@@ -570,11 +654,15 @@ type blockBenchReport struct {
 	NNZ        int    `json:"nnz"`
 	K          int    `json:"k"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
+	Samples    int    `json:"samples"`
 	// SingleExec is the reused-plan single-RHS baseline the speedups
-	// are measured against, at the same worker count.
-	SingleExecNs   float64            `json:"single_exec_ns"`
-	SingleMessages int                `json:"single_messages"`
-	Runs           []blockBenchRecord `json:"runs"`
+	// are measured against, at the same worker count: the median sample
+	// and the samples' spread.
+	SingleExecNs    float64            `json:"single_exec_ns"`
+	SingleExecMinNs float64            `json:"single_exec_min_ns"`
+	SingleExecMaxNs float64            `json:"single_exec_max_ns"`
+	SingleMessages  int                `json:"single_messages"`
+	Runs            []blockBenchRecord `json:"runs"`
 	// BestSpeedup is the largest speedup_vs_n_execs over the sweep —
 	// the figure the FINEGRAIN_BLOCK_FLOOR gate checks.
 	BestSpeedup float64 `json:"best_speedup"`
@@ -584,20 +672,23 @@ type blockBenchReport struct {
 // over N stacked right-hand sides against N single Execs on the same
 // reused plan (nl at paper size, K=64, N ∈ {1,4,8,16}), asserting the
 // block path allocates nothing in steady state and sends exactly the
-// single-multiply message count at every batch width. Figures go to
+// single-multiply message count at every batch width. It takes
+// blockSamples samples of the baseline and of every width, alternating
+// between them, and writes their median, minimum and maximum to
 // BENCH_block.json.
 //
 // With FINEGRAIN_BLOCK_SMOKE set (`make ci`), the sweep runs one
-// iteration per width on a shrunken matrix and writes no artifact.
+// iteration of one sample per width on a shrunken matrix and writes no
+// artifact.
 // With FINEGRAIN_BLOCK_FLOOR set (`make bench-block`), the run fails
 // if the best wall-clock speedup over N single Execs drops below the
 // floor — enforced only on hosts with more than one CPU, mirroring
 // the locality gate.
 func BenchmarkBlockSpMV(b *testing.B) {
 	smoke := os.Getenv("FINEGRAIN_BLOCK_SMOKE") != ""
-	scale, iters := 1.0, 100
+	scale, iters, samples := 1.0, 100, blockSamples
 	if smoke {
-		scale, iters = benchScale(), 1
+		scale, iters, samples = benchScale(), 1, 1
 	}
 	a := genCached("nl", scale)
 	const k = 64
@@ -614,7 +705,7 @@ func BenchmarkBlockSpMV(b *testing.B) {
 	opts := spmv.ExecOptions{Workers: workers}
 	ctr := pl.Counters()
 	report := blockBenchReport{
-		Matrix: "nl", NNZ: a.NNZ(), K: k, GOMAXPROCS: workers,
+		Matrix: "nl", NNZ: a.NNZ(), K: k, GOMAXPROCS: workers, Samples: samples,
 		SingleMessages: ctr.TotalMessages(),
 	}
 
@@ -625,63 +716,73 @@ func BenchmarkBlockSpMV(b *testing.B) {
 		X[i] = 1 / float64(i+1)
 	}
 	Y := make([]float64, maxN*a.Rows)
-
-	b.Run("single-exec", func(b *testing.B) {
-		b.ReportAllocs()
-		if err := pl.Exec(X[:a.Cols], Y[:a.Rows], opts); err != nil { // warm-up
-			b.Fatal(err)
-		}
+	single := func() error { return pl.Exec(X[:a.Cols], Y[:a.Rows], opts) }
+	block := func(n int) func() error {
+		return func() error { return pl.ExecBlock(X[:n*a.Cols], Y[:n*a.Rows], n, opts) }
+	}
+	// timed returns the mean ns of iters calls of f.
+	timed := func(f func() error) float64 {
 		t0 := time.Now()
 		for i := 0; i < iters; i++ {
-			if err := pl.Exec(X[:a.Cols], Y[:a.Rows], opts); err != nil {
+			if err := f(); err != nil {
 				b.Fatal(err)
 			}
 		}
-		report.SingleExecNs = float64(time.Since(t0).Nanoseconds()) / float64(iters)
-	})
+		return float64(time.Since(t0).Nanoseconds()) / float64(iters)
+	}
 
+	// Warm up every path (growing the block scratch and parking the
+	// workers), then pin zero steady-state allocations and the message
+	// amortization per width.
+	if err := single(); err != nil {
+		b.Fatal(err)
+	}
 	for _, n := range widths {
-		n := n
-		b.Run(fmt.Sprintf("exec-block/nrhs=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			if err := pl.ExecBlock(X[:n*a.Cols], Y[:n*a.Rows], n, opts); err != nil { // warm-up
+		run := block(n)
+		if err := run(); err != nil {
+			b.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := run(); err != nil {
 				b.Fatal(err)
 			}
-			allocs := testing.AllocsPerRun(5, func() {
-				if err := pl.ExecBlock(X[:n*a.Cols], Y[:n*a.Rows], n, opts); err != nil {
-					b.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				b.Fatalf("ExecBlock(n=%d) allocated %.0f objects/op in steady state, want 0", n, allocs)
-			}
-			t0 := time.Now()
-			for i := 0; i < iters; i++ {
-				if err := pl.ExecBlock(X[:n*a.Cols], Y[:n*a.Rows], n, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			ns := float64(time.Since(t0).Nanoseconds()) / float64(iters)
-			bc := pl.BlockCounters(n)
-			if got := bc.TotalMessages(); got != report.SingleMessages {
-				b.Fatalf("ExecBlock(n=%d) sends %d messages, single Exec sends %d — amortization broken",
-					n, got, report.SingleMessages)
-			}
-			rec := blockBenchRecord{
-				NRHS: n, NsPerOp: ns, NsPerRHS: ns / float64(n),
-				Words: bc.TotalWords(), WordsPerRHS: bc.TotalWords() / n,
-				Messages: bc.TotalMessages(),
-			}
-			if ns > 0 {
-				rec.Speedup = float64(n) * report.SingleExecNs / ns
-			}
-			b.ReportMetric(rec.Speedup, "speedup")
-			report.Runs = append(report.Runs, rec)
-			if rec.Speedup > report.BestSpeedup {
-				report.BestSpeedup = rec.Speedup
-			}
 		})
+		if allocs != 0 {
+			b.Fatalf("ExecBlock(n=%d) allocated %.0f objects/op in steady state, want 0", n, allocs)
+		}
+		if bc := pl.BlockCounters(n); bc.TotalMessages() != report.SingleMessages {
+			b.Fatalf("ExecBlock(n=%d) sends %d messages, single Exec sends %d — amortization broken",
+				n, bc.TotalMessages(), report.SingleMessages)
+		}
 	}
+
+	singleNs := make([]float64, 0, samples)
+	blockNs := make([][]float64, len(widths))
+	for s := 0; s < samples; s++ {
+		singleNs = append(singleNs, timed(single))
+		for w, n := range widths {
+			blockNs[w] = append(blockNs[w], timed(block(n)))
+		}
+	}
+	report.SingleExecNs, report.SingleExecMinNs, report.SingleExecMaxNs = sampleSpread(singleNs)
+	for w, n := range widths {
+		bc := pl.BlockCounters(n)
+		rec := blockBenchRecord{
+			NRHS:  n,
+			Words: bc.TotalWords(), WordsPerRHS: bc.TotalWords() / n,
+			Messages: bc.TotalMessages(),
+		}
+		rec.NsPerOp, rec.MinNsPerOp, rec.MaxNsPerOp = sampleSpread(blockNs[w])
+		rec.NsPerRHS = rec.NsPerOp / float64(n)
+		if rec.NsPerOp > 0 {
+			rec.Speedup = float64(n) * report.SingleExecNs / rec.NsPerOp
+		}
+		b.Logf("nrhs=%d: median %.0f ns/op (min %.0f, max %.0f) over %d samples, %.2fx %d single Execs",
+			n, rec.NsPerOp, rec.MinNsPerOp, rec.MaxNsPerOp, samples, rec.Speedup, n)
+		report.Runs = append(report.Runs, rec)
+		report.BestSpeedup = max(report.BestSpeedup, rec.Speedup)
+	}
+	b.ReportMetric(report.BestSpeedup, "best-speedup")
 
 	if smoke {
 		return

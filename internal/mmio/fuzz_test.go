@@ -29,6 +29,7 @@ func FuzzRead(f *testing.F) {
 		"%%MatrixMarket matrix coordinate real general\n9223372036854775807 9223372036854775807 1\n1 1 1\n",
 		"%%MatrixMarket matrix coordinate real general\n2 2 4611686018427387904\n1 1 1\n",
 		"%%MatrixMarket matrix coordinate pattern general\n2 2 99999999999999999999\n1 1\n",
+		trailingProbe,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -75,6 +76,7 @@ func FuzzReadCSRStream(f *testing.F) {
 		// Gzip magic followed by garbage (sniff must not panic).
 		"\x1f\x8b\x00\x00junk",
 		"\x1f\x8b",
+		trailingProbe,
 	}
 	for _, s := range seeds {
 		f.Add(s, false)

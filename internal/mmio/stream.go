@@ -233,6 +233,20 @@ func readCSR(sc *bufio.Scanner, opt StreamOptions, hash bool) (*sparse.CSR, Stre
 		}
 		read++
 	}
+	// Only blank and comment lines may follow the last entry. Reading
+	// to EOF also makes a gzip reader verify its checksum, and the check
+	// runs before the hash callback, so a malformed body never reaches
+	// a caller's early-hit path.
+	for sc.Scan() {
+		line := sc.Bytes()
+		pos := skipSpace(line, 0)
+		if pos < len(line) && line[pos] != '%' {
+			return nil, info, fmt.Errorf("%w: more entries than the header's %d", ErrFormat, nnz)
+		}
+		if skipped++; skipped > maxSkipLines {
+			return nil, info, fmt.Errorf("%w: more than %d comment lines after the entries", ErrFormat, maxSkipLines)
+		}
+	}
 	if err := sc.Err(); err != nil {
 		return nil, info, fmt.Errorf("mmio: %v", err)
 	}

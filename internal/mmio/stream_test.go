@@ -204,6 +204,95 @@ func TestReadCSRStreamEarlyHash(t *testing.T) {
 	}
 }
 
+// trailingProbe declares one entry but carries a second one and a
+// garbage line after it.
+const trailingProbe = "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1\n2 2 5\ngarbage\n"
+
+// TestReadRejectsTrailingContent: the body ends with the header's entry
+// count. Blank and comment lines may follow; an extra entry or any other
+// line is ErrFormat, through Read and ReadCSRStream, plain and gzipped,
+// and a rejected stream never reaches OnContentHash.
+func TestReadRejectsTrailingContent(t *testing.T) {
+	const head = "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1\n"
+	gz := func(s string) []byte {
+		var b bytes.Buffer
+		zw := gzip.NewWriter(&b)
+		zw.Write([]byte(s))
+		zw.Close()
+		return b.Bytes()
+	}
+	cases := []struct {
+		name, body string
+		ok         bool
+	}{
+		{"probe", trailingProbe, false},
+		{"extra entry", head + "2 2 5\n", false},
+		{"garbage", head + "garbage", false},
+		{"trailing comments and blanks", head + "\n% done\n  \r\n", true},
+	}
+	for _, tc := range cases {
+		check := func(path string, err error) {
+			t.Helper()
+			switch {
+			case tc.ok && err != nil:
+				t.Errorf("%s/%s: %v", tc.name, path, err)
+			case !tc.ok && !errors.Is(err, ErrFormat):
+				t.Errorf("%s/%s: err = %v, want ErrFormat", tc.name, path, err)
+			}
+		}
+		_, err := Read(strings.NewReader(tc.body))
+		check("Read", err)
+		for _, zip := range []bool{false, true} {
+			body := []byte(tc.body)
+			path := "ReadCSRStream/plain"
+			if zip {
+				body, path = gz(tc.body), "ReadCSRStream/gzip"
+			}
+			fired := false
+			_, _, err := ReadCSRStream(bytes.NewReader(body), StreamOptions{
+				OnContentHash: func([32]byte) error { fired = true; return nil },
+			})
+			check(path, err)
+			if !tc.ok && fired {
+				t.Errorf("%s/%s: OnContentHash fired for a rejected body", tc.name, path)
+			}
+		}
+	}
+}
+
+// TestReadCSRStreamVerifiesGzipChecksum: a gzip body whose CRC trailer
+// is corrupt is rejected, because the reader consumes the stream to EOF.
+// Trailing comments put the trailer well past the bytes the entries
+// need, so a reader that stops after the last entry never sees it.
+func TestReadCSRStreamVerifiesGzipChecksum(t *testing.T) {
+	var b bytes.Buffer
+	zw := gzip.NewWriter(&b)
+	zw.Write([]byte(sortedGeneral + strings.Repeat("% padding\n", 1<<15)))
+	zw.Close()
+	body := b.Bytes()
+	body[len(body)-8] ^= 0xff // first byte of the CRC-32 trailer
+	if m, _, err := ReadCSRStream(bytes.NewReader(body), StreamOptions{}); err == nil {
+		t.Fatalf("corrupt gzip checksum accepted (matrix %dx%d)", m.Rows, m.Cols)
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(zr); err == nil {
+		t.Fatal("Read over a gzip reader accepted a corrupt checksum")
+	}
+}
+
+// TestReadTrailingCommentBomb: comment lines after the entries count
+// toward the same cap as those between them.
+func TestReadTrailingCommentBomb(t *testing.T) {
+	body := strings.NewReader("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1\n")
+	comments := io.LimitReader(neverEndingComments{}, 1<<28)
+	if _, err := Read(io.MultiReader(body, comments)); !errors.Is(err, ErrFormat) {
+		t.Fatalf("trailing comment bomb: err = %v, want ErrFormat", err)
+	}
+}
+
 // TestReadCSRStreamCommentBomb bounds comment skipping: a stream that
 // never delivers its size line (the gzip-bomb shape) must be rejected,
 // not scanned forever.

@@ -226,11 +226,15 @@ func BlockCG(op Operator, k int, B []float64, n int, opts BlockCGOptions) (*Bloc
 			alpha := rs[v] / pap
 			xv := res.X[v*rows : (v+1)*rows]
 			rv := R[v*rows : (v+1)*rows]
-			for i := 0; i < rows; i++ {
+			// rsNew = rᵀr accumulates in the update sweep, in dot's
+			// order, so the residual costs no second pass over r.
+			rsNew := 0.0
+			for i := range rv {
 				xv[i] += alpha * pv[i]
-				rv[i] -= alpha * apv[i]
+				ri := rv[i] - alpha*apv[i]
+				rv[i] = ri
+				rsNew += ri * ri
 			}
-			rsNew := dot(rv, rv)
 			beta := rsNew / rs[v]
 			for i := 0; i < rows; i++ {
 				pv[i] = rv[i] + beta*pv[i]

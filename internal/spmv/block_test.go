@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"finegrain"
+	"finegrain/internal/core"
 	"finegrain/internal/matgen"
 	"finegrain/internal/rng"
 	"finegrain/internal/spmv"
@@ -63,6 +64,103 @@ func TestExecBlockMatchesExec(t *testing.T) {
 			}
 			pl.Close()
 		}
+	}
+}
+
+// TestExecBlockWidths covers the kernel variants by width: n = 1 (the
+// single-vector kernels), n = 8 (the unrolled kernels) and the generic
+// loops on either side of both, on a real fine-grain decomposition and
+// on a random assignment large enough to fan out. Every width is bitwise
+// equal to n single Execs at every worker count.
+func TestExecBlockWidths(t *testing.T) {
+	nl, err := finegrain.Generate("nl", 0.05, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := finegrain.DecomposeModel("finegrain", nl, 16, finegrain.Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(17)
+	rnd := matgen.Random(400, 12000, 5)
+	cases := []struct {
+		name string
+		asg  *core.Assignment
+	}{
+		{"nl/finegrain", dec.Assignment},
+		{"random", randomAssignment(rnd, 8, r)},
+	}
+	for _, c := range cases {
+		a := c.asg.A
+		pl, err := spmv.NewPlan(c.asg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		const maxN = 16
+		X := make([]float64, maxN*a.Cols)
+		for i := range X {
+			X[i] = r.Float64()*2 - 1
+		}
+		want := make([]float64, maxN*a.Rows)
+		for v := 0; v < maxN; v++ {
+			if err := pl.Exec(X[v*a.Cols:(v+1)*a.Cols], want[v*a.Rows:(v+1)*a.Rows], spmv.ExecOptions{Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		Y := make([]float64, maxN*a.Rows)
+		for _, n := range []int{1, 2, 7, 8, 9, 16} {
+			for _, workers := range []int{1, 2, 8} {
+				Yn := Y[:n*a.Rows]
+				for i := range Yn {
+					Yn[i] = -1
+				}
+				if err := pl.ExecBlock(X[:n*a.Cols], Yn, n, spmv.ExecOptions{Workers: workers}); err != nil {
+					t.Fatal(err)
+				}
+				for i := range Yn {
+					if Yn[i] != want[i] {
+						t.Fatalf("%s n=%d workers=%d: Y[%d] = %v, single Exec got %v",
+							c.name, n, workers, i, Yn[i], want[i])
+					}
+				}
+			}
+		}
+		pl.Close()
+	}
+}
+
+// TestExecBlockSingleRHSUsesPlainBuffers: at n = 1 the interleaved
+// layout is the plain one, so ExecBlock runs in the plan's own buffers —
+// it allocates nothing and never sizes the block scratch.
+func TestExecBlockSingleRHSUsesPlainBuffers(t *testing.T) {
+	r := rng.New(23)
+	a := matgen.Random(400, 12000, 5)
+	pl, err := spmv.NewPlan(randomAssignment(a, 8, r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pl.Close()
+	x := make([]float64, a.Cols)
+	for i := range x {
+		x[i] = r.Float64()
+	}
+	y := make([]float64, a.Rows)
+	for _, workers := range []int{1, 4} {
+		opts := spmv.ExecOptions{Workers: workers}
+		if err := pl.ExecBlock(x, y, 1, opts); err != nil { // warm-up: parks the workers
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := pl.ExecBlock(x, y, 1, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("Workers=%d: %v allocs per ExecBlock(n=1), want 0", workers, allocs)
+		}
+	}
+	if c := spmv.BlockCap(pl); c != 0 {
+		t.Errorf("block scratch sized for n=%d after n=1 calls, want unallocated", c)
 	}
 }
 

@@ -53,7 +53,8 @@ type Plan struct {
 
 	// Per-call state, published to the shard workers for the duration
 	// of one call: the caller's vectors, the RHS count (0 for Exec, n
-	// for ExecBlock's stacked vectors), the phase and the shard stride.
+	// for ExecBlock's stacked vectors; 0 and 1 both run the
+	// single-vector kernels), the phase and the shard stride.
 	x, y   []float64
 	n      int
 	phase  int
@@ -62,7 +63,8 @@ type Plan struct {
 	// blkCap is the width the block scratch (expandBufB, foldBufB and
 	// the per-proc xlocB/partialB/yAccB fragments) is currently sized
 	// for; scratch grows on demand and is reused, so steady-state
-	// ExecBlock calls at a fixed n allocate nothing.
+	// ExecBlock calls at a fixed n allocate nothing. It stays 0 until a
+	// call with n ≥ 2: n = 1 runs in the plain buffers.
 	blkCap     int
 	expandBufB []float64
 	foldBufB   []float64
@@ -141,7 +143,7 @@ type pproc struct {
 
 	// Block scratch: the same fragments widened to n interleaved words
 	// per slot (slot s occupies [s*n, s*n+n)), sized for the plan's
-	// current blkCap. Nil until the first ExecBlock.
+	// current blkCap. Nil until the first ExecBlock with n ≥ 2.
 	xlocB    []float64
 	partialB []float64
 	yAccB    []float64
@@ -393,8 +395,10 @@ func (pl *Plan) run(x, y []float64, n int, opts ExecOptions) error {
 	if n == 0 {
 		esp = opts.Track.Begin("spmv", "exec").Arg("workers", int64(workers))
 	} else {
-		pl.ensureBlockScratch(n)
 		esp = opts.Track.Begin("spmv", "exec.block").Arg("workers", int64(workers)).Arg("n", int64(n))
+	}
+	if n > 1 {
+		pl.ensureBlockScratch(n)
 	}
 	pl.x, pl.y, pl.n, pl.stride = x, y, n, workers
 	sp := opts.Track.Begin("spmv", "expand")
@@ -471,7 +475,7 @@ func (t *phaseTask) Run(shard int, _ *par.Worker) {
 	n := pl.n
 	for p := shard; p < pl.k; p += pl.stride {
 		pr := &pl.procs[p]
-		if n == 0 {
+		if n <= 1 {
 			switch pl.phase {
 			case phaseExpand:
 				pr.expand(pl.x, pl.expandBuf)
