@@ -17,13 +17,12 @@ import "fmt"
 // words per slot (slot s occupies [s*n, s*n+n)), which turns every
 // compiled message into one contiguous n·len-word copy. At n = 1 the
 // interleaved layout is the plain one, so the call runs Exec's kernels
-// in the plan's own buffers and never allocates block scratch. n = 8, a
-// common solver batch, has dedicated unrolled kernels; other widths run
-// generic loops over n. Per (vector, slot) the floating-point
-// operations happen in exactly the order Exec uses, so ExecBlock is
-// bitwise equal to n independent Exec calls at any worker count.
-// Scratch is grown on the first call with n ≥ 2 (and when n grows) and
-// reused: steady-state calls at a fixed n allocate nothing.
+// in the plan's own buffers and never allocates block scratch. Per
+// (vector, slot) the floating-point operations happen in exactly the
+// order Exec uses, so ExecBlock is bitwise equal to n independent Exec
+// calls at any worker count. Scratch is grown on the first call with
+// n ≥ 2 (and when n grows) and reused: steady-state calls at a fixed n
+// allocate nothing.
 func (pl *Plan) ExecBlock(X, Y []float64, n int, opts ExecOptions) error {
 	if n < 1 {
 		return fmt.Errorf("spmv: ExecBlock with n=%d right-hand sides", n)
@@ -71,10 +70,6 @@ func (pl *Plan) ensureBlockScratch(n int) {
 // of the local fragment (and of each outgoing message) receives
 // X[v*cols+j] for v = 0..n-1.
 func (pr *pproc) expandBlock(X, buf []float64, cols, n int) {
-	if n == 8 {
-		pr.expandBlock8(X, buf, cols)
-		return
-	}
 	for s, j := range pr.xOwnIdx {
 		dst := pr.xlocB[s*n : s*n+n]
 		for v := range dst {
@@ -92,26 +87,6 @@ func (pr *pproc) expandBlock(X, buf []float64, cols, n int) {
 	}
 }
 
-// expandBlock8 is expandBlock at n = 8 with the eight vectors hoisted
-// and each slot filled as one [8]float64 step.
-func (pr *pproc) expandBlock8(X, buf []float64, cols int) {
-	x0, x1, x2, x3 := X[:cols], X[cols:2*cols], X[2*cols:3*cols], X[3*cols:4*cols]
-	x4, x5, x6, x7 := X[4*cols:5*cols], X[5*cols:6*cols], X[6*cols:7*cols], X[7*cols:8*cols]
-	gather := func(d *[8]float64, j int32) {
-		d[0], d[1], d[2], d[3] = x0[j], x1[j], x2[j], x3[j]
-		d[4], d[5], d[6], d[7] = x4[j], x5[j], x6[j], x7[j]
-	}
-	for s, j := range pr.xOwnIdx {
-		gather((*[8]float64)(pr.xlocB[s*8:]), j)
-	}
-	for _, e := range pr.expSend {
-		out := buf[int(e.off)*8 : (int(e.off)+len(e.idx))*8]
-		for w, j := range e.idx {
-			gather((*[8]float64)(out[w*8:]), j)
-		}
-	}
-}
-
 // computeBlock is compute over the widened fragments: every received
 // message lands as one contiguous n·len-word copy, and the CSR
 // multiply-accumulate updates n interleaved partials per nonzero —
@@ -124,41 +99,17 @@ func (pr *pproc) computeBlock(expandBuf, foldBuf []float64, n int) {
 	for i := range partial {
 		partial[i] = 0
 	}
-	if n == 8 {
-		pr.multiplyBlock8(partial)
-	} else {
-		for t, v := range pr.val {
-			row := int(pr.locRow[t]) * n
-			col := int(pr.locCol[t]) * n
-			xv := pr.xlocB[col : col+n]
-			pv := partial[row : row+n]
-			for u := range pv {
-				pv[u] += v * xv[u]
-			}
+	for t, v := range pr.val {
+		row := int(pr.locRow[t]) * n
+		col := int(pr.locCol[t]) * n
+		xv := pr.xlocB[col : col+n]
+		pv := partial[row : row+n]
+		for u := range pv {
+			pv[u] += v * xv[u]
 		}
 	}
 	for _, e := range pr.foldSend {
 		copy(foldBuf[int(e.off)*n:int(e.off+e.n)*n], partial[int(e.src)*n:int(e.src+e.n)*n])
-	}
-}
-
-// multiplyBlock8 is computeBlock's multiply-accumulate at n = 8: one
-// unrolled [8]float64 step per nonzero, each (vector, slot) updated in
-// the same CSR order as compute.
-func (pr *pproc) multiplyBlock8(partial []float64) {
-	xloc := pr.xlocB
-	locRow, locCol := pr.locRow[:len(pr.val)], pr.locCol[:len(pr.val)]
-	for t, v := range pr.val {
-		xv := (*[8]float64)(xloc[int(locCol[t])*8:])
-		pv := (*[8]float64)(partial[int(locRow[t])*8:])
-		pv[0] += v * xv[0]
-		pv[1] += v * xv[1]
-		pv[2] += v * xv[2]
-		pv[3] += v * xv[3]
-		pv[4] += v * xv[4]
-		pv[5] += v * xv[5]
-		pv[6] += v * xv[6]
-		pv[7] += v * xv[7]
 	}
 }
 
@@ -174,10 +125,6 @@ func (pr *pproc) foldBlock(foldBuf, Y []float64, rows, n int) {
 	for s, a := range pr.ownAcc {
 		copy(acc[int(a)*n:int(a)*n+n], pr.partialB[s*n:s*n+n])
 	}
-	if n == 8 {
-		pr.foldBlock8(acc, foldBuf, Y, rows)
-		return
-	}
 	for _, e := range pr.foldRecv {
 		words := foldBuf[int(e.off)*n : (int(e.off)+len(e.acc))*n]
 		for w, a := range e.acc {
@@ -192,33 +139,5 @@ func (pr *pproc) foldBlock(foldBuf, Y []float64, rows, n int) {
 		for v := 0; v < n; v++ {
 			Y[v*rows+int(i)] = acc[s*n+v]
 		}
-	}
-}
-
-// foldBlock8 finishes foldBlock at n = 8: incoming messages accumulate
-// as unrolled [8]float64 steps in ascending sender order, then the
-// eight hoisted output vectors receive the owned rows.
-func (pr *pproc) foldBlock8(acc, foldBuf, Y []float64, rows int) {
-	for _, e := range pr.foldRecv {
-		words := foldBuf[int(e.off)*8 : (int(e.off)+len(e.acc))*8]
-		for w, a := range e.acc {
-			av := (*[8]float64)(acc[int(a)*8:])
-			wv := (*[8]float64)(words[w*8:])
-			av[0] += wv[0]
-			av[1] += wv[1]
-			av[2] += wv[2]
-			av[3] += wv[3]
-			av[4] += wv[4]
-			av[5] += wv[5]
-			av[6] += wv[6]
-			av[7] += wv[7]
-		}
-	}
-	y0, y1, y2, y3 := Y[:rows], Y[rows:2*rows], Y[2*rows:3*rows], Y[3*rows:4*rows]
-	y4, y5, y6, y7 := Y[4*rows:5*rows], Y[5*rows:6*rows], Y[6*rows:7*rows], Y[7*rows:8*rows]
-	for s, i := range pr.yOwned {
-		av := (*[8]float64)(acc[s*8:])
-		y0[i], y1[i], y2[i], y3[i] = av[0], av[1], av[2], av[3]
-		y4[i], y5[i], y6[i], y7[i] = av[4], av[5], av[6], av[7]
 	}
 }

@@ -13,94 +13,44 @@ import (
 
 // TestExecBlockMatchesExec is the tentpole property: ExecBlock on n
 // stacked right-hand sides is bitwise equal to n independent Exec
-// calls, at every worker count, on real decompositions of two catalog
-// matrices under two models. The block path reorders nothing — it only
-// widens every compiled copy to n words — so equality is exact, not
-// approximate.
+// calls, at every width and worker count, on real decompositions of two
+// catalog matrices under two models and on a random assignment large
+// enough to fan out. The block path reorders nothing — it only widens
+// every compiled copy to n words, and n = 1 runs Exec's own kernels —
+// so equality is exact, not approximate.
 func TestExecBlockMatchesExec(t *testing.T) {
-	matrices := []string{"nl", "ken-11"}
-	models := []string{"finegrain", "hypergraph"}
-	const n = 5
-	for _, name := range matrices {
+	type plan struct {
+		name string
+		asg  *core.Assignment
+	}
+	var cases []plan
+	for _, name := range []string{"nl", "ken-11"} {
 		a, err := finegrain.Generate(name, 0.02, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, model := range models {
+		for _, model := range []string{"finegrain", "hypergraph"} {
 			dec, err := finegrain.DecomposeModel(model, a, 8, finegrain.Options{Seed: 3})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, model, err)
 			}
-			pl, err := spmv.NewPlan(dec.Assignment)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, model, err)
-			}
-			r := rng.New(11)
-			X := make([]float64, n*a.Cols)
-			for i := range X {
-				X[i] = r.Float64()*2 - 1
-			}
-			// Reference: n independent single-RHS runs.
-			want := make([]float64, n*a.Rows)
-			for v := 0; v < n; v++ {
-				if err := pl.Exec(X[v*a.Cols:(v+1)*a.Cols], want[v*a.Rows:(v+1)*a.Rows], spmv.ExecOptions{Workers: 1}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			Y := make([]float64, n*a.Rows)
-			for _, workers := range []int{1, 2, 8} {
-				for i := range Y {
-					Y[i] = -1
-				}
-				if err := pl.ExecBlock(X, Y, n, spmv.ExecOptions{Workers: workers}); err != nil {
-					t.Fatal(err)
-				}
-				for i := range Y {
-					if Y[i] != want[i] {
-						t.Fatalf("%s/%s workers=%d: Y[%d] = %v, %d single Execs got %v",
-							name, model, workers, i, Y[i], n, want[i])
-					}
-				}
-			}
-			pl.Close()
+			cases = append(cases, plan{name + "/" + model, dec.Assignment})
 		}
 	}
-}
-
-// TestExecBlockWidths covers the kernel variants by width: n = 1 (the
-// single-vector kernels), n = 8 (the unrolled kernels) and the generic
-// loops on either side of both, on a real fine-grain decomposition and
-// on a random assignment large enough to fan out. Every width is bitwise
-// equal to n single Execs at every worker count.
-func TestExecBlockWidths(t *testing.T) {
-	nl, err := finegrain.Generate("nl", 0.05, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := finegrain.DecomposeModel("finegrain", nl, 16, finegrain.Options{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(17)
-	rnd := matgen.Random(400, 12000, 5)
-	cases := []struct {
-		name string
-		asg  *core.Assignment
-	}{
-		{"nl/finegrain", dec.Assignment},
-		{"random", randomAssignment(rnd, 8, r)},
-	}
+	cases = append(cases, plan{"random", randomAssignment(matgen.Random(400, 12000, 5), 8, rng.New(17))})
+	const maxN = 16
 	for _, c := range cases {
 		a := c.asg.A
 		pl, err := spmv.NewPlan(c.asg)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		const maxN = 16
+		r := rng.New(11)
 		X := make([]float64, maxN*a.Cols)
 		for i := range X {
 			X[i] = r.Float64()*2 - 1
 		}
+		// Reference: independent single-RHS runs.
 		want := make([]float64, maxN*a.Rows)
 		for v := 0; v < maxN; v++ {
 			if err := pl.Exec(X[v*a.Cols:(v+1)*a.Cols], want[v*a.Rows:(v+1)*a.Rows], spmv.ExecOptions{Workers: 1}); err != nil {
@@ -108,9 +58,9 @@ func TestExecBlockWidths(t *testing.T) {
 			}
 		}
 		Y := make([]float64, maxN*a.Rows)
-		for _, n := range []int{1, 2, 7, 8, 9, 16} {
+		for _, n := range []int{1, 2, 5, 7, 8, 9, 16} {
+			Yn := Y[:n*a.Rows]
 			for _, workers := range []int{1, 2, 8} {
-				Yn := Y[:n*a.Rows]
 				for i := range Yn {
 					Yn[i] = -1
 				}
@@ -119,48 +69,13 @@ func TestExecBlockWidths(t *testing.T) {
 				}
 				for i := range Yn {
 					if Yn[i] != want[i] {
-						t.Fatalf("%s n=%d workers=%d: Y[%d] = %v, single Exec got %v",
-							c.name, n, workers, i, Yn[i], want[i])
+						t.Fatalf("%s n=%d workers=%d: Y[%d] = %v, %d single Execs got %v",
+							c.name, n, workers, i, Yn[i], n, want[i])
 					}
 				}
 			}
 		}
 		pl.Close()
-	}
-}
-
-// TestExecBlockSingleRHSUsesPlainBuffers: at n = 1 the interleaved
-// layout is the plain one, so ExecBlock runs in the plan's own buffers —
-// it allocates nothing and never sizes the block scratch.
-func TestExecBlockSingleRHSUsesPlainBuffers(t *testing.T) {
-	r := rng.New(23)
-	a := matgen.Random(400, 12000, 5)
-	pl, err := spmv.NewPlan(randomAssignment(a, 8, r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pl.Close()
-	x := make([]float64, a.Cols)
-	for i := range x {
-		x[i] = r.Float64()
-	}
-	y := make([]float64, a.Rows)
-	for _, workers := range []int{1, 4} {
-		opts := spmv.ExecOptions{Workers: workers}
-		if err := pl.ExecBlock(x, y, 1, opts); err != nil { // warm-up: parks the workers
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(20, func() {
-			if err := pl.ExecBlock(x, y, 1, opts); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("Workers=%d: %v allocs per ExecBlock(n=1), want 0", workers, allocs)
-		}
-	}
-	if c := spmv.BlockCap(pl); c != 0 {
-		t.Errorf("block scratch sized for n=%d after n=1 calls, want unallocated", c)
 	}
 }
 
@@ -208,7 +123,8 @@ func TestBlockCountersAmortization(t *testing.T) {
 
 // TestExecBlockDoesNotAllocate: at a fixed n the block scratch is
 // compiled once and reused — steady-state ExecBlock allocates nothing,
-// the same guarantee Exec gives.
+// the same guarantee Exec gives. At n = 1 the call runs in the plan's
+// own buffers and never sizes the block scratch at all.
 func TestExecBlockDoesNotAllocate(t *testing.T) {
 	r := rng.New(21)
 	a := matgen.Random(120, 900, 5)
@@ -218,25 +134,29 @@ func TestExecBlockDoesNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pl.Close()
-	const n = 4
-	X := make([]float64, n*a.Cols)
-	for i := range X {
-		X[i] = r.Float64()
-	}
-	Y := make([]float64, n*a.Rows)
-	for _, workers := range []int{1, 4} {
-		opts := spmv.ExecOptions{Workers: workers}
-		// Warm up: grows the block scratch and parks the workers.
-		if err := pl.ExecBlock(X, Y, n, opts); err != nil {
-			t.Fatal(err)
+	for _, n := range []int{1, 4} {
+		X := make([]float64, n*a.Cols)
+		for i := range X {
+			X[i] = r.Float64()
 		}
-		allocs := testing.AllocsPerRun(20, func() {
+		Y := make([]float64, n*a.Rows)
+		for _, workers := range []int{1, 4} {
+			opts := spmv.ExecOptions{Workers: workers}
+			// Warm up: grows the block scratch and parks the workers.
 			if err := pl.ExecBlock(X, Y, n, opts); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("Workers=%d: %v allocs per ExecBlock, want 0", workers, allocs)
+			allocs := testing.AllocsPerRun(20, func() {
+				if err := pl.ExecBlock(X, Y, n, opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("n=%d Workers=%d: %v allocs per ExecBlock, want 0", n, workers, allocs)
+			}
+		}
+		if c := spmv.BlockCap(pl); n == 1 && c != 0 {
+			t.Errorf("block scratch sized for n=%d after n=1 calls, want unallocated", c)
 		}
 	}
 }
