@@ -93,9 +93,12 @@ bench-quick:
 # compiling and running: the initial bisection (GHG and random-fill
 # trials on the coarsest level of the nl fine-grain ladder) and
 # coarsening (the level ladder of the finan512 fine-grain top
-# bisection). Raise -benchtime to time a layer.
+# bisection). -benchmem prints B/op and allocs/op, so an allocation
+# regression shows in the CI log (at 1x, B/op includes growing the
+# scratch arena). Raise -benchtime to time a layer or to see its warm
+# allocation.
 bench-hgpart-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkInitialBisect|BenchmarkCoarsen' -benchtime 1x ./internal/hgpart/
+	$(GO) test -run '^$$' -bench 'BenchmarkInitialBisect|BenchmarkCoarsen' -benchtime 1x -benchmem ./internal/hgpart/
 
 # bench-scaling is the gate for partitioner scaling: it regenerates
 # BENCH_partition.json and fails if the multi-worker speedup of the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"finegrain/internal/hypergraph"
@@ -262,5 +263,88 @@ func TestAssignmentValidate(t *testing.T) {
 	over.NonzeroOwner[0] = 5
 	if over.Validate() == nil {
 		t.Error("out-of-range owner accepted")
+	}
+}
+
+// buildFineGrainReference is the fine-grain hypergraph built the
+// direct way, one Builder pin per (net, vertex) incidence: the oracle
+// for BuildFineGrain's compact construction.
+func buildFineGrainReference(a *sparse.CSR) *hypergraph.Hypergraph {
+	m, z := a.Rows, a.NNZ()
+	present, _ := a.DiagonalPresence()
+	var dummies []int
+	for j := 0; j < m; j++ {
+		if !present[j] {
+			dummies = append(dummies, j)
+		}
+	}
+	b := hypergraph.NewBuilder(z+len(dummies), 2*m)
+	for i := 0; i < m; i++ {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			b.AddPin(i, k)
+			b.AddPin(m+a.ColIdx[k], k)
+		}
+	}
+	for d, j := range dummies {
+		v := z + d
+		b.SetVertexWeight(v, 0)
+		b.AddPin(j, v)
+		b.AddPin(m+j, v)
+	}
+	return b.Build()
+}
+
+// TestFineGrainMatchesBuilder checks that BuildFineGrain's compact
+// arrays equal the Builder-built hypergraph's, pin for pin, net for
+// net, weight for weight, on random square matrices with and without
+// a full diagonal.
+func TestFineGrainMatchesBuilder(t *testing.T) {
+	r := rng.New(41)
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + r.Intn(60)
+		fullDiag := trial%2 == 0
+		coo := sparse.NewCOO(n, n)
+		seen := map[[2]int]bool{}
+		add := func(i, j int) {
+			if !seen[[2]int{i, j}] {
+				seen[[2]int{i, j}] = true
+				coo.Add(i, j, 1)
+			}
+		}
+		for e := r.Intn(4 * n); e > 0; e-- {
+			add(r.Intn(n), r.Intn(n))
+		}
+		if fullDiag {
+			for i := 0; i < n; i++ {
+				add(i, i)
+			}
+		}
+		a := coo.ToCSR()
+		fg, err := BuildFineGrain(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := fg.H, buildFineGrainReference(a)
+		if err := got.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if got.NumVertices() != want.NumVertices() || got.NumNets() != want.NumNets() {
+			t.Fatalf("trial %d: %v, want %v", trial, got, want)
+		}
+		if fullDiag && len(fg.DummyDiag) != 0 {
+			t.Fatalf("trial %d: dummies %v with a full diagonal", trial, fg.DummyDiag)
+		}
+		for net := 0; net < want.NumNets(); net++ {
+			if !slices.Equal(got.Pins(net), want.Pins(net)) || got.NetCost(net) != want.NetCost(net) {
+				t.Fatalf("trial %d net %d: pins %v cost %d, want %v cost %d", trial, net,
+					got.Pins(net), got.NetCost(net), want.Pins(net), want.NetCost(net))
+			}
+		}
+		for v := 0; v < want.NumVertices(); v++ {
+			if !slices.Equal(got.Nets(v), want.Nets(v)) || got.VertexWeight(v) != want.VertexWeight(v) {
+				t.Fatalf("trial %d vertex %d: nets %v weight %d, want %v weight %d", trial, v,
+					got.Nets(v), got.VertexWeight(v), want.Nets(v), want.VertexWeight(v))
+			}
+		}
 	}
 }

@@ -21,6 +21,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"finegrain/internal/hypergraph"
 	"finegrain/internal/sparse"
@@ -61,26 +62,55 @@ func BuildFineGrain(a *sparse.CSR) (*FineGrainModel, error) {
 			dummies = append(dummies, j)
 		}
 	}
-	b := hypergraph.NewBuilder(z+len(dummies), 2*m)
-	// Real vertices: weight 1 (one scalar multiplication each); pins in
-	// the row net of their row and the column net of their column.
+	// Vertex k < Z is nonzero k in CSR order, weight 1 (one scalar
+	// multiplication); dummy diagonal vertex Z+d has weight 0.
+	vweight := make([]int, z+len(dummies))
+	for v := 0; v < z; v++ {
+		vweight[v] = 1
+	}
+	netCost := make([]int, 2*m)
+	for n := range netCost {
+		netCost[n] = 1
+	}
+	// Net sizes, one slot ahead, then prefix sums: row net m_i holds row
+	// i's nonzeros, column net n_j column j's, and each gets its dummy
+	// diagonal vertex, if any.
+	xpins := make([]int, 2*m+1)
+	for i := 0; i < m; i++ {
+		xpins[i+1] = a.RowPtr[i+1] - a.RowPtr[i]
+	}
+	for _, j := range a.ColIdx {
+		xpins[m+j+1]++
+	}
+	for _, j := range dummies {
+		xpins[j+1]++
+		xpins[m+j+1]++
+	}
+	for n := 0; n < 2*m; n++ {
+		xpins[n+1] += xpins[n]
+	}
+	// Walking nonzeros in CSR order fills every net in ascending vertex
+	// order, and dummies, numbered after every nonzero, go last: each
+	// net's pins come out sorted and unique, as FromCompact requires.
+	pins := make([]int, xpins[2*m])
+	next := slices.Clone(xpins[:2*m])
 	for i := 0; i < m; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 			j := a.ColIdx[k]
-			b.AddPin(i, k)   // row net m_i
-			b.AddPin(m+j, k) // column net n_j
+			pins[next[i]] = k
+			pins[next[m+j]] = k
+			next[i]++
+			next[m+j]++
 		}
 	}
-	// Dummy diagonal vertices: weight 0, pinned to m_j and n_j only.
 	diagVertex := make([]int, m)
 	for j := range diagVertex {
 		diagVertex[j] = -1
 	}
 	for d, j := range dummies {
 		v := z + d
-		b.SetVertexWeight(v, 0)
-		b.AddPin(j, v)
-		b.AddPin(m+j, v)
+		pins[next[j]] = v
+		pins[next[m+j]] = v
 		diagVertex[j] = v
 	}
 	// Real diagonal vertices.
@@ -94,7 +124,8 @@ func BuildFineGrain(a *sparse.CSR) (*FineGrainModel, error) {
 			}
 		}
 	}
-	return &FineGrainModel{H: b.Build(), A: a, DummyDiag: dummies, diagVertex: diagVertex}, nil
+	h := hypergraph.FromCompact(vweight, netCost, xpins, pins)
+	return &FineGrainModel{H: h, A: a, DummyDiag: dummies, diagVertex: diagVertex}, nil
 }
 
 // DiagVertex returns the vertex index of v_jj.

@@ -3,10 +3,15 @@ package hgpart
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"finegrain/internal/core"
+	"finegrain/internal/hypergraph"
+	"finegrain/internal/mlpart"
 	"finegrain/internal/rng"
+	"finegrain/internal/sparse"
 )
 
 // countdownCtx is a context whose Err fires after a fixed number of
@@ -54,21 +59,23 @@ func TestCancellationMidSearch(t *testing.T) {
 	}
 }
 
+// TestContextDoesNotPerturbResult checks that polling a live context
+// leaves partitions unchanged, on a random hypergraph and on the
+// identity, whose stalled ladder makes greedy growing poll.
 func TestContextDoesNotPerturbResult(t *testing.T) {
-	h := randomHG(rng.New(3), 600, 500)
-	opts := DefaultOptions()
-	base, err := Partition(h, 8, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Ctx = context.Background()
-	withCtx, err := Partition(h, 8, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range base.Parts {
-		if base.Parts[v] != withCtx.Parts[v] {
-			t.Fatalf("vertex %d: part %d without ctx, %d with", v, base.Parts[v], withCtx.Parts[v])
+	for _, h := range []*hypergraph.Hypergraph{randomHG(rng.New(3), 600, 500), identityFineGrain(t, 1<<12)} {
+		opts := DefaultOptions()
+		base, err := Partition(h, 8, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Ctx = context.Background()
+		withCtx, err := Partition(h, 8, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(base.Parts, withCtx.Parts) {
+			t.Fatalf("%v: a live context changed the partition", h)
 		}
 	}
 }
@@ -80,5 +87,48 @@ func TestCancellationWithWorkers(t *testing.T) {
 	opts.Ctx = newCountdownCtx(10)
 	if _, err := Partition(h, 8, opts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
+	}
+}
+
+// identityFineGrain is the fine-grain hypergraph of the n × n identity:
+// every net has one pin, so no vertex ever finds a clustering partner
+// and the coarsening ladder stalls at the input.
+func identityFineGrain(t *testing.T, n int) *hypergraph.Hypergraph {
+	t.Helper()
+	coo := sparse.NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		coo.Add(i, i, 1)
+	}
+	fg, err := core.BuildFineGrain(coo.ToCSR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fg.H
+}
+
+// TestGreedyGrowingPollsContext checks that initial bisection of a
+// stalled level stops inside greedy growing once the context is
+// canceled: the identity's 2¹⁴ vertices take thousands of growing
+// moves, so a context canceled before the first trial must surface
+// from initialBisect after at most growPollMoves moves and one poll.
+func TestGreedyGrowingPollsContext(t *testing.T) {
+	h := identityFineGrain(t, 1<<14)
+	opts := DefaultOptions()
+	opts.normalize()
+	ctx := newCountdownCtx(0)
+	opts.Ctx = ctx
+	fixedSide := make([]int8, h.NumVertices())
+	for v := range fixedSide {
+		fixedSide[v] = -1
+	}
+	bounds := mlpart.NewBounds(h.TotalVertexWeight(), 1, 1, opts.Eps)
+	caps := bounds.Caps(h.VertexWeights())
+	_, err := initialBisect(bisectCtx{}, h, fixedSide, bounds.Targets, bounds.Strict, caps,
+		opts, opts.NewRNG(), new(scratch))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("initialBisect under a canceled context: %v, want context.Canceled", err)
+	}
+	if polls := -ctx.left.Load(); polls != 1 {
+		t.Fatalf("%d polls before initialBisect returned, want 1", polls)
 	}
 }

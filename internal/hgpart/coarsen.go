@@ -52,17 +52,19 @@ func coarsen(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fixedCap
 
 	sc, tk := ctx.sc, ctx.tk
 	record := sc.enabled() && ctx.top
-	levels := []*level{{h: h, fixedSide: fixedSide}}
+	top := s.rungAt(0)
+	top.lv = level{h: h, fixedSide: fixedSide}
+	levels := append(s.levels[:0], &top.lv)
 	if record {
 		sc.addLevel(LevelStat{Vertices: h.NumVertices(), Nets: h.NumNets(), Pins: h.NumPins()})
 	}
-	cur := levels[0]
+	cur := top
 	// The stall check compares compact pin counts (after single-pin
 	// dropping and identical-net merging) level over level, so the
 	// decision sequence is identical whether or not compression is
 	// actually applied to the built hypergraphs.
 	prevCompactPins := h.NumPins()
-	for len(levels) < mlpart.MaxLevels && cur.h.NumVertices() > opts.coarsenTo {
+	for len(levels) < mlpart.MaxLevels && cur.lv.h.NumVertices() > opts.coarsenTo {
 		if opts.Canceled() != nil {
 			// Stop building the ladder; the caller polls the context right
 			// after coarsening and surfaces the error.
@@ -72,32 +74,34 @@ func coarsen(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fixedCap
 		if record {
 			t0 = time.Now()
 		}
+		fine := &cur.lv
 		lsp := tk.Begin("hgpart", "coarsen.level").
-			Arg("level", int64(len(levels))).Arg("vertices", int64(cur.h.NumVertices()))
-		var cmap []int
+			Arg("level", int64(len(levels))).Arg("vertices", int64(fine.h.NumVertices()))
 		var numC int
-		if cur.h.NumVertices() >= opts.parallelThreshold {
-			cmap, numC = clusterRounds(ctx, cur.h, cur.fixedSide, fixedCap, opts, r, s)
+		if fine.h.NumVertices() >= opts.parallelThreshold {
+			numC = clusterRounds(ctx, fine.h, fine.fixedSide, fixedCap, opts, r, s, cur)
 		} else {
-			cmap, numC = cluster(cur.h, cur.fixedSide, fixedCap, opts, r, s)
+			numC = cluster(fine.h, fine.fixedSide, fixedCap, opts, r, s, cur)
 		}
-		if numC >= cur.h.NumVertices()*9/10 {
+		if numC >= fine.h.NumVertices()*9/10 {
 			lsp.End()
 			break // stalled: less than 10% shrinkage is not worth a level
 		}
-		cur.cmap = cmap
-		coarseH, compactPins := contract(cur.h, cmap, numC, s)
-		coarseFixed := make([]int8, numC)
+		fine.cmap = cur.cmap
+		next := s.rungAt(len(levels))
+		coarseH, compactPins := contract(fine.h, cur.cmap, numC, s, &next.arenaHG)
+		coarseFixed := mlpart.Grow(next.fixedSide, numC)
 		for i := range coarseFixed {
 			coarseFixed[i] = -1
 		}
-		for v, c := range cmap {
-			if cur.fixedSide[v] >= 0 {
-				coarseFixed[c] = cur.fixedSide[v]
+		for v, c := range cur.cmap {
+			if fine.fixedSide[v] >= 0 {
+				coarseFixed[c] = fine.fixedSide[v]
 			}
 		}
-		next := &level{h: coarseH, fixedSide: coarseFixed}
-		levels = append(levels, next)
+		next.fixedSide = coarseFixed
+		next.lv = level{h: coarseH, fixedSide: coarseFixed}
+		levels = append(levels, &next.lv)
 		cur = next
 		lsp.Arg("coarseVertices", int64(numC)).End()
 		if record {
@@ -113,6 +117,7 @@ func coarsen(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fixedCap
 		}
 		prevCompactPins = compactPins
 	}
+	s.levels = levels
 	return levels
 }
 
@@ -208,16 +213,16 @@ func (m *mergeRule) join(cmap []int, clusters []clusterMeta, v, key, wv int, sv 
 }
 
 // cluster computes the heavy-connectivity clustering (PaToH's HCC) of
-// h's vertices and returns cmap (vertex → cluster id) and the number of
-// clusters. Vertices are visited in random order; an unclustered vertex
-// joins the neighbor — an unclustered vertex or an existing cluster —
-// it shares the most net connectivity with, among the candidates
-// mergeRule accepts. Vertices fixed to different sides are never
+// h's vertices into rg.cmap (vertex → cluster id) and returns the
+// number of clusters. Vertices are visited in random order; an
+// unclustered vertex joins the neighbor — an unclustered vertex or an
+// existing cluster — it shares the most net connectivity with, among
+// the candidates mergeRule accepts. Vertices fixed to different sides are never
 // merged, so constraints survive coarsening exactly.
 func cluster(h *hypergraph.Hypergraph, fixedSide []int8, fixedCap [2]float64,
-	opts Options, r *rng.RNG, s *scratch) ([]int, int) {
+	opts Options, r *rng.RNG, s *scratch, rg *rung) int {
 	numV := h.NumVertices()
-	cmap := unclusteredKeys(numV)
+	cmap := unclusteredKeys(rg, numV)
 	m, boundW := newMergeRule(h, fixedSide, fixedCap, opts)
 	clusters := s.clusters[:0]
 	netInc := computeNetInc(h, opts, s)
@@ -263,16 +268,18 @@ func cluster(h *hypergraph.Hypergraph, fixedSide []int8, fixedCap [2]float64,
 	s.slots = slots
 	s.cands = cands
 	s.epoch = epoch
-	return cmap, len(clusters)
+	return len(clusters)
 }
 
-// unclusteredKeys returns the starting cmap of a level of numV
-// vertices: every vertex v is its own candidate key numV + v.
-func unclusteredKeys(numV int) []int {
-	cmap := make([]int, numV)
+// unclusteredKeys sets rg.cmap to the starting cmap of a level of numV
+// vertices, every vertex v its own candidate key numV + v, and returns
+// it.
+func unclusteredKeys(rg *rung, numV int) []int {
+	cmap := mlpart.Grow(rg.cmap, numV)
 	for i := range cmap {
 		cmap[i] = numV + i
 	}
+	rg.cmap = cmap
 	return cmap
 }
 
@@ -338,10 +345,10 @@ func computeNetInc(h *hypergraph.Hypergraph, opts Options, s *scratch) []float64
 // therefore the whole coarse ladder — depends only on (hypergraph,
 // options, RNG stream), never on worker count or chunk scheduling.
 func clusterRounds(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fixedCap [2]float64,
-	opts Options, r *rng.RNG, s *scratch) ([]int, int) {
+	opts Options, r *rng.RNG, s *scratch, rg *rung) int {
 
 	numV := h.NumVertices()
-	cmap := unclusteredKeys(numV)
+	cmap := unclusteredKeys(rg, numV)
 	m, boundW := newMergeRule(h, fixedSide, fixedCap, opts)
 	clusters := s.clusters[:0]
 	netInc := computeNetInc(h, opts, s)
@@ -414,7 +421,7 @@ func clusterRounds(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fi
 		}
 	}
 	s.clusters, s.perm = clusters, order
-	return cmap, len(clusters)
+	return len(clusters)
 }
 
 // contract builds the coarse hypergraph induced by cmap and returns it
@@ -428,9 +435,11 @@ func clusterRounds(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fi
 // open-addressed table, with full pin-list comparison on collision.
 //
 // All intermediate state (flat candidate pin storage, the hash table,
-// the dedup marks) lives in the scratch arena; the only allocations are
-// the coarse hypergraph's own exact-size arrays.
-func contract(h *hypergraph.Hypergraph, cmap []int, numC int, s *scratch) (*hypergraph.Hypergraph, int) {
+// the dedup marks) lives in the scratch arena, and the coarse
+// hypergraph is written into dst, the next rung of the ladder: a warm
+// arena contracts without allocating. The result stays valid until the
+// next bisection on this arena rewrites the rung.
+func contract(h *hypergraph.Hypergraph, cmap []int, numC int, s *scratch, dst *arenaHG) (*hypergraph.Hypergraph, int) {
 	numN := h.NumNets()
 	mark := mlpart.Grow(s.mark, numC)
 	for i := range mark {
@@ -498,7 +507,7 @@ func contract(h *hypergraph.Hypergraph, cmap []int, numC int, s *scratch) (*hype
 		}
 	}
 
-	// Phase 3: freeze the kept nets into exact-size arrays.
+	// Phase 3: freeze the kept nets into dst's arrays.
 	keep := ckeep
 	if !compressCoarseNets {
 		keep = keep[:0]
@@ -512,13 +521,14 @@ func contract(h *hypergraph.Hypergraph, cmap []int, numC int, s *scratch) (*hype
 	for _, i := range keep {
 		totalPins += cxp[i+1] - cxp[i]
 	}
-	vw := make([]int, numC)
+	vw := mlpart.Grow(dst.vw, numC)
+	clear(vw)
 	for v, c := range cmap {
 		vw[c] += h.VertexWeight(v)
 	}
-	xpins := make([]int, len(keep)+1)
-	pins := make([]int, totalPins)
-	cost := make([]int, len(keep))
+	xpins := mlpart.Grow(dst.xpins, len(keep)+1)
+	pins := mlpart.Grow(dst.pins, totalPins)
+	cost := mlpart.Grow(dst.cost, len(keep))
 	pos := 0
 	for newNet, i := range keep {
 		xpins[newNet] = pos
@@ -529,7 +539,8 @@ func contract(h *hypergraph.Hypergraph, cmap []int, numC int, s *scratch) (*hype
 
 	s.mark, s.htab = mark, htab
 	s.cpins, s.cxpins, s.ccost, s.ckeep = cpins, cxp, ccost, ckeep
-	return hypergraph.FromCompact(vw, cost, xpins, pins), compactPins
+	dst.vw, dst.xpins, dst.pins, dst.cost = vw, xpins, pins, cost
+	return dst.freeze(), compactPins
 }
 
 // hashPins mixes a sorted pin list through splitmix64 steps, one per

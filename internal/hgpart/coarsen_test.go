@@ -27,7 +27,9 @@ func TestClusterLegality(t *testing.T) {
 
 	opts := DefaultOptions()
 	opts.normalize()
-	cmap, numC := cluster(h, fixedSide, [2]float64{1e18, 1e18}, opts, r, new(scratch))
+	rg := new(rung)
+	numC := cluster(h, fixedSide, [2]float64{1e18, 1e18}, opts, r, new(scratch), rg)
+	cmap := rg.cmap
 
 	// Every vertex mapped, cluster ids in range.
 	for v, c := range cmap {
@@ -74,7 +76,7 @@ func TestContractDropsSinglePinNets(t *testing.T) {
 	b.AddPin(1, 2) // net 1 = {0,2}: survives
 	h := b.Build()
 	cmap := []int{0, 0, 1, 2} // merge 0 and 1
-	coarse, _ := contract(h, cmap, 3, new(scratch))
+	coarse, _ := contract(h, cmap, 3, new(scratch), new(arenaHG))
 	if coarse.NumNets() != 1 {
 		t.Fatalf("coarse nets %d, want 1 (single-pin net dropped)", coarse.NumNets())
 	}
@@ -100,7 +102,7 @@ func TestContractMergesIdenticalNets(t *testing.T) {
 	b.SetNetCost(1, 3)
 	h := b.Build()
 	cmap := []int{0, 0, 1, 2} // 0,1 merge → nets 0,1 both = {0,1}
-	coarse, _ := contract(h, cmap, 3, new(scratch))
+	coarse, _ := contract(h, cmap, 3, new(scratch), new(arenaHG))
 	if coarse.NumNets() != 2 {
 		t.Fatalf("coarse nets %d, want 2 (identical nets merged)", coarse.NumNets())
 	}
@@ -241,19 +243,17 @@ func TestMatchNetLimitSkipsDenseNets(t *testing.T) {
 	opts := DefaultOptions()
 	opts.matchNetLimit = 10
 	opts.normalize()
-	cmap, numC := cluster(h, fixedSide, [2]float64{1e18, 1e18}, opts, rng.New(3), new(scratch))
+	numC := cluster(h, fixedSide, [2]float64{1e18, 1e18}, opts, rng.New(3), new(scratch), new(rung))
 	if numC >= n*9/10 {
 		t.Fatalf("clustering stalled: %d clusters of %d vertices", numC, n)
 	}
-	_ = cmap
 }
 
-// TestWarmScratchAllocatesOnlyOutputs pins that every scratch buffer of
-// cluster, contract and inducedSide is stored back: once the arena is
-// warm, a call allocates only what it returns. cluster's result is the
-// cluster map; contract's and inducedSide's are the hypergraph
-// (FromCompact's struct and vertex→net arrays) over their four own
-// arrays, plus the id map for inducedSide.
+// TestWarmScratchAllocatesOnlyOutputs pins that every buffer of
+// cluster, contract and inducedSide is stored back: once the arena and
+// its rungs are warm, a call allocates nothing. cluster's cmap lives in
+// the level's rung, contract's coarse hypergraph in the next rung, and
+// inducedSide's sub-hypergraph and id map in the child storage.
 func TestWarmScratchAllocatesOnlyOutputs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates per sync op")
@@ -272,21 +272,27 @@ func TestWarmScratchAllocatesOnlyOutputs(t *testing.T) {
 	fixedCap := [2]float64{1e18, 1e18}
 	r := rng.New(6)
 	s := new(scratch)
-	cmap, numC := cluster(h, fixedSide, fixedCap, opts, r, s)
-	contract(h, cmap, numC, s)
-	inducedSide(h, ids, side, 0, s)
+	fine, coarse := s.rungAt(0), s.rungAt(1)
+	numC := cluster(h, fixedSide, fixedCap, opts, r, s, fine)
+	contract(h, fine.cmap, numC, s, &coarse.arenaHG)
+	for want := int8(0); want < 2; want++ {
+		inducedSide(h, ids, side, want, s, s.childAt(1, want))
+	}
+	// contract's input must not change between runs: cluster the same
+	// hypergraph into a second rung for the timed clustering calls.
+	spare := s.rungAt(2)
+	cluster(h, fixedSide, fixedCap, opts, r, s, spare)
 
 	for _, c := range []struct {
 		name string
-		want float64
 		call func()
 	}{
-		{"cluster", 1, func() { cluster(h, fixedSide, fixedCap, opts, r, s) }},
-		{"contract", 7, func() { contract(h, cmap, numC, s) }},
-		{"inducedSide", 8, func() { inducedSide(h, ids, side, 1, s) }},
+		{"cluster", func() { cluster(h, fixedSide, fixedCap, opts, r, s, spare) }},
+		{"contract", func() { contract(h, fine.cmap, numC, s, &coarse.arenaHG) }},
+		{"inducedSide", func() { inducedSide(h, ids, side, 1, s, s.childAt(1, 1)) }},
 	} {
-		if got := testing.AllocsPerRun(5, c.call); got != c.want {
-			t.Errorf("%s on a warm scratch: %.0f allocs/op, want %.0f (its outputs)", c.name, got, c.want)
+		if got := testing.AllocsPerRun(5, c.call); got != 0 {
+			t.Errorf("%s on a warm scratch: %.0f allocs/op, want 0", c.name, got)
 		}
 	}
 }
@@ -365,7 +371,7 @@ func TestScoreCandidatesMatchesReference(t *testing.T) {
 		opts.coarsenTo = 1
 		opts.normalize()
 		m, _ := newMergeRule(h, fixedSide, [2]float64{1e18, 1e18}, opts)
-		cmap := unclusteredKeys(numV)
+		cmap := unclusteredKeys(new(rung), numV)
 		var clusters []clusterMeta
 		for j := r.Intn(numV); j > 0; j-- {
 			v := r.Intn(numV)
@@ -424,6 +430,7 @@ func BenchmarkCoarsen(b *testing.B) {
 	for v := range fixedSide {
 		fixedSide[v] = -1
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	var levels []*level
 	for i := 0; i < b.N; i++ {

@@ -39,10 +39,10 @@ func TestContractCompressionExactCutsize(t *testing.T) {
 
 		var compressed, reference *hypergraph.Hypergraph
 		withCompression(t, true, func() {
-			compressed, _ = contract(h, cmap, numC, new(scratch))
+			compressed, _ = contract(h, cmap, numC, new(scratch), new(arenaHG))
 		})
 		withCompression(t, false, func() {
-			reference, _ = contract(h, cmap, numC, new(scratch))
+			reference, _ = contract(h, cmap, numC, new(scratch), new(arenaHG))
 		})
 		if compressed.NumNets() > reference.NumNets() {
 			t.Fatalf("trial %d: compression grew the net count (%d > %d)",

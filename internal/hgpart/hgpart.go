@@ -141,12 +141,18 @@ type bisectCtx struct {
 	top  bool
 }
 
-// branch is one recursion node: the sub-hypergraph sub, whose vertex v
-// is vertex ids[v] of the input, goes to parts [kLo, kLo+k) of out.
-// Sibling branches may run on concurrent goroutines: they operate on
-// disjoint sub-hypergraphs and write disjoint entries of out, and their
-// RNG streams are derived before either starts, so the result is
-// schedule-independent.
+// branch is one recursion node at depth depth (the root is 0): the
+// sub-hypergraph sub, whose vertex v is vertex ids[v] of the input,
+// goes to parts [kLo, kLo+k) of out. Sibling branches may run on
+// concurrent goroutines: they operate on disjoint sub-hypergraphs and
+// write disjoint entries of out, and their RNG streams are derived
+// before either starts, so the result is schedule-independent.
+//
+// Below the root, sub and ids live in child storage of the arena that
+// ran the parent bisection, and stay valid until the parent's Fork
+// returns: the parent's goroutine is blocked in Fork meanwhile, and
+// everything the sibling it runs inline writes on that arena is at
+// depth+1 or deeper.
 //
 // slack is the imbalance budget remaining on this subtree (the
 // caller's ε at the root). Each node spends (1+ε′) of it on its own
@@ -156,6 +162,7 @@ type bisectCtx struct {
 // K splits.
 type branch struct {
 	ctx   bisectCtx
+	depth int
 	sub   *hypergraph.Hypergraph
 	ids   []int
 	fixed []int
@@ -199,8 +206,10 @@ func (b branch) Run(tk *obs.Track, s *scratch, spawned bool) error {
 	kL := k / 2
 	kR := k - kL
 	// Side of each fixed vertex at this bisection level, derived from
-	// its final part index.
-	fixedSide := make([]int8, sub.NumVertices())
+	// its final part index, in the storage of ladder level 0.
+	top := s.rungAt(0)
+	fixedSide := mlpart.Grow(top.fixedSide, sub.NumVertices())
+	top.fixedSide = fixedSide
 	for i := range fixedSide {
 		fixedSide[i] = -1
 	}
@@ -224,15 +233,16 @@ func (b branch) Run(tk *obs.Track, s *scratch, spawned bool) error {
 	// Split vertices and nets; cut nets are kept on both sides (net
 	// splitting), because further subdividing their pins on one side
 	// increases λ and therefore volume.
-	leftHG, leftIDs := inducedSide(sub, ids, side, 0, s)
-	rightHG, rightIDs := inducedSide(sub, ids, side, 1, s)
+	d := b.depth + 1
+	leftHG, leftIDs := inducedSide(sub, ids, side, 0, s, s.childAt(d, 0))
+	rightHG, rightIDs := inducedSide(sub, ids, side, 1, s, s.childAt(d, 1))
 	// Both child streams are derived here, in the serial order (left
 	// first), before either branch can run.
 	rL, rR := b.r.Child(), b.r.Child()
 	ctx.top = false
 	forked, err := ctx.call.Fork(ctx.tk, s,
-		branch{ctx: ctx, sub: leftHG, ids: leftIDs, fixed: b.fixed, kLo: kLo, k: kL, slack: childSlack, opts: b.opts, r: rL, out: b.out},
-		branch{ctx: ctx, sub: rightHG, ids: rightIDs, fixed: b.fixed, kLo: kLo + kL, k: kR, slack: childSlack, opts: b.opts, r: rR, out: b.out})
+		branch{ctx: ctx, depth: d, sub: leftHG, ids: leftIDs, fixed: b.fixed, kLo: kLo, k: kL, slack: childSlack, opts: b.opts, r: rL, out: b.out},
+		branch{ctx: ctx, depth: d, sub: rightHG, ids: rightIDs, fixed: b.fixed, kLo: kLo + kL, k: kR, slack: childSlack, opts: b.opts, r: rR, out: b.out})
 	ctx.sc.branch(forked)
 	return err
 }
@@ -240,10 +250,13 @@ func (b branch) Run(tk *obs.Track, s *scratch, spawned bool) error {
 // inducedSide builds the sub-hypergraph of vertices with side[v] == want.
 // Nets keep their cost; nets with fewer than two pins on the side are
 // dropped (they can never be cut again). The sub-hypergraph's arrays are
-// sized exactly and filled in one pass each (pins stay sorted because
-// local ids are assigned in ascending vertex order); only the result and
-// the id map allocate — counting state lives in the scratch arena.
-func inducedSide(h *hypergraph.Hypergraph, ids []int, side []int8, want int8, s *scratch) (*hypergraph.Hypergraph, []int) {
+// sized by a counting pass and filled in one pass each (pins stay
+// sorted because local ids are assigned in ascending vertex order).
+// Counting state lives in the scratch arena and the result and its id
+// map in dst, so a warm arena builds a side without allocating; they
+// stay valid until dst is rewritten by the next bisection at the same
+// depth on this arena.
+func inducedSide(h *hypergraph.Hypergraph, ids []int, side []int8, want int8, s *scratch, dst *child) (*hypergraph.Hypergraph, []int) {
 	numV := h.NumVertices()
 	local := mlpart.Grow(s.vlocal, numV)
 	n := 0
@@ -255,8 +268,8 @@ func inducedSide(h *hypergraph.Hypergraph, ids []int, side []int8, want int8, s 
 			local[v] = -1
 		}
 	}
-	subIDs := make([]int, n)
-	vw := make([]int, n)
+	subIDs := mlpart.Grow(dst.ids, n)
+	vw := mlpart.Grow(dst.vw, n)
 	for v := 0; v < numV; v++ {
 		if lv := local[v]; lv >= 0 {
 			subIDs[lv] = ids[v]
@@ -277,9 +290,9 @@ func inducedSide(h *hypergraph.Hypergraph, ids []int, side []int8, want int8, s 
 			totalPins += c
 		}
 	}
-	xpins := make([]int, len(keep)+1)
-	pins := make([]int, totalPins)
-	cost := make([]int, len(keep))
+	xpins := mlpart.Grow(dst.xpins, len(keep)+1)
+	pins := mlpart.Grow(dst.pins, totalPins)
+	cost := mlpart.Grow(dst.cost, len(keep))
 	pos := 0
 	for newNet, net := range keep {
 		xpins[newNet] = pos
@@ -293,16 +306,20 @@ func inducedSide(h *hypergraph.Hypergraph, ids []int, side []int8, want int8, s 
 	}
 	xpins[len(keep)] = pos
 	s.vlocal, s.keep = local, keep
-	return hypergraph.FromCompact(vw, cost, xpins, pins), subIDs
+	dst.ids, dst.vw, dst.xpins, dst.pins, dst.cost = subIDs, vw, xpins, pins, cost
+	return dst.freeze(), subIDs
 }
 
 // multilevelBisect runs coarsen → initial bisect → refine and returns a
 // 0/1 side per vertex of h. Targets are proportional to kL:kR. The
-// returned side slice is scratch-owned (one of scr.proj); it stays valid
-// only until the caller's next use of the arena (branch.Run copies
-// it into the induced sub-hypergraphs before recursing).
+// ladder lives in scr's rungs and is dead once this returns; the next
+// bisection on the arena rewrites it. The returned side slice is
+// scratch-owned too (one of scr.proj); it stays valid only until the
+// caller's next use of the arena (branch.Run copies it into the
+// induced sub-hypergraphs before recursing).
 func multilevelBisect(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, kL, kR int,
 	epsB float64, opts Options, r *rng.RNG, scr *scratch) ([]int8, error) {
+	defer scr.dropInput()
 
 	sc := ctx.sc
 	bounds := mlpart.NewBounds(h.TotalVertexWeight(), kL, kR, epsB)

@@ -12,7 +12,8 @@ import (
 // hypergraph. It runs mlpart.InitTrials attempts alternating between
 // greedy hypergraph growing (GHG) and random balanced fill, refines each
 // with FM, and returns the best feasible result by cut (ties broken by
-// balance). An error is returned only if no attempt was feasible.
+// balance). An error is returned if no attempt was feasible, or if
+// opts' context is canceled while a greedy trial grows.
 //
 // The returned slice is scratch-owned (s.proj[0]); it stays valid until
 // the caller's next projection or recursion step reuses the arena.
@@ -29,7 +30,9 @@ func initialBisect(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8,
 	bestDev := 0.0
 	for trial := 0; trial < mlpart.InitTrials; trial++ {
 		if trial%2 == 0 {
-			growBisect(h, fixedSide, targets, r.Child(), side, s)
+			if err := growBisect(h, fixedSide, targets, r.Child(), side, opts, s); err != nil {
+				return nil, err
+			}
 		} else {
 			s.free = mlpart.RandomBisect(h.VertexWeights(), fixedSide, targets, r.Child(), side, s.free)
 		}
@@ -94,8 +97,14 @@ func bisectionCut(h *hypergraph.Hypergraph, side []int8) int {
 // already fixed to side 1 is moved again.) A net's pins are walked when
 // side 1 first touches it, to offer them to the frontier, and after
 // that only on a step with a nonzero delta, about twice per trial.
+//
+// Growing polls opts' context every growPollMoves moves and returns its
+// error: a level whose coarsening stalled can have as many vertices as
+// the input, and growing it is not bounded by any other phase's poll.
+// Polling draws no random numbers, so a live context leaves the result
+// unchanged.
 func growBisect(h *hypergraph.Hypergraph, fixedSide []int8, targets [2]float64, r *rng.RNG,
-	side []int8, s *scratch) {
+	side []int8, opts Options, s *scratch) error {
 
 	numV, numN := h.NumVertices(), h.NumNets()
 	// σ(n, side1) pin counts let us score candidates by how much of
@@ -175,7 +184,7 @@ func growBisect(h *hypergraph.Hypergraph, fixedSide []int8, targets [2]float64, 
 		}
 		s.free = free
 		if len(free) == 0 {
-			return // frontier is still s.frontier[:0]
+			return nil // frontier is still s.frontier[:0]
 		}
 		moveTo1(free[r.Intn(len(free))])
 	} else {
@@ -190,7 +199,13 @@ func growBisect(h *hypergraph.Hypergraph, fixedSide []int8, targets [2]float64, 
 		}
 	}
 
-	for w1 < targets[1] {
+	for moves := 1; w1 < targets[1]; moves++ {
+		if moves%growPollMoves == 0 {
+			if err := opts.Canceled(); err != nil {
+				s.frontier = frontier
+				return err
+			}
+		}
 		// Pick the best frontier vertex; fall back to any free vertex
 		// if the frontier dried up (disconnected hypergraph).
 		bestV, bestG := -1, 0
@@ -219,4 +234,8 @@ func growBisect(h *hypergraph.Hypergraph, fixedSide []int8, targets [2]float64, 
 		moveTo1(bestV)
 	}
 	s.frontier = frontier
+	return nil
 }
+
+// growPollMoves is the number of growBisect moves between context polls.
+const growPollMoves = 1024

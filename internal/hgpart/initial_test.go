@@ -169,7 +169,9 @@ func TestGrowBisectMatchesRescan(t *testing.T) {
 		seed := r.Uint64()
 		got := make([]int8, h.NumVertices())
 		want := make([]int8, h.NumVertices())
-		growBisect(h, fixedSide, targets, rng.New(seed), got, s)
+		if err := growBisect(h, fixedSide, targets, rng.New(seed), got, DefaultOptions(), s); err != nil {
+			t.Fatal(err)
+		}
 		growBisectRescan(h, fixedSide, targets, rng.New(seed), want)
 		for v := range want {
 			if got[v] != want[v] {
@@ -200,6 +202,7 @@ func BenchmarkInitialBisect(b *testing.B) {
 	levels := coarsen(ctx, h, fixedSide, bounds.Strict, opts, opts.NewRNG(), s)
 	coarsest := levels[len(levels)-1]
 	caps := bounds.Caps(coarsest.h.VertexWeights())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := initialBisect(ctx, coarsest.h, coarsest.fixedSide, bounds.Targets, bounds.Strict, caps,

@@ -1,6 +1,8 @@
 package hgpart
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"finegrain/internal/core"
@@ -99,6 +101,47 @@ func TestWorkersDeterministic(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestConcurrentCallsDeterministic runs the model cases as concurrent
+// calls at Workers 4, twice each, and checks every result against the
+// serial one. The calls share the scheduler's arena free list, so
+// arenas holding one call's ladder and bisection children pass to the
+// next call while other calls still read theirs; under -race this
+// checks that no arena-held hypergraph is reached by two calls.
+func TestConcurrentCallsDeterministic(t *testing.T) {
+	const k = 8
+	cases := testModels(t)
+	want := make([][]int, len(cases))
+	for i, tc := range cases {
+		opts := DefaultOptions()
+		opts.Workers = 1
+		p, err := PartitionFixed(tc.h, k, tc.fixed, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = p.Parts
+	}
+	var wg sync.WaitGroup
+	for i, tc := range cases {
+		wg.Add(1)
+		go func(i int, tc modelCase) {
+			defer wg.Done()
+			for rep := 0; rep < 2; rep++ {
+				opts := DefaultOptions()
+				opts.Workers = 4
+				p, err := PartitionFixed(tc.h, k, tc.fixed, opts)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(p.Parts, want[i]) {
+					t.Errorf("%s: concurrent call %d differs from the serial partition", tc.name, rep)
+				}
+			}
+		}(i, tc)
+	}
+	wg.Wait()
 }
 
 // TestStatsCollected checks the CollectStats path: the record must be

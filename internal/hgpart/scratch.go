@@ -12,6 +12,24 @@
 // depths and calls. Buffers only ever grow; deeper (smaller) levels
 // reslice the top-level capacity.
 //
+// The hypergraphs hgpart builds for itself live here too, so a warm
+// arena builds them without allocating:
+//
+//   - Ladder rungs. Rung i holds level i of the current bisection's
+//     coarsening ladder: its hypergraph (written by contract), fixed
+//     sides and cmap. A level is valid until the next bisection on the
+//     same arena rewrites its rung.
+//   - Children. Child (d, side) holds the sub-hypergraph and id map
+//     inducedSide builds for one side of a depth d−1 bisection. A child
+//     is valid until the Fork that runs it returns: a sibling spawned
+//     onto another slot reads it while the building goroutine is
+//     blocked in Fork, and nothing that goroutine runs meanwhile writes
+//     depth d on this arena.
+//
+// Arenas are held strongly between calls, so a parked arena keeps the
+// largest ladder and children it has built; a finished bisection drops
+// its pointers to the input hypergraph, which may be the caller's.
+//
 // Determinism contract: a scratch never carries semantic state between
 // uses. Every buffer is either fully (re)initialized by its consumer
 // before reads, or guarded by a monotonically increasing epoch stamp so
@@ -20,7 +38,10 @@
 // scratch — fresh or recycled — a goroutine happens to receive.
 package hgpart
 
-import "finegrain/internal/mlpart"
+import (
+	"finegrain/internal/hypergraph"
+	"finegrain/internal/mlpart"
+)
 
 // scratch holds the reusable working buffers of one partitioner
 // goroutine. Fields are grouped by their owning phase; buffers in
@@ -54,6 +75,16 @@ type scratch struct {
 	// inducedSide: global→local vertex map and surviving-net list.
 	vlocal []int
 	keep   []int
+
+	// ladder: rung i backs level i of the current bisection's coarsening
+	// ladder, and levels is the ladder coarsen returns. Rung 0's
+	// hypergraph is the bisection's input, held only for the bisection.
+	ladder []*rung
+	levels []*level
+
+	// children: the sub-hypergraphs and id maps inducedSide builds,
+	// child (d, side) at index 2·(d−1) + side.
+	children []*child
 
 	// FM refinement: gain buckets, σ pin counts, move log.
 	buckets mlpart.Buckets
@@ -102,4 +133,61 @@ type candSlot struct {
 type clusterMeta struct {
 	w    int
 	side int8
+}
+
+// arenaHG is a hypergraph held in an arena: the value and the four
+// compact arrays it owns. Each rebuild rewrites all of them, reusing
+// their capacity.
+type arenaHG struct {
+	hg                    hypergraph.Hypergraph
+	vw, cost, xpins, pins []int
+}
+
+// freeze rebuilds a.hg over a's arrays and returns it.
+func (a *arenaHG) freeze() *hypergraph.Hypergraph {
+	a.hg.Reset(a.vw, a.cost, a.xpins, a.pins)
+	return &a.hg
+}
+
+// rung is the storage of one ladder level: its level record, the cmap
+// onto the next level and the level's fixed sides, and (above level 0)
+// its hypergraph, which contract writes.
+type rung struct {
+	arenaHG
+	lv        level
+	cmap      []int
+	fixedSide []int8
+}
+
+// child is the storage of one side of a bisection: the sub-hypergraph
+// and its map to input vertex ids.
+type child struct {
+	arenaHG
+	ids []int
+}
+
+// rungAt returns the storage of ladder level i.
+func (s *scratch) rungAt(i int) *rung {
+	for len(s.ladder) <= i {
+		s.ladder = append(s.ladder, new(rung))
+	}
+	return s.ladder[i]
+}
+
+// childAt returns the storage of side `side` of the bisections at
+// recursion depth d ≥ 1.
+func (s *scratch) childAt(d int, side int8) *child {
+	i := 2*(d-1) + int(side)
+	for len(s.children) <= i {
+		s.children = append(s.children, new(child))
+	}
+	return s.children[i]
+}
+
+// dropInput clears the pointers a finished bisection leaves to its
+// input hypergraph, which may be the caller's: a parked arena must not
+// pin it.
+func (s *scratch) dropInput() {
+	s.rungAt(0).lv.h = nil
+	s.cl.h, s.fm.h = nil, nil
 }

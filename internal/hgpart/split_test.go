@@ -27,8 +27,8 @@ func TestInducedSideNetSplitting(t *testing.T) {
 	ids := []int{0, 1, 2, 3, 4, 5}
 	side := []int8{0, 0, 0, 1, 1, 1}
 
-	left, leftIDs := inducedSide(h, ids, side, 0, new(scratch))
-	right, rightIDs := inducedSide(h, ids, side, 1, new(scratch))
+	left, leftIDs := inducedSide(h, ids, side, 0, new(scratch), new(child))
+	right, rightIDs := inducedSide(h, ids, side, 1, new(scratch), new(child))
 
 	if len(leftIDs) != 3 || len(rightIDs) != 3 {
 		t.Fatalf("side sizes %d/%d", len(leftIDs), len(rightIDs))

@@ -17,8 +17,10 @@ import (
 )
 
 // Hypergraph is an immutable hypergraph. Construct instances with a
-// Builder; the partitioner relies on the invariants Build establishes
-// (sorted unique pins, consistent cross-references).
+// Builder, or with FromCompact from arrays that already have the form
+// Build establishes (sorted unique pins); the partitioner relies on
+// those invariants. Reset, which rebuilds a value in place, is for
+// owners that recycle hypergraphs nothing else can see.
 type Hypergraph struct {
 	numV int
 	numN int
@@ -191,48 +193,68 @@ func (b *Builder) Build() *Hypergraph {
 // whose per-net segments must already be sorted ascending and
 // duplicate-free, with every pin in [0, len(vweight)).
 //
-// This is the allocation-lean fast path used by the partitioner's
-// contraction and net-splitting loops, which produce exactly this
-// layout: unlike Builder.Build it performs no per-net slice bookkeeping,
-// deduplication, or sorting — only the vertex→net inversion is computed
-// here. The input invariants are the caller's responsibility and are
-// checked by Validate, not by this constructor.
+// This is the allocation-lean fast path for callers that produce
+// exactly this layout: unlike Builder.Build it performs no per-net
+// slice bookkeeping, deduplication, or sorting — only the vertex→net
+// inversion is computed here. The input invariants are the caller's
+// responsibility and are checked by Validate, not by this constructor.
+// It is new + Reset; the partitioner, which rebuilds the same
+// hypergraph values level after level, calls Reset directly.
 func FromCompact(vweight, netCost, xpins, pins []int) *Hypergraph {
-	h := &Hypergraph{
-		numV:    len(vweight),
-		numN:    len(netCost),
-		xpins:   xpins,
-		pins:    pins,
-		vweight: vweight,
-		netCost: netCost,
+	h := new(Hypergraph)
+	h.Reset(vweight, netCost, xpins, pins)
+	return h
+}
+
+// Reset rebuilds h in place with FromCompact's contract: h takes
+// ownership of the four slices, whose invariants are the caller's. The
+// vertex→net inversion reuses h's own storage when its capacity
+// suffices, so a warm h rebuilds without allocating. Nothing may still
+// be reading h.
+func (h *Hypergraph) Reset(vweight, netCost, xpins, pins []int) {
+	numV, numN := len(vweight), len(netCost)
+	if len(xpins) != numN+1 {
+		panic(fmt.Sprintf("hypergraph: FromCompact xpins length %d, want %d", len(xpins), numN+1))
 	}
-	if len(xpins) != h.numN+1 {
-		panic(fmt.Sprintf("hypergraph: FromCompact xpins length %d, want %d", len(xpins), h.numN+1))
+	if len(pins) != xpins[numN] {
+		panic(fmt.Sprintf("hypergraph: FromCompact pins length %d, want %d", len(pins), xpins[numN]))
 	}
-	if len(pins) != xpins[h.numN] {
-		panic(fmt.Sprintf("hypergraph: FromCompact pins length %d, want %d", len(pins), xpins[h.numN]))
+	vnetPtr := grow(h.vnetPtr, numV+1)
+	clear(vnetPtr)
+	vnets := grow(h.vnets, len(pins))
+	*h = Hypergraph{
+		numV: numV, numN: numN,
+		xpins: xpins, pins: pins,
+		vnetPtr: vnetPtr, vnets: vnets,
+		vweight: vweight, netCost: netCost,
 	}
 	// Invert to vertex→nets with the offset-shift trick: vnetPtr[v] is
 	// used as the running write cursor, then shifted back one slot.
-	h.vnetPtr = make([]int, h.numV+1)
 	for _, v := range pins {
-		h.vnetPtr[v+1]++
+		vnetPtr[v+1]++
 	}
-	for v := 0; v < h.numV; v++ {
-		h.vnetPtr[v+1] += h.vnetPtr[v]
+	for v := 0; v < numV; v++ {
+		vnetPtr[v+1] += vnetPtr[v]
 	}
-	h.vnets = make([]int, len(pins))
-	for n := 0; n < h.numN; n++ {
+	for n := 0; n < numN; n++ {
 		for _, v := range pins[xpins[n]:xpins[n+1]] {
-			h.vnets[h.vnetPtr[v]] = n
-			h.vnetPtr[v]++
+			vnets[vnetPtr[v]] = n
+			vnetPtr[v]++
 		}
 	}
-	for v := h.numV; v > 0; v-- {
-		h.vnetPtr[v] = h.vnetPtr[v-1]
+	for v := numV; v > 0; v-- {
+		vnetPtr[v] = vnetPtr[v-1]
 	}
-	h.vnetPtr[0] = 0
-	return h
+	vnetPtr[0] = 0
+}
+
+// grow returns a slice of length n, reusing buf's storage when its
+// capacity suffices. The contents are unspecified.
+func grow(buf []int, n int) []int {
+	if cap(buf) >= n {
+		return buf[:n]
+	}
+	return make([]int, n)
 }
 
 func insertionSort(a []int) {

@@ -1,6 +1,7 @@
 package hypergraph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -368,4 +369,36 @@ func TestFromCompactPanicsOnMismatch(t *testing.T) {
 		}
 	}()
 	FromCompact([]int{1, 1}, []int{1}, []int{0, 3}, []int{0, 1})
+}
+
+// TestResetRebuildsInPlace checks that Reset over a value that held a
+// different, larger hypergraph yields the same hypergraph FromCompact
+// does, and that a warm value rebuilds without allocating.
+func TestResetRebuildsInPlace(t *testing.T) {
+	want := paperExample()
+	vweight := []int{1, 1, 1, 1, 1, 1}
+	netCost := []int{1, 1, 1, 1}
+	xpins := []int{0, 2, 5, 8, 10}
+	pins := []int{0, 1, 1, 2, 3, 3, 4, 5, 0, 5}
+	h := FromCompact([]int{1, 1, 1, 1, 1, 1, 1, 1}, []int{2, 3}, []int{0, 8, 11}, []int{0, 1, 2, 3, 4, 5, 6, 7, 1, 3, 6})
+	h.Reset(vweight, netCost, xpins, pins)
+	if err := h.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if h.NumVertices() != want.NumVertices() || h.NumNets() != want.NumNets() || h.NumPins() != want.NumPins() {
+		t.Fatalf("shape: V=%d N=%d pins=%d", h.NumVertices(), h.NumNets(), h.NumPins())
+	}
+	for n := 0; n < want.NumNets(); n++ {
+		if !slices.Equal(h.Pins(n), want.Pins(n)) || h.NetCost(n) != want.NetCost(n) {
+			t.Fatalf("net %d pins %v cost %d, want %v cost %d", n, h.Pins(n), h.NetCost(n), want.Pins(n), want.NetCost(n))
+		}
+	}
+	for v := 0; v < want.NumVertices(); v++ {
+		if !slices.Equal(h.Nets(v), want.Nets(v)) {
+			t.Fatalf("vertex %d nets %v, want %v", v, h.Nets(v), want.Nets(v))
+		}
+	}
+	if got := testing.AllocsPerRun(10, func() { h.Reset(vweight, netCost, xpins, pins) }); got != 0 {
+		t.Fatalf("warm Reset: %.0f allocs/op, want 0", got)
+	}
 }

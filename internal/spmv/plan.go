@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -332,17 +333,9 @@ func NewPlanTraced(asg *core.Assignment, tr *obs.Trace) (*Plan, error) {
 // sortedUnique returns the ascending distinct values of s without
 // mutating it.
 func sortedUnique(s []int32) []int32 {
-	out := make([]int32, len(s))
-	copy(out, s)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	n := 0
-	for i, v := range out {
-		if i == 0 || v != out[n-1] {
-			out[n] = v
-			n++
-		}
-	}
-	return out[:n]
+	out := slices.Clone(s)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // K returns the number of simulated processors.

@@ -202,3 +202,24 @@ func TestPlanMisuse(t *testing.T) {
 		t.Fatalf("Exec after Close: err = %v", err)
 	}
 }
+
+// BenchmarkNewPlan times plan compilation for finan512 at paper size,
+// fine-grain K = 64 (Workers 1), the largest plan the pipeline benchmark
+// compiles. The decomposition is built once, outside the timer.
+func BenchmarkNewPlan(b *testing.B) {
+	a, err := finegrain.Generate("finan512", 1, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dec, err := finegrain.DecomposeModel("finegrain", a, 64, finegrain.Options{Seed: 1, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := spmv.NewPlan(dec.Assignment); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
