@@ -89,16 +89,17 @@ bench:
 bench-quick:
 	$(GO) test -run '^$$' -bench BenchmarkPartitionSmall -benchtime 1x .
 
-# bench-hgpart-smoke runs hgpart's layer benchmarks once, so they keep
-# compiling and running: the initial bisection (GHG and random-fill
-# trials on the coarsest level of the nl fine-grain ladder) and
+# bench-hgpart-smoke runs the partitioners' layer benchmarks once, so
+# they keep compiling and running: the initial bisection (GHG and
+# random-fill trials) on the coarsest level of the nl fine-grain ladder
+# in hgpart and of the nl standard graph's ladder in gpart, and hgpart's
 # coarsening (the level ladder of the finan512 fine-grain top
 # bisection). -benchmem prints B/op and allocs/op, so an allocation
 # regression shows in the CI log (at 1x, B/op includes growing the
 # scratch arena). Raise -benchtime to time a layer or to see its warm
 # allocation.
 bench-hgpart-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkInitialBisect|BenchmarkCoarsen' -benchtime 1x -benchmem ./internal/hgpart/
+	$(GO) test -run '^$$' -bench 'BenchmarkInitialBisect|BenchmarkCoarsen' -benchtime 1x -benchmem ./internal/hgpart/ ./internal/gpart/
 
 # bench-scaling is the gate for partitioner scaling: it regenerates
 # BENCH_partition.json and fails if the multi-worker speedup of the

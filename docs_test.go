@@ -196,6 +196,8 @@ func TestDocsDeletedNames(t *testing.T) {
 		// The copy of the part-grouping permutation reorder replaced,
 		// and the pattern writer no program called.
 		"PartGroupedPermutation", "SortIndicesByKey", "WritePattern",
+		// The columnwise 1D model no program used.
+		"BuildRowNet", "RowNetModel",
 	}
 	for _, doc := range []string{"README.md", "DESIGN.md", "OBSERVABILITY.md", "EXPERIMENTS.md", "MODELS.md"} {
 		b, err := os.ReadFile(doc)

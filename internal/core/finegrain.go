@@ -1,7 +1,7 @@
 // Package core implements the paper's primary contribution — the
 // fine-grain hypergraph model for 2D decomposition of sparse matrices —
 // together with the two baseline models it is evaluated against (the 1D
-// column/row-net hypergraph model and the 1D standard graph model), and
+// column-net hypergraph model and the 1D standard graph model), and
 // the decoding of vertex partitions into executable decompositions
 // (nonzero ownership plus conformal x/y vector ownership).
 //

@@ -52,59 +52,6 @@ func (cn *ColumnNetModel) Decode1D(p *hypergraph.Partition) (*Assignment, error)
 	return rowwiseAssignment(cn.A, p.K, p.Parts), nil
 }
 
-// RowNetModel is the 1D columnwise dual: vertex j is column j (weight =
-// nnz of column j), net m_i is row i. Minimizing connectivity−1
-// minimizes the fold volume exactly; a columnwise decomposition needs no
-// expands.
-type RowNetModel struct {
-	H *hypergraph.Hypergraph
-	A *sparse.CSR
-}
-
-// BuildRowNet constructs the 1D row-net (columnwise) model of A.
-func BuildRowNet(a *sparse.CSR) (*RowNetModel, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("%w: %dx%d", ErrNotSquare, a.Rows, a.Cols)
-	}
-	m := a.Rows
-	b := hypergraph.NewBuilder(m, m)
-	csc := a.ToCSC()
-	for j := 0; j < m; j++ {
-		b.SetVertexWeight(j, csc.ColNNZ(j))
-		rows, _ := csc.Col(j)
-		for _, i := range rows {
-			b.AddPin(i, j)
-		}
-	}
-	for i := 0; i < m; i++ {
-		b.AddPin(i, i)
-	}
-	return &RowNetModel{H: b.Build(), A: a}, nil
-}
-
-// Decode1D decodes a K-way partition of the columns into an Assignment:
-// every nonzero of column j goes to part[j], and x_j/y_j live with
-// column j.
-func (rn *RowNetModel) Decode1D(p *hypergraph.Partition) (*Assignment, error) {
-	if len(p.Parts) != rn.A.Cols {
-		return nil, fmt.Errorf("core: partition covers %d vertices, model has %d columns",
-			len(p.Parts), rn.A.Cols)
-	}
-	asg := &Assignment{
-		K:            p.K,
-		A:            rn.A,
-		NonzeroOwner: make([]int, rn.A.NNZ()),
-		XOwner:       append([]int(nil), p.Parts...),
-		YOwner:       append([]int(nil), p.Parts...),
-	}
-	for i := 0; i < rn.A.Rows; i++ {
-		for k := rn.A.RowPtr[i]; k < rn.A.RowPtr[i+1]; k++ {
-			asg.NonzeroOwner[k] = p.Parts[rn.A.ColIdx[k]]
-		}
-	}
-	return asg, nil
-}
-
 // StandardGraphModel is the paper's weaker baseline: the standard graph
 // model for 1D rowwise decomposition, partitioned with a MeTiS-style
 // graph partitioner. Vertex i is row i with weight nnz(row i); edge

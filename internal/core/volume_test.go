@@ -72,31 +72,3 @@ func TestVolumeTheorem1D(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestVolumeTheoremRowNet(t *testing.T) {
-	if err := quick.Check(func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 4 + r.Intn(30)
-		a := matgen.RandomPattern(n, n*(1+r.Intn(4)), seed)
-		rn, err := core.BuildRowNet(a)
-		if err != nil {
-			return false
-		}
-		k := 2 + r.Intn(5)
-		p := hypergraph.NewPartition(n, k)
-		for v := range p.Parts {
-			p.Parts[v] = r.Intn(k)
-		}
-		asg, err := rn.Decode1D(p)
-		if err != nil {
-			return false
-		}
-		st, err := comm.Measure(asg)
-		if err != nil {
-			return false
-		}
-		return st.ExpandVolume == 0 && st.TotalVolume == p.CutsizeConnectivity(rn.H)
-	}, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}

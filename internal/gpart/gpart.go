@@ -2,12 +2,15 @@
 // of MeTiS (Karypis & Kumar), used as the paper's baseline: the standard
 // graph model for 1D sparse matrix decomposition is partitioned with
 // this algorithm. It runs internal/hgpart's scheme on a graph, with the
-// options, constants, balance caps, gain buckets and K-way balancer of
-// internal/mlpart: heavy-edge matching coarsening, greedy graph growing
-// + random initial bisections, boundary FM refinement on the edge-cut
-// objective, and recursive bisection with proportional target weights
-// for general K. Recursion
-// branches run in parallel under mlpart's recursion scheduler.
+// options, constants, balance caps, initial bisection, gain buckets and
+// K-way balancer of internal/mlpart: heavy-edge matching coarsening,
+// greedy graph growing + random initial bisections, boundary FM
+// refinement on the edge-cut objective, and recursive bisection with
+// proportional target weights for general K. Greedy graph growing is
+// mlpart's greedy hypergraph growing on the coarsest graph written as a
+// hypergraph of 2-pin nets, one per edge, where the cut-net cost is the
+// edge cut. Recursion branches run in parallel under mlpart's recursion
+// scheduler.
 package gpart
 
 import (
@@ -199,8 +202,9 @@ func inducedSide(g *graph.Graph, ids []int, side []int8, want int8, s *scratch) 
 	return graph.FromCSR(adjPtr, adjTo, adjW, vw), subIDs
 }
 
-// multilevelBisect returns the side of each vertex of g. The slice may
-// be one of s's projection buffers, valid until s's next bisection.
+// multilevelBisect returns the side of each vertex of g. The slice is
+// one of s's projection buffers, or the initial bisection's when g did
+// not coarsen, valid until s's next bisection.
 func multilevelBisect(g *graph.Graph, kL, kR int, epsB float64,
 	opts mlpart.Options, r *rng.RNG, tk *obs.Track, s *scratch) ([]int8, error) {
 

@@ -1,9 +1,8 @@
 package gpart
 
 import (
-	"math"
-
 	"finegrain/internal/graph"
+	"finegrain/internal/hypergraph"
 	"finegrain/internal/mlpart"
 	"finegrain/internal/obs"
 	"finegrain/internal/rng"
@@ -173,31 +172,21 @@ func contract(g *graph.Graph, cmap []int, numC int, s *scratch, rg *rung) *graph
 	return graph.FromCSR(adjPtr, adjTo, adjW, vw)
 }
 
-// initialBisect tries greedy graph growing and random fills, refines
-// each, and keeps the best feasible bisection by cut.
+// initialBisect bisects the coarsest level g by mlpart.InitialBisect on
+// the hypergraph of g's edges (edgeHypergraph), where greedy hypergraph
+// growing is greedy graph growing and the cut-net cost is the edge cut.
+// Each trial is refined with FM on g, and the best feasible bisection by
+// cut is kept. The returned slice is scratch-owned (s.grow's), valid
+// until the next initial bisection on s.
 func initialBisect(g *graph.Graph, targets, strict, relaxed [2]float64, opts mlpart.Options, r *rng.RNG, s *scratch) ([]int8, error) {
-	var best []int8
-	bestCut := -1
-	bestDev := 0.0
-	for trial := 0; trial < mlpart.InitTrials; trial++ {
-		var side []int8
-		if trial%2 == 0 {
-			side = growBisect(g, targets, r.Child())
-		} else {
-			side = make([]int8, g.NumVertices())
-			s.perm = mlpart.RandomBisect(g.VertexWeights(), nil, targets, r.Child(), side, s.perm)
-		}
-		refineBisection(g, side, strict, relaxed, opts, r, s)
-		w := mlpart.SideWeights(g.VertexWeights(), side)
-		if !mlpart.Within(w, relaxed) {
-			continue
-		}
-		cut := bisectionCut(g, side)
-		dev := math.Abs(w[0] - targets[0])
-		if best == nil || cut < bestCut || (cut == bestCut && dev < bestDev) {
-			best = append(best[:0:0], side...)
-			bestCut, bestDev = cut, dev
-		}
+	h := edgeHypergraph(g, s)
+	best, _, err := mlpart.InitialBisect(h, s.fixedSide, targets, relaxed, &opts, r, &s.grow,
+		func(side []int8) { refineBisection(g, side, strict, relaxed, opts, r, s) })
+	// Drop h's pointer to g's vertex weights, which may be the caller's:
+	// a parked arena must not pin them. The arrays keep their capacity.
+	s.edges.Reset(nil, nil, s.xpins[:1], nil)
+	if err != nil {
+		return nil, err
 	}
 	if best == nil {
 		return nil, ErrInfeasible
@@ -205,76 +194,35 @@ func initialBisect(g *graph.Graph, targets, strict, relaxed [2]float64, opts mlp
 	return best, nil
 }
 
-func bisectionCut(g *graph.Graph, side []int8) int {
-	cut := 0
-	for v := 0; v < g.NumVertices(); v++ {
+// edgeHypergraph writes g into s as a hypergraph: g's vertices with
+// their weights, and one 2-pin net {u, v} per edge u < v, costing the
+// edge weight, numbered in adjacency order. s.fixedSide is left
+// holding −1 (free) for every vertex.
+func edgeHypergraph(g *graph.Graph, s *scratch) *hypergraph.Hypergraph {
+	numV, numE := g.NumVertices(), g.NumEdges()
+	xpins := mlpart.Grow(s.xpins, numE+1)
+	pins := mlpart.Grow(s.pins, 2*numE)
+	cost := mlpart.Grow(s.cost, numE)
+	n := 0
+	for v := 0; v < numV; v++ {
 		to, w := g.Adj(v)
 		for i, u := range to {
-			if u > v && side[u] != side[v] {
-				cut += w[i]
+			if u > v {
+				xpins[n] = 2 * n
+				pins[2*n], pins[2*n+1] = v, u
+				cost[n] = w[i]
+				n++
 			}
 		}
 	}
-	return cut
-}
-
-// growBisect grows side 1 from a random seed by best-gain BFS until it
-// reaches its target weight (greedy graph growing, GGP).
-func growBisect(g *graph.Graph, targets [2]float64, r *rng.RNG) []int8 {
-	numV := g.NumVertices()
-	side := make([]int8, numV)
-	var w1 float64
-	// gainTo1[v]: Σ weight of edges from v into side 1 minus into side 0.
-	gain := make([]int, numV)
-	for v := 0; v < numV; v++ {
-		_, ws := g.Adj(v)
-		for _, x := range ws {
-			gain[v] -= x
-		}
+	xpins[numE] = 2 * numE
+	s.fixedSide = mlpart.Grow(s.fixedSide, numV)
+	for v := range s.fixedSide {
+		s.fixedSide[v] = -1
 	}
-	inFront := make([]bool, numV)
-	var frontier []int
-	move := func(v int) {
-		side[v] = 1
-		w1 += float64(g.VertexWeight(v))
-		to, ws := g.Adj(v)
-		for i, u := range to {
-			gain[u] += 2 * ws[i]
-			if side[u] == 0 && !inFront[u] {
-				inFront[u] = true
-				frontier = append(frontier, u)
-			}
-		}
-	}
-	move(r.Intn(numV))
-	for w1 < targets[1] {
-		bestV, bestG := -1, 0
-		compact := frontier[:0]
-		for _, v := range frontier {
-			if side[v] != 0 {
-				inFront[v] = false
-				continue
-			}
-			compact = append(compact, v)
-			if bestV < 0 || gain[v] > bestG {
-				bestV, bestG = v, gain[v]
-			}
-		}
-		frontier = compact
-		if bestV < 0 {
-			for v := 0; v < numV; v++ {
-				if side[v] == 0 {
-					bestV = v
-					break
-				}
-			}
-			if bestV < 0 {
-				break
-			}
-		}
-		move(bestV)
-	}
-	return side
+	s.xpins, s.pins, s.cost = xpins, pins, cost
+	s.edges.Reset(g.VertexWeights(), cost, xpins, pins)
+	return &s.edges
 }
 
 // ---- FM refinement on edge cut ----

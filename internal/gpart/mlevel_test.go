@@ -123,8 +123,8 @@ func TestBisectionCutMatchesEdgeCut(t *testing.T) {
 	for v, s := range side {
 		p.Parts[v] = int(s)
 	}
-	if bisectionCut(g, side) != p.EdgeCut(g) {
-		t.Fatal("bisectionCut disagrees with EdgeCut")
+	if mlpart.BisectionCut(edgeHypergraph(g, new(scratch)), side) != p.EdgeCut(g) {
+		t.Fatal("BisectionCut of the edge hypergraph disagrees with EdgeCut")
 	}
 }
 

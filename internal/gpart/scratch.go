@@ -1,6 +1,9 @@
 package gpart
 
-import "finegrain/internal/mlpart"
+import (
+	"finegrain/internal/hypergraph"
+	"finegrain/internal/mlpart"
+)
 
 // scratch holds the reusable working buffers of one goroutine of a
 // Partition call: the caller's own, and one per worker slot. Buffers
@@ -10,8 +13,7 @@ import "finegrain/internal/mlpart"
 // before it is read, or guarded by the monotone epoch stamp, so the
 // partition cannot depend on which scratch served a call.
 type scratch struct {
-	// perm is the r.PermInto target of heavyEdgeMatch and fmPass, and
-	// the free-vertex buffer of the random initial fill.
+	// perm is the r.PermInto target of heavyEdgeMatch and fmPass.
 	perm []int
 
 	// contract: counting-sort bucket offsets (then the transpose's
@@ -31,6 +33,14 @@ type scratch struct {
 
 	// inducedSide: the old → new vertex map.
 	local []int
+
+	// initial bisection: the coarsest level as the hypergraph of its
+	// edges over xpins, pins and cost, a fixed side of −1 per vertex,
+	// and mlpart's trial sides and greedy growing buffers.
+	edges             hypergraph.Hypergraph
+	xpins, pins, cost []int
+	fixedSide         []int8
+	grow              mlpart.GrowScratch
 
 	// FM refinement: move gains, gain buckets and the move log.
 	gain    []int

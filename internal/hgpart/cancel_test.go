@@ -63,7 +63,7 @@ func TestCancellationMidSearch(t *testing.T) {
 // leaves partitions unchanged, on a random hypergraph and on the
 // identity, whose stalled ladder makes greedy growing poll.
 func TestContextDoesNotPerturbResult(t *testing.T) {
-	for _, h := range []*hypergraph.Hypergraph{randomHG(rng.New(3), 600, 500), identityFineGrain(t, 1<<12)} {
+	for _, h := range []*hypergraph.Hypergraph{randomHG(rng.New(3), 600, 500), blockFineGrain(t, 1<<12, 1)} {
 		opts := DefaultOptions()
 		base, err := Partition(h, 8, opts)
 		if err != nil {
@@ -90,14 +90,18 @@ func TestCancellationWithWorkers(t *testing.T) {
 	}
 }
 
-// identityFineGrain is the fine-grain hypergraph of the n × n identity:
-// every net has one pin, so no vertex ever finds a clustering partner
-// and the coarsening ladder stalls at the input.
-func identityFineGrain(t *testing.T, n int) *hypergraph.Hypergraph {
+// blockFineGrain is the fine-grain hypergraph of the n × n matrix of
+// n/b dense b × b diagonal blocks. At b = 1, the identity, every net
+// has one pin, so no vertex ever finds a clustering partner and the
+// coarsening ladder stalls at the input.
+func blockFineGrain(t *testing.T, n, b int) *hypergraph.Hypergraph {
 	t.Helper()
 	coo := sparse.NewCOO(n, n)
 	for i := 0; i < n; i++ {
-		coo.Add(i, i, 1)
+		lo := i / b * b
+		for j := lo; j < lo+b; j++ {
+			coo.Add(i, j, 1)
+		}
 	}
 	fg, err := core.BuildFineGrain(coo.ToCSR())
 	if err != nil {
@@ -110,9 +114,10 @@ func identityFineGrain(t *testing.T, n int) *hypergraph.Hypergraph {
 // stalled level stops inside greedy growing once the context is
 // canceled: the identity's 2¹⁴ vertices take thousands of growing
 // moves, so a context canceled before the first trial must surface
-// from initialBisect after at most growPollMoves moves and one poll.
+// from initialBisect after at most one poll interval of moves and one
+// poll.
 func TestGreedyGrowingPollsContext(t *testing.T) {
-	h := identityFineGrain(t, 1<<14)
+	h := blockFineGrain(t, 1<<14, 1)
 	opts := DefaultOptions()
 	opts.normalize()
 	ctx := newCountdownCtx(0)
@@ -130,5 +135,35 @@ func TestGreedyGrowingPollsContext(t *testing.T) {
 	}
 	if polls := -ctx.left.Load(); polls != 1 {
 		t.Fatalf("%d polls before initialBisect returned, want 1", polls)
+	}
+}
+
+// TestGreedyGrowingWorkLinear bounds the candidates greedy growing
+// examines, frontier entries scanned plus fallback cursor steps, by
+// 4·(pins + V), on inputs whose frontier keeps running dry: the
+// fine-grain hypergraphs of the 2¹⁴ identity (1-pin nets only) and of
+// the block-diagonal matrix of 4 × 4 blocks (4,096 components). A
+// fallback that rescans from vertex 0 examines Θ(V²) candidates on
+// both.
+func TestGreedyGrowingWorkLinear(t *testing.T) {
+	for _, b := range []int{1, 4} {
+		h := blockFineGrain(t, 1<<14, b)
+		opts := DefaultOptions()
+		opts.normalize()
+		fixedSide := make([]int8, h.NumVertices())
+		for v := range fixedSide {
+			fixedSide[v] = -1
+		}
+		bounds := mlpart.NewBounds(h.TotalVertexWeight(), 1, 1, opts.Eps)
+		caps := bounds.Caps(h.VertexWeights())
+		s := new(scratch)
+		if _, err := initialBisect(bisectCtx{}, h, fixedSide, bounds.Targets, bounds.Strict, caps,
+			opts, opts.NewRNG(), s); err != nil {
+			t.Fatal(err)
+		}
+		limit := 4 * (h.NumPins() + h.NumVertices())
+		if got := s.grow.Examined(); got > limit {
+			t.Errorf("%d×%d blocks: greedy growing examined %d candidates, limit %d", b, b, got, limit)
+		}
 	}
 }

@@ -388,28 +388,12 @@ func fmPass(sc *statsCollector, h *hypergraph.Hypergraph, side []int8, fixedSide
 }
 
 // moveGain is the FM gain of moving v from side from to the other
-// side: the sum of netGain over v's nets, given the pin counts sigma
-// before the move.
+// side: the sum of mlpart.NetGain over v's nets, given the pin counts
+// sigma before the move.
 func moveGain(h *hypergraph.Hypergraph, sigma [2][]int, from, v int) int {
 	g := 0
 	for _, n := range h.Nets(v) {
-		g += netGain(h.NetCost(n), sigma[from][n], sigma[1-from][n])
-	}
-	return g
-}
-
-// netGain is a net's term in the FM gain of moving one of its pins to
-// the other side, given the net's cost c and its pin counts on the
-// source (from) and target (to) side before the move. The move uncuts
-// the net, or keeps it internal to the target, when the pin is the last
-// on the source side, and newly cuts it when the target side has none.
-func netGain(c, from, to int) int {
-	g := 0
-	if from == 1 {
-		g += c
-	}
-	if to == 0 {
-		g -= c
+		g += mlpart.NetGain(h.NetCost(n), sigma[from][n], sigma[1-from][n])
 	}
 	return g
 }

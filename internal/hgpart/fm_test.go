@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"finegrain/internal/hypergraph"
+	"finegrain/internal/mlpart"
 	"finegrain/internal/rng"
 )
 
@@ -70,7 +71,7 @@ func TestRebalanceCutOnChain(t *testing.T) {
 	}
 	sigma, w := rebalanceState(h, side)
 	rebalance(nil, h, side, fixedSide, sigma, &w, [2]float64{n / 2, n / 2}, new(scratch))
-	if cut := bisectionCut(h, side); cut > n/4 {
+	if cut := mlpart.BisectionCut(h, side); cut > n/4 {
 		t.Fatalf("rebalance produced a poor cut %d on a chain", cut)
 	}
 }
@@ -116,7 +117,7 @@ func TestRefineBisectionStillImproves(t *testing.T) {
 	opts.normalize()
 	caps := [2]float64{n/2 + 2, n/2 + 2}
 	refineBisection(bisectCtx{}, h, side, fixedSide, caps, caps, opts, r, new(scratch))
-	if cut := bisectionCut(h, side); cut > n/8 {
+	if cut := mlpart.BisectionCut(h, side); cut > n/8 {
 		t.Fatalf("refinement left cut %d on a chain of %d", cut, n)
 	}
 }

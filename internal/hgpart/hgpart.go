@@ -314,9 +314,10 @@ func inducedSide(h *hypergraph.Hypergraph, ids []int, side []int8, want int8, s 
 // 0/1 side per vertex of h. Targets are proportional to kL:kR. The
 // ladder lives in scr's rungs and is dead once this returns; the next
 // bisection on the arena rewrites it. The returned side slice is
-// scratch-owned too (one of scr.proj); it stays valid only until the
-// caller's next use of the arena (branch.Run copies it into the
-// induced sub-hypergraphs before recursing).
+// scratch-owned too (one of scr.proj, or the initial bisection's when
+// h did not coarsen); it stays valid only until the caller's next use
+// of the arena (branch.Run copies it into the induced sub-hypergraphs
+// before recursing).
 func multilevelBisect(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, kL, kR int,
 	epsB float64, opts Options, r *rng.RNG, scr *scratch) ([]int8, error) {
 	defer scr.dropInput()
@@ -359,8 +360,8 @@ func multilevelBisect(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8,
 	refineBisection(ctx, coarsest.h, side, coarsest.fixedSide, bounds.Strict, coarseCaps, opts, r, scr)
 
 	// Project back through the levels, refining at each. The two
-	// scr.proj buffers ping-pong: initialBisect returned proj[0], so the
-	// first projection writes proj[1], the next proj[0], and so on.
+	// scr.proj buffers ping-pong: the first projection writes proj[1],
+	// the next proj[0], and so on.
 	fineCaps := coarseCaps
 	cur := 0
 	for i := len(levels) - 2; i >= 0; i-- {

@@ -9,10 +9,10 @@ import (
 )
 
 // growBisectRescan is the reference greedy hypergraph growing: the same
-// seed, frontier order, selection rule and fallback as growBisect, but
-// every frontier vertex's gain is recomputed from the σ₁ counts at
-// every step, and every move offers every pin of every net of the moved
-// vertex. growBisect must produce the same sides.
+// seed, frontier order, selection rule and fallback as
+// mlpart.GrowBisect, but every frontier vertex's gain is recomputed from
+// the σ₁ counts at every step, and every move offers every pin of every
+// net of the moved vertex. mlpart.GrowBisect must produce the same sides.
 func growBisectRescan(h *hypergraph.Hypergraph, fixedSide []int8, targets [2]float64, r *rng.RNG, side []int8) {
 	numV := h.NumVertices()
 	clear(side)
@@ -159,17 +159,18 @@ func randomGrowCase(r *rng.RNG) (*hypergraph.Hypergraph, []int8, [2]float64) {
 }
 
 // TestGrowBisectMatchesRescan checks the incremental gains of
-// growBisect against the full-rescan reference on random hypergraphs,
-// reusing one scratch throughout as the partitioner does.
+// mlpart.GrowBisect against the full-rescan reference on random
+// hypergraphs, reusing one scratch throughout as the partitioner does.
 func TestGrowBisectMatchesRescan(t *testing.T) {
 	r := rng.New(42)
-	s := new(scratch)
+	s := new(mlpart.GrowScratch)
+	opts := DefaultOptions()
 	for c := 0; c < 400; c++ {
 		h, fixedSide, targets := randomGrowCase(r)
 		seed := r.Uint64()
 		got := make([]int8, h.NumVertices())
 		want := make([]int8, h.NumVertices())
-		if err := growBisect(h, fixedSide, targets, rng.New(seed), got, DefaultOptions(), s); err != nil {
+		if err := mlpart.GrowBisect(h, fixedSide, targets, rng.New(seed), got, &opts.Options, s); err != nil {
 			t.Fatal(err)
 		}
 		growBisectRescan(h, fixedSide, targets, rng.New(seed), want)

@@ -10,7 +10,9 @@
 //     directly. Single-pin and identical nets are pruned between levels.
 //  2. Initial partitioning: the coarsest hypergraph is bisected by
 //     several trials of greedy hypergraph growing and random balanced
-//     assignment; the best feasible bisection wins.
+//     assignment, each FM-refined; the best feasible bisection wins.
+//     The trials are internal/mlpart's InitialBisect, which the graph
+//     partitioner runs too.
 //  3. Uncoarsening: the bisection is projected back level by level and
 //     improved at each level with Fiduccia–Mattheyses boundary
 //     refinement using gain buckets.

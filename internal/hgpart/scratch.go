@@ -92,18 +92,11 @@ type scratch struct {
 	locked  []bool
 	moves   []fmMove
 
-	// initial bisection and projection: trial buffer, the two
-	// ping-pong side buffers (best-so-far / projected), and greedy
-	// hypergraph growing's per-net σ₁ and offered flags and its frontier
-	// with exact per-vertex gains.
-	sideTrial []int8
-	proj      [2][]int8
-	sigmaGrow []int
-	offered   []bool
-	inFront   []bool
-	frontier  []int
-	gain      []int
-	free      []int
+	// initial bisection (mlpart's trial sides and greedy growing
+	// buffers) and projection: the two ping-pong side buffers the
+	// uncoarsening levels take in turn.
+	grow mlpart.GrowScratch
+	proj [2][]int8
 
 	// parallel rounds (coarsen/FM on levels ≥ the parallel threshold): the
 	// round-job control block helpers drain from and the shared

@@ -2,11 +2,15 @@
 // recursive bisection that the hypergraph partitioner (internal/hgpart,
 // after PaToH) and the graph partitioner (internal/gpart, after MeTiS)
 // share: the options core and the fixed algorithm constants, the
-// per-bisection balance caps, the Fiduccia–Mattheyses gain buckets and
-// the K-way balance repair. The two partitioners differ only in their
-// objective (connectivity−1 against edge cut) and in the structure
-// they walk, so the graph baseline runs the hypergraph partitioner's
-// scheme by construction, not by copy.
+// per-bisection balance caps, the initial bisection of the coarsest
+// level, the Fiduccia–Mattheyses gain buckets and the K-way balance
+// repair. The two partitioners differ only in their objective
+// (connectivity−1 against edge cut) and in the structure they walk, so
+// the graph baseline runs the hypergraph partitioner's scheme by
+// construction, not by copy. The initial bisection runs on a
+// hypergraph: a graph's edges are its 2-pin nets, on which greedy
+// hypergraph growing is greedy graph growing and the cut-net cost is
+// the edge cut.
 package mlpart
 
 import (
