@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet vet-perfbench test race e2e-fleet fuzz-smoke bench bench-quick bench-hgpart-smoke bench-scaling bench-spmv bench-block bench-block-smoke bench-locality bench-locality-smoke bench-spgemm bench-spgemm-smoke compare-smoke build doc-check loc
+.PHONY: ci fmt vet vet-perfbench test race e2e-fleet fuzz-smoke bench bench-quick bench-hgpart-smoke bench-scaling bench-block bench-block-smoke bench-locality bench-locality-smoke bench-spgemm bench-spgemm-smoke compare-smoke build doc-check loc
 
 # ci runs only the smoke variants of the benchmarks. The wall-clock
 # gates bench-scaling, bench-block and bench-locality are not part of
@@ -112,12 +112,6 @@ bench-scaling:
 	FINEGRAIN_SCALING_FLOOR=$(FINEGRAIN_SCALING_FLOOR) \
 		$(GO) test -run '^$$' -bench BenchmarkPartitionWorkers -benchtime 1x .
 
-# bench-spmv regenerates BENCH_spmv.json: a per-call plan (compile,
-# Exec once, close) against Exec on a reused Plan (nl at paper size, K=64), asserting zero
-# steady-state allocations on the reused path.
-bench-spmv:
-	$(GO) test -run '^$$' -bench BenchmarkSpMVPlan -benchtime 1x .
-
 # bench-block regenerates BENCH_block.json: one ExecBlock over N
 # stacked right-hand sides against N single Execs on the same reused
 # plan (nl at paper size, K=64, N in 1/4/8/16), median/min/max of 5
@@ -154,11 +148,14 @@ bench-locality:
 	FINEGRAIN_LOCALITY_FLOOR=$(FINEGRAIN_LOCALITY_FLOOR) \
 		$(GO) test -run '^$$' -bench BenchmarkLocality -benchtime 1x .
 
-# bench-locality-smoke is the ci wiring check: one iteration per layout
-# on shrunken matrices, no artifact, no gate.
+# bench-locality-smoke is the ci wiring check: one timing round per
+# layout on shrunken matrices, no artifact, no gate. It also runs
+# sparsepart -measure, the CLI's natural-vs-reordered kernel timing,
+# on a shrunken nl.
 bench-locality-smoke:
 	FINEGRAIN_LOCALITY_SMOKE=1 \
 		$(GO) test -run '^$$' -bench BenchmarkLocality -benchtime 1x .
+	$(GO) run ./cmd/sparsepart -gen nl -scale 0.02 -k 4 -model locality -measure
 
 # bench-spgemm regenerates BENCH_spgemm.json: both SpGEMM hypergraph
 # models (fine-grain elementwise and 1D rowwise) partitioning C = A·A

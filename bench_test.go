@@ -40,7 +40,6 @@ import (
 	"finegrain/internal/hypergraph"
 	"finegrain/internal/kernel"
 	"finegrain/internal/matgen"
-	"finegrain/internal/reorder"
 	"finegrain/internal/sparse"
 	"finegrain/internal/spmv"
 )
@@ -497,134 +496,6 @@ func BenchmarkModelBuild(b *testing.B) {
 	})
 }
 
-type spmvBenchRecord struct {
-	Mode        string  `json:"mode"`
-	Workers     int     `json:"workers"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-}
-
-type spmvBenchReport struct {
-	Matrix           string            `json:"matrix"`
-	NNZ              int               `json:"nnz"`
-	K                int               `json:"k"`
-	WordsPerMultiply int               `json:"words_per_multiply"`
-	Runs             []spmvBenchRecord `json:"runs"`
-	// Speedup is the per-call compile+Exec over single-worker Exec on
-	// the reused plan — what one solver iteration gains from the plan/execute
-	// split.
-	Speedup float64 `json:"speedup"`
-}
-
-// BenchmarkSpMVPlan measures the plan/execute split on the fine-grain
-// decomposition of "nl" at paper size, K=64: a per-call plan (compiled,
-// executed once and closed every multiply) against Exec on a reused Plan,
-// asserting the reused path allocates nothing in steady state, and
-// writes the figures to BENCH_spmv.json.
-func BenchmarkSpMVPlan(b *testing.B) {
-	a := genCached("nl", 1.0)
-	const k = 64
-	dec, err := finegrain.Decompose2D(a, k, finegrain.Options{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	asg := dec.Assignment
-	x := make([]float64, a.Cols)
-	for i := range x {
-		x[i] = 1 / float64(i+1)
-	}
-	y := make([]float64, a.Rows)
-
-	report := spmvBenchReport{Matrix: "nl", NNZ: a.NNZ(), K: k}
-
-	// Per-call path: plan compiled and discarded every multiply.
-	const runIters = 30
-	b.Run("run-per-call", func(b *testing.B) {
-		b.ReportAllocs()
-		var ms0, ms1 runtime.MemStats
-		runtime.ReadMemStats(&ms0)
-		t0 := time.Now()
-		for i := 0; i < runIters; i++ {
-			pl, err := spmv.NewPlan(asg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := pl.Exec(x, make([]float64, a.Rows), spmv.ExecOptions{}); err != nil {
-				b.Fatal(err)
-			}
-			pl.Close()
-		}
-		elapsed := time.Since(t0)
-		runtime.ReadMemStats(&ms1)
-		report.Runs = append(report.Runs, spmvBenchRecord{
-			Mode:        "run-per-call",
-			NsPerOp:     float64(elapsed.Nanoseconds()) / runIters,
-			AllocsPerOp: float64(ms1.Mallocs-ms0.Mallocs) / runIters,
-		})
-	})
-
-	pl, err := spmv.NewPlan(asg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer pl.Close()
-	ctr := pl.Counters()
-	report.WordsPerMultiply = ctr.TotalWords()
-
-	// Reused-plan path: compile once, execute many times. Steady-state
-	// allocations must be exactly zero at every worker count.
-	const execIters = 300
-	workerCounts := []int{1, runtime.GOMAXPROCS(0)}
-	if workerCounts[1] == 1 {
-		workerCounts[1] = 8
-	}
-	for _, workers := range workerCounts {
-		workers := workers
-		b.Run(fmt.Sprintf("plan-exec/workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			opts := spmv.ExecOptions{Workers: workers}
-			if err := pl.Exec(x, y, opts); err != nil { // warm-up: spawns workers
-				b.Fatal(err)
-			}
-			allocs := testing.AllocsPerRun(20, func() {
-				if err := pl.Exec(x, y, opts); err != nil {
-					b.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				b.Fatalf("Exec allocated %.0f objects/op in steady state, want 0", allocs)
-			}
-			t0 := time.Now()
-			for i := 0; i < execIters; i++ {
-				if err := pl.Exec(x, y, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			elapsed := time.Since(t0)
-			report.Runs = append(report.Runs, spmvBenchRecord{
-				Mode:        "plan-exec",
-				Workers:     workers,
-				NsPerOp:     float64(elapsed.Nanoseconds()) / execIters,
-				AllocsPerOp: allocs,
-			})
-		})
-	}
-
-	if len(report.Runs) >= 2 && report.Runs[1].NsPerOp > 0 {
-		report.Speedup = report.Runs[0].NsPerOp / report.Runs[1].NsPerOp
-	}
-	out := struct {
-		Benchmarks []spmvBenchReport `json:"benchmarks"`
-	}{Benchmarks: []spmvBenchReport{report}}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_spmv.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // blockSamples is how many timed samples BenchmarkBlockSpMV takes of
 // the single-Exec baseline and of every batch width. Samples alternate
 // between the baseline and the widths, so drift on a shared host lands
@@ -834,52 +705,10 @@ type localityBenchReport struct {
 	Speedup float64 `json:"speedup"`
 }
 
-// localityKernelPairNs times the two layouts in interleaved rounds —
-// baseline then reordered, rounds times — and returns each side's best
-// round ns/op. Interleaving makes both layouts sample the same
-// noise environment (CPU steal on shared hosts skews sequential
-// measurements systematically); min-of-rounds is the least-noise
-// estimator for a deterministic kernel.
-func localityKernelPairNs(b *testing.B, base, reord *kernel.Plan, x, xp, y []float64, workers, iters, rounds int) (baseNs, reordNs float64) {
-	opts := kernel.ExecOptions{Workers: workers}
-	if err := base.Exec(x, y, opts); err != nil { // warm-up: spawns workers
-		b.Fatal(err)
-	}
-	if err := reord.Exec(xp, y, opts); err != nil {
-		b.Fatal(err)
-	}
-	for round := 0; round < rounds; round++ {
-		t0 := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := base.Exec(x, y, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-		ns := float64(time.Since(t0).Nanoseconds()) / float64(iters)
-		if baseNs == 0 || ns < baseNs {
-			baseNs = ns
-		}
-		t0 = time.Now()
-		for i := 0; i < iters; i++ {
-			if err := reord.Exec(xp, y, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-		ns = float64(time.Since(t0).Nanoseconds()) / float64(iters)
-		if reordNs == 0 || ns < reordNs {
-			reordNs = ns
-		}
-	}
-	return baseNs, reordNs
-}
-
 // localitySweep decomposes a with the locality model, decodes the
 // cache-blocking permutation, and times the real kernel on both
-// layouts. Both loops measure steady-state Exec with vectors already
-// in the plan's space — the iterative-solver regime (Plan.CG keeps
-// every vector in permuted space for the whole solve), where the
-// one-time ApplyVec/UnapplyVec at the solve boundary is amortized away.
-func localitySweep(b *testing.B, name string, a *sparse.CSR, k, iters, rounds int) localityBenchReport {
+// layouts with kernel.TimeLayouts over the given number of rounds.
+func localitySweep(b *testing.B, name string, a *sparse.CSR, k, rounds int) localityBenchReport {
 	dec, err := finegrain.DecomposeLocality(a, k, finegrain.Options{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -888,46 +717,25 @@ func localitySweep(b *testing.B, name string, a *sparse.CSR, k, iters, rounds in
 	if err != nil {
 		b.Fatal(err)
 	}
-	baseline, err := kernel.NewPlan(a, nil, kernel.Options{})
+	t, err := kernel.TimeLayouts(a, perm, rounds, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer baseline.Close()
-	reordered, err := kernel.NewPlan(a, perm, kernel.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer reordered.Close()
-
-	x := make([]float64, a.Cols)
-	for i := range x {
-		x[i] = 1 / float64(i+1)
-	}
-	xp := make([]float64, a.Cols) // x in permuted space, permuted once
-	reorder.ApplyVec(xp, x, perm.Col)
-	y := make([]float64, a.Rows)
 	flops := 2 * float64(a.NNZ())
 	workers := runtime.GOMAXPROCS(0)
 	report := localityBenchReport{
 		Matrix: name, N: a.Rows, NNZ: a.NNZ(), K: k,
-		Blocks: reordered.Blocks(), GOMAXPROCS: workers,
+		Blocks: t.Blocks, GOMAXPROCS: workers,
+		Runs: []localityBenchRecord{
+			{Mode: "baseline", Workers: workers, NsPerOp: t.NaturalNs, GFLOPs: flops / t.NaturalNs},
+			{Mode: "reordered", Workers: workers, NsPerOp: t.PermutedNs, GFLOPs: flops / t.PermutedNs},
+		},
+		Speedup: t.NaturalNs / t.PermutedNs,
 	}
-	var baseNs, reordNs float64
-	b.Run(fmt.Sprintf("%s/K=%d/baseline", name, k), func(b *testing.B) {
-		baseNs, reordNs = localityKernelPairNs(b, baseline, reordered, x, xp, y, workers, iters, rounds)
-		report.Runs = append(report.Runs, localityBenchRecord{
-			Mode: "baseline", Workers: workers, NsPerOp: baseNs, GFLOPs: flops / baseNs,
+	for _, r := range report.Runs {
+		b.Run(fmt.Sprintf("%s/K=%d/%s", name, k, r.Mode), func(b *testing.B) {
+			b.ReportMetric(r.GFLOPs, "gflops")
 		})
-		b.ReportMetric(flops/baseNs, "gflops")
-	})
-	b.Run(fmt.Sprintf("%s/K=%d/reordered", name, k), func(b *testing.B) {
-		report.Runs = append(report.Runs, localityBenchRecord{
-			Mode: "reordered", Workers: workers, NsPerOp: reordNs, GFLOPs: flops / reordNs,
-		})
-		b.ReportMetric(flops/reordNs, "gflops")
-	})
-	if len(report.Runs) == 2 && report.Runs[1].NsPerOp > 0 {
-		report.Speedup = report.Runs[0].NsPerOp / report.Runs[1].NsPerOp
 	}
 	return report
 }
@@ -946,7 +754,7 @@ func localitySweep(b *testing.B, name string, a *sparse.CSR, k, iters, rounds in
 // the hub-block structure is where the permutation genuinely pays.
 //
 // With FINEGRAIN_LOCALITY_SMOKE set (`make bench-locality-smoke`, part
-// of `make ci`), the sweep runs one iteration per layout on shrunken
+// of `make ci`), the sweep runs one timing round per layout on shrunken
 // matrices and writes no artifact — a wiring check, not a measurement.
 // With FINEGRAIN_LOCALITY_FLOOR set (`make bench-locality`), the run
 // fails if the best reordered speedup drops below the floor — enforced
@@ -955,14 +763,14 @@ func localitySweep(b *testing.B, name string, a *sparse.CSR, k, iters, rounds in
 func BenchmarkLocality(b *testing.B) {
 	if os.Getenv("FINEGRAIN_LOCALITY_SMOKE") != "" {
 		scale := benchScale()
-		localitySweep(b, "nl", genCached("nl", scale), 8, 1, 1)
-		localitySweep(b, "ken-11", genCached("ken-11", scale), 8, 1, 1)
+		localitySweep(b, "nl", genCached("nl", scale), 8, 1)
+		localitySweep(b, "ken-11", genCached("ken-11", scale), 8, 1)
 		return
 	}
 	reports := []localityBenchReport{
-		localitySweep(b, "nl", genCached("nl", 1.0), 8, 200, 9),
-		localitySweep(b, "ken-11", genCached("ken-11", 1.0), 64, 200, 9),
-		localitySweep(b, "finan512", genCached("finan512", 1.0), 32, 50, 9),
+		localitySweep(b, "nl", genCached("nl", 1.0), 8, 9),
+		localitySweep(b, "ken-11", genCached("ken-11", 1.0), 64, 9),
+		localitySweep(b, "finan512", genCached("finan512", 1.0), 32, 9),
 	}
 	out := struct {
 		Benchmarks []localityBenchReport `json:"benchmarks"`

@@ -5,7 +5,6 @@
 //	experiments -table 1 [-scale 0.2]
 //	experiments -table 2 [-scale 0.1] [-seeds 3] [-k 16,32,64] [-matrices ken-11,cq9]
 //	experiments -figure 1
-//	experiments -localitybench nl [-scale 1] [-k 64] [-iters 50]
 //	experiments -compare [-scale 0.1] [-k 16,32,64] [-matrices ken-11,cq9] [-seeds 3]
 //	experiments -spgemmbench [-scale 0.1] [-k 4,16] [-matrices ken-11,cq9] [-json BENCH_spgemm.json]
 //
@@ -16,6 +15,8 @@
 // the simulated Sparse-SUMMA executor's traffic equals the model's
 // cutsize-derived prediction, and writes the figures to the path given
 // by -json (default BENCH_spgemm.json; empty writes no artifact).
+// Timing the locality kernel, natural vs reordered, is
+// `sparsepart -model locality -measure`.
 //
 // Scale shrinks the synthetic catalog matrices proportionally (1 =
 // paper-size); volumes are scaled by the matrix dimension, so results at
@@ -27,15 +28,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
-	finegrain "finegrain"
 	"finegrain/internal/experiments"
-	"finegrain/internal/kernel"
-	"finegrain/internal/reorder"
 )
 
 func main() {
@@ -48,8 +44,6 @@ func main() {
 	workers := flag.Int("workers", 0, "partitioner goroutines per instance (0 = GOMAXPROCS); results are identical for any value")
 	stats := flag.Bool("stats", false, "aggregate and print partitioner per-phase statistics")
 	quiet := flag.Bool("quiet", false, "suppress per-instance progress lines")
-	localityBench := flag.String("localitybench", "", "catalog matrix: time the real kernel, natural vs cache-blocked reordering")
-	iters := flag.Int("iters", 50, "multiplies per timing in -localitybench")
 	compare := flag.Bool("compare", false, "compare the 1D, fine-grain and medium-grain SpMV models")
 	spgemmBench := flag.Bool("spgemmbench", false, "sweep the SpGEMM hypergraph models over C=A·A with the simulated executor")
 	jsonOut := flag.String("json", "BENCH_spgemm.json", "artifact path for -spgemmbench (empty = none)")
@@ -101,15 +95,6 @@ func main() {
 			os.Exit(1)
 		}
 		experiments.WriteCompare(os.Stdout, rows)
-	case *localityBench != "":
-		k := 64
-		if ks := parseInts(*ks); len(ks) > 0 {
-			k = ks[0]
-		}
-		if err := runLocalityBench(*localityBench, *scale, k, *iters); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
 	case *table == 1:
 		experiments.WriteTable1(os.Stdout, experiments.Table1(*scale))
 	case *table == 2:
@@ -141,83 +126,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-// runLocalityBench measures what the cache-blocking reordering buys on
-// real hardware: the same matrix multiplied by the real kernel in
-// natural order and in the locality model's permuted order.
-func runLocalityBench(catalog string, scale float64, k, iters int) error {
-	a, err := finegrain.Generate(catalog, scale, 1)
-	if err != nil {
-		return err
-	}
-	dec, err := finegrain.DecomposeLocality(a, k, finegrain.Options{Seed: 1})
-	if err != nil {
-		return err
-	}
-	_, perm, err := finegrain.Reorder(dec, finegrain.Options{})
-	if err != nil {
-		return err
-	}
-	x := make([]float64, a.Cols)
-	for i := range x {
-		x[i] = 1 / float64(i+1)
-	}
-	xp := make([]float64, a.Cols) // x in permuted space, permuted once
-	reorder.ApplyVec(xp, x, perm.Col)
-	y := make([]float64, a.Rows)
-	flops := 2 * float64(a.NNZ())
-
-	natural, err := kernel.NewPlan(a, nil, kernel.Options{})
-	if err != nil {
-		return err
-	}
-	defer natural.Close()
-	reordered, err := kernel.NewPlan(a, perm, kernel.Options{})
-	if err != nil {
-		return err
-	}
-	defer reordered.Close()
-
-	// Both layouts run in steady state (vectors stay in the plan's
-	// space, as an iterative solver keeps them), in interleaved rounds
-	// so noise on shared hosts hits both sides alike.
-	opts := kernel.ExecOptions{}
-	if err := natural.Exec(x, y, opts); err != nil { // warm-up
-		return err
-	}
-	if err := reordered.Exec(xp, y, opts); err != nil {
-		return err
-	}
-	var nsNat, nsReord float64
-	for round := 0; round < 3; round++ {
-		t0 := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := natural.Exec(x, y, opts); err != nil {
-				return err
-			}
-		}
-		ns := float64(time.Since(t0).Nanoseconds()) / float64(iters)
-		if nsNat == 0 || ns < nsNat {
-			nsNat = ns
-		}
-		t0 = time.Now()
-		for i := 0; i < iters; i++ {
-			if err := reordered.Exec(xp, y, opts); err != nil {
-				return err
-			}
-		}
-		ns = float64(time.Since(t0).Nanoseconds()) / float64(iters)
-		if nsReord == 0 || ns < nsReord {
-			nsReord = ns
-		}
-	}
-	fmt.Printf("localitybench %s scale=%g K=%d n=%d nnz=%d gomaxprocs=%d\n",
-		catalog, scale, k, a.Rows, a.NNZ(), runtime.GOMAXPROCS(0))
-	fmt.Printf("  natural:   %12.0f ns/op  %6.3f GFLOP/s\n", nsNat, flops/nsNat)
-	fmt.Printf("  reordered: %12.0f ns/op  %6.3f GFLOP/s\n", nsReord, flops/nsReord)
-	fmt.Printf("  speedup:   %.2fx\n", nsNat/nsReord)
-	return nil
 }
 
 func parseInts(s string) []int {

@@ -57,7 +57,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
 	finegrain "finegrain"
 	"finegrain/internal/kernel"
@@ -396,79 +395,18 @@ func runSolve(dec *finegrain.Decomposition, n, workers int, tr *finegrain.Trace)
 }
 
 // runMeasure times the real multithreaded kernel on the natural and
-// reordered layouts and reports wall-clock GFLOP/s — the figure the
-// whole locality pipeline exists to improve. Both layouts run in steady
-// state (vectors stay in the plan's space, as an iterative solver keeps
-// them across a whole solve), in interleaved rounds so noise on shared
-// hosts hits both sides alike.
+// reordered layouts (kernel.TimeLayouts: checked bitwise equal, then
+// interleaved min-of-rounds) and reports wall-clock GFLOP/s — the
+// figure the whole locality pipeline exists to improve.
 func runMeasure(a *finegrain.Matrix, perm *finegrain.Permutation, tr *finegrain.Trace) error {
-	natural, err := kernel.NewPlanTraced(a, nil, kernel.Options{}, tr)
+	t, err := kernel.TimeLayouts(a, perm, 3, tr)
 	if err != nil {
 		return err
 	}
-	defer natural.Close()
-	reordered, err := kernel.NewPlanTraced(a, perm, kernel.Options{}, tr)
-	if err != nil {
-		return err
-	}
-	defer reordered.Close()
-
-	x := make([]float64, a.Cols)
-	for i := range x {
-		x[i] = 1 / float64(i+1)
-	}
-	xp := make([]float64, a.Cols) // x in permuted space, permuted once
-	reorder.ApplyVec(xp, x, perm.Col)
-	y := make([]float64, a.Rows)
 	flops := 2 * float64(a.NNZ())
-	opts := kernel.ExecOptions{}
-
-	// Warm up (spawns workers), then calibrate the round size to
-	// roughly 50 ms on the natural layout. The warm-up calls carry the
-	// trace track, so -trace records one kernel/exec span per layout
-	// without span overhead inside the timed rounds.
-	traced := kernel.ExecOptions{Track: tr.NewTrack("kernel measure")}
-	if err := natural.Exec(x, y, traced); err != nil {
-		return err
-	}
-	if err := reordered.Exec(xp, y, traced); err != nil {
-		return err
-	}
-	start := time.Now()
-	if err := natural.Exec(x, y, opts); err != nil {
-		return err
-	}
-	per := time.Since(start)
-	iters := int(50 * time.Millisecond / (per + 1))
-	if iters < 1 {
-		iters = 1
-	}
-	var nsNat, nsReord float64
-	for round := 0; round < 3; round++ {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := natural.Exec(x, y, opts); err != nil {
-				return err
-			}
-		}
-		ns := float64(time.Since(start).Nanoseconds()) / float64(iters)
-		if nsNat == 0 || ns < nsNat {
-			nsNat = ns
-		}
-		start = time.Now()
-		for i := 0; i < iters; i++ {
-			if err := reordered.Exec(xp, y, opts); err != nil {
-				return err
-			}
-		}
-		ns = float64(time.Since(start).Nanoseconds()) / float64(iters)
-		if nsReord == 0 || ns < nsReord {
-			nsReord = ns
-		}
-	}
-	fmt.Printf("  kernel (GOMAXPROCS=%d, %d blocks):\n", runtime.GOMAXPROCS(0), reordered.Blocks())
-	fmt.Printf("    natural:   %12.0f ns/op  %6.3f GFLOP/s\n", nsNat, flops/nsNat)
+	fmt.Printf("  kernel (GOMAXPROCS=%d, %d blocks):\n", runtime.GOMAXPROCS(0), t.Blocks)
+	fmt.Printf("    natural:   %12.0f ns/op  %6.3f GFLOP/s\n", t.NaturalNs, flops/t.NaturalNs)
 	fmt.Printf("    reordered: %12.0f ns/op  %6.3f GFLOP/s  (speedup %.2fx)\n",
-		nsReord, flops/nsReord, nsNat/nsReord)
+		t.PermutedNs, flops/t.PermutedNs, t.NaturalNs/t.PermutedNs)
 	return nil
 }

@@ -49,9 +49,9 @@ func (pl *Plan) CG(b []float64, opts CGOptions) (*CGResult, error) {
 }
 
 // cgOperator adapts a Plan to solver.Operator. It multiplies each
-// vector with Exec (faster than ExecBlock at n = 1), records its exec
-// spans on the caller's track rather than a solver track, and reports
-// no traffic: real threads move no simulated words.
+// vector with Exec, records its exec spans on the caller's track
+// rather than a solver track, and reports no traffic: real threads
+// move no simulated words.
 type cgOperator struct {
 	pl    *Plan
 	track *obs.Track

@@ -77,10 +77,8 @@ type Plan struct {
 	blocks []int32
 
 	// Per-call state, published to the workers for one call: the
-	// caller's vectors and the RHS count (0 for Exec, n for ExecBlock's
-	// stacked vectors).
+	// caller's vectors.
 	x, y []float64
-	n    int
 
 	cursor atomic.Int64 // next block to claim
 	g      par.Group
@@ -192,8 +190,7 @@ func (pl *Plan) NNZ() int { return pl.nnz }
 // schedules.
 func (pl *Plan) Blocks() int { return len(pl.blocks) - 1 }
 
-// Close marks the plan closed: Exec and ExecBlock after Close return an
-// error. A Plan holds no goroutines, so dropping it without Close frees
+// Close marks the plan closed: Exec after Close returns an error. A Plan holds no goroutines, so dropping it without Close frees
 // it too. Close must not race an in-flight Exec.
 func (pl *Plan) Close() { pl.closed.Store(true) }
 
@@ -209,19 +206,8 @@ func (pl *Plan) Exec(x, y []float64, opts ExecOptions) error {
 	if len(y) != pl.rows {
 		return fmt.Errorf("kernel: len(y)=%d, plan compiled for %d rows", len(y), pl.rows)
 	}
-	return pl.run(x, y, 0, opts)
-}
-
-// run is the dispatch Exec (n = 0) and ExecBlock (n ≥ 1 stacked
-// vectors) share: it publishes the call state, then the caller and
-// workers−1 parked workers claim row blocks off one cursor until none
-// remain.
-func (pl *Plan) run(x, y []float64, n int, opts ExecOptions) error {
 	if pl.closed.Load() {
-		if n == 0 {
-			return errors.New("kernel: Exec on a closed Plan")
-		}
-		return errors.New("kernel: ExecBlock on a closed Plan")
+		return errors.New("kernel: Exec on a closed Plan")
 	}
 	if !pl.busy.CompareAndSwap(false, true) {
 		return errors.New("kernel: concurrent Exec calls on one Plan")
@@ -236,16 +222,11 @@ func (pl *Plan) run(x, y []float64, n int, opts ExecOptions) error {
 		workers = nb
 	}
 
-	var esp obs.Span
-	if n == 0 {
-		esp = opts.Track.Begin("kernel", "exec").Arg("workers", int64(workers))
-	} else {
-		esp = opts.Track.Begin("kernel", "exec.block").Arg("workers", int64(workers)).Arg("n", int64(n))
-	}
-	pl.x, pl.y, pl.n = x, y, n
+	esp := opts.Track.Begin("kernel", "exec").Arg("workers", int64(workers))
+	pl.x, pl.y = x, y
 	pl.cursor.Store(0)
 	pl.g.Run(workers, (*blocksTask)(pl))
-	pl.x, pl.y, pl.n = nil, nil, 0
+	pl.x, pl.y = nil, nil
 	esp.End()
 	return nil
 }
@@ -261,17 +242,12 @@ type blocksTask Plan
 func (t *blocksTask) Run(_ int, _ *par.Worker) {
 	pl := (*Plan)(t)
 	nb := int64(len(pl.blocks) - 1)
-	n := pl.n
 	for {
 		b := pl.cursor.Add(1) - 1
 		if b >= nb {
 			return
 		}
-		if n > 0 {
-			pl.runBlockB(int(b), n)
-		} else {
-			pl.runBlock(int(b))
-		}
+		pl.runBlock(int(b))
 	}
 }
 

@@ -213,3 +213,21 @@ func TestCGNonSquare(t *testing.T) {
 		t.Error("CG accepted a non-square matrix")
 	}
 }
+
+// TestTimeLayouts: the layout timing reports positive ns/op for both
+// layouts and the permuted plan's blocks, and rejects a permutation
+// sized for another matrix.
+func TestTimeLayouts(t *testing.T) {
+	a := matgen.Random(300, 2500, 13)
+	got, err := TimeLayouts(a, randomPerm(a, 6), 2, obs.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NaturalNs <= 0 || got.PermutedNs <= 0 || got.Blocks < 1 {
+		t.Fatalf("TimeLayouts = %+v, want positive ns/op and at least one block", got)
+	}
+	other := matgen.Random(200, 1500, 14)
+	if _, err := TimeLayouts(a, randomPerm(other, 6), 1, nil); err == nil {
+		t.Fatal("TimeLayouts accepted a permutation sized for another matrix")
+	}
+}

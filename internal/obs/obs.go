@@ -8,7 +8,7 @@
 // zero Span and nil *Track it hands out) is a nil check, and no call on
 // the disabled path allocates. That lets the multilevel partitioner and
 // the SpMV execution engine keep their allocation-free hot paths
-// (BENCH_partition.json, BENCH_spmv.json) while being fully traceable
+// (BENCH_partition.json, spmv's TestExecDoesNotAllocate) while being fully traceable
 // when a caller opts in. See OBSERVABILITY.md for the span taxonomy and
 // capture workflow.
 //

@@ -205,7 +205,7 @@ func (m *metrics) writePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# HELP partserver_partition_seconds Wall time of executed partition computations.\n")
 	fmt.Fprintf(w, "# TYPE partserver_partition_seconds histogram\n")
 	m.partitionSeconds.write(w, "partserver_partition_seconds", "")
-	fmt.Fprintf(w, "# HELP partserver_phase_seconds Partitioner busy time per multilevel phase.\n")
+	fmt.Fprintf(w, "# HELP partserver_phase_seconds Partitioner busy time per multilevel phase, hypergraph-model jobs only.\n")
 	fmt.Fprintf(w, "# TYPE partserver_phase_seconds histogram\n")
 	for _, p := range phaseNames {
 		m.phaseSeconds[p].write(w, "partserver_phase_seconds", fmt.Sprintf("phase=%q", p))

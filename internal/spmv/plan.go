@@ -422,8 +422,8 @@ const serialNNZThreshold = 1 << 13
 // execWorkers resolves the worker count of one call over n right-hand
 // sides. The result never exceeds K (shards beyond K would be empty),
 // never exceeds GOMAXPROCS (extra goroutines on a saturated host only
-// add barrier round trips and scheduling churn — the BENCH_spmv.json
-// anomaly where 8 workers ran slower than 1 on a 1-CPU host), and
+// add barrier round trips and scheduling churn: 8 workers once ran
+// slower than 1 on a 1-CPU host), and
 // collapses to 1 when nnz·n is small: a plan too small to fan out for
 // one RHS may still be worth fanning out for sixteen. The output is
 // byte-identical at any worker count, so clamping is always safe.

@@ -41,9 +41,8 @@ type SessionOptions struct {
 	Trace *Trace
 	// CompileLocal additionally compiles the decomposition's
 	// cache-blocking permutation (Reorder) into a real-hardware kernel
-	// plan, served by MultiplyLocal and MultiplyLocalBlock. Off by
-	// default: the simulator plan alone answers every Multiply/Solve
-	// call.
+	// plan, served by MultiplyLocal. Off by default: the simulator plan
+	// alone answers every Multiply/Solve call.
 	CompileLocal bool
 }
 
@@ -69,7 +68,7 @@ type Session struct {
 	pl  *spmv.Plan
 	// The locality kernel, nil unless SessionOptions.CompileLocal: the
 	// plan compiled in permuted index space, its permutation, and the
-	// permuted-space scratch, grown to the widest batch seen.
+	// permuted-space scratch.
 	kpl     *kernel.Plan
 	perm    *reorder.Permutation
 	xp, yp  []float64
@@ -173,54 +172,21 @@ func (s *Session) MultiplyBlock(X, Y []float64, n int, o ExecOptions) error {
 // through the compiled permutation, allocating nothing in steady
 // state. The session must have been opened with CompileLocal.
 func (s *Session) MultiplyLocal(x, y []float64, o ExecOptions) error {
-	return s.multiplyLocal(x, y, 1, o)
-}
-
-// MultiplyLocalBlock is MultiplyLocal over n stacked right-hand sides,
-// reusing each cached matrix block across the whole batch — bitwise
-// equal to n MultiplyLocal calls.
-func (s *Session) MultiplyLocalBlock(X, Y []float64, n int, o ExecOptions) error {
-	return s.multiplyLocal(X, Y, n, o)
-}
-
-// multiplyLocal permutes X into the kernel plan's index space,
-// multiplies, and gathers the result back into Y. One vector runs
-// through Exec, which is faster than ExecBlock at n = 1.
-func (s *Session) multiplyLocal(X, Y []float64, n int, o ExecOptions) error {
 	if err := s.check(); err != nil {
 		return err
 	}
 	if s.kpl == nil {
 		return errors.New("finegrain: session opened without CompileLocal")
 	}
-	rows, cols := s.kpl.Dims()
-	if n < 1 {
-		return fmt.Errorf("finegrain: local multiply with n=%d right-hand sides", n)
+	if len(x) != len(s.xp) || len(y) != len(s.yp) {
+		return fmt.Errorf("finegrain: len(x)=%d, len(y)=%d, want cols = %d, rows = %d",
+			len(x), len(y), len(s.xp), len(s.yp))
 	}
-	if len(X) != n*cols || len(Y) != n*rows {
-		return fmt.Errorf("finegrain: len(X)=%d, len(Y)=%d, want n*cols = %d, n*rows = %d",
-			len(X), len(Y), n*cols, n*rows)
-	}
-	if len(s.xp) < n*cols {
-		s.xp, s.yp = make([]float64, n*cols), make([]float64, n*rows)
-	}
-	xp, yp := s.xp[:n*cols], s.yp[:n*rows]
-	for v := 0; v < n; v++ {
-		reorder.ApplyVec(xp[v*cols:(v+1)*cols], X[v*cols:(v+1)*cols], s.perm.Col)
-	}
-	opts := kernel.ExecOptions{Workers: o.Workers}
-	var err error
-	if n == 1 {
-		err = s.kpl.Exec(xp, yp, opts)
-	} else {
-		err = s.kpl.ExecBlock(xp, yp, n, opts)
-	}
-	if err != nil {
+	reorder.ApplyVec(s.xp, x, s.perm.Col)
+	if err := s.kpl.Exec(s.xp, s.yp, kernel.ExecOptions{Workers: s.execWorkers(o)}); err != nil {
 		return err
 	}
-	for v := 0; v < n; v++ {
-		reorder.UnapplyVec(Y[v*rows:(v+1)*rows], yp[v*rows:(v+1)*rows], s.perm.Row)
-	}
+	reorder.UnapplyVec(y, s.yp, s.perm.Row)
 	return nil
 }
 

@@ -142,7 +142,7 @@ func TestSessionSolveMatchesBlockCG(t *testing.T) {
 
 // TestSessionLocalKernel: a session opened with CompileLocal serves
 // real-kernel multiplies bitwise equal to the simulator's (rowwise
-// model), including the block path.
+// model) at every worker count.
 func TestSessionLocalKernel(t *testing.T) {
 	a, err := finegrain.Generate("nl", 0.05, 42)
 	if err != nil {
@@ -166,19 +166,16 @@ func TestSessionLocalKernel(t *testing.T) {
 	if err := s.MultiplyBlock(X, ySim, n, finegrain.ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	yKer := make([]float64, n*a.Rows)
-	if err := s.MultiplyLocalBlock(X, yKer, n, finegrain.ExecOptions{Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(yKer, ySim) {
-		t.Fatal("local kernel block output differs bitwise from simulator")
-	}
-	y1 := make([]float64, a.Rows)
-	if err := s.MultiplyLocal(X[:a.Cols], y1, finegrain.ExecOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(y1, ySim[:a.Rows]) {
-		t.Fatal("local kernel single output differs bitwise from simulator")
+	y := make([]float64, a.Rows)
+	for _, workers := range []int{1, 2} {
+		for v := 0; v < n; v++ {
+			if err := s.MultiplyLocal(X[v*a.Cols:(v+1)*a.Cols], y, finegrain.ExecOptions{Workers: workers}); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(y, ySim[v*a.Rows:(v+1)*a.Rows]) {
+				t.Fatalf("workers=%d: local kernel output for vector %d differs bitwise from simulator", workers, v)
+			}
+		}
 	}
 }
 
