@@ -66,16 +66,19 @@ race:
 e2e-fleet:
 	$(GO) test -race -count=1 -run 'TestFleet' ./internal/partserver/
 
-# fuzz-smoke fuzzes the Matrix Market reader for 10s per target:
+# fuzz-smoke fuzzes for 10s per target: the Matrix Market reader's
 # FuzzRead (Read: no panic, valid matrix, write/read round trip) and
 # FuzzReadCSRStream (ReadCSRStream on plain and gzip bodies: no panic,
-# hash matches the compiled matrix, agrees with Read). go test -fuzz
-# takes one target per run, so each gets its own invocation; a failing
-# input is saved under internal/mmio/testdata/fuzz/ as a regression
-# seed.
+# hash matches the compiled matrix, agrees with Read), and the SpMV
+# plan compile's FuzzNewPlan (schedule equals the reference compile,
+# Exec bitwise equal at Workers 1 and 3 and equal to the serial
+# product, counters equal comm.Measure). go test -fuzz takes one
+# target per run, so each gets its own invocation; a failing input is
+# saved under the package's testdata/fuzz/ as a regression seed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/mmio/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSRStream$$' -fuzztime 10s ./internal/mmio/
+	$(GO) test -run '^$$' -fuzz '^FuzzNewPlan$$' -fuzztime 10s ./internal/spmv/
 
 # bench regenerates BENCH_partition.json: the Workers sweep of the
 # multilevel partitioner (median/min/max time of 5 alternating samples
@@ -132,9 +135,13 @@ bench-block:
 # Workers 1, shrunken here), the solve path's layer benchmark; for a
 # timing at paper size run
 # go test -run '^$$' -bench BenchmarkSessionSolve -benchtime 10x .
+# It also runs BenchmarkNewPlan once (the spmv plan compile on finan512,
+# fine-grain K=64; about 8 s of decomposition set-up) with -benchmem,
+# so the compile's allocation count shows in the CI log.
 bench-block-smoke:
 	FINEGRAIN_BLOCK_SMOKE=1 \
 		$(GO) test -run '^$$' -bench 'BenchmarkBlockSpMV|BenchmarkSessionSolve' -benchtime 1x .
+	$(GO) test -run '^$$' -bench BenchmarkNewPlan -benchtime 1x -benchmem ./internal/spmv/
 
 # bench-locality regenerates BENCH_locality.json: wall-clock ns/op and
 # GFLOP/s of the real multithreaded kernel on nl (K=8), ken-11 (K=64)

@@ -141,6 +141,17 @@ func Measure(asg *core.Assignment) (*Stats, error) {
 		}
 	}
 
+	s.Finish(expandPairs, foldPairs, asg.Loads())
+	return s, nil
+}
+
+// Finish completes a profile whose phase volumes and per-processor
+// SendVolume/RecvVolume are filled in: it derives the totals and
+// maxima, the message counts from the phase pair matrices
+// (expandPairs[p*K+q]: a message p→q exists), and the load balance of
+// loads. Measure and spgemm.Measure both end here.
+func (s *Stats) Finish(expandPairs, foldPairs []bool, loads []int) {
+	k := s.K
 	s.TotalVolume = s.ExpandVolume + s.FoldVolume
 	for _, v := range s.SendVolume {
 		if v > s.MaxSendVolume {
@@ -177,7 +188,7 @@ func Measure(asg *core.Assignment) (*Stats, error) {
 		}
 	}
 
-	s.Loads = asg.Loads()
+	s.Loads = loads
 	total := 0
 	for _, l := range s.Loads {
 		total += l
@@ -189,5 +200,4 @@ func Measure(asg *core.Assignment) (*Stats, error) {
 		avg := float64(total) / float64(k)
 		s.ImbalancePct = 100 * (float64(s.MaxLoad) - avg) / avg
 	}
-	return s, nil
 }

@@ -14,6 +14,7 @@ package hypergraph
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Hypergraph is an immutable hypergraph. Construct instances with a
@@ -131,59 +132,28 @@ func (b *Builder) SetNetCost(n, c int) { b.netCost[n] = c }
 // Build freezes the builder into an immutable hypergraph. Duplicate pins
 // within a net are merged; pins within each net are sorted ascending.
 func (b *Builder) Build() *Hypergraph {
-	h := &Hypergraph{
-		numV:    b.numV,
-		numN:    len(b.netPins),
-		vweight: append([]int(nil), b.vweight...),
-		netCost: append([]int(nil), b.netCost...),
+	total := 0
+	for _, ps := range b.netPins {
+		total += len(ps)
 	}
 	// Deduplicate pins per net with a mark array (O(pins) total).
 	mark := make([]int, b.numV)
 	for i := range mark {
 		mark[i] = -1
 	}
-	totalPins := 0
-	deduped := make([][]int, len(b.netPins))
+	xpins := make([]int, len(b.netPins)+1)
+	pins := make([]int, 0, total)
 	for n, ps := range b.netPins {
-		out := ps[:0]
 		for _, v := range ps {
 			if mark[v] != n {
 				mark[v] = n
-				out = append(out, v)
+				pins = append(pins, v)
 			}
 		}
-		insertionSort(out)
-		deduped[n] = out
-		totalPins += len(out)
+		insertionSort(pins[xpins[n]:])
+		xpins[n+1] = len(pins)
 	}
-	h.xpins = make([]int, h.numN+1)
-	h.pins = make([]int, totalPins)
-	pos := 0
-	for n, ps := range deduped {
-		h.xpins[n] = pos
-		copy(h.pins[pos:], ps)
-		pos += len(ps)
-	}
-	h.xpins[h.numN] = pos
-
-	// Invert to vertex→nets.
-	h.vnetPtr = make([]int, h.numV+1)
-	for _, v := range h.pins {
-		h.vnetPtr[v+1]++
-	}
-	for v := 0; v < h.numV; v++ {
-		h.vnetPtr[v+1] += h.vnetPtr[v]
-	}
-	h.vnets = make([]int, totalPins)
-	next := make([]int, h.numV)
-	copy(next, h.vnetPtr[:h.numV])
-	for n := 0; n < h.numN; n++ {
-		for _, v := range h.Pins(n) {
-			h.vnets[next[v]] = n
-			next[v]++
-		}
-	}
-	return h
+	return FromCompact(slices.Clone(b.vweight), slices.Clone(b.netCost), xpins, pins)
 }
 
 // FromCompact freezes prebuilt CSR-style arrays directly into a

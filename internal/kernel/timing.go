@@ -28,10 +28,11 @@ type LayoutTiming struct {
 // GOMAXPROCS workers. Before
 // timing it checks that the permuted output, gathered back through
 // perm.Row, is bitwise equal to the natural output. It then runs
-// rounds interleaved rounds — natural, then permuted — each sized by
-// one warm natural Exec to about roundBudget, and reports each
-// layout's fastest round. Interleaving makes both layouts sample the
-// same noise (CPU steal on shared hosts skews sequential runs), and
+// rounds interleaved rounds — natural, then permuted — each sized to
+// about roundBudget from a timed natural batch of at least
+// roundBudget/8, and reports each layout's fastest round.
+// Interleaving makes both layouts sample the same noise (CPU steal on
+// shared hosts skews sequential runs), and
 // min-of-rounds is the least-noise estimator for a deterministic
 // kernel. Vectors stay in each plan's own index space, the
 // iterative-solver regime, where the permutation at the solve boundary
@@ -76,11 +77,7 @@ func TimeLayouts(a *sparse.CSR, perm *reorder.Permutation, rounds int, tr *obs.T
 	}
 
 	opts := ExecOptions{}
-	start := time.Now()
-	if err := natural.Exec(x, y, opts); err != nil {
-		return LayoutTiming{}, err
-	}
-	iters := max(1, int(roundBudget/(time.Since(start)+1)))
+	iters := 1
 	timeRound := func(pl *Plan, x, y []float64) (float64, error) {
 		start := time.Now()
 		for i := 0; i < iters; i++ {
@@ -89,6 +86,21 @@ func TimeLayouts(a *sparse.CSR, perm *reorder.Permutation, rounds int, tr *obs.T
 			}
 		}
 		return float64(time.Since(start).Nanoseconds()) / float64(iters), nil
+	}
+	// Size the rounds from a natural batch that lasts at least
+	// roundBudget/8, doubling from one Exec: the first calls after the
+	// warm-up run slower than steady state, so one timed Exec
+	// undersizes every round.
+	for {
+		ns, err := timeRound(natural, x, y)
+		if err != nil {
+			return LayoutTiming{}, err
+		}
+		if ns*float64(iters) >= float64(roundBudget/8) {
+			iters = max(1, int(float64(roundBudget)/ns))
+			break
+		}
+		iters *= 2
 	}
 	t := LayoutTiming{NaturalNs: math.Inf(1), PermutedNs: math.Inf(1), Blocks: permuted.Blocks()}
 	for round := 0; round < rounds; round++ {

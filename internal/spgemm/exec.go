@@ -159,52 +159,7 @@ func Measure(asg *Assignment) (*comm.Stats, error) {
 		}
 	}
 
-	s.TotalVolume = s.ExpandVolume + s.FoldVolume
-	for _, v := range s.SendVolume {
-		if v > s.MaxSendVolume {
-			s.MaxSendVolume = v
-		}
-	}
-	for _, v := range s.RecvVolume {
-		if v > s.MaxRecvVolume {
-			s.MaxRecvVolume = v
-		}
-	}
-	sent := make([]int, k)
-	recv := make([]int, k)
-	for p := 0; p < k; p++ {
-		for q := 0; q < k; q++ {
-			if expandPairs[p*k+q] {
-				s.ExpandMessages++
-				sent[p]++
-				recv[q]++
-			}
-			if foldPairs[p*k+q] {
-				s.FoldMessages++
-				sent[p]++
-				recv[q]++
-			}
-		}
-	}
-	s.TotalMessages = s.ExpandMessages + s.FoldMessages
-	s.AvgMessagesPerProc = float64(s.TotalMessages) / float64(k)
-	for p := 0; p < k; p++ {
-		if h := sent[p] + recv[p]; h > s.MaxMessagesPerProc {
-			s.MaxMessagesPerProc = h
-		}
-	}
-	s.Loads = asg.Loads()
-	total := 0
-	for _, l := range s.Loads {
-		total += l
-		if l > s.MaxLoad {
-			s.MaxLoad = l
-		}
-	}
-	if total > 0 {
-		avg := float64(total) / float64(k)
-		s.ImbalancePct = 100 * (float64(s.MaxLoad) - avg) / avg
-	}
+	s.Finish(expandPairs, foldPairs, asg.Loads())
 	return s, nil
 }
 

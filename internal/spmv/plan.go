@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"finegrain/internal/core"
@@ -212,130 +211,130 @@ func NewPlanTraced(asg *core.Assignment, tr *obs.Trace) (*Plan, error) {
 		rowAccSlot[i] = int32(len(pr.yOwned))
 		pr.yOwned = append(pr.yOwned, int32(i))
 	}
-	for p := range pl.procs {
-		pr := &pl.procs[p]
-		pr.yAcc = make([]float64, len(pr.yOwned))
-	}
 
 	// Compile the local x fragment and expand routing, receiver by
-	// receiver. colSlot maps a used global column to its xloc slot.
+	// receiver: xloc is [owned columns | one run per sender, senders
+	// ascending], columns ascending within each part.
+	lay := newLayout(max(a.Rows, a.Cols), k)
 	expandOff := int32(0)
 	for q := 0; q < k; q++ {
 		pr := &pl.procs[q]
-		used := sortedUnique(gCol[q])
-		colSlot := make(map[int32]int32, len(used))
-		// Owned slots first.
-		for _, j := range used {
-			if asg.XOwner[j] == q {
-				colSlot[j] = int32(len(pr.xOwnIdx))
-				pr.xOwnIdx = append(pr.xOwnIdx, j)
-			}
-		}
-		// Remote columns, grouped by owning sender, senders ascending,
-		// columns ascending within a group (used is already sorted).
-		bySender := make(map[int][]int32)
-		var senders []int
-		for _, j := range used {
-			o := asg.XOwner[j]
-			if o == q {
+		pr.locCol = make([]int32, len(gCol[q]))
+		cols, b := lay.group(gCol[q], asg.XOwner, q, pr.locCol)
+		cols = slices.Clone(cols)
+		pr.xOwnIdx = cols[:b[1]:b[1]]
+		for sdr := 0; sdr < k; sdr++ {
+			lo, hi := b[sdr+1], b[sdr+2]
+			if lo == hi {
 				continue
 			}
-			if _, ok := bySender[o]; !ok {
-				senders = append(senders, o)
-			}
-			bySender[o] = append(bySender[o], j)
-		}
-		sort.Ints(senders)
-		nloc := int32(len(pr.xOwnIdx))
-		for _, sdr := range senders {
-			cols := bySender[sdr]
-			for _, j := range cols {
-				colSlot[j] = nloc
-				nloc++
-			}
 			pl.procs[sdr].expSend = append(pl.procs[sdr].expSend, sendRange{
-				off: expandOff, src: -1, n: int32(len(cols)), idx: cols,
+				off: expandOff, src: -1, n: hi - lo, idx: cols[lo:hi:hi],
 			})
-			pr.expRecv = append(pr.expRecv, recvRange{
-				off: expandOff,
-				dst: nloc - int32(len(cols)),
-				n:   int32(len(cols)),
-			})
-			expandOff += int32(len(cols))
-			pl.counters.ExpandWords += len(cols)
+			pr.expRecv = append(pr.expRecv, recvRange{off: expandOff, dst: lo, n: hi - lo})
+			expandOff += hi - lo
+			pl.counters.ExpandWords += int(hi - lo)
 			pl.counters.ExpandMessages++
 		}
-		pr.xloc = make([]float64, nloc)
-		// Compute schedule columns.
-		pr.locCol = make([]int32, len(gCol[q]))
-		for t, j := range gCol[q] {
-			pr.locCol[t] = colSlot[j]
-		}
+		pr.xloc = make([]float64, len(cols))
 	}
 	pl.expandBuf = make([]float64, expandOff)
 
-	// Compile the partial layout and fold routing, sender by sender.
+	// Compile the partial layout and fold routing, sender by sender, on
+	// the same layout: partial is [owned rows | one run per destination,
+	// destinations ascending], rows ascending within each part.
 	foldOff := int32(0)
 	for p := 0; p < k; p++ {
 		pr := &pl.procs[p]
-		touched := sortedUnique(gRow[p])
-		rowSlot := make(map[int32]int32, len(touched))
-		for _, i := range touched {
-			if asg.YOwner[i] == p {
-				rowSlot[i] = int32(len(pr.ownAcc))
-				pr.ownAcc = append(pr.ownAcc, rowAccSlot[i])
-			}
+		pr.locRow = make([]int32, len(gRow[p]))
+		rows, b := lay.group(gRow[p], asg.YOwner, p, pr.locRow)
+		acc := make([]int32, len(rows))
+		for s, i := range rows {
+			acc[s] = rowAccSlot[i]
 		}
-		byDest := make(map[int][]int32)
-		var dests []int
-		for _, i := range touched {
-			d := asg.YOwner[i]
-			if d == p {
+		pr.ownAcc = acc[:b[1]:b[1]]
+		for d := 0; d < k; d++ {
+			lo, hi := b[d+1], b[d+2]
+			if lo == hi {
 				continue
 			}
-			if _, ok := byDest[d]; !ok {
-				dests = append(dests, d)
-			}
-			byDest[d] = append(byDest[d], i)
-		}
-		sort.Ints(dests)
-		nslot := int32(len(pr.ownAcc))
-		for _, d := range dests {
-			rows := byDest[d]
-			src := nslot
-			for _, i := range rows {
-				rowSlot[i] = nslot
-				nslot++
-			}
-			pr.foldSend = append(pr.foldSend, sendRange{off: foldOff, src: src, n: int32(len(rows))})
-			acc := make([]int32, len(rows))
-			for w, i := range rows {
-				acc[w] = rowAccSlot[i]
-			}
+			pr.foldSend = append(pr.foldSend, sendRange{off: foldOff, src: lo, n: hi - lo})
 			// Sender loop ascending ⇒ each receiver's foldRecv list ends
 			// up in ascending sender order: own partial first, then
 			// senders ascending, the fold accumulation order.
-			pl.procs[d].foldRecv = append(pl.procs[d].foldRecv, foldRecv{off: foldOff, acc: acc})
-			foldOff += int32(len(rows))
-			pl.counters.FoldWords += len(rows)
+			pl.procs[d].foldRecv = append(pl.procs[d].foldRecv, foldRecv{off: foldOff, acc: acc[lo:hi:hi]})
+			foldOff += hi - lo
+			pl.counters.FoldWords += int(hi - lo)
 			pl.counters.FoldMessages++
 		}
-		pr.partial = make([]float64, nslot)
-		pr.locRow = make([]int32, len(gRow[p]))
-		for t, i := range gRow[p] {
-			pr.locRow[t] = rowSlot[i]
-		}
+		pr.partial = make([]float64, len(rows))
+		pr.yAcc = make([]float64, len(pr.yOwned))
 	}
 	pl.foldBuf = make([]float64, foldOff)
 	return pl, nil
 }
 
-// sortedUnique returns the ascending distinct values of s without
-// mutating it.
-func sortedUnique(s []int32) []int32 {
-	out := slices.Clone(s)
-	slices.Sort(out)
-	return slices.Compact(out)
+// layout is the one local-index layout both phases compile through: a
+// processor's distinct indices grouped [self | owner 0 | owner 1 | …],
+// ascending within each group. Its scratch is sized once per plan and
+// reused across processors and phases.
+type layout struct {
+	stamp    []int32 // stamp[j] == epoch: j was seen in the current call
+	slot     []int32 // slot[j]: j's local slot, valid while stamped
+	epoch    int32
+	distinct []int32
+	grouped  []int32
+	bounds   []int32
+}
+
+func newLayout(n, k int) *layout {
+	return &layout{stamp: make([]int32, n), slot: make([]int32, n), bounds: make([]int32, k+3)}
+}
+
+// group lays out the distinct indices of occ, a processor's occurrence
+// list: self's first, then owner o's for o ascending, each group
+// ascending. It returns them in slot order with the run bounds b
+// (self's run is [0, b[1]), owner o's is [b[o+1], b[o+2])) and writes
+// each occurrence's slot into loc. Both results are scratch, valid
+// until the next call.
+func (l *layout) group(occ []int32, owner []int, self int, loc []int32) ([]int32, []int32) {
+	l.epoch++
+	l.distinct = l.distinct[:0]
+	for _, j := range occ {
+		if l.stamp[j] != l.epoch {
+			l.stamp[j] = l.epoch
+			l.distinct = append(l.distinct, j)
+		}
+	}
+	slices.Sort(l.distinct)
+	// Stable counting sort over keys self → 0, owner o → o+1: count key
+	// c at b[c+2], prefix-sum so b[c+1] is c's start, then place with
+	// b[c+1] as the cursor, which leaves it at c's end, b[c+2]'s start.
+	key := func(j int32) int {
+		if o := owner[j]; o != self {
+			return o + 1
+		}
+		return 0
+	}
+	b := l.bounds
+	clear(b)
+	for _, j := range l.distinct {
+		b[key(j)+2]++
+	}
+	for i := 1; i < len(b); i++ {
+		b[i] += b[i-1]
+	}
+	l.grouped = slices.Grow(l.grouped[:0], len(l.distinct))[:len(l.distinct)]
+	for _, j := range l.distinct {
+		c := key(j) + 1
+		l.grouped[b[c]] = j
+		l.slot[j] = b[c]
+		b[c]++
+	}
+	for t, j := range occ {
+		loc[t] = l.slot[j]
+	}
+	return l.grouped, b
 }
 
 // K returns the number of simulated processors.
