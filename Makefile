@@ -97,12 +97,16 @@ bench-quick:
 # random-fill trials) on the coarsest level of the nl fine-grain ladder
 # in hgpart and of the nl standard graph's ladder in gpart, and hgpart's
 # coarsening (the level ladder of the finan512 fine-grain top
-# bisection). -benchmem prints B/op and allocs/op, so an allocation
-# regression shows in the CI log (at 1x, B/op includes growing the
-# scratch arena). Raise -benchtime to time a layer or to see its warm
-# allocation.
+# bisection). It also runs BenchmarkModelBuild, the construction of each
+# production hypergraph model (fine-grain, rectangular fine-grain,
+# column-net, medium-grain on a shrunken cre-b; both SpGEMM models on a
+# shrunken ken-11), which feeds them.
+# -benchmem prints B/op and allocs/op, so an allocation regression shows
+# in the CI log (at 1x, B/op includes growing the scratch arena). Raise
+# -benchtime to time a layer or to see its warm allocation.
 bench-hgpart-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkInitialBisect|BenchmarkCoarsen' -benchtime 1x -benchmem ./internal/hgpart/ ./internal/gpart/
+	$(GO) test -run '^$$' -bench BenchmarkModelBuild -benchtime 1x -benchmem .
 
 # bench-scaling is the gate for partitioner scaling: it regenerates
 # BENCH_partition.json and fails if the multi-worker speedup of the

@@ -35,12 +35,15 @@ import (
 	"time"
 
 	finegrain "finegrain"
+	"finegrain/internal/core"
 	"finegrain/internal/experiments"
 	"finegrain/internal/hgpart"
 	"finegrain/internal/hypergraph"
 	"finegrain/internal/kernel"
 	"finegrain/internal/matgen"
+	"finegrain/internal/mediumgrain"
 	"finegrain/internal/sparse"
+	"finegrain/internal/spgemm"
 	"finegrain/internal/spmv"
 )
 
@@ -475,25 +478,36 @@ func slicesEqual(a, b []int) bool {
 	return true
 }
 
-// BenchmarkModelBuild times hypergraph construction for the fine-grain
-// model (the paper's cost discussion: 2× pins/nets versus the 1D
-// model).
+// BenchmarkModelBuild times hypergraph construction alone, one
+// sub-benchmark per production hypergraph model: on a square matrix
+// the paper's fine-grain model (2× the pins and nets of the 1D model,
+// its cost discussion), the rectangular fine-grain variant, the 1D
+// column-net baseline and medium-grain; on C = A·A the two SpGEMM
+// models, whose builds include the symbolic product. B/op and
+// allocs/op are the construction's whole allocation.
 func BenchmarkModelBuild(b *testing.B) {
-	a := genCached("cre-b", benchScale())
-	b.Run("finegrain-2d", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := finegrain.BuildFineGrain(a); err != nil {
-				b.Fatal(err)
+	models := []struct {
+		name, matrix string
+		build        func(*sparse.CSR) (any, error)
+	}{
+		{"finegrain", "cre-b", func(a *sparse.CSR) (any, error) { return core.BuildFineGrain(a) }},
+		{"finegrain-rect", "cre-b", func(a *sparse.CSR) (any, error) { return core.BuildRectFineGrain(a) }},
+		{"columnnet", "cre-b", func(a *sparse.CSR) (any, error) { return core.BuildColumnNet(a) }},
+		{"mediumgrain", "cre-b", func(a *sparse.CSR) (any, error) { return mediumgrain.Build(a) }},
+		{"spgemm-finegrain", "ken-11", func(a *sparse.CSR) (any, error) { return spgemm.BuildFineGrain(a, a) }},
+		{"spgemm-rowwise", "ken-11", func(a *sparse.CSR) (any, error) { return spgemm.BuildRowwise(a, a) }},
+	}
+	for _, m := range models {
+		a := genCached(m.matrix, benchScale())
+		b.Run(m.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.build(a); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("columnnet-1d", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := finegrain.Decompose1D(a, 1, finegrain.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // blockSamples is how many timed samples BenchmarkBlockSpMV takes of

@@ -271,10 +271,9 @@ func TestAssignmentValidate(t *testing.T) {
 // for BuildFineGrain's compact construction.
 func buildFineGrainReference(a *sparse.CSR) *hypergraph.Hypergraph {
 	m, z := a.Rows, a.NNZ()
-	present, _ := a.DiagonalPresence()
 	var dummies []int
 	for j := 0; j < m; j++ {
-		if !present[j] {
+		if !slices.Contains(a.ColIdx[a.RowPtr[j]:a.RowPtr[j+1]], j) {
 			dummies = append(dummies, j)
 		}
 	}

@@ -53,79 +53,47 @@ func BuildFineGrain(a *sparse.CSR) (*FineGrainModel, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("%w: %dx%d", ErrNotSquare, a.Rows, a.Cols)
 	}
-	m := a.Rows
-	z := a.NNZ()
-	present, _ := a.DiagonalPresence()
+	// v_jj is a_jj's vertex where the diagonal is stored; elsewhere a
+	// dummy, numbered after the nonzeros in diagonal order.
+	m, z := a.Rows, a.NNZ()
+	diagVertex := make([]int, m)
 	var dummies []int
 	for j := 0; j < m; j++ {
-		if !present[j] {
+		if k, ok := a.Find(j, j); ok {
+			diagVertex[j] = k
+		} else {
+			diagVertex[j] = z + len(dummies)
 			dummies = append(dummies, j)
 		}
 	}
-	// Vertex k < Z is nonzero k in CSR order, weight 1 (one scalar
-	// multiplication); dummy diagonal vertex Z+d has weight 0.
-	vweight := make([]int, z+len(dummies))
-	for v := 0; v < z; v++ {
-		vweight[v] = 1
-	}
-	netCost := make([]int, 2*m)
-	for n := range netCost {
-		netCost[n] = 1
-	}
-	// Net sizes, one slot ahead, then prefix sums: row net m_i holds row
-	// i's nonzeros, column net n_j column j's, and each gets its dummy
-	// diagonal vertex, if any.
-	xpins := make([]int, 2*m+1)
-	for i := 0; i < m; i++ {
-		xpins[i+1] = a.RowPtr[i+1] - a.RowPtr[i]
-	}
-	for _, j := range a.ColIdx {
-		xpins[m+j+1]++
-	}
-	for _, j := range dummies {
-		xpins[j+1]++
-		xpins[m+j+1]++
-	}
-	for n := 0; n < 2*m; n++ {
-		xpins[n+1] += xpins[n]
-	}
-	// Walking nonzeros in CSR order fills every net in ascending vertex
-	// order, and dummies, numbered after every nonzero, go last: each
-	// net's pins come out sorted and unique, as FromCompact requires.
-	pins := make([]int, xpins[2*m])
-	next := slices.Clone(xpins[:2*m])
-	for i := 0; i < m; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.ColIdx[k]
-			pins[next[i]] = k
-			pins[next[m+j]] = k
-			next[i]++
-			next[m+j]++
-		}
-	}
-	diagVertex := make([]int, m)
-	for j := range diagVertex {
-		diagVertex[j] = -1
-	}
-	for d, j := range dummies {
-		v := z + d
-		pins[next[j]] = v
-		pins[next[m+j]] = v
-		diagVertex[j] = v
-	}
-	// Real diagonal vertices.
-	for i := 0; i < m; i++ {
-		if present[i] {
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				if a.ColIdx[k] == i {
-					diagVertex[i] = k
-					break
-				}
+	h := fineGrainHypergraph(a, dummies)
+	return &FineGrainModel{H: h, A: a, DummyDiag: dummies, diagVertex: diagVertex}, nil
+}
+
+// fineGrainHypergraph is the fine-grain hypergraph of a with the given
+// dummy diagonals, shared by the square and the rectangular model.
+// Vertex k < Z is nonzero k in CSR order, weight 1 (one scalar
+// multiplication), a pin of row net m_i and column net n_j; dummy
+// diagonal vertex Z+d has weight 0 and is a pin of both nets of index
+// dummies[d].
+func fineGrainHypergraph(a *sparse.CSR, dummies []int) *hypergraph.Hypergraph {
+	z := a.NNZ()
+	vweight := hypergraph.Ones(z + len(dummies))
+	clear(vweight[z:])
+	m := a.Rows
+	return hypergraph.FromPins(vweight, hypergraph.Ones(m+a.Cols), func(pin func(n, v int)) {
+		for i := 0; i < m; i++ {
+			lo := a.RowPtr[i]
+			for k, j := range a.ColIdx[lo:a.RowPtr[i+1]] {
+				pin(i, lo+k)
+				pin(m+j, lo+k)
 			}
 		}
-	}
-	h := hypergraph.FromCompact(vweight, netCost, xpins, pins)
-	return &FineGrainModel{H: h, A: a, DummyDiag: dummies, diagVertex: diagVertex}, nil
+		for d, j := range dummies {
+			pin(j, z+d)
+			pin(m+j, z+d)
+		}
+	})
 }
 
 // DiagVertex returns the vertex index of v_jj.
@@ -169,23 +137,14 @@ func (fg *FineGrainModel) CheckConsistency() error {
 		if v < 0 {
 			return fmt.Errorf("core: no diagonal vertex for index %d", j)
 		}
-		if !pinOf(fg.H, fg.RowNet(j), v) {
+		if !slices.Contains(fg.H.Pins(fg.RowNet(j)), v) {
 			return fmt.Errorf("core: v_%d,%d missing from row net m_%d", j, j, j)
 		}
-		if !pinOf(fg.H, fg.ColNet(j), v) {
+		if !slices.Contains(fg.H.Pins(fg.ColNet(j)), v) {
 			return fmt.Errorf("core: v_%d,%d missing from column net n_%d", j, j, j)
 		}
 	}
 	return nil
-}
-
-func pinOf(h *hypergraph.Hypergraph, n, v int) bool {
-	for _, p := range h.Pins(n) {
-		if p == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Decode2D decodes a K-way partition of the fine-grain hypergraph into

@@ -26,20 +26,24 @@ func BuildColumnNet(a *sparse.CSR) (*ColumnNetModel, error) {
 		return nil, fmt.Errorf("%w: %dx%d", ErrNotSquare, a.Rows, a.Cols)
 	}
 	m := a.Rows
-	b := hypergraph.NewBuilder(m, m)
-	for i := 0; i < m; i++ {
-		b.SetVertexWeight(i, a.RowNNZ(i)) // an empty row costs nothing to compute
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			b.AddPin(a.ColIdx[k], i)
+	vweight := make([]int, m)
+	for i := range vweight {
+		vweight[i] = a.RowNNZ(i) // an empty row costs nothing to compute
+	}
+	h := hypergraph.FromPins(vweight, hypergraph.Ones(m), func(pin func(n, v int)) {
+		for i := 0; i < m; i++ {
+			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+				pin(a.ColIdx[k], i)
+			}
 		}
-	}
-	// Consistency pins: row j is always a pin of column net j, so the
-	// decoded owner of x_j (= the part of row j) is in the net's
-	// connectivity set.
-	for j := 0; j < m; j++ {
-		b.AddPin(j, j)
-	}
-	return &ColumnNetModel{H: b.Build(), A: a}, nil
+		// Consistency pins: row j is always a pin of column net j, so
+		// the decoded owner of x_j (= the part of row j) is in the
+		// net's connectivity set.
+		for j := 0; j < m; j++ {
+			pin(j, j)
+		}
+	})
+	return &ColumnNetModel{H: h, A: a}, nil
 }
 
 // Decode1D decodes a K-way partition of the rows into an Assignment:

@@ -33,14 +33,7 @@ func BuildRectFineGrain(a *sparse.CSR) (*RectFineGrainModel, error) {
 	if a.Rows == 0 || a.Cols == 0 {
 		return nil, fmt.Errorf("core: empty matrix %dx%d", a.Rows, a.Cols)
 	}
-	b := hypergraph.NewBuilder(a.NNZ(), a.Rows+a.Cols)
-	for i := 0; i < a.Rows; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			b.AddPin(i, k)
-			b.AddPin(a.Rows+a.ColIdx[k], k)
-		}
-	}
-	return &RectFineGrainModel{H: b.Build(), A: a}, nil
+	return &RectFineGrainModel{H: fineGrainHypergraph(a, nil), A: a}, nil
 }
 
 // RowNet returns the net index of row net m_i.

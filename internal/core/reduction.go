@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"finegrain/internal/hypergraph"
 )
@@ -80,91 +81,68 @@ func BuildReduction(numInputs, numOutputs int, tasks []Task, opts ReductionOptio
 		return nil, fmt.Errorf("core: PreOutputs length %d, want %d", len(opts.PreOutputs), numOutputs)
 	}
 
-	// Which processors need part vertices?
+	// Processor p gets a part vertex, numbered after the tasks in
+	// processor order, when an input or output is pre-assigned to it;
+	// partVertex[p] is 1 for such a p until it is numbered.
+	pre := slices.Concat(opts.PreInputs, opts.PreOutputs)
 	maxProc := -1
-	scan := func(pre []int) error {
-		for _, p := range pre {
-			if p < -1 {
-				return fmt.Errorf("core: pre-assignment %d invalid", p)
-			}
-			if p > maxProc {
-				maxProc = p
-			}
+	for _, p := range pre {
+		if p < -1 {
+			return nil, fmt.Errorf("core: pre-assignment %d invalid", p)
 		}
-		return nil
-	}
-	if err := scan(opts.PreInputs); err != nil {
-		return nil, err
-	}
-	if err := scan(opts.PreOutputs); err != nil {
-		return nil, err
+		maxProc = max(maxProc, p)
 	}
 	if opts.K > 0 && maxProc >= opts.K {
 		return nil, fmt.Errorf("core: pre-assignment to processor %d but K=%d", maxProc, opts.K)
 	}
-
-	numV := len(tasks)
 	partVertex := make([]int, maxProc+1)
-	for p := range partVertex {
-		partVertex[p] = -1
-	}
-	used := make([]bool, maxProc+1)
-	for _, p := range opts.PreInputs {
+	for _, p := range pre {
 		if p >= 0 {
-			used[p] = true
+			partVertex[p] = 1
 		}
 	}
-	for _, p := range opts.PreOutputs {
-		if p >= 0 {
-			used[p] = true
-		}
-	}
-	for p, u := range used {
-		if u {
-			partVertex[p] = numV
-			numV++
-		}
-	}
-
-	b := hypergraph.NewBuilder(numV, numOutputs+numInputs)
-	for t, task := range tasks {
-		w := task.Weight
-		if w <= 0 {
-			w = 1
-		}
-		b.SetVertexWeight(t, w)
-		for _, out := range task.Outputs {
-			b.AddPin(out, t)
-		}
-		for _, in := range task.Inputs {
-			b.AddPin(numOutputs+in, t)
-		}
-	}
+	numV := len(tasks)
 	var fixed []int
 	if maxProc >= 0 {
-		fixed = make([]int, numV)
+		fixed = make([]int, numV, numV+len(partVertex))
 		for v := range fixed {
 			fixed[v] = -1
 		}
-		for p, v := range partVertex {
-			if v >= 0 {
-				b.SetVertexWeight(v, 0)
-				fixed[v] = p
+	}
+	for p, used := range partVertex {
+		partVertex[p] = -1
+		if used == 1 {
+			partVertex[p] = numV
+			fixed = append(fixed, p)
+			numV++
+		}
+	}
+	vweight := make([]int, numV) // part vertices weigh 0
+	for t, task := range tasks {
+		vweight[t] = max(task.Weight, 1)
+	}
+	h := hypergraph.FromPins(vweight, hypergraph.Ones(numOutputs+numInputs), func(pin func(n, v int)) {
+		for t, task := range tasks {
+			for _, out := range task.Outputs {
+				pin(out, t)
+			}
+			for _, in := range task.Inputs {
+				pin(numOutputs+in, t)
 			}
 		}
 		for in, p := range opts.PreInputs {
 			if p >= 0 {
-				b.AddPin(numOutputs+in, partVertex[p])
+				pin(numOutputs+in, partVertex[p])
 			}
 		}
 		for out, p := range opts.PreOutputs {
 			if p >= 0 {
-				b.AddPin(out, partVertex[p])
+				pin(out, partVertex[p])
 			}
 		}
-	}
+	})
 	return &ReductionModel{
-		H:          b.Build(),
+		H:          h,
 		NumTasks:   len(tasks),
 		NumInputs:  numInputs,
 		NumOutputs: numOutputs,

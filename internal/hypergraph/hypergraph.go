@@ -8,7 +8,9 @@
 //
 // Storage is index-based and compact: pins of each net and nets of each
 // vertex are stored in two CSR-style arrays, which is the layout the
-// multilevel partitioner in internal/hgpart traverses.
+// multilevel partitioner in internal/hgpart traverses. Every model
+// builds its hypergraph with FromPins, hgpart's contraction rebuilds
+// its recycled ones with Reset, and tests check both against Builder.
 package hypergraph
 
 import (
@@ -17,9 +19,9 @@ import (
 	"slices"
 )
 
-// Hypergraph is an immutable hypergraph. Construct instances with a
-// Builder, or with FromCompact from arrays that already have the form
-// Build establishes (sorted unique pins); the partitioner relies on
+// Hypergraph is an immutable hypergraph. Construct instances with
+// FromPins, or with FromCompact from arrays that already have the form
+// FromPins establishes (sorted unique pins); the partitioner relies on
 // those invariants. Reset, which rebuilds a value in place, is for
 // owners that recycle hypergraphs nothing else can see.
 type Hypergraph struct {
@@ -86,7 +88,8 @@ func (h *Hypergraph) String() string {
 }
 
 // Builder assembles a hypergraph incrementally. Pins may be added in any
-// order; duplicates within a net are merged by Build.
+// order; duplicates within a net are merged by Build. Only tests use
+// it, for fixtures and as the independent oracle of FromPins.
 type Builder struct {
 	numV    int
 	netPins [][]int
@@ -154,6 +157,57 @@ func (b *Builder) Build() *Hypergraph {
 		xpins[n+1] = len(pins)
 	}
 	return FromCompact(slices.Clone(b.vweight), slices.Clone(b.netCost), xpins, pins)
+}
+
+// Ones returns n unit weights or costs, the default of a vertex weight
+// and of a net cost.
+func Ones(n int) []int {
+	w := make([]int, n)
+	for i := range w {
+		w[i] = 1
+	}
+	return w
+}
+
+// FromPins builds a hypergraph from a stream of (net, vertex) pins,
+// taking ownership of vweight (one weight per vertex) and netCost (one
+// cost per net). It calls emit twice, and emit must emit the same pins
+// both times: the first pass counts each net's pins, the second writes
+// them through a cursor per net. Pins may come in any order and may
+// repeat; each net is then sorted and deduplicated in place, so the
+// result is the hypergraph Builder.Build gives for the same pins. It
+// panics on a net or vertex out of range.
+func FromPins(vweight, netCost []int, emit func(pin func(n, v int))) *Hypergraph {
+	numV, numN := len(vweight), len(netCost)
+	xpins := make([]int, numN+1)
+	emit(func(n, v int) {
+		if uint(n) >= uint(numN) || uint(v) >= uint(numV) {
+			panic(fmt.Sprintf("hypergraph: pin (net %d, vertex %d) out of range [0,%d)×[0,%d)", n, v, numN, numV))
+		}
+		xpins[n+1]++
+	})
+	for n := 0; n < numN; n++ {
+		xpins[n+1] += xpins[n]
+	}
+	pins := make([]int, xpins[numN])
+	emit(func(n, v int) {
+		pins[xpins[n]] = v
+		xpins[n]++
+	})
+	// The cursors leave xpins[n] at net n+1's start. Each net moves down
+	// to w, its new start; an ascending net, as most models emit theirs,
+	// skips the sort, and Compact only reads a net without duplicates.
+	w, start := 0, 0
+	for n := 0; n < numN; n++ {
+		net := pins[start:xpins[n]]
+		if !slices.IsSorted(net) {
+			slices.Sort(net)
+		}
+		start, xpins[n] = xpins[n], w
+		w += copy(pins[w:], slices.Compact(net))
+	}
+	xpins[numN] = w
+	return FromCompact(vweight, netCost, xpins, pins[:w])
 }
 
 // FromCompact freezes prebuilt CSR-style arrays directly into a
@@ -280,6 +334,25 @@ func (h *Hypergraph) Validate() error {
 	}
 	if count != len(h.pins) {
 		return fmt.Errorf("hypergraph: %d vertex-net references vs %d pins", count, len(h.pins))
+	}
+	return nil
+}
+
+// Diff names the first difference between got and want — shape, a
+// net's pins or cost, vertex weights or nets — or returns nil when they
+// are the same hypergraph; tests check models against Builder with it.
+func Diff(got, want *Hypergraph) error {
+	if got.numV != want.numV || got.numN != want.numN {
+		return fmt.Errorf("hypergraph: shape %v, want %v", got, want)
+	}
+	for n := 0; n < want.numN; n++ {
+		if !slices.Equal(got.Pins(n), want.Pins(n)) || got.netCost[n] != want.netCost[n] {
+			return fmt.Errorf("hypergraph: net %d: pins %v cost %d, want %v cost %d",
+				n, got.Pins(n), got.netCost[n], want.Pins(n), want.netCost[n])
+		}
+	}
+	if !slices.Equal(got.vweight, want.vweight) || !slices.Equal(got.vnetPtr, want.vnetPtr) || !slices.Equal(got.vnets, want.vnets) {
+		return fmt.Errorf("hypergraph: vertex weights or nets differ: %v, want %v", got.vweight, want.vweight)
 	}
 	return nil
 }

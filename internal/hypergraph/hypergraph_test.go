@@ -402,3 +402,72 @@ func TestResetRebuildsInPlace(t *testing.T) {
 		t.Fatalf("warm Reset: %.0f allocs/op, want 0", got)
 	}
 }
+
+// TestFromPinsMatchesBuilder feeds the same random pin stream — any
+// order, repeated pins, empty nets, isolated vertices, and the
+// degenerate shapes with no vertices or no nets — to FromPins and to
+// Builder, and requires identical hypergraphs.
+func TestFromPinsMatchesBuilder(t *testing.T) {
+	r := rng.New(29)
+	shapes := [][2]int{{0, 0}, {0, 3}, {4, 0}, {1, 1}}
+	for trial := 0; trial < 200; trial++ {
+		shapes = append(shapes, [2]int{r.Intn(30), r.Intn(30)})
+	}
+	for trial, shape := range shapes {
+		numV, numN := shape[0], shape[1]
+		var stream [][2]int
+		if numV > 0 {
+			for n := 0; n < numN; n++ {
+				for d := r.Intn(8); d > 0; d-- {
+					// A small vertex range repeats pins within a net.
+					stream = append(stream, [2]int{n, r.Intn(min(numV, 1+r.Intn(10)))})
+				}
+			}
+		}
+		for i, j := range r.Perm(len(stream)) {
+			stream[i], stream[j] = stream[j], stream[i]
+		}
+		vweight, netCost := make([]int, numV), make([]int, numN)
+		b := NewBuilder(numV, numN)
+		for v := range vweight {
+			vweight[v] = r.Intn(4)
+			b.SetVertexWeight(v, vweight[v])
+		}
+		for n := range netCost {
+			netCost[n] = 1 + r.Intn(3)
+			b.SetNetCost(n, netCost[n])
+		}
+		for _, p := range stream {
+			b.AddPin(p[0], p[1])
+		}
+		got := FromPins(vweight, netCost, func(pin func(n, v int)) {
+			for _, p := range stream {
+				pin(p[0], p[1])
+			}
+		})
+		if err := got.Validate(); err != nil {
+			t.Fatalf("trial %d (V=%d N=%d): %v", trial, numV, numN, err)
+		}
+		if err := Diff(got, b.Build()); err != nil {
+			t.Fatalf("trial %d (V=%d N=%d): %v", trial, numV, numN, err)
+		}
+	}
+}
+
+func TestFromPinsPanicsOutOfRange(t *testing.T) {
+	for name, p := range map[string][2]int{
+		"net out of range":    {1, 0},
+		"vertex out of range": {0, 2},
+		"negative net":        {-1, 0},
+		"negative vertex":     {0, -1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			FromPins([]int{1, 1}, []int{1}, func(pin func(n, v int)) { pin(p[0], p[1]) })
+		}()
+	}
+}

@@ -120,20 +120,22 @@ func Lookup(name string) (Spec, error) {
 	return Spec{}, fmt.Errorf("matgen: unknown catalog matrix %q", name)
 }
 
-// Scaled returns a shrunk copy of the spec: the dimension is multiplied
-// by scale (floored at 64) while the average degree and — crucially —
-// the absolute degree extremes are preserved (capped at a third of the
-// shrunk dimension). Preserving absolute degrees keeps the paper's
-// effect intact at reduced scale: the fine-grain model's advantage on a
-// dense row of degree d comes from paying ≤ K−1 words where a 1D
-// rowwise decomposition pays up to d, a gap driven by d versus K, not
-// by d versus the matrix dimension. scale ≥ 1 returns the spec
-// unchanged.
+// Scaled returns a resized copy of the spec, named "X@scale": the
+// dimension is multiplied by scale (floored at 64) while the average
+// degree and — crucially — the absolute degree extremes are preserved
+// (capped at a third of the dimension, which binds only when
+// shrinking), and NNZ becomes AvgDeg·N. Preserving absolute degrees
+// keeps the paper's effect intact at any scale: the fine-grain model's
+// advantage on a dense row of degree d comes from paying ≤ K−1 words
+// where a 1D rowwise decomposition pays up to d, a gap driven by d
+// versus K, not by d versus the matrix dimension. Scale 1 returns the
+// spec unchanged.
 func (s Spec) Scaled(scale float64) Spec {
-	if scale >= 1 {
+	if scale == 1 {
 		return s
 	}
 	out := s
+	out.Name = fmt.Sprintf("%s@%.2g", s.Name, scale)
 	out.N = int(math.Round(float64(s.N) * scale))
 	if out.N < 64 {
 		out.N = 64
@@ -148,7 +150,6 @@ func (s Spec) Scaled(scale float64) Spec {
 		out.AvgDeg = avgCeil
 	}
 	out.NNZ = int(math.Round(out.AvgDeg * float64(out.N)))
-	out.Name = fmt.Sprintf("%s@%.2g", s.Name, scale)
 	return out
 }
 

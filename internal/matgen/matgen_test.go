@@ -1,11 +1,13 @@
 package matgen
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"finegrain/internal/rng"
+	"finegrain/internal/sparse"
 )
 
 func TestSampleDegreesExactSum(t *testing.T) {
@@ -171,6 +173,39 @@ func TestScaledPreservesShape(t *testing.T) {
 	}
 }
 
+// TestScaledUpKeepsProfile checks scales above 1: every catalog spec
+// multiplies N, keeps its degree figures and has NNZ = AvgDeg·N, and
+// one generated matrix (sherman3, the smallest) has the scaled
+// dimension and the spec's minimum degree. (Its maximum is not checked: the banded
+// generator overshoots MaxDeg at scale 1 as well.)
+func TestScaledUpKeepsProfile(t *testing.T) {
+	for _, spec := range Catalog() {
+		for _, scale := range []float64{2, 4} {
+			s := spec.Scaled(scale)
+			if want := fmt.Sprintf("%s@%g", spec.Name, scale); s.Name != want {
+				t.Fatalf("name %q, want %q", s.Name, want)
+			}
+			wantN := int(scale) * spec.N
+			if wantNNZ := int(math.Round(spec.AvgDeg * float64(wantN))); s.N != wantN || s.NNZ != wantNNZ {
+				t.Fatalf("%s: N %d NNZ %d, want %d and %d", s.Name, s.N, s.NNZ, wantN, wantNNZ)
+			}
+			if s.MinDeg != spec.MinDeg || s.MaxDeg != spec.MaxDeg || s.AvgDeg != spec.AvgDeg {
+				t.Fatalf("%s: degrees %d..%d avg %v, want %d..%d avg %v", s.Name,
+					s.MinDeg, s.MaxDeg, s.AvgDeg, spec.MinDeg, spec.MaxDeg, spec.AvgDeg)
+			}
+		}
+	}
+	spec, _ := Lookup("sherman3")
+	s := spec.Scaled(2)
+	st := s.Generate(1).ComputeStats()
+	if st.Rows != s.N || st.Cols != s.N {
+		t.Fatalf("%s: generated %dx%d, want N %d", s.Name, st.Rows, st.Cols, s.N)
+	}
+	if st.PooledMin < s.MinDeg {
+		t.Fatalf("%s: minimum degree %d, spec %d", s.Name, st.PooledMin, s.MinDeg)
+	}
+}
+
 func TestSymmetricFamiliesAreSymmetric(t *testing.T) {
 	for _, name := range []string{"bcspwr10", "vibrobox", "finan512"} {
 		spec, _ := Lookup(name)
@@ -181,13 +216,23 @@ func TestSymmetricFamiliesAreSymmetric(t *testing.T) {
 	}
 }
 
+// diagonalCount is the number of stored diagonal entries of a.
+func diagonalCount(a *sparse.CSR) int {
+	count := 0
+	for i := 0; i < min(a.Rows, a.Cols); i++ {
+		if a.Has(i, i) {
+			count++
+		}
+	}
+	return count
+}
+
 func TestLPFamiliesHaveMissingDiagonals(t *testing.T) {
 	// Missing diagonals exercise the fine-grain dummy-vertex path; the
 	// LP generator must produce some.
 	spec, _ := Lookup("cre-b")
 	a := spec.Scaled(0.05).Generate(11)
-	_, count := a.DiagonalPresence()
-	if count == a.Rows {
+	if diagonalCount(a) == a.Rows {
 		t.Fatal("LP matrix has a full diagonal; dummies never exercised")
 	}
 }
@@ -231,7 +276,7 @@ func TestRandomGenerators(t *testing.T) {
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, count := a.DiagonalPresence(); count != 30 {
+	if diagonalCount(a) != 30 {
 		t.Fatal("Random should have a full diagonal")
 	}
 	b := RandomPattern(30, 100, 1)

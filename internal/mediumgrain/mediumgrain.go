@@ -53,59 +53,48 @@ func Build(a *sparse.CSR) (*Model, error) {
 		return nil, fmt.Errorf("%w: %dx%d", core.ErrNotSquare, a.Rows, a.Cols)
 	}
 	m, n := a.Rows, a.Cols
-	rowCount := make([]int, m)
 	colCount := make([]int, n)
-	for i := 0; i < m; i++ {
-		rowCount[i] = a.RowNNZ(i)
-	}
 	for _, j := range a.ColIdx {
 		colCount[j]++
 	}
 
 	// Split pass: each nonzero joins the direction with fewer nonzeros
-	// (its row group on ties), and the group weights accumulate.
+	// (its row group on ties), and the group weights accumulate in
+	// vweight[i] (r_i) and vweight[m+j] (c_j).
 	toRow := make([]bool, a.NNZ())
-	rowWeight := make([]int, m)
-	colWeight := make([]int, n)
+	vweight := make([]int, m+n)
 	for i := 0; i < m; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 			j := a.ColIdx[k]
-			if colCount[j] < rowCount[i] {
-				colWeight[j]++
+			if colCount[j] < a.RowNNZ(i) {
+				vweight[m+j]++
 			} else {
 				toRow[k] = true
-				rowWeight[i]++
+				vweight[i]++
 			}
 		}
 	}
 
-	b := hypergraph.NewBuilder(m+n, m+n)
-	for i := 0; i < m; i++ {
-		b.SetVertexWeight(i, rowWeight[i])
-	}
-	for j := 0; j < n; j++ {
-		b.SetVertexWeight(m+j, colWeight[j])
-	}
-	// Consistency pins: the group vertex itself is always in its net,
-	// so the decoded vector owner lies in the net's connectivity set —
-	// the condition that makes connectivity−1 the exact volume.
-	for i := 0; i < m; i++ {
-		b.AddPin(i, i) // r_i ∈ m_i
-	}
-	for j := 0; j < n; j++ {
-		b.AddPin(m+j, m+j) // c_j ∈ n_j
-	}
-	for i := 0; i < m; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.ColIdx[k]
-			if toRow[k] {
-				b.AddPin(m+j, i) // r_i joins column net n_j
-			} else {
-				b.AddPin(i, m+j) // c_j joins row net m_i
+	h := hypergraph.FromPins(vweight, hypergraph.Ones(m+n), func(pin func(n, v int)) {
+		// Consistency pins: the group vertex itself is always in its
+		// net, so the decoded vector owner lies in the net's
+		// connectivity set — the condition that makes connectivity−1
+		// the exact volume.
+		for v := 0; v < m+n; v++ {
+			pin(v, v) // r_i ∈ m_i, c_j ∈ n_j
+		}
+		for i := 0; i < m; i++ {
+			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+				j := a.ColIdx[k]
+				if toRow[k] {
+					pin(m+j, i) // r_i joins column net n_j
+				} else {
+					pin(i, m+j) // c_j joins row net m_i
+				}
 			}
 		}
-	}
-	return &Model{H: b.Build(), A: a, toRow: toRow}, nil
+	})
+	return &Model{H: h, A: a, toRow: toRow}, nil
 }
 
 // RowVertex returns the vertex index of row group r_i.

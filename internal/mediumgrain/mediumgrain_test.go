@@ -155,3 +155,54 @@ func TestRejectsNonSquare(t *testing.T) {
 		t.Fatal("non-square matrix accepted")
 	}
 }
+
+// TestBuildMatchesBuilder checks Build against the model built pin by
+// pin through hypergraph.Builder, with the split heuristic recomputed
+// here, on random square matrices with empty rows and columns and with
+// a full or a partial diagonal (a consistency pin may repeat a pin).
+func TestBuildMatchesBuilder(t *testing.T) {
+	r := rng.New(59)
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + r.Intn(50)
+		coo := sparse.NewCOO(n, n)
+		for e := r.Intn(4 * n); e > 0; e-- {
+			coo.Add(r.Intn(n), r.Intn(n), 1)
+		}
+		if trial%2 == 0 {
+			for i := 0; i < n; i++ {
+				coo.Add(i, i, 1)
+			}
+		}
+		a := coo.ToCSR()
+		mg, err := mediumgrain.Build(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		colCount := make([]int, n)
+		for _, j := range a.ColIdx {
+			colCount[j]++
+		}
+		b := hypergraph.NewBuilder(2*n, 2*n)
+		weight := make([]int, 2*n)
+		for i := 0; i < n; i++ {
+			b.AddPin(i, i)
+			b.AddPin(n+i, n+i)
+			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+				j := a.ColIdx[k]
+				if colCount[j] < a.RowNNZ(i) {
+					weight[n+j]++
+					b.AddPin(i, n+j)
+				} else {
+					weight[i]++
+					b.AddPin(n+j, i)
+				}
+			}
+		}
+		for v, w := range weight {
+			b.SetVertexWeight(v, w)
+		}
+		if err := hypergraph.Diff(mg.H, b.Build()); err != nil {
+			t.Fatalf("trial %d (n=%d): %v", trial, n, err)
+		}
+	}
+}

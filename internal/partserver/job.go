@@ -36,7 +36,8 @@ func (s JobState) terminal() bool {
 // query string).
 type JobRequest struct {
 	// Catalog names a synthetic matrix; Scale and GenSeed parameterize
-	// the generator (Scale defaults to 1, the paper's size).
+	// the generator (Scale is in (0, 1] and defaults to 1, the paper's
+	// size).
 	Catalog string  `json:"catalog,omitempty"`
 	Scale   float64 `json:"scale,omitempty"`
 	GenSeed uint64  `json:"gen_seed,omitempty"`
@@ -118,6 +119,11 @@ func (r *JobRequest) normalize() error {
 	}
 	if r.Scale == 0 {
 		r.Scale = 1
+	}
+	// The request generates the matrix, so it stays within paper size.
+	if !(r.Scale > 0 && r.Scale <= 1) {
+		return &finegrain.Error{Code: finegrain.BadMatrix, Op: "normalize",
+			Msg: fmt.Sprintf("scale must be in (0, 1], got %g", r.Scale)}
 	}
 	if r.TimeoutMS < 0 {
 		return fmt.Errorf("timeout_ms must be >= 0, got %d", r.TimeoutMS)

@@ -703,6 +703,8 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 		{"unknown model", `{"catalog":"ken-11","scale":0.05,"k":4,"model":"mystery"}`, 400, string(finegrain.BadModel)},
 		{"k missing", `{"catalog":"ken-11","scale":0.05}`, 400, string(finegrain.BadK)},
 		{"k negative", `{"catalog":"ken-11","scale":0.05,"k":-3}`, 400, string(finegrain.BadK)},
+		{"catalog above paper size", `{"catalog":"finan512","scale":1000000,"k":2}`, 400, string(finegrain.BadMatrix)},
+		{"negative scale", `{"catalog":"ken-11","scale":-1,"k":2}`, 400, string(finegrain.BadMatrix)},
 		{"non-square matrix", string(nonSquare), 400, string(finegrain.BadMatrix)},
 		{"both sources", `{"catalog":"ken-11","matrix":"x","k":4}`, 400, string(finegrain.BadMatrix)},
 		{"malformed json", `{`, 400, string(codeBadRequest)},

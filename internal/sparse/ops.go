@@ -53,24 +53,6 @@ func (m *CSR) IsStructurallySymmetric() bool {
 	return m.PatternEqual(&CSR{Rows: t.Rows, Cols: t.Cols, RowPtr: t.RowPtr, ColIdx: t.ColIdx, Val: t.Val})
 }
 
-// DiagonalPresence returns, for each index j, whether a_jj is stored,
-// along with the count of structurally nonzero diagonal entries. Only
-// meaningful for square matrices.
-func (m *CSR) DiagonalPresence() (present []bool, count int) {
-	n := m.Rows
-	if m.Cols < n {
-		n = m.Cols
-	}
-	present = make([]bool, n)
-	for i := 0; i < n; i++ {
-		if m.Has(i, i) {
-			present[i] = true
-			count++
-		}
-	}
-	return present, count
-}
-
 // Scale multiplies every stored value by s, in place.
 func (m *CSR) Scale(s float64) {
 	for k := range m.Val {

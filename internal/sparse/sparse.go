@@ -13,6 +13,7 @@ package sparse
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -164,22 +165,26 @@ func (m *CSR) RowNNZ(i int) int { return m.RowPtr[i+1] - m.RowPtr[i] }
 // ColNNZ returns the number of stored entries in column j.
 func (m *CSC) ColNNZ(j int) int { return m.ColPtr[j+1] - m.ColPtr[j] }
 
-// At returns the value at (i, j), or 0 if the entry is not stored.
+// Find returns the storage position k of entry (i, j), so that
+// ColIdx[k] == j and Val[k] is its value, and whether it is stored.
 // Lookup is a binary search within row i.
+func (m *CSR) Find(i, j int) (k int, ok bool) {
+	k, ok = slices.BinarySearch(m.ColIdx[m.RowPtr[i]:m.RowPtr[i+1]], j)
+	return m.RowPtr[i] + k, ok
+}
+
+// At returns the value at (i, j), or 0 if the entry is not stored.
 func (m *CSR) At(i, j int) float64 {
-	cols, vals := m.Row(i)
-	k := sort.SearchInts(cols, j)
-	if k < len(cols) && cols[k] == j {
-		return vals[k]
+	if k, ok := m.Find(i, j); ok {
+		return m.Val[k]
 	}
 	return 0
 }
 
 // Has reports whether entry (i, j) is structurally present.
 func (m *CSR) Has(i, j int) bool {
-	cols, _ := m.Row(i)
-	k := sort.SearchInts(cols, j)
-	return k < len(cols) && cols[k] == j
+	_, ok := m.Find(i, j)
+	return ok
 }
 
 // ToCSC converts the matrix to compressed-sparse-column form.

@@ -239,16 +239,18 @@ func TestIsStructurallySymmetric(t *testing.T) {
 	}
 }
 
+// TestDiagonalPresence checks Find and Has on the diagonal: a stored
+// a_ii is found at its storage position, a missing one is not.
 func TestDiagonalPresence(t *testing.T) {
 	m := FromEntries(4, 4, []Entry{{0, 0, 1}, {1, 2, 1}, {2, 2, 1}, {3, 0, 1}})
-	present, count := m.DiagonalPresence()
-	if count != 2 {
-		t.Fatalf("count = %d, want 2", count)
-	}
 	want := []bool{true, false, true, false}
 	for i := range want {
-		if present[i] != want[i] {
-			t.Fatalf("present[%d] = %v, want %v", i, present[i], want[i])
+		k, ok := m.Find(i, i)
+		if ok != want[i] || m.Has(i, i) != want[i] {
+			t.Fatalf("a_%d%d present = %v, want %v", i, i, ok, want[i])
+		}
+		if ok && (m.ColIdx[k] != i || k < m.RowPtr[i] || k >= m.RowPtr[i+1]) {
+			t.Fatalf("a_%d%d found at %d, outside row %d or in column %d", i, i, k, i, m.ColIdx[k])
 		}
 	}
 }

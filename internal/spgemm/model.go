@@ -68,14 +68,15 @@ func BuildFineGrain(a, b *sparse.CSR) (*FineGrainModel, error) {
 	cNetBase := nets
 	nets += c.NNZ()
 
-	bld := hypergraph.NewBuilder(numTasks, nets)
-	forEachTask(a, b, c, func(t, aPos, bPos, cPos int) {
-		bld.AddPin(netOfA[aPos], t)
-		bld.AddPin(netOfB[bPos], t)
-		bld.AddPin(cNetBase+cPos, t)
+	h := hypergraph.FromPins(hypergraph.Ones(numTasks), hypergraph.Ones(nets), func(pin func(n, v int)) {
+		forEachTask(a, b, c, func(t, aPos, bPos, cPos int) {
+			pin(netOfA[aPos], t)
+			pin(netOfB[bPos], t)
+			pin(cNetBase+cPos, t)
+		})
 	})
 	return &FineGrainModel{
-		H: bld.Build(), A: a, B: b, C: c,
+		H: h, A: a, B: b, C: c,
 		numTasks: numTasks, netOfA: netOfA, netOfB: netOfB,
 		cNetBase: cNetBase, aNets: aNets, bNets: bNets,
 	}, nil
@@ -163,21 +164,27 @@ func BuildRowwise(a, b *sparse.CSR) (*RowwiseModel, error) {
 	if numTasks == 0 {
 		return nil, ErrEmptyProduct
 	}
-	bld := hypergraph.NewBuilder(a.Rows, b.Rows)
-	for i := 0; i < a.Rows; i++ {
-		w := 0
+	vweight := make([]int, a.Rows)
+	for i := range vweight {
 		for pa := a.RowPtr[i]; pa < a.RowPtr[i+1]; pa++ {
-			k := a.ColIdx[pa]
-			w += b.RowNNZ(k)
-			bld.AddPin(k, i)
+			vweight[i] += b.RowNNZ(a.ColIdx[pa])
 		}
-		bld.SetVertexWeight(i, w)
 	}
-	for k := 0; k < b.Rows; k++ {
-		bld.SetNetCost(k, b.RowNNZ(k))
-		bld.AddPin(k, k)
+	netCost := make([]int, b.Rows)
+	for k := range netCost {
+		netCost[k] = b.RowNNZ(k)
 	}
-	return &RowwiseModel{H: bld.Build(), A: a, B: b, C: c}, nil
+	h := hypergraph.FromPins(vweight, netCost, func(pin func(n, v int)) {
+		for i := 0; i < a.Rows; i++ {
+			for pa := a.RowPtr[i]; pa < a.RowPtr[i+1]; pa++ {
+				pin(a.ColIdx[pa], i)
+			}
+		}
+		for k := 0; k < b.Rows; k++ {
+			pin(k, k)
+		}
+	})
+	return &RowwiseModel{H: h, A: a, B: b, C: c}, nil
 }
 
 // Decode decodes a K-way row partition: all tasks of row i, its A and

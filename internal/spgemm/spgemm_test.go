@@ -1,7 +1,9 @@
 package spgemm_test
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"finegrain/internal/hgpart"
@@ -203,5 +205,111 @@ func TestRejectsDegenerate(t *testing.T) {
 	empty := sparse.NewCOO(5, 5).ToCSR()
 	if _, err := spgemm.BuildFineGrain(empty, empty); err != spgemm.ErrEmptyProduct {
 		t.Fatalf("empty product: got %v", err)
+	}
+}
+
+// fineGrainReference builds the elementwise model of C = A·B pin by pin
+// through hypergraph.Builder: tasks in Gustavson order, then A nets,
+// B nets and C nets, each A or B element a net only when some task
+// uses it.
+func fineGrainReference(a, b, c *sparse.CSR) *hypergraph.Hypergraph {
+	aColCount := make([]int, a.Cols)
+	for _, k := range a.ColIdx {
+		aColCount[k]++
+	}
+	nets := 0
+	netOfA := make([]int, a.NNZ())
+	for p, k := range a.ColIdx {
+		if b.RowNNZ(k) > 0 {
+			netOfA[p] = nets
+			nets++
+		}
+	}
+	netOfB := make([]int, b.NNZ())
+	for k := 0; k < b.Rows; k++ {
+		for p := b.RowPtr[k]; p < b.RowPtr[k+1]; p++ {
+			if aColCount[k] > 0 {
+				netOfB[p] = nets
+				nets++
+			}
+		}
+	}
+	cBase := nets
+	tasks, _ := spgemm.NumTasks(a, b)
+	bld := hypergraph.NewBuilder(tasks, nets+c.NNZ())
+	t := 0
+	for i := 0; i < a.Rows; i++ {
+		cRow := c.ColIdx[c.RowPtr[i]:c.RowPtr[i+1]]
+		for pa := a.RowPtr[i]; pa < a.RowPtr[i+1]; pa++ {
+			k := a.ColIdx[pa]
+			for pb := b.RowPtr[k]; pb < b.RowPtr[k+1]; pb++ {
+				bld.AddPin(netOfA[pa], t)
+				bld.AddPin(netOfB[pb], t)
+				bld.AddPin(cBase+c.RowPtr[i]+slices.Index(cRow, b.ColIdx[pb]), t)
+				t++
+			}
+		}
+	}
+	return bld.Build()
+}
+
+// rowwiseReference builds the 1D rowwise model of C = A·B through
+// hypergraph.Builder: row i weighs its flops and pins the nets of the
+// B rows it reads, net k costs nnz(B_k*) and pins its consistency row.
+func rowwiseReference(a, b *sparse.CSR) *hypergraph.Hypergraph {
+	bld := hypergraph.NewBuilder(a.Rows, b.Rows)
+	for i := 0; i < a.Rows; i++ {
+		w := 0
+		for pa := a.RowPtr[i]; pa < a.RowPtr[i+1]; pa++ {
+			w += b.RowNNZ(a.ColIdx[pa])
+			bld.AddPin(a.ColIdx[pa], i)
+		}
+		bld.SetVertexWeight(i, w)
+	}
+	for k := 0; k < b.Rows; k++ {
+		bld.SetNetCost(k, b.RowNNZ(k))
+		bld.AddPin(k, k)
+	}
+	return bld.Build()
+}
+
+// TestModelsMatchBuilder checks both SpGEMM models against their
+// Builder constructions, net by net, on the square and rectangular
+// pairs and on sparse random pairs with empty rows and columns (unused
+// A and B elements, repeated consistency pins).
+func TestModelsMatchBuilder(t *testing.T) {
+	in := pairs()
+	r := rng.New(61)
+	for trial := 0; trial < 12; trial++ {
+		m, k, n := 2+r.Intn(20), 2+r.Intn(20), 2+r.Intn(20)
+		if trial%2 == 0 {
+			k, n = m, m
+		}
+		a := randomRect(m, k, 1+r.Intn(m*k/2), uint64(100+trial))
+		b := randomRect(k, n, 1+r.Intn(k*n/2), uint64(200+trial))
+		in[fmt.Sprintf("random%d", trial)] = [2]*sparse.CSR{a, b}
+	}
+	for name, pair := range in {
+		a, b := pair[0], pair[1]
+		fg, err := spgemm.BuildFineGrain(a, b)
+		if err == spgemm.ErrEmptyProduct {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := hypergraph.Diff(fg.H, fineGrainReference(a, b, fg.C)); err != nil {
+			t.Fatalf("%s fine-grain: %v", name, err)
+		}
+		if a.Rows != a.Cols {
+			continue
+		}
+		rw, err := spgemm.BuildRowwise(a, b)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := hypergraph.Diff(rw.H, rowwiseReference(a, b)); err != nil {
+			t.Fatalf("%s rowwise: %v", name, err)
+		}
 	}
 }
