@@ -95,9 +95,11 @@ bench-quick:
 # bench-hgpart-smoke runs the partitioners' layer benchmarks once, so
 # they keep compiling and running: the initial bisection (GHG and
 # random-fill trials) on the coarsest level of the nl fine-grain ladder
-# in hgpart and of the nl standard graph's ladder in gpart, and hgpart's
+# in hgpart and of the nl standard graph's ladder in gpart, hgpart's
 # coarsening (the level ladder of the finan512 fine-grain top
-# bisection). It also runs BenchmarkModelBuild, the construction of each
+# bisection), and hgpart's whole bisection tree (BenchmarkPartitionTree:
+# finan512 fine-grain, K=64, Workers 1, where the children's ladders
+# start from the levels they inherit). It also runs BenchmarkModelBuild, the construction of each
 # production hypergraph model (fine-grain, rectangular fine-grain,
 # column-net, medium-grain on a shrunken cre-b; both SpGEMM models on a
 # shrunken ken-11), which feeds them.
@@ -105,7 +107,7 @@ bench-quick:
 # in the CI log (at 1x, B/op includes growing the scratch arena). Raise
 # -benchtime to time a layer or to see its warm allocation.
 bench-hgpart-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkInitialBisect|BenchmarkCoarsen' -benchtime 1x -benchmem ./internal/hgpart/ ./internal/gpart/
+	$(GO) test -run '^$$' -bench 'BenchmarkInitialBisect|BenchmarkCoarsen|BenchmarkPartitionTree' -benchtime 1x -benchmem ./internal/hgpart/ ./internal/gpart/
 	$(GO) test -run '^$$' -bench BenchmarkModelBuild -benchtime 1x -benchmem .
 
 # bench-scaling is the gate for partitioner scaling: it regenerates

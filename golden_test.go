@@ -19,54 +19,54 @@ import (
 // a speed-up) must leave every digest untouched; a change meant to
 // alter partitions re-records them and says so.
 var goldenDigests = map[string]string{
-	"ken-11/16/finegrain":    "ed7b264fa282957081980f5467c79c898a632566c8bcd85271fb9edaa6da929c",
+	"ken-11/16/finegrain":    "7b7d325dc261706292215614c28378b570cfb664043ceb3d5072025230e8422a",
 	"ken-11/16/hypergraph":   "289ad683318382b38c3d401e981b9ace964cc87a057765fde1103bd8468cdca1",
 	"ken-11/16/graph":        "3cbbe5c1bf47240e76839be9510b0af6695b511721453f0bdea0ed624d24f7e6",
 	"ken-11/16/locality":     "c3d3590795df2d99a1904531dc9e76e69efa85c5bd428be1b3145b672b9f8ca2",
-	"ken-11/16/medium_grain": "1500f697cc4f68ac89d67801d3e17f6e5fa78f67e02c1e2a9ff27d9c1d60450a",
-	"ken-11/16/spgemm":       "4dc8864c851ba243256cecfb5336121e0b260be3c3f9f5d23619ef0205c1f6df",
+	"ken-11/16/medium_grain": "a7f79c78104a1059d6507dba6e5273c750a4bb1e14cbfe017d8d8a0dbf0c06d4",
+	"ken-11/16/spgemm":       "6c254da94dd2cce1deb9b0949e0bad3cb40a692dadf100d5729d4bd1bb5a1a1e",
 	"ken-11/16/spgemm_1d":    "a59b96050bf31494c841a04927582c387c783273e2d792d4b937f46fb7751b17",
-	"ken-11/16/auto":         "ed7b264fa282957081980f5467c79c898a632566c8bcd85271fb9edaa6da929c",
-	"ken-11/24/finegrain":    "22e79ba48fb31a4a9e750fd964029346e1dd08ce60b8e0ed8b409ac12f8d0b42",
+	"ken-11/16/auto":         "7b7d325dc261706292215614c28378b570cfb664043ceb3d5072025230e8422a",
+	"ken-11/24/finegrain":    "9e09ccf636763ff62f06e0b2f33b60d3e335c18a4a48cb1a055f914e7d593c73",
 	"ken-11/24/hypergraph":   "c0377b7e090ed5354687003febc2b7c28b707bbbbbbc29ba34d576488745a87a",
 	"ken-11/24/graph":        "e2aa7f89bca0e805004d6730a34de4b8f8e2faa328ff391e713c6f376240d27c",
 	"ken-11/24/locality":     "8cab084d0b3be2f4c280af72f3f113b50c4c96c4e714c36043ceb885cad899cd",
-	"ken-11/24/medium_grain": "dca7ce7ccb2092f0876667e2a764b7dd3faef2530ed8a5bb5eee17026ce4633b",
-	"ken-11/24/spgemm":       "e186b9f6436e947c00aaa291c0be4fabb51d0de13769c3780a22cedbb257a12c",
+	"ken-11/24/medium_grain": "b26a5c7506e24b5e293b1d75f64ab9e8a33b6ec894e57ecbfb1917121f765cd3",
+	"ken-11/24/spgemm":       "f72e4a57e88020daa5086214fdc755f67dedeba95414475b0bc9f11a7e240abc",
 	"ken-11/24/spgemm_1d":    "4d573772098a38cdb44269f7ad01e60036fe4f6f84a6aff1cfc592d590714d43",
-	"ken-11/24/auto":         "22e79ba48fb31a4a9e750fd964029346e1dd08ce60b8e0ed8b409ac12f8d0b42",
-	"ken-11/64/finegrain":    "3bdf5e36e9d36c396f8d69c32ecbe2f56299a8b3a53c22f1d11718d247f8b240",
+	"ken-11/24/auto":         "9e09ccf636763ff62f06e0b2f33b60d3e335c18a4a48cb1a055f914e7d593c73",
+	"ken-11/64/finegrain":    "64d5450d29a1c432df6e1d8e3e0632f8fafebc938528f0d62904e0ad8dbdd0b9",
 	"ken-11/64/hypergraph":   "9f3367a22a470f8fbf0b03f0688a59c1b76b0d7d282f5486e2ed6534643da806",
 	"ken-11/64/graph":        "b976a980c4dfc1e6577cde47d4be386c84d57c9372b54b1896a859aca0534934",
 	"ken-11/64/locality":     "67283d0590be1f0ba375bcbb8d6a157eb30ac45b60a9f4e448b81f423c0cbed8",
-	"ken-11/64/medium_grain": "0d0c28f17a769850f758734c74cd1fce6111f93f75bf064b035bb3a090776b63",
-	"ken-11/64/spgemm":       "44a028b967cdc2d1e482c21be3c52b5602330c83747167f5d05650ed586e301b",
+	"ken-11/64/medium_grain": "89ac87fc616b5e615ce36b945ea0873349da14eda0967501c62437db2d3a0c0d",
+	"ken-11/64/spgemm":       "2e0ce5d1a1dc440d0e28138e40ce3f7d73d037818cc9dee5d1b31712a088c00e",
 	"ken-11/64/spgemm_1d":    "1f0f8cec9d1f96083d6b625a4a5ef81c72b337d0dca786f614260dd5646e2ebe",
-	"ken-11/64/auto":         "3bdf5e36e9d36c396f8d69c32ecbe2f56299a8b3a53c22f1d11718d247f8b240",
-	"cq9/16/finegrain":       "21807701933e685eb37db9ea239955c7ea0b8b8951de386a520677d9d876b9ad",
+	"ken-11/64/auto":         "64d5450d29a1c432df6e1d8e3e0632f8fafebc938528f0d62904e0ad8dbdd0b9",
+	"cq9/16/finegrain":       "69bf201c6d458e6dcdc51ac906a1f91d3b282fc67441276bcb357887feb8adc0",
 	"cq9/16/hypergraph":      "4a5a50771ff0804dd9c6f8669fcd6ccd0134d26723dc92545ac475ec72051137",
 	"cq9/16/graph":           "d4e12c8e8e38a750908e61c694edb48140c5d8f77ceb88ddb3b7906890890186",
 	"cq9/16/locality":        "638acd778ee9fa5c5105ff71d32b5588c4751fbf9f58bd1a6622ae14e7903364",
 	"cq9/16/medium_grain":    "db88e49ff67413ff332d3e5390efd172ab15570195ff0ba87d0b7aba3120fd8d",
-	"cq9/16/spgemm":          "aa51e59b5502ef5cf0a76c5286b93ebb82854899f388db6d050b3dc56bdc2f23",
+	"cq9/16/spgemm":          "545b86f2f9bbb2dccdc8e7af263c6f40eca9c0b4f36cc50814780bd0b894ae89",
 	"cq9/16/spgemm_1d":       "bce35d63752ab2572dd0fea9d08bda11d7e02b990c9af83aae2e89b1d4fc7bdd",
-	"cq9/16/auto":            "21807701933e685eb37db9ea239955c7ea0b8b8951de386a520677d9d876b9ad",
-	"cq9/24/finegrain":       "5fb5275343e20b1320f7a660b57dfa133648b3a93f8ee3660e27894954b4cd59",
+	"cq9/16/auto":            "69bf201c6d458e6dcdc51ac906a1f91d3b282fc67441276bcb357887feb8adc0",
+	"cq9/24/finegrain":       "a7ef9eeb03c4ecb38514dbb337669e44ae65a867f4b4f5ef45dccf46eaaec671",
 	"cq9/24/hypergraph":      "60ea4178ea297f8a18edeb55861572891ddcf250ed7d314f5eaee0cb87df3cad",
 	"cq9/24/graph":           "c6983c0cefae11aeb36c5ba9aa2bd256210b1c940e0edc22153812ffa3383544",
 	"cq9/24/locality":        "5260e39d69cdb3aeb54f44a57a331ac7b9a61b4fc79ae2000f33e44159d52e21",
 	"cq9/24/medium_grain":    "d94852153b0a42b21fa18083acab74a0bf06fca71bbb39dd6cb4ea21077512a4",
-	"cq9/24/spgemm":          "499c4df5ddde6a75c938ef77464688e5456bd77c62d693c2436fdd8d58f5f219",
+	"cq9/24/spgemm":          "e76550a0b421ce0d581079005bf0309e08721fcfd5987bea8b06d45149dc27b1",
 	"cq9/24/spgemm_1d":       "e4bc09ed30b073de664ba1332abb4bf38e61210de6af00163be39fc05aac75a1",
-	"cq9/24/auto":            "5fb5275343e20b1320f7a660b57dfa133648b3a93f8ee3660e27894954b4cd59",
-	"cq9/64/finegrain":       "cb70d5d113d3bdff8b5d43f573bdc4521466d6631eddc2f136bdc23e4af3a6d6",
+	"cq9/24/auto":            "a7ef9eeb03c4ecb38514dbb337669e44ae65a867f4b4f5ef45dccf46eaaec671",
+	"cq9/64/finegrain":       "a60f8d786d4c3836bba7a20bb464e231dfc0d4e071ea37766abe6c4a2c8c0703",
 	"cq9/64/hypergraph":      "191688f7988283fdf64fa7d72b8e9febf6492ae1053148f1785ebb2a70d96d24",
 	"cq9/64/graph":           "a66fc0fab94bc5150d300d9af0b0f449833555fe295d0b3232a6a6622963407f",
 	"cq9/64/locality":        "77e061e50392d4c6162a63a68a1e698a1bccae2965c88a8212207fbc82662c75",
 	"cq9/64/medium_grain":    "881869c9a12801957102c6a57963921798dcd14dd5e504eec8c0a2b2c011d297",
-	"cq9/64/spgemm":          "9db27c96f99f2f4557d84555fc076bf286738b96af2acbeee62f0341d734045d",
+	"cq9/64/spgemm":          "0dda5c15deed8bd4ff595625e23778ca4008a8278e4b35a2be67ebecb9aa131b",
 	"cq9/64/spgemm_1d":       "440496f1151d526d47ead59a4bdb0c1ab14b6e8f4b4b0a14d6f5e3d7128ee634",
-	"cq9/64/auto":            "cb70d5d113d3bdff8b5d43f573bdc4521466d6631eddc2f136bdc23e4af3a6d6",
+	"cq9/64/auto":            "a60f8d786d4c3836bba7a20bb464e231dfc0d4e071ea37766abe6c4a2c8c0703",
 }
 
 // ownerDigest hashes a decomposition's model name, K and owner arrays

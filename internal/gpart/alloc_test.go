@@ -51,3 +51,28 @@ func TestWorkersAllocParity(t *testing.T) {
 			parallel, serial, slack)
 	}
 }
+
+// TestWarmInducedSideAllocatesNothing pins that inducedSide writes
+// both sides into child storage: once the arena and its children are
+// warm, building a side allocates nothing.
+func TestWarmInducedSideAllocatesNothing(t *testing.T) {
+	r := rng.New(8)
+	g := randomG(r, 2000, 8000)
+	numV := g.NumVertices()
+	ids := make([]int, numV)
+	side := make([]int8, numV)
+	for v := range ids {
+		ids[v] = v
+		side[v] = int8(r.Intn(2))
+	}
+	s := new(scratch)
+	for want := int8(0); want < 2; want++ {
+		inducedSide(g, ids, side, want, s, s.childAt(1, want))
+	}
+	for want := int8(0); want < 2; want++ {
+		got := testing.AllocsPerRun(5, func() { inducedSide(g, ids, side, want, s, s.childAt(1, want)) })
+		if got != 0 {
+			t.Errorf("inducedSide side %d on a warm arena: %.0f allocs/op, want 0", want, got)
+		}
+	}
+}

@@ -166,7 +166,7 @@ func TestInducedSideMatchesBuilder(t *testing.T) {
 		}
 		for want := int8(0); want < 2; want++ {
 			name := fmt.Sprintf("trial %d side %d", trial, want)
-			got, gotIDs := inducedSide(g, ids, side, want, s)
+			got, gotIDs := inducedSide(g, ids, side, want, s, s.childAt(1, want))
 			ref, refIDs := inducedOracle(g, ids, side, want)
 			sameGraph(t, name, got, ref)
 			if len(gotIDs) != len(refIDs) || !slices.Equal(gotIDs, refIDs) {

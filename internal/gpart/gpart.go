@@ -90,15 +90,19 @@ type recursion struct {
 	call *mlpart.Call[scratch, branch]
 }
 
-// branch is one recursion node: sub, whose vertex v is vertex ids[v]
-// of the input, goes to parts kLo..kLo+k−1 of out.
+// branch is one recursion node at depth depth (the root is 0): sub,
+// whose vertex v is vertex ids[v] of the input, goes to parts
+// kLo..kLo+k−1 of out. Below the root, sub and ids live in child storage
+// of the arena that ran the parent bisection, valid until the parent's
+// Fork returns (the rule of hgpart's children).
 type branch struct {
-	rc  *recursion
-	sub *graph.Graph
-	ids []int
-	kLo int
-	k   int
-	r   *rng.RNG
+	rc    *recursion
+	depth int
+	sub   *graph.Graph
+	ids   []int
+	kLo   int
+	k     int
+	r     *rng.RNG
 }
 
 func (b branch) Splits() bool { return b.k > 1 && len(b.ids) > 0 }
@@ -134,15 +138,16 @@ func (b branch) Run(tk *obs.Track, s *scratch, _ bool) error {
 	if err != nil {
 		return err
 	}
-	leftG, leftIDs := inducedSide(b.sub, b.ids, side, 0, s)
-	rightG, rightIDs := inducedSide(b.sub, b.ids, side, 1, s)
+	d := b.depth + 1
+	leftG, leftIDs := inducedSide(b.sub, b.ids, side, 0, s, s.childAt(d, 0))
+	rightG, rightIDs := inducedSide(b.sub, b.ids, side, 1, s, s.childAt(d, 1))
 	// Both child streams are drawn before either branch runs. The left
 	// branch never touches r, so they are the streams a serial
 	// left-then-right recursion draws, whichever goroutine runs them.
 	rL, rR := b.r.Child(), b.r.Child()
 	_, err = rc.call.Fork(tk, s,
-		branch{rc: rc, sub: leftG, ids: leftIDs, kLo: kLo, k: kL, r: rL},
-		branch{rc: rc, sub: rightG, ids: rightIDs, kLo: kLo + kL, k: kR, r: rR})
+		branch{rc: rc, depth: d, sub: leftG, ids: leftIDs, kLo: kLo, k: kL, r: rL},
+		branch{rc: rc, depth: d, sub: rightG, ids: rightIDs, kLo: kLo + kL, k: kR, r: rR})
 	return err
 }
 
@@ -150,8 +155,11 @@ func (b branch) Run(tk *obs.Track, s *scratch, _ bool) error {
 // (edge cut decomposes additively over recursion levels). The kept
 // vertices are renumbered in order, so the map is monotone and every
 // copied neighbour list stays sorted: one counting pass sizes the CSR
-// and a second fills it.
-func inducedSide(g *graph.Graph, ids []int, side []int8, want int8, s *scratch) (*graph.Graph, []int) {
+// and a second fills it. The subgraph and its id map are written into
+// dst, so a warm arena builds a side without allocating; they stay
+// valid until dst is rewritten by the next bisection at the same depth
+// on this arena.
+func inducedSide(g *graph.Graph, ids []int, side []int8, want int8, s *scratch, dst *child) (*graph.Graph, []int) {
 	numV := g.NumVertices()
 	local := mlpart.Grow(s.local, numV)
 	s.local = local
@@ -164,9 +172,10 @@ func inducedSide(g *graph.Graph, ids []int, side []int8, want int8, s *scratch) 
 			local[v] = -1
 		}
 	}
-	subIDs := make([]int, n)
-	vw := make([]int, n)
-	adjPtr := make([]int, n+1)
+	subIDs := mlpart.Grow(dst.ids, n)
+	vw := mlpart.Grow(dst.vw, n)
+	adjPtr := mlpart.Grow(dst.adjPtr, n+1)
+	adjPtr[0] = 0
 	for v := 0; v < numV; v++ {
 		lv := local[v]
 		if lv < 0 {
@@ -183,8 +192,8 @@ func inducedSide(g *graph.Graph, ids []int, side []int8, want int8, s *scratch) 
 		}
 		adjPtr[lv+1] = adjPtr[lv] + kept
 	}
-	adjTo := make([]int, adjPtr[n])
-	adjW := make([]int, adjPtr[n])
+	adjTo := mlpart.Grow(dst.adjTo, adjPtr[n])
+	adjW := mlpart.Grow(dst.adjW, adjPtr[n])
 	for v := 0; v < numV; v++ {
 		lv := local[v]
 		if lv < 0 {
@@ -199,7 +208,9 @@ func inducedSide(g *graph.Graph, ids []int, side []int8, want int8, s *scratch) 
 			}
 		}
 	}
-	return graph.FromCSR(adjPtr, adjTo, adjW, vw), subIDs
+	dst.ids, dst.vw, dst.adjPtr, dst.adjTo, dst.adjW = subIDs, vw, adjPtr, adjTo, adjW
+	dst.g = *graph.FromCSR(adjPtr, adjTo, adjW, vw)
+	return &dst.g, subIDs
 }
 
 // multilevelBisect returns the side of each vertex of g. The slice is

@@ -1,6 +1,7 @@
 package gpart
 
 import (
+	"finegrain/internal/graph"
 	"finegrain/internal/hypergraph"
 	"finegrain/internal/mlpart"
 )
@@ -8,7 +9,9 @@ import (
 // scratch holds the reusable working buffers of one goroutine of a
 // Partition call: the caller's own, and one per worker slot. Buffers
 // only grow, so deeper (smaller) levels and later passes reslice the
-// capacity the first level left behind. A scratch never carries state
+// capacity the first level left behind. The induced subgraphs live
+// here too, child (d, side) valid until the Fork that runs it returns,
+// by the rule of hgpart's children. A scratch never carries state
 // from one use to the next: every buffer is initialised by its consumer
 // before it is read, or guarded by the monotone epoch stamp, so the
 // partition cannot depend on which scratch served a call.
@@ -33,6 +36,10 @@ type scratch struct {
 
 	// inducedSide: the old → new vertex map.
 	local []int
+
+	// children: the subgraphs and id maps inducedSide builds, child
+	// (d, side) at index 2·(d−1) + side.
+	children []*child
 
 	// initial bisection: the coarsest level as the hypergraph of its
 	// edges over xpins, pins and cost, a fixed side of −1 per vertex,
@@ -68,6 +75,23 @@ func (s *scratch) rungAt(i int) *rung {
 		s.ladder = append(s.ladder, new(rung))
 	}
 	return s.ladder[i-1]
+}
+
+// child is the storage of one side of a bisection: the induced
+// subgraph over its CSR arrays, and its map to input vertex ids.
+type child struct {
+	g                            graph.Graph
+	ids, vw, adjPtr, adjTo, adjW []int
+}
+
+// childAt returns the storage of side `side` of the bisections at
+// recursion depth d ≥ 1.
+func (s *scratch) childAt(d int, side int8) *child {
+	i := 2*(d-1) + int(side)
+	for len(s.children) <= i {
+		s.children = append(s.children, new(child))
+	}
+	return s.children[i]
 }
 
 // accSlot is one coarse neighbour's summed edge weight, valid only when

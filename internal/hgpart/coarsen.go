@@ -42,13 +42,19 @@ var compressCoarseNets = true
 // kernel. The choice depends only on the level size and the options,
 // never on Workers or scheduling.
 //
+// A child bisection passes the ladder it inherited from its parent
+// (inheritLadder) as inh, nil when it has none: level ℓ then takes
+// inh.cmap[ℓ] in place of clustering, for as many levels as inh holds,
+// and the levels below are clustered afresh. Inherited levels draw no
+// random numbers.
+//
 // The ladder stalls on either of two signals: cluster merging too few
 // vertices (<10% shrinkage), or the compact pin count shrinking by less
 // than 5% — a level full of high-degree vertices can shed plenty of
 // vertices while keeping nearly every pin, and such a level makes every
 // later phase pay full price for almost no reduction in work.
 func coarsen(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fixedCap [2]float64,
-	opts Options, r *rng.RNG, s *scratch) []*level {
+	inh *inherited, opts Options, r *rng.RNG, s *scratch) []*level {
 
 	sc, tk := ctx.sc, ctx.tk
 	record := sc.enabled() && ctx.top
@@ -75,26 +81,39 @@ func coarsen(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fixedCap
 			t0 = time.Now()
 		}
 		fine := &cur.lv
+		ell := len(levels) - 1
+		inherit := inh != nil && ell < len(inh.numC)
+		var inheritArg int64
+		if inherit {
+			inheritArg = 1
+		}
 		lsp := tk.Begin("hgpart", "coarsen.level").
-			Arg("level", int64(len(levels))).Arg("vertices", int64(fine.h.NumVertices()))
+			Arg("level", int64(len(levels))).Arg("vertices", int64(fine.h.NumVertices())).
+			Arg("inherited", inheritArg)
 		var numC int
-		if fine.h.NumVertices() >= opts.parallelThreshold {
+		var cmap []int
+		switch {
+		case inherit:
+			cmap, numC = inh.cmap[ell], inh.numC[ell]
+		case fine.h.NumVertices() >= opts.parallelThreshold:
 			numC = clusterRounds(ctx, fine.h, fine.fixedSide, fixedCap, opts, r, s, cur)
-		} else {
+			cmap = cur.cmap
+		default:
 			numC = cluster(fine.h, fine.fixedSide, fixedCap, opts, r, s, cur)
+			cmap = cur.cmap
 		}
 		if numC >= fine.h.NumVertices()*9/10 {
 			lsp.End()
 			break // stalled: less than 10% shrinkage is not worth a level
 		}
-		fine.cmap = cur.cmap
+		fine.cmap = cmap
 		next := s.rungAt(len(levels))
-		coarseH, compactPins := contract(fine.h, cur.cmap, numC, s, &next.arenaHG)
+		coarseH, compactPins := contract(fine.h, cmap, numC, s, &next.arenaHG)
 		coarseFixed := mlpart.Grow(next.fixedSide, numC)
 		for i := range coarseFixed {
 			coarseFixed[i] = -1
 		}
-		for v, c := range cur.cmap {
+		for v, c := range cmap {
 			if fine.fixedSide[v] >= 0 {
 				coarseFixed[c] = fine.fixedSide[v]
 			}
@@ -119,6 +138,75 @@ func coarsen(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, fixedCap
 	}
 	s.levels = levels
 	return levels
+}
+
+// inheritLadder derives the coarsening ladder that side want of a
+// finished bisection inherits, writing it into dst. levels is the
+// bisection's ladder and side its level-0 sides. The child's level-ℓ
+// vertices are the level-ℓ vertices of levels with at least one level-0
+// descendant on the side; cluster c of the parent level thus becomes
+// one child cluster per side it has members on. Child vertices are
+// numbered densely in first-encounter order: level 0 in ascending
+// vertex order, as inducedSide numbers the child's hypergraph, and
+// each coarser level in the order the child's finer level reaches it.
+//
+// Derivation stops at the first level that would keep fewer than
+// minC vertices. Inherited clusters were formed under the parent's
+// cluster-weight cap, twice the child's, so near the coarsest levels
+// they would be too heavy for the child's own balance; the child
+// clusters those levels afresh.
+//
+// The maps are copied into dst, child storage with the child's
+// lifetime: the child never reads the parent's rungs, which the next
+// bisection on this arena rewrites. A warm dst and arena allocate
+// nothing.
+func inheritLadder(levels []*level, side []int8, want int8, minC int, s *scratch, dst *inherited) *inherited {
+	// from lists, for each child vertex of the current level, the parent
+	// vertex it is a restriction of.
+	from := s.inhFrom[0][:0]
+	for v, sd := range side {
+		if sd == want {
+			from = append(from, v)
+		}
+	}
+	s.inhFrom[0] = from
+	dst.numC = dst.numC[:0]
+	for ell := 0; ell+1 < len(levels); ell++ {
+		pmap := levels[ell].cmap
+		id := mlpart.Grow(s.inhID, levels[ell+1].h.NumVertices())
+		for i := range id {
+			id[i] = -1
+		}
+		s.inhID = id
+		// The child level has at most as many vertices as its finer one.
+		b := (ell + 1) % 2
+		next := mlpart.Grow(s.inhFrom[b], len(from))
+		if ell < cap(dst.cmap) {
+			dst.cmap = dst.cmap[:ell+1]
+		} else {
+			dst.cmap = append(dst.cmap, nil)
+		}
+		cmap := mlpart.Grow(dst.cmap[ell], len(from))
+		dst.cmap[ell] = cmap
+		numC := 0
+		for i, p := range from {
+			c := pmap[p]
+			if id[c] < 0 {
+				id[c] = numC
+				next[numC] = c
+				numC++
+			}
+			cmap[i] = id[c]
+		}
+		s.inhFrom[b] = next
+		if numC < minC {
+			break
+		}
+		dst.numC = append(dst.numC, numC)
+		from = next[:numC]
+	}
+	dst.cmap = dst.cmap[:len(dst.numC)]
+	return dst
 }
 
 // mergeRule is the one merge filter of coarsening, shared by the

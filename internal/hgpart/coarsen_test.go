@@ -126,7 +126,7 @@ func TestCoarsenLadderShrinks(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.normalize()
-	levels := coarsen(bisectCtx{}, h, fixedSide, [2]float64{1e18, 1e18}, opts, rng.New(1), new(scratch))
+	levels := coarsen(bisectCtx{}, h, fixedSide, [2]float64{1e18, 1e18}, nil, opts, rng.New(1), new(scratch))
 	if len(levels) < 2 {
 		t.Fatal("no coarsening happened on a 2000-vertex chain")
 	}
@@ -205,7 +205,7 @@ func TestCoarsenStallsWhenPinsStopShrinking(t *testing.T) {
 	opts.coarsenTo = 54 // cluster cap 600/54+1 = 12: pair merges (6) and pair-cluster merges (12) fit
 	opts.matchNetLimit = 10
 	opts.normalize()
-	levels := coarsen(bisectCtx{}, h, fixedSide, [2]float64{1e18, 1e18}, opts, rng.New(5), new(scratch))
+	levels := coarsen(bisectCtx{}, h, fixedSide, [2]float64{1e18, 1e18}, nil, opts, rng.New(5), new(scratch))
 
 	if len(levels) != 2 {
 		t.Fatalf("ladder has %d levels, want 2 (stop after the first pin-stalled level)", len(levels))
@@ -250,10 +250,11 @@ func TestMatchNetLimitSkipsDenseNets(t *testing.T) {
 }
 
 // TestWarmScratchAllocatesOnlyOutputs pins that every buffer of
-// cluster, contract and inducedSide is stored back: once the arena and
-// its rungs are warm, a call allocates nothing. cluster's cmap lives in
-// the level's rung, contract's coarse hypergraph in the next rung, and
-// inducedSide's sub-hypergraph and id map in the child storage.
+// cluster, contract, inducedSide and inheritLadder is stored back: once
+// the arena and its rungs are warm, a call allocates nothing. cluster's
+// cmap lives in the level's rung, contract's coarse hypergraph in the
+// next rung, and inducedSide's sub-hypergraph and id map and
+// inheritLadder's maps in the child storage.
 func TestWarmScratchAllocatesOnlyOutputs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates per sync op")
@@ -282,6 +283,16 @@ func TestWarmScratchAllocatesOnlyOutputs(t *testing.T) {
 	// hypergraph into a second rung for the timed clustering calls.
 	spare := s.rungAt(2)
 	cluster(h, fixedSide, fixedCap, opts, r, s, spare)
+	// A whole ladder, on its own arena, for the derivation to restrict.
+	small := opts
+	small.coarsenTo = 10
+	levels := coarsen(bisectCtx{}, h, fixedSide, fixedCap, nil, small, r, new(scratch))
+	if len(levels) < 3 {
+		t.Fatalf("ladder of %d levels: fixture too small", len(levels))
+	}
+	for want := int8(0); want < 2; want++ {
+		inheritLadder(levels, side, want, 1, s, &s.childAt(1, want).inh)
+	}
 
 	for _, c := range []struct {
 		name string
@@ -290,6 +301,7 @@ func TestWarmScratchAllocatesOnlyOutputs(t *testing.T) {
 		{"cluster", func() { cluster(h, fixedSide, fixedCap, opts, r, s, spare) }},
 		{"contract", func() { contract(h, fine.cmap, numC, s, &coarse.arenaHG) }},
 		{"inducedSide", func() { inducedSide(h, ids, side, 1, s, s.childAt(1, 1)) }},
+		{"inheritLadder", func() { inheritLadder(levels, side, 1, 1, s, &s.childAt(1, 1).inh) }},
 	} {
 		if got := testing.AllocsPerRun(5, c.call); got != 0 {
 			t.Errorf("%s on a warm scratch: %.0f allocs/op, want 0", c.name, got)
@@ -434,7 +446,24 @@ func BenchmarkCoarsen(b *testing.B) {
 	b.ResetTimer()
 	var levels []*level
 	for i := 0; i < b.N; i++ {
-		levels = coarsen(ctx, h, fixedSide, bounds.Strict, opts, opts.NewRNG(), s)
+		levels = coarsen(ctx, h, fixedSide, bounds.Strict, nil, opts, opts.NewRNG(), s)
 	}
 	b.ReportMetric(float64(len(levels)), "levels")
+}
+
+// BenchmarkPartitionTree times Partition, the whole bisection tree, of
+// the finan512 fine-grain hypergraph at paper size, K = 64, Workers 1:
+// the top bisection BenchmarkCoarsen times, plus the 62 below it, whose
+// coarsening ladders start from the levels their parents inherit.
+func BenchmarkPartitionTree(b *testing.B) {
+	h := fineGrainFixture(b, "finan512", 1)
+	opts := DefaultOptions()
+	opts.Workers = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Partition(h, 64, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -148,11 +148,13 @@ type bisectCtx struct {
 // write disjoint entries of out, and their RNG streams are derived
 // before either starts, so the result is schedule-independent.
 //
-// Below the root, sub and ids live in child storage of the arena that
-// ran the parent bisection, and stay valid until the parent's Fork
+// Below the root, sub, ids and inh live in child storage of the arena
+// that ran the parent bisection, and stay valid until the parent's Fork
 // returns: the parent's goroutine is blocked in Fork meanwhile, and
 // everything the sibling it runs inline writes on that arena is at
-// depth+1 or deeper.
+// depth+1 or deeper. inh is the part of the parent's coarsening ladder
+// the branch takes in place of clustering; it is nil at the root and on
+// a branch with fixed vertices.
 //
 // slack is the imbalance budget remaining on this subtree (the
 // caller's ε at the root). Each node spends (1+ε′) of it on its own
@@ -166,6 +168,7 @@ type branch struct {
 	sub   *hypergraph.Hypergraph
 	ids   []int
 	fixed []int
+	inh   *inherited
 	kLo   int
 	k     int
 	slack float64
@@ -206,26 +209,29 @@ func (b branch) Run(tk *obs.Track, s *scratch, spawned bool) error {
 	kL := k / 2
 	kR := k - kL
 	// Side of each fixed vertex at this bisection level, derived from
-	// its final part index, in the storage of ladder level 0.
+	// its final part index, in the storage of ladder level 0. fixedOn
+	// records which sides have fixed vertices.
 	top := s.rungAt(0)
 	fixedSide := mlpart.Grow(top.fixedSide, sub.NumVertices())
 	top.fixedSide = fixedSide
 	for i := range fixedSide {
 		fixedSide[i] = -1
 	}
+	var fixedOn [2]bool
 	if b.fixed != nil {
 		for local, g := range ids {
 			if p := b.fixed[g]; p >= 0 {
-				if p < kLo+kL {
-					fixedSide[local] = 0
-				} else {
-					fixedSide[local] = 1
+				sd := int8(0)
+				if p >= kLo+kL {
+					sd = 1
 				}
+				fixedSide[local] = sd
+				fixedOn[sd] = true
 			}
 		}
 	}
 
-	side, err := multilevelBisect(ctx, sub, fixedSide, kL, kR, epsB, b.opts, b.r, s)
+	side, err := multilevelBisect(ctx, sub, fixedSide, b.inh, kL, kR, epsB, b.opts, b.r, s)
 	if err != nil {
 		return err
 	}
@@ -236,13 +242,22 @@ func (b branch) Run(tk *obs.Track, s *scratch, spawned bool) error {
 	d := b.depth + 1
 	leftHG, leftIDs := inducedSide(sub, ids, side, 0, s, s.childAt(d, 0))
 	rightHG, rightIDs := inducedSide(sub, ids, side, 1, s, s.childAt(d, 1))
+	// A child that bisects again inherits this bisection's ladder,
+	// unless it has fixed vertices: its clusters may join vertices whose
+	// fixed parts the child's own cut separates.
+	var inh [2]*inherited
+	for sd, ck := range [2]int{kL, kR} {
+		if ck > 1 && !fixedOn[sd] {
+			inh[sd] = inheritLadder(s.levels, side, int8(sd), 2*b.opts.coarsenTo, s, &s.childAt(d, int8(sd)).inh)
+		}
+	}
 	// Both child streams are derived here, in the serial order (left
 	// first), before either branch can run.
 	rL, rR := b.r.Child(), b.r.Child()
 	ctx.top = false
 	forked, err := ctx.call.Fork(ctx.tk, s,
-		branch{ctx: ctx, depth: d, sub: leftHG, ids: leftIDs, fixed: b.fixed, kLo: kLo, k: kL, slack: childSlack, opts: b.opts, r: rL, out: b.out},
-		branch{ctx: ctx, depth: d, sub: rightHG, ids: rightIDs, fixed: b.fixed, kLo: kLo + kL, k: kR, slack: childSlack, opts: b.opts, r: rR, out: b.out})
+		branch{ctx: ctx, depth: d, sub: leftHG, ids: leftIDs, fixed: b.fixed, inh: inh[0], kLo: kLo, k: kL, slack: childSlack, opts: b.opts, r: rL, out: b.out},
+		branch{ctx: ctx, depth: d, sub: rightHG, ids: rightIDs, fixed: b.fixed, inh: inh[1], kLo: kLo + kL, k: kR, slack: childSlack, opts: b.opts, r: rR, out: b.out})
 	ctx.sc.branch(forked)
 	return err
 }
@@ -311,14 +326,16 @@ func inducedSide(h *hypergraph.Hypergraph, ids []int, side []int8, want int8, s 
 }
 
 // multilevelBisect runs coarsen → initial bisect → refine and returns a
-// 0/1 side per vertex of h. Targets are proportional to kL:kR. The
-// ladder lives in scr's rungs and is dead once this returns; the next
-// bisection on the arena rewrites it. The returned side slice is
+// 0/1 side per vertex of h. Targets are proportional to kL:kR, and inh
+// is the ladder h inherited from its parent bisection (nil for none).
+// The ladder lives in scr's rungs, listed by scr.levels, and stays
+// valid until the next bisection on the arena rewrites it (branch.Run
+// derives the children's inherited ladders from it). The returned side slice is
 // scratch-owned too (one of scr.proj, or the initial bisection's when
 // h did not coarsen); it stays valid only until the caller's next use
 // of the arena (branch.Run copies it into the induced sub-hypergraphs
 // before recursing).
-func multilevelBisect(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, kL, kR int,
+func multilevelBisect(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8, inh *inherited, kL, kR int,
 	epsB float64, opts Options, r *rng.RNG, scr *scratch) ([]int8, error) {
 	defer scr.dropInput()
 
@@ -330,7 +347,7 @@ func multilevelBisect(ctx bisectCtx, h *hypergraph.Hypergraph, fixedSide []int8,
 		t0 = time.Now()
 	}
 	csp := ctx.tk.Begin("hgpart", "coarsen").Arg("vertices", int64(h.NumVertices()))
-	levels := coarsen(ctx, h, fixedSide, bounds.Strict, opts, r, scr)
+	levels := coarsen(ctx, h, fixedSide, bounds.Strict, inh, opts, r, scr)
 	csp.Arg("levels", int64(len(levels))).End()
 	var coarsenD time.Duration
 	if sc.enabled() {

@@ -52,7 +52,7 @@ func growBisectRescan(h *hypergraph.Hypergraph, fixedSide []int8, targets [2]flo
 	if w1 == 0 {
 		var free []int
 		for v := 0; v < numV; v++ {
-			if fixedSide[v] != 0 {
+			if fixedSide[v] < 0 {
 				free = append(free, v)
 			}
 		}
@@ -134,7 +134,7 @@ func randomGrowCase(r *rng.RNG) (*hypergraph.Hypergraph, []int8, [2]float64) {
 		b.SetNetCost(n, r.Intn(7)-2)
 	}
 	// In a quarter of the cases the side-1 fixed vertices weigh
-	// nothing, so the seed is random and may be one of them.
+	// nothing, so the seed is a random free vertex.
 	zeroFixed := r.Intn(4) == 0
 	fixedSide := make([]int8, numV)
 	total := 0
@@ -200,7 +200,7 @@ func BenchmarkInitialBisect(b *testing.B) {
 	for v := range fixedSide {
 		fixedSide[v] = -1
 	}
-	levels := coarsen(ctx, h, fixedSide, bounds.Strict, opts, opts.NewRNG(), s)
+	levels := coarsen(ctx, h, fixedSide, bounds.Strict, nil, opts, opts.NewRNG(), s)
 	coarsest := levels[len(levels)-1]
 	caps := bounds.Caps(coarsest.h.VertexWeights())
 	b.ReportAllocs()

@@ -18,13 +18,16 @@
 //   - Ladder rungs. Rung i holds level i of the current bisection's
 //     coarsening ladder: its hypergraph (written by contract), fixed
 //     sides and cmap. A level is valid until the next bisection on the
-//     same arena rewrites its rung.
+//     same arena rewrites its rung, which is why a child never reads
+//     its parent's rungs.
 //   - Children. Child (d, side) holds the sub-hypergraph and id map
-//     inducedSide builds for one side of a depth d−1 bisection. A child
-//     is valid until the Fork that runs it returns: a sibling spawned
-//     onto another slot reads it while the building goroutine is
-//     blocked in Fork, and nothing that goroutine runs meanwhile writes
-//     depth d on this arena.
+//     inducedSide builds for one side of a depth d−1 bisection, and the
+//     ladder maps inheritLadder derives for that side from the
+//     bisection's rungs. A child is valid until the Fork that runs it
+//     returns: a sibling spawned onto another slot reads it while the
+//     building goroutine is blocked in Fork, and nothing that goroutine
+//     runs meanwhile writes depth d on this arena. The child's own
+//     ladder points into its inherited maps while it bisects.
 //
 // Arenas are held strongly between calls, so a parked arena keeps the
 // largest ladder and children it has built; a finished bisection drops
@@ -75,6 +78,12 @@ type scratch struct {
 	// inducedSide: global→local vertex map and surviving-net list.
 	vlocal []int
 	keep   []int
+
+	// inheritLadder: the parent vertex of each child vertex of the
+	// current and next level (taken in turn), and the parent→child id
+	// map of the next level.
+	inhFrom [2][]int
+	inhID   []int
 
 	// ladder: rung i backs level i of the current bisection's coarsening
 	// ladder, and levels is the ladder coarsen returns. Rung 0's
@@ -152,11 +161,20 @@ type rung struct {
 	fixedSide []int8
 }
 
-// child is the storage of one side of a bisection: the sub-hypergraph
-// and its map to input vertex ids.
+// child is the storage of one side of a bisection: the sub-hypergraph,
+// its map to input vertex ids, and the ladder it inherits.
 type child struct {
 	arenaHG
 	ids []int
+	inh inherited
+}
+
+// inherited is the part of a parent bisection's coarsening ladder that
+// a child takes in place of clustering (inheritLadder): cmap[ℓ] maps
+// the child's level-ℓ vertices onto its numC[ℓ] level-(ℓ+1) vertices.
+type inherited struct {
+	cmap [][]int
+	numC []int
 }
 
 // rungAt returns the storage of ladder level i.

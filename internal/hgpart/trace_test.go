@@ -106,3 +106,62 @@ func TestTraceSpanTaxonomy(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceInheritedLevels checks the inherited arg of coarsen.level
+// spans: a free run takes some levels from its parents' ladders, while
+// a run whose every branch has fixed vertices clusters every level
+// afresh and records inherited 0 throughout.
+func TestTraceInheritedLevels(t *testing.T) {
+	h := randomHG(rng.New(17), 3000, 2500)
+	const k = 8
+	fixed := make([]int, h.NumVertices())
+	for v := range fixed {
+		fixed[v] = -1
+		if v%9 == 0 {
+			fixed[v] = v % k
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		fixed []int
+	}{{"free", nil}, {"fixed", fixed}} {
+		opts := DefaultOptions()
+		opts.Workers = 2
+		opts.coarsenTo = 20
+		opts.Trace = obs.New()
+		if _, err := PartitionFixed(h, k, tc.fixed, opts); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := opts.Trace.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var out struct {
+			TraceEvents []struct {
+				Name string         `json:"name"`
+				Cat  string         `json:"cat"`
+				Args map[string]any `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		count := map[float64]int{}
+		for _, ev := range out.TraceEvents {
+			if ev.Cat != "hgpart" || ev.Name != "coarsen.level" {
+				continue
+			}
+			inh, ok := ev.Args["inherited"].(float64)
+			if !ok {
+				t.Fatalf("%s: coarsen.level span without an inherited arg: %v", tc.name, ev.Args)
+			}
+			count[inh]++
+		}
+		switch {
+		case tc.fixed == nil && (count[1] == 0 || count[0] == 0):
+			t.Errorf("free run: %d inherited and %d clustered levels, want some of each", count[1], count[0])
+		case tc.fixed != nil && count[1] != 0:
+			t.Errorf("fixed run: %d inherited levels, want 0 (of %d)", count[1], count[0]+count[1])
+		}
+	}
+}

@@ -116,25 +116,23 @@ func NetGain(c, from, to int) int {
 
 // GrowBisect implements greedy hypergraph growing (GHG). Everything
 // starts on side 0 except the vertices fixed to side 1, which seed side
-// 1 if they carry weight; otherwise a random vertex not fixed to side 0
-// does. Side 1 then absorbs free side-0 vertices until its weight
-// reaches targets[1]. Candidates are the frontier, the free side-0 pins
-// of nets side 1 touches, in the order they became candidates; the
-// first of maximal gain wins, and an empty frontier (a disconnected
-// hypergraph) falls back to the lowest-index free side-0 vertex, which
-// a cursor finds in one sweep over the whole call: side 1 only grows,
-// so that vertex's index never decreases. The result is written into
-// side (len = NumVertices).
+// 1 if they carry weight; otherwise a random free vertex does. Side 1
+// then absorbs free side-0 vertices until its weight reaches
+// targets[1]. Candidates are the frontier, the free side-0 pins of nets
+// side 1 touches, in the order they became candidates; the first of
+// maximal gain wins, and an empty frontier (a disconnected hypergraph)
+// falls back to the lowest-index free side-0 vertex, which a cursor
+// finds in one sweep over the whole call: side 1 only grows, so that
+// vertex's index never decreases. The result is written into side
+// (len = NumVertices).
 //
 // Frontier gains are exact at every step and kept by integer deltas: a
 // vertex's gain is computed in full when it joins the frontier, and a
 // step of σ₁(n) from old to old+1 adds the change in n's NetGain term,
 // c_n·[old = 0] + c_n·[old = |n|−2] (2·c_n for a 2-pin net), to each
-// free side-0 pin of n. (It is −c_n at old = |n|−1, which needs σ₁ to
-// count a vertex twice: a random seed that is a zero-weight vertex
-// already fixed to side 1 is moved again.) A net's pins are walked when
-// side 1 first touches it, to offer them to the frontier, and after
-// that only on a step with a nonzero delta, about twice per trial.
+// free side-0 pin of n. A net's pins are walked when side 1 first
+// touches it, to offer them to the frontier, and after that only on a
+// step with a nonzero delta, about twice per trial.
 //
 // Growing polls opts' context every growPollMoves moves and returns its
 // error: a level whose coarsening stalled can have as many vertices as
@@ -217,7 +215,7 @@ func GrowBisect(h *hypergraph.Hypergraph, fixedSide []int8, targets [2]float64, 
 	if w1 == 0 {
 		free := s.free[:0]
 		for v := 0; v < numV; v++ {
-			if fixedSide[v] != 0 {
+			if fixedSide[v] < 0 {
 				free = append(free, v)
 			}
 		}
